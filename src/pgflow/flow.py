@@ -7,11 +7,13 @@ Four systems share the Trajectory record:
 - "unscaled":   y' = -grad f(y), unconstrained, unit clock
 - "discrete":   x_{k+1} = P(x_k - a_k grad f(x_k)), the classical iteration
 
-Continuous systems integrate with fixed-step classic Runge-Kutta. The
-exact projected flow never leaves the feasible set, but a numerical
-step can; after every accepted step the state is re-projected and the
-pre-projection residual is recorded as feas_drift so the correction
-stays observable.
+Continuous systems integrate with fixed-step classic Runge-Kutta. For
+the projected system a whole RK4 step is a convex combination of the
+current state and the four projected stage points (see PROJECTED_STEP_MAX),
+so in exact arithmetic it never leaves the feasible set. Only rounding
+can, so feasibility is restored once per sample rather than per substep:
+the sample's distance from the set is recorded as feas_drift and the
+state is replaced by its projection whenever that distance is positive.
 """
 
 from __future__ import annotations
@@ -33,6 +35,21 @@ DIVERGENCE_NORM = 1e12
 DEFAULT_STEP = 1e-3
 DEFAULT_HORIZON = 50.0
 DEFAULT_SAMPLE_EVERY = 0.1
+
+# Classic RK4 on x' = P(y(t, x)) - x gives, per step of size h,
+#   x_new = c0 x + c1 P(y1) + c2 P(y2) + c3 P(y3) + c4 P(y4)
+# with c1 = -h (h^3 - 2h^2 + 4h - 4) / 24, c2 = h (h^2 - 2h + 4) / 12,
+# c3 = h (2 - h) / 6, c4 = h / 6 and c0 = 1 - c1 - c2 - c3 - c4. The
+# weights sum to one and are all nonnegative while h is at most the real
+# root 1.29559774... of h^3 - 2h^2 + 4h - 4 (c1 is the first to turn
+# negative), so up to that step the exact RK4 step stays in the convex
+# set. The bound is that root rounded down.
+PROJECTED_STEP_MAX = 1.2955
+
+# Run-length limits, checked before anything is allocated. The largest
+# shipped config needs 40k steps and 2k samples.
+MAX_RK4_STEPS = 10_000_000
+MAX_SAMPLES = 1_000_000
 
 BEST_SEEN = "best-seen (diagnostic-only)"
 ANALYTIC = "analytic"
@@ -136,19 +153,32 @@ def integrate(
 
     Samples land on multiples of ``sample_every`` plus t=0 and t=horizon;
     each inter-sample segment is subdivided into equal substeps no larger
-    than ``step``. Raises DivergenceError, carrying the failure time, as
-    soon as the state norm passes 1e12 or stops being finite.
+    than ``step``. The projected system needs ``step <= PROJECTED_STEP_MAX``,
+    and a run may take at most MAX_RK4_STEPS steps and MAX_SAMPLES samples.
+    Raises DivergenceError, carrying the failure time, as soon as the
+    state norm passes 1e12 or stops being finite.
     """
     if problem.system == "discrete":
         raise InvalidInputError("use discrete_run for the discrete system")
-    if not (np.isfinite(horizon) and horizon > 0):
+    if not (math.isfinite(horizon) and horizon > 0):
         raise InvalidInputError("horizon must be positive and finite")
     if not (0 < step <= sample_every):
         raise InvalidInputError("need 0 < step <= sample_every")
+    projected = problem.system == "projected"
+    if projected and step > PROJECTED_STEP_MAX:
+        raise InvalidInputError(
+            f"the projected system needs step <= {PROJECTED_STEP_MAX} "
+            f"(the RK4 convexity bound), got {step:g}")
+    if horizon / step > MAX_RK4_STEPS:
+        raise InvalidInputError(
+            f"horizon {horizon:g} / step {step:g} = {horizon / step:.3g} RK4 steps, "
+            f"above the limit of {MAX_RK4_STEPS:.0e}")
+    if horizon / sample_every > MAX_SAMPLES:
+        raise InvalidInputError(
+            f"horizon {horizon:g} / sample_every {sample_every:g} = {horizon / sample_every:.3g} "
+            f"samples, above the limit of {MAX_SAMPLES:.0e}")
 
     F = _rhs_factory(problem)
-    projected = problem.system == "projected"
-    resid = problem.domain._residual
     proj = problem.domain._project
     guard_sq = DIVERGENCE_NORM * DIVERGENCE_NORM
 
@@ -163,7 +193,6 @@ def integrate(
             span = t1 - t0
             n_sub = max(1, math.ceil(span / step - 1e-12))
             h = span / n_sub
-            drift = 0.0
             for i in range(n_sub):
                 t = t0 + i * h
                 k1 = F(t, x)
@@ -176,10 +205,13 @@ def integrate(
                     raise DivergenceError(
                         f"state norm left the trust region near t = {t + h:.6g}", time=t + h
                     )
-                if projected:
-                    drift = resid(x)
-                    if drift > 0.0:
-                        x = proj(x)
+            drift = 0.0
+            if projected:
+                p = proj(x)
+                d = x - p
+                drift = math.sqrt(d.dot(d))
+                if drift > 0.0:
+                    x = p
             states.append(x.copy())
             drifts.append(drift)
             t0 = t1

@@ -10,6 +10,7 @@ metadata.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -145,8 +146,8 @@ def quadratic(center, diag=None, shift: float = 0.0, name: str | None = None) ->
         r = x - a
         return float(d @ (r * r)) + shift
 
-    def grad_fn(x, a=a, d=d):
-        return 2.0 * d * (x - a)
+    def grad_fn(x, a=a, d2=2.0 * d):
+        return d2 * (x - a)
 
     dmin = float(np.min(d))
     return Objective(
@@ -200,13 +201,14 @@ def flat_bottom(center, rho: float) -> Objective:
     ball = Ball(a, rho)
 
     def fn(x, a=a, rho=rho):
-        r = float(np.linalg.norm(x - a))
+        d = x - a
+        r = math.sqrt(d.dot(d))
         excess = r - rho
         return excess * excess if excess > 0.0 else 0.0
 
     def grad_fn(x, a=a, rho=rho):
         d = x - a
-        r = float(np.linalg.norm(d))
+        r = math.sqrt(d.dot(d))
         if r <= rho:
             return np.zeros_like(d)
         return (2.0 * (r - rho) / r) * d

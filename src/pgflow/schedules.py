@@ -27,7 +27,7 @@ EXP_TAIL_CS = (0.1, 1.0, 10.0)
 
 def _check_time(t) -> float:
     t = float(t)
-    if not np.isfinite(t) or t < 0:
+    if not math.isfinite(t) or t < 0:
         raise InvalidInputError("time must be finite and >= 0")
     return t
 

@@ -272,6 +272,19 @@ numerics.step = 0.01
 analysis.expect = objective_gap_vanishes_in_gamma_time
 """
 
+BALL_STEP_CFG = """
+problem.set = ball
+set.center = 0,0
+set.radius = 1
+problem.objective = quadratic
+objective.center = 2,0
+problem.schedule = power
+problem.x0 = 0,0
+numerics.step = {step}
+numerics.sample_every = 2.6
+numerics.horizon = 26
+"""
+
 CHEAP_SWEEP_CFG = """
 problem.set = ball
 set.center = 0,0
@@ -329,6 +342,31 @@ class TestCliRun:
         code = main(["run", str(cfg), "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_DIVERGED
         assert "divergence" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("text, code", [
+        (BALL_STEP_CFG.format(step=1.3), EXIT_CONFIG),
+        (BALL_STEP_CFG.format(step=1.29), EXIT_OK),
+        (DIVERGE_CFG, EXIT_DIVERGED),  # unscaled: the projected step bound does not apply
+    ], ids=["projected-1.3", "projected-1.29", "unscaled-2"])
+    def test_projected_step_bound(self, tmp_path, text, code):
+        cfg = tmp_path / "step.cfg"
+        cfg.write_text(text)
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == code
+
+    @pytest.mark.parametrize("numerics, what", [
+        ("numerics.horizon = 1e9", "RK4 steps"),
+        ("numerics.horizon = 2e5\nnumerics.step = 0.1", "samples"),
+    ], ids=["steps", "samples"])
+    def test_absurd_run_length_exits_2(self, tmp_path, capsys, numerics, what):
+        # rejected before the sample grid or any state is allocated
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("\n".join(f"{k} = {v}" for k, v in minimal_pairs().items())
+                       + "\nproblem.schedule = power\n" + numerics + "\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+        assert what in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCliCheck:

@@ -5,18 +5,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pgflow.errors import DivergenceError, InvalidInputError
 from pgflow.flow import (
+    PROJECTED_STEP_MAX,
     FlowProblem,
+    _rhs_factory,
+    _sample_grid,
     discrete_run,
     integrate,
     reparam_check,
     rhs,
     write_trajectory_csv,
 )
-from pgflow.geometry import Ball, Box, WholeSpace
-from pgflow.objectives import Objective, quadratic
+from pgflow.geometry import AffineHyperplane, Ball, Box, HalfSpace, Simplex, WholeSpace, distance
+from pgflow.objectives import Objective, even_quartic, quadratic
 from pgflow.schedules import Constant, Power
 
 
@@ -170,6 +175,101 @@ class TestTrajectoryRecord:
         p = FlowProblem(WholeSpace(2), f, Constant(K=1.0), [1.0, 0.0])
         with pytest.raises(InvalidInputError):
             integrate(p, horizon=1.0, step=0.2, sample_every=0.1)
+
+
+def reference_integrate(problem, horizon, step, sample_every):
+    """RK4 with the feasibility guard after every substep: the residual is
+    recorded and the state re-projected whenever it is positive."""
+    F = _rhs_factory(problem)
+    resid, proj = problem.domain._residual, problem.domain._project
+    times = _sample_grid(horizon, sample_every)
+    x = problem.x0.copy()
+    states, drifts = [x.copy()], [0.0]
+    for t0, t1 in zip(times[:-1], times[1:]):
+        n_sub = max(1, math.ceil((t1 - t0) / step - 1e-12))
+        h = (t1 - t0) / n_sub
+        drift = 0.0
+        for i in range(n_sub):
+            t = t0 + i * h
+            k1 = F(t, x)
+            k2 = F(t + 0.5 * h, x + (0.5 * h) * k1)
+            k3 = F(t + 0.5 * h, x + (0.5 * h) * k2)
+            k4 = F(t + h, x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            drift = resid(x)
+            if drift > 0.0:
+                x = proj(x)
+        states.append(x.copy())
+        drifts.append(drift)
+    return np.vstack(states), np.asarray(drifts)
+
+
+class TestPerSampleGuard:
+    @pytest.mark.parametrize("problem", [
+        # even_box: even quartic on the symmetric box, active clamp early on
+        FlowProblem(Box([-1.0, -1.0], [1.0, 1.0]), even_quartic(2), Power(K=1.0, alpha=0.5),
+                    [0.9, -0.7]),
+        # rate_theta50_alpha50: rides the disk boundary toward (1, 0)
+        FlowProblem(Ball([0.0, 0.0], 1.0), quadratic([2.0, 0.0]), Power(K=1.0, alpha=0.5),
+                    [0.0, 0.0]),
+    ], ids=["box", "ball"])
+    def test_same_floats_as_per_substep_guard(self, problem):
+        traj = integrate(problem, horizon=5.0, step=0.005, sample_every=0.1)
+        xs, drifts = reference_integrate(problem, 5.0, 0.005, 0.1)
+        assert np.array_equal(traj.x, xs)
+        assert np.array_equal(traj.feas_drift, drifts)
+
+    def test_step_bound_is_the_rk4_convexity_root(self):
+        # c1 = -h (h^3 - 2h^2 + 4h - 4) / 24 is the first RK4 weight to turn negative
+        root = max(r.real for r in np.roots([1.0, -2.0, 4.0, -4.0]) if abs(r.imag) < 1e-12)
+        assert PROJECTED_STEP_MAX <= root < PROJECTED_STEP_MAX + 1e-4
+
+
+SET_KINDS = ("wholespace", "box", "ball", "halfspace", "hyperplane", "simplex")
+BOUNDED = ("box", "ball", "simplex")
+
+
+def random_set(kind, rng, dim):
+    if kind == "wholespace":
+        return WholeSpace(dim)
+    if kind == "box":
+        a, b = rng.uniform(-3.0, 3.0, size=(2, dim))
+        return Box(np.minimum(a, b), np.maximum(a, b))
+    if kind == "ball":
+        return Ball(rng.uniform(-3.0, 3.0, dim), rng.uniform(0.5, 3.0))
+    if kind == "simplex":
+        return Simplex(dim, rng.uniform(0.5, 3.0))
+    normal = rng.standard_normal(dim)
+    normal *= rng.uniform(0.5, 2.0) / np.linalg.norm(normal)
+    cls = HalfSpace if kind == "halfspace" else AffineHyperplane
+    return cls(normal, rng.uniform(-2.0, 2.0))
+
+
+class TestConvexityBound:
+    """Up to PROJECTED_STEP_MAX an RK4 step is a convex combination of
+    feasible points, so samples leave the set by rounding only."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(SET_KINDS), dim=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1),
+           step=st.floats(1e-6, PROJECTED_STEP_MAX), k_frac=st.floats(0.01, 1.0),
+           substeps=st.integers(1, 8))
+    @example(kind="box", dim=2, seed=0, step=PROJECTED_STEP_MAX, k_frac=1.0, substeps=8)
+    @example(kind="simplex", dim=4, seed=1, step=PROJECTED_STEP_MAX, k_frac=1.0, substeps=8)
+    def test_samples_stay_feasible(self, kind, dim, seed, step, k_frac, substeps):
+        rng = np.random.default_rng(seed)
+        domain = random_set(kind, rng, dim)
+        diag = rng.uniform(0.5, 2.0, dim)
+        f = quadratic(rng.uniform(-4.0, 4.0, dim), diag=diag)
+        # Bounded sets take any gain; on unbounded ones K * 2 max(diag) * step
+        # stays inside RK4's real stability interval so the state stays bounded.
+        k_max = 20.0 if kind in BOUNDED else 1.25 / (float(np.max(diag)) * step)
+        x0 = domain._project(rng.uniform(-3.0, 3.0, dim))
+        problem = FlowProblem(domain, f, Power(K=k_frac * k_max, alpha=0.5), x0)
+        sample_every = step * substeps
+        traj = integrate(problem, horizon=4.0 * sample_every, step=step, sample_every=sample_every)
+        assert max(distance(domain, row) for row in traj.x) <= 1e-12
+        assert np.max(traj.feas_drift) <= 1e-12
 
 
 class TestDiscreteRun:
