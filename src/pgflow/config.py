@@ -19,7 +19,15 @@ import numpy as np
 
 from .analysis import CLAIM_NAMES
 from .errors import InvalidInputError
-from .flow import DEFAULT_HORIZON, DEFAULT_SAMPLE_EVERY, DEFAULT_STEP, SYSTEMS
+from .flow import (
+    DEFAULT_HORIZON,
+    DEFAULT_SAMPLE_EVERY,
+    DEFAULT_STEP,
+    MAX_RK4_STEPS,
+    SYSTEMS,
+    check_numerics,
+    check_replay,
+)
 from .geometry import (
     AffineHyperplane,
     Ball,
@@ -260,6 +268,9 @@ def build_config(pairs: dict, name: str = "experiment") -> ExperimentConfig:
     system = bag.take("problem.system", "projected").lower()
     if system not in SYSTEMS:
         raise ConfigError(f"problem.system: unknown system {system!r} (choose from {SYSTEMS})")
+    if system == "unscaled" and schedule is not None:
+        raise ConfigError("problem.schedule: the unscaled system runs on the unit clock; "
+                          "drop the schedule or use the scaled system")
     x0 = as_point(_as_vector("problem.x0", bag.take("problem.x0")), dim=objective.dim)
 
     step = _as_float("numerics.step", bag.take("numerics.step", repr(DEFAULT_STEP)))
@@ -270,6 +281,13 @@ def build_config(pairs: dict, name: str = "experiment") -> ExperimentConfig:
                        ("numerics.sample_every", sample_every)):
         if val <= 0.0:
             raise ConfigError(f"{label} must be positive")
+    if system != "discrete":
+        try:
+            check_numerics(domain, horizon, step, sample_every)
+            if system == "scaled" and schedule is not None:
+                check_replay(schedule, horizon, step)
+        except InvalidInputError as exc:
+            raise ConfigError(f"numerics: {exc}") from None
 
     discrete_alphas = None
     if bag.has("discrete.alphas"):
@@ -279,6 +297,8 @@ def build_config(pairs: dict, name: str = "experiment") -> ExperimentConfig:
         count = _as_int("discrete.steps", bag.take("discrete.steps"))
         if count <= 0:
             raise ConfigError("discrete.steps must be positive")
+        if count > MAX_RK4_STEPS:
+            raise ConfigError(f"discrete.steps {count} is above the limit of {MAX_RK4_STEPS:.0e}")
         discrete_alphas = np.full(count, alpha)
     if system == "discrete" and discrete_alphas is None:
         raise ConfigError("discrete runs need discrete.alpha and discrete.steps (or discrete.alphas)")

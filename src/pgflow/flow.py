@@ -1,19 +1,25 @@
-"""Integration of the projected gradient flow and its relatives.
+"""Integration of the projected gradient flow and of its discrete iteration.
 
-Four systems share the Trajectory record:
+Every continuous run integrates the one vector field
+
+    F(t, x) = P(x - lambda(t) grad f(x)) - x
+
+with fixed-step classic Runge-Kutta. The system label does not change the
+field; it fixes the set or the clock and says which of the paper's claims
+a run can witness:
 
 - "projected":  x' + x = P(x - lambda(t) grad f(x)), the constrained flow
-- "scaled":     x' = -lambda(t) grad f(x), unconstrained, schedule-driven
-- "unscaled":   y' = -grad f(y), unconstrained, unit clock
+- "scaled":     the same flow on WholeSpace, where P is the identity and
+                F = -lambda(t) grad f(x)
+- "unscaled":   the scaled flow on the unit clock, lambda = Constant(K=1)
 - "discrete":   x_{k+1} = P(x_k - a_k grad f(x_k)), the classical iteration
 
-Continuous systems integrate with fixed-step classic Runge-Kutta. For
-the projected system a whole RK4 step is a convex combination of the
-current state and the four projected stage points (see PROJECTED_STEP_MAX),
-so in exact arithmetic it never leaves the feasible set. Only rounding
-can, so feasibility is restored once per sample rather than per substep:
-the sample's distance from the set is recorded as feas_drift and the
-state is replaced by its projection whenever that distance is positive.
+On a set, a whole RK4 step is a convex combination of the current state
+and the four projected stage points (see PROJECTED_STEP_MAX), so in exact
+arithmetic it never leaves the set. Only rounding can, so feasibility is
+restored once per sample rather than per substep: the sample's distance
+from the set is recorded as feas_drift and the state is replaced by its
+projection whenever that distance is positive. On WholeSpace it is 0.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 from .errors import DivergenceError, InvalidInputError
 from .geometry import ConvexSet, WholeSpace, as_point, distance
 from .objectives import Objective
-from .schedules import Schedule
+from .schedules import Constant, Schedule
 
 SYSTEMS = ("projected", "scaled", "unscaled", "discrete")
 
@@ -69,12 +75,15 @@ class FlowProblem:
         self.x0 = as_point(self.x0, self.objective.dim)
         if self.domain.dim is not None and self.domain.dim != self.x0.size:
             raise InvalidInputError("domain and starting point dimensions differ")
-        if self.system in ("projected", "discrete"):
-            if self.domain.residual(self.x0) > 1e-12:
-                raise InvalidInputError("starting point must lie in the feasible set")
+        if self.domain.residual(self.x0) > 1e-12:
+            raise InvalidInputError("starting point must lie in the feasible set")
         if self.system in ("scaled", "unscaled") and not isinstance(self.domain, WholeSpace):
             raise InvalidInputError(f"the {self.system} system is unconstrained; use WholeSpace")
-        if self.system != "discrete" and self.schedule is None and self.system != "unscaled":
+        if self.system == "unscaled":
+            if self.schedule is not None:
+                raise InvalidInputError("the unscaled system runs on the unit clock; it takes no schedule")
+            self.schedule = Constant(K=1.0)
+        elif self.system != "discrete" and self.schedule is None:
             raise InvalidInputError(f"the {self.system} system needs a schedule")
 
 
@@ -101,32 +110,20 @@ class Trajectory:
 
 
 def _rhs_factory(problem: FlowProblem):
-    grad = problem.objective.grad_fn
-    if problem.system == "projected":
-        lam = problem.schedule.value
-        proj = problem.domain._project
-
-        def F(t, x):
-            return proj(x - lam(t) * grad(x)) - x
-
-    elif problem.system == "scaled":
-        lam = problem.schedule.value
-
-        def F(t, x):
-            return -lam(t) * grad(x)
-
-    elif problem.system == "unscaled":
-
-        def F(t, x):
-            return -grad(x)
-
-    else:
+    if problem.system == "discrete":
         raise InvalidInputError("the discrete system has no right-hand side; use discrete_run")
+    grad = problem.objective.grad_fn
+    lam = problem.schedule.value
+    proj = problem.domain._project
+
+    def F(t, x):
+        return proj(x - lam(t) * grad(x)) - x
+
     return F
 
 
 def rhs(problem: FlowProblem, t: float, x) -> np.ndarray:
-    """Vector field of the chosen continuous system at (t, x)."""
+    """Vector field of the continuous flow at (t, x)."""
     if t < 0:
         raise InvalidInputError("time must be >= 0")
     p = as_point(x, problem.objective.dim)
@@ -143,31 +140,21 @@ def _sample_grid(horizon: float, sample_every: float) -> np.ndarray:
     return np.asarray(times)
 
 
-def integrate(
-    problem: FlowProblem,
-    horizon: float = DEFAULT_HORIZON,
-    step: float = DEFAULT_STEP,
-    sample_every: float = DEFAULT_SAMPLE_EVERY,
-) -> Trajectory:
-    """Run classic fixed-step RK4 up to ``horizon``.
+def check_numerics(domain: ConvexSet, horizon: float, step: float, sample_every: float) -> None:
+    """Raise InvalidInputError unless a continuous run fits the integrator.
 
-    Samples land on multiples of ``sample_every`` plus t=0 and t=horizon;
-    each inter-sample segment is subdivided into equal substeps no larger
-    than ``step``. The projected system needs ``step <= PROJECTED_STEP_MAX``,
-    and a run may take at most MAX_RK4_STEPS steps and MAX_SAMPLES samples.
-    Raises DivergenceError, carrying the failure time, as soon as the
-    state norm passes 1e12 or stops being finite.
+    It needs a positive finite horizon and ``0 < step <= sample_every``.
+    On any set but WholeSpace, ``step <= PROJECTED_STEP_MAX``; the whole
+    space has no set to leave. A run may take at most MAX_RK4_STEPS steps
+    and MAX_SAMPLES samples.
     """
-    if problem.system == "discrete":
-        raise InvalidInputError("use discrete_run for the discrete system")
     if not (math.isfinite(horizon) and horizon > 0):
         raise InvalidInputError("horizon must be positive and finite")
     if not (0 < step <= sample_every):
         raise InvalidInputError("need 0 < step <= sample_every")
-    projected = problem.system == "projected"
-    if projected and step > PROJECTED_STEP_MAX:
+    if not isinstance(domain, WholeSpace) and step > PROJECTED_STEP_MAX:
         raise InvalidInputError(
-            f"the projected system needs step <= {PROJECTED_STEP_MAX} "
+            f"a run on a constrained set needs step <= {PROJECTED_STEP_MAX} "
             f"(the RK4 convexity bound), got {step:g}")
     if horizon / step > MAX_RK4_STEPS:
         raise InvalidInputError(
@@ -178,7 +165,23 @@ def integrate(
             f"horizon {horizon:g} / sample_every {sample_every:g} = {horizon / sample_every:.3g} "
             f"samples, above the limit of {MAX_SAMPLES:.0e}")
 
+
+def integrate(
+    problem: FlowProblem,
+    horizon: float = DEFAULT_HORIZON,
+    step: float = DEFAULT_STEP,
+    sample_every: float = DEFAULT_SAMPLE_EVERY,
+) -> Trajectory:
+    """Run classic fixed-step RK4 up to ``horizon``.
+
+    Samples land on multiples of ``sample_every`` plus t=0 and t=horizon;
+    each inter-sample segment is subdivided into equal substeps no larger
+    than ``step``. The numerics must pass check_numerics. Raises
+    DivergenceError, carrying the failure time, as soon as the state norm
+    passes 1e12 or stops being finite.
+    """
     F = _rhs_factory(problem)
+    check_numerics(problem.domain, horizon, step, sample_every)
     proj = problem.domain._project
     guard_sq = DIVERGENCE_NORM * DIVERGENCE_NORM
 
@@ -205,13 +208,11 @@ def integrate(
                     raise DivergenceError(
                         f"state norm left the trust region near t = {t + h:.6g}", time=t + h
                     )
-            drift = 0.0
-            if projected:
-                p = proj(x)
-                d = x - p
-                drift = math.sqrt(d.dot(d))
-                if drift > 0.0:
-                    x = p
+            p = proj(x)
+            d = x - p
+            drift = math.sqrt(d.dot(d))
+            if drift > 0.0:
+                x = p
             states.append(x.copy())
             drifts.append(drift)
             t0 = t1
@@ -219,7 +220,13 @@ def integrate(
     return _assemble(problem, sample_times, states, drifts, F)
 
 
-def _assemble(problem, times, states, drifts, F) -> Trajectory:
+def _assemble(problem, times, states, drifts, F=None, gamma=None, speed=None) -> Trajectory:
+    """Build the Trajectory record of a sampled run.
+
+    A continuous run passes its vector field F: gamma is then the
+    schedule's clock and speed is |F| at each sample. discrete_run passes
+    its own gamma and speed instead.
+    """
     obj = problem.objective
     xs = np.vstack(states)
     fvals = np.array([obj.fn(s) for s in states], dtype=float)
@@ -231,18 +238,17 @@ def _assemble(problem, times, states, drifts, F) -> Trajectory:
         f_star = float(np.min(fvals))
         source = BEST_SEEN
         dist_argmin = None
-    if problem.schedule is not None:
-        gamma = np.array([problem.schedule.gamma(t) for t in times])
-    else:
-        gamma = np.array([float(t) for t in times])
-    speed = np.array([float(np.linalg.norm(F(float(t), s))) for t, s in zip(times, states)])
+    if gamma is None:
+        gamma = [problem.schedule.gamma(t) for t in times]
+    if speed is None:
+        speed = [float(np.linalg.norm(F(float(t), s))) for t, s in zip(times, states)]
     return Trajectory(
         t=np.asarray(times, dtype=float),
         x=xs,
         f_gap=fvals - f_star,
-        gamma=gamma,
+        gamma=np.asarray(gamma, dtype=float),
         feas_drift=np.asarray(drifts, dtype=float),
-        speed=speed,
+        speed=np.asarray(speed, dtype=float),
         dist_argmin=dist_argmin,
         problem=problem,
         f_star_source=source,
@@ -277,30 +283,28 @@ def discrete_run(domain: ConvexSet, objective: Objective, steps, x0) -> Trajecto
         states.append(x)
 
     times = np.arange(a.size + 1, dtype=float)
-    xs = np.vstack(states)
-    fvals = np.array([objective.fn(s) for s in states])
-    if objective.optimum is not None:
-        f_star = objective.optimum.f_star
-        source = ANALYTIC
-        dist_argmin = np.array([distance(objective.optimum.argmin, s) for s in states])
-    else:
-        f_star = float(np.min(fvals))
-        source = BEST_SEEN
-        dist_argmin = None
     gamma = np.concatenate([[0.0], np.cumsum(a)])
-    disp = np.linalg.norm(np.diff(xs, axis=0), axis=1)
-    speed = np.concatenate([[0.0], disp])
-    return Trajectory(
-        t=times,
-        x=xs,
-        f_gap=fvals - f_star,
-        gamma=gamma,
-        feas_drift=np.zeros(times.size),
-        speed=speed,
-        dist_argmin=dist_argmin,
-        problem=problem,
-        f_star_source=source,
-    )
+    speed = np.concatenate([[0.0], np.linalg.norm(np.diff(states, axis=0), axis=1)])
+    return _assemble(problem, times, states, np.zeros(times.size), gamma=gamma, speed=speed)
+
+
+def check_replay(schedule: Schedule, horizon: float, step: float) -> tuple:
+    """Clock end gamma(horizon) and step of reparam_check's unscaled replay.
+
+    The replay is sampled at every step, so it must pass check_numerics
+    with sample_every equal to its step.
+    """
+    g_end = schedule.gamma(horizon)
+    if g_end <= 0:
+        raise InvalidInputError("schedule accumulates no time over the horizon")
+    h = min(step, g_end / 10.0)
+    try:
+        check_numerics(WholeSpace(), g_end, h, h)
+    except InvalidInputError as exc:
+        raise InvalidInputError(
+            f"the time-rescaling replay runs the unscaled flow to Gamma(horizon) = {g_end:g}, "
+            f"sampled at every step: {exc}") from None
+    return g_end, h
 
 
 def reparam_check(
@@ -313,34 +317,31 @@ def reparam_check(
     """Largest gap between the scaled flow and the unscaled flow on the
     rescaled clock.
 
-    Integrates x' = -lambda(t) grad f(x) up to ``horizon`` and
-    y' = -grad f(y) up to gamma(horizon), then compares x(t) with
-    y(gamma(t)) at every sample of the scaled run, interpolating the
-    densely sampled unscaled trajectory. The two are the same curve up
-    to integrator and interpolation error.
+    Integrates x' = -lambda(t) grad f(x) up to ``horizon`` and replays
+    y' = -grad f(y) up to gamma(horizon), sampled at every step, then
+    compares x(t) with y(gamma(t)) at every sample of the scaled run,
+    interpolating the replay linearly. The two are the same curve up to
+    integrator and interpolation error.
     """
     space = WholeSpace(as_point(x0).size)
+    g_end, h = check_replay(schedule, horizon, step)
     scaled = integrate(
         FlowProblem(space, objective, schedule, x0, system="scaled"),
         horizon=horizon,
         step=step,
         sample_every=max(step, horizon / 500.0),
     )
-    g_end = schedule.gamma(horizon)
-    if g_end <= 0:
-        raise InvalidInputError("schedule accumulates no time over the horizon")
-    unscaled = integrate(
-        FlowProblem(space, objective, None, x0, system="unscaled"),
-        horizon=g_end,
-        step=min(step, g_end / 10.0),
-        sample_every=min(step, g_end / 10.0),
-    )
-    worst = 0.0
-    for k, t in enumerate(scaled.t):
-        g = schedule.gamma(float(t))
-        y = np.array([np.interp(g, unscaled.t, unscaled.x[:, j]) for j in range(unscaled.x.shape[1])])
-        worst = max(worst, float(np.linalg.norm(scaled.x[k] - y)))
-    return worst
+    unscaled = integrate(FlowProblem(space, objective, None, x0, system="unscaled"),
+                         horizon=g_end, step=h, sample_every=h)
+    # np.interp's formula on every coordinate at once; g = gamma(horizon)
+    # is the replay's last sample and takes it exactly.
+    g = np.array([schedule.gamma(float(t)) for t in scaled.t])
+    tp, yp = unscaled.t, unscaled.x
+    j = np.minimum(np.searchsorted(tp, g, side="right") - 1, tp.size - 2)
+    slope = (yp[j + 1] - yp[j]) / (tp[j + 1] - tp[j])[:, None]
+    y = slope * (g - tp[j])[:, None] + yp[j]
+    y[g >= tp[-1]] = yp[-1]
+    return float(np.max(np.linalg.norm(scaled.x - y, axis=1)))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

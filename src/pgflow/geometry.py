@@ -52,10 +52,6 @@ class ConvexSet:
         """Whether the set is invariant under x -> -x."""
         raise NotImplementedError
 
-    def has_interior(self) -> bool:
-        """Whether the set has nonempty interior in the ambient space."""
-        raise NotImplementedError
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` points from the set, shape (n, dim)."""
         raise NotImplementedError
@@ -78,9 +74,6 @@ class WholeSpace(ConvexSet):
         self.dim = dim
 
     def is_symmetric(self) -> bool:
-        return True
-
-    def has_interior(self) -> bool:
         return True
 
     def sample(self, rng, n):
@@ -108,9 +101,6 @@ class Box(ConvexSet):
     def is_symmetric(self) -> bool:
         return bool(np.all(self.lo == -self.hi))
 
-    def has_interior(self) -> bool:
-        return bool(np.all(self.lo < self.hi))
-
     def sample(self, rng, n):
         return rng.uniform(self.lo, self.hi, size=(n, self.dim))
 
@@ -131,9 +121,6 @@ class Ball(ConvexSet):
 
     def is_symmetric(self) -> bool:
         return bool(np.all(self.center == 0.0))
-
-    def has_interior(self) -> bool:
-        return True
 
     def sample(self, rng, n):
         # Direction uniform on the sphere, radius via the u^(1/d) transform.
@@ -171,9 +158,6 @@ class HalfSpace(ConvexSet):
 
     def is_symmetric(self) -> bool:
         return False
-
-    def has_interior(self) -> bool:
-        return True
 
     def sample(self, rng, n):
         # Gaussian cloud around a feasible anchor; infeasible draws are
@@ -214,9 +198,6 @@ class AffineHyperplane(ConvexSet):
         # x -> -x maps the plane to itself only when it passes through 0.
         return self.offset == 0.0
 
-    def has_interior(self) -> bool:
-        return False
-
     def sample(self, rng, n):
         pts = rng.standard_normal((n, self.dim))
         g = (pts @ self.normal - self.offset) / self._norm_sq
@@ -242,9 +223,6 @@ class Simplex(ConvexSet):
         self.dim = int(dim)
 
     def is_symmetric(self) -> bool:
-        return False
-
-    def has_interior(self) -> bool:
         return False
 
     def sample(self, rng, n):

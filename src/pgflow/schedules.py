@@ -8,7 +8,7 @@ need: an unbounded cumulative clock, finite total variation, and the
 tail-integrability conditions tied to the error-bound exponent theta.
 
 Every schedule exposes ``K``, ``alpha``, ``value``, ``derivative``,
-``gamma``, ``gamma_limit``, ``monotone`` and ``closed_form_gamma``.
+``gamma``, ``gamma_limit`` and ``monotone``.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ class Schedule:
     def __post_init__(self):
         if not (np.isfinite(self.K) and self.K > 0):
             raise InvalidInputError("K must be positive and finite")
-
-    @property
-    def closed_form_gamma(self) -> bool:
-        return True
 
     @property
     def monotone(self) -> bool:

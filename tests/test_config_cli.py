@@ -6,6 +6,7 @@ is the contract.
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from pgflow.config import (
     load_pairs,
     parse_pairs,
 )
+from pgflow.flow import MAX_RK4_STEPS
 from pgflow.geometry import Ball
 from pgflow.objectives import UnsupportedObjectiveError
 
@@ -123,6 +125,18 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="discrete.steps must be positive"):
             build_config(minimal_pairs(
                 **{"discrete.alpha": "0.1", "discrete.steps": "0"}))
+
+    def test_discrete_steps_bounded_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="discrete.steps"):
+                build_config(minimal_pairs(
+                    **{"problem.system": "discrete",
+                       "discrete.alpha": "0.1", "discrete.steps": str(MAX_RK4_STEPS + 1)}))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_discrete_alpha_times_steps(self):
         cfg = build_config(minimal_pairs(
@@ -285,6 +299,27 @@ numerics.sample_every = 2.6
 numerics.horizon = 26
 """
 
+WHOLE_STEP_CFG = BALL_STEP_CFG.replace(
+    "problem.set = ball\nset.center = 0,0\nset.radius = 1", "problem.set = wholespace\nset.dim = 2")
+
+UNSCALED_SCHEDULE_CFG = DIVERGE_CFG.replace(
+    "numerics.step = 2\nnumerics.sample_every = 2\nnumerics.horizon = 200",
+    "problem.schedule = power\nnumerics.horizon = 1")
+
+# the replay runs to Gamma(2) = 2000 sampled at every step of 0.001: 2e6 samples
+LONG_REPLAY_CFG = """
+problem.set = wholespace
+set.dim = 2
+problem.objective = quadratic
+objective.center = 0,0
+problem.schedule = constant
+schedule.K = 1000
+problem.x0 = 1,0
+problem.system = scaled
+numerics.step = 0.001
+numerics.horizon = 2
+"""
+
 CHEAP_SWEEP_CFG = """
 problem.set = ball
 set.center = 0,0
@@ -347,8 +382,9 @@ class TestCliRun:
     @pytest.mark.parametrize("text, code", [
         (BALL_STEP_CFG.format(step=1.3), EXIT_CONFIG),
         (BALL_STEP_CFG.format(step=1.29), EXIT_OK),
-        (DIVERGE_CFG, EXIT_DIVERGED),  # unscaled: the projected step bound does not apply
-    ], ids=["projected-1.3", "projected-1.29", "unscaled-2"])
+        (WHOLE_STEP_CFG.format(step=1.3), EXIT_OK),  # no set to leave, no step bound
+        (DIVERGE_CFG, EXIT_DIVERGED),
+    ], ids=["projected-1.3", "projected-1.29", "wholespace-1.3", "unscaled-2"])
     def test_projected_step_bound(self, tmp_path, text, code):
         cfg = tmp_path / "step.cfg"
         cfg.write_text(text)
@@ -369,6 +405,26 @@ class TestCliRun:
         assert not out.exists()
 
 
+    def test_unscaled_with_schedule_exits_2(self, tmp_path, capsys):
+        # the unscaled system runs on the unit clock; a schedule would be ignored
+        cfg = tmp_path / "unscaled.cfg"
+        cfg.write_text(UNSCALED_SCHEDULE_CFG)
+        out = tmp_path / "out"
+        for argv in (["check", str(cfg)], ["run", str(cfg), "--out-dir", str(out)]):
+            assert main(argv) == EXIT_CONFIG
+            assert "unit clock" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_long_rescaling_replay_names_its_clock(self, tmp_path, capsys):
+        cfg = tmp_path / "replay.cfg"
+        cfg.write_text(LONG_REPLAY_CFG)
+        for argv in (["check", str(cfg)], ["run", str(cfg), "--out-dir", str(tmp_path / "out")]):
+            assert main(argv) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "time-rescaling replay" in err
+            assert "Gamma(horizon) = 2000" in err
+
+
 class TestCliCheck:
     def test_preset_passes(self, capsys):
         assert main(["check", "rate_theta50_alpha50"]) == EXIT_OK
@@ -382,6 +438,20 @@ class TestCliCheck:
                                        "objective.kappa = 10"))
         assert main(["check", str(cfg)]) == EXIT_VERDICT
         assert "error bound sampling" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, code", [
+        (BALL_STEP_CFG.format(step=1.3), EXIT_CONFIG),
+        (BALL_STEP_CFG.format(step=1.29), EXIT_OK),
+        (WHOLE_STEP_CFG.format(step=1.3), EXIT_OK),
+        (BALL_STEP_CFG.format(step=1.3).replace("numerics.sample_every = 2.6",
+                                                "numerics.sample_every = 1"), EXIT_CONFIG),
+    ], ids=["ball-1.3", "ball-1.29", "wholespace-1.3", "step-above-sample-every"])
+    def test_applies_run_numerics_limits(self, tmp_path, capsys, text, code):
+        cfg = tmp_path / "step.cfg"
+        cfg.write_text(text)
+        assert main(["check", str(cfg)]) == code
+        if code == EXIT_CONFIG:
+            assert "numerics" in capsys.readouterr().err
 
     def test_seeded_sampling_is_reproducible(self, capsys):
         assert main(["check", "rate_theta50_alpha50", "--seed", "7"]) == EXIT_OK

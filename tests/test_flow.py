@@ -1,7 +1,9 @@
 """Integrator against closed-form solutions, discrete iteration oracles,
 and the trajectory record contract."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +69,10 @@ class TestProblemValidation:
         with pytest.raises(InvalidInputError):
             FlowProblem(Box([-1.0], [1.0]), unit_quadratic(2), Constant(K=1.0), [0.5])
 
+    def test_unscaled_takes_no_schedule(self):
+        with pytest.raises(InvalidInputError, match="unit clock"):
+            FlowProblem(WholeSpace(2), unit_quadratic(), Constant(K=1.0), [1.0, 0.0], system="unscaled")
+
     def test_unknown_system(self):
         with pytest.raises(InvalidInputError):
             FlowProblem(WholeSpace(2), unit_quadratic(), None, [0.0, 0.0], system="semi")
@@ -96,6 +102,17 @@ class TestAnalyticSolutions:
             traj = integrate(p, horizon=1.0, step=step, sample_every=0.5)
             errs.append(np.linalg.norm(traj.x[-1] - expected))
         assert errs[0] / errs[1] >= 12.0
+
+    def test_step_order_study_script(self, capsys):
+        # the script checks the unscaled flow against its closed form by step halving
+        spec = importlib.util.spec_from_file_location(
+            "step_order_study", Path(__file__).resolve().parents[1] / "scripts" / "step_order_study.py")
+        study = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(study)
+        assert study.run(["--levels", "3"]) == 0
+        orders = [float(line.split()[-1]) for line in capsys.readouterr().out.splitlines()[2:]]
+        assert len(orders) == 2
+        assert min(orders) >= 3.9
 
     def test_stationary_start_is_exactly_fixed(self):
         f = quadratic([0.25, -0.5])
@@ -176,11 +193,20 @@ class TestTrajectoryRecord:
         with pytest.raises(InvalidInputError):
             integrate(p, horizon=1.0, step=0.2, sample_every=0.1)
 
+    def test_step_bound_applies_only_on_a_set(self):
+        # K * 2 * step = 2.6 stays inside RK4's stability interval
+        whole = FlowProblem(WholeSpace(2), unit_quadratic(), Constant(K=1.0), [1.0, 0.0])
+        traj = integrate(whole, horizon=2.6, step=1.3, sample_every=1.3)
+        assert np.all(traj.feas_drift == 0.0)
+        ball = FlowProblem(Ball([0.0, 0.0], 2.0), unit_quadratic(), Constant(K=1.0), [1.0, 0.0])
+        with pytest.raises(InvalidInputError, match="RK4 convexity bound"):
+            integrate(ball, horizon=2.6, step=1.3, sample_every=1.3)
 
-def reference_integrate(problem, horizon, step, sample_every):
+
+def reference_integrate(problem, horizon, step, sample_every, F=None):
     """RK4 with the feasibility guard after every substep: the residual is
     recorded and the state re-projected whenever it is positive."""
-    F = _rhs_factory(problem)
+    F = F or _rhs_factory(problem)
     resid, proj = problem.domain._residual, problem.domain._project
     times = _sample_grid(horizon, sample_every)
     x = problem.x0.copy()
@@ -223,6 +249,35 @@ class TestPerSampleGuard:
         # c1 = -h (h^3 - 2h^2 + 4h - 4) / 24 is the first RK4 weight to turn negative
         root = max(r.real for r in np.roots([1.0, -2.0, 4.0, -4.0]) if abs(r.imag) < 1e-12)
         assert PROJECTED_STEP_MAX <= root < PROJECTED_STEP_MAX + 1e-4
+
+
+def unconstrained_field(problem):
+    """The scaled and unscaled fields written out directly: -lambda(t) grad f
+    and -grad f."""
+    grad = problem.objective.grad_fn
+    if problem.system == "unscaled":
+        return lambda t, x: -grad(x)
+    lam = problem.schedule.value
+    return lambda t, x: -lam(t) * grad(x)
+
+
+class TestOneVectorField:
+    @pytest.mark.parametrize("problem", [
+        FlowProblem(WholeSpace(2), quadratic([1.0, -0.5], diag=[1.0, 3.0]), Power(K=1.0, alpha=0.5),
+                    [2.0, 1.0], system="scaled"),
+        FlowProblem(WholeSpace(2), quadratic([1.0, -0.5], diag=[1.0, 3.0]), None,
+                    [2.0, 1.0], system="unscaled"),
+    ], ids=["scaled", "unscaled"])
+    def test_matches_the_unconstrained_fields(self, problem):
+        traj = integrate(problem, horizon=3.0, step=0.01, sample_every=0.1)
+        xs, drifts = reference_integrate(problem, 3.0, 0.01, 0.1, F=unconstrained_field(problem))
+        assert np.max(np.abs(traj.x - xs)) <= 1e-12
+        assert np.all(traj.feas_drift == 0.0) and np.all(drifts == 0.0)
+
+    def test_unscaled_clock_is_time(self):
+        p = FlowProblem(WholeSpace(2), unit_quadratic(), None, [1.0, 0.0], system="unscaled")
+        traj = integrate(p, horizon=1.05, step=0.01, sample_every=0.1)
+        assert np.array_equal(traj.gamma, traj.t)
 
 
 SET_KINDS = ("wholespace", "box", "ball", "halfspace", "hyperplane", "simplex")
@@ -309,7 +364,38 @@ class TestDiscreteRun:
             discrete_run(WholeSpace(1), quadratic([0.0]), [-0.1], [1.0])
 
 
+def reference_reparam_gaps(objective, schedule, x0, horizon, step):
+    """Per-sample gaps of reparam_check, interpolating the replay one
+    coordinate at a time with np.interp."""
+    space = WholeSpace(len(x0))
+    scaled = integrate(FlowProblem(space, objective, schedule, x0, system="scaled"),
+                       horizon=horizon, step=step, sample_every=max(step, horizon / 500.0))
+    g_end = schedule.gamma(horizon)
+    h = min(step, g_end / 10.0)
+    unscaled = integrate(FlowProblem(space, objective, None, x0, system="unscaled"),
+                         horizon=g_end, step=h, sample_every=h)
+    gaps = []
+    for k, t in enumerate(scaled.t):
+        g = schedule.gamma(float(t))
+        y = np.array([np.interp(g, unscaled.t, unscaled.x[:, j]) for j in range(unscaled.x.shape[1])])
+        gaps.append(float(np.linalg.norm(scaled.x[k] - y)))
+    return np.array(gaps)
+
+
 class TestReparametrization:
+    @pytest.mark.parametrize("objective, schedule, x0, horizon", [
+        (quadratic([1.0, -0.5]), Power(K=1.0, alpha=0.5), [2.0, 1.0], 10.0),
+        # growth puts the largest gap at the last sample, where Gamma(t) = Gamma(horizon)
+        (Objective(fn=lambda x: -float(x @ x), grad_fn=lambda x: -2.0 * x, dim=2, name="runaway"),
+         Constant(K=2.0), [0.3, -0.1], 3.0),
+    ], ids=["quadratic", "runaway"])
+    def test_matches_per_coordinate_interp(self, objective, schedule, x0, horizon):
+        gaps = reference_reparam_gaps(objective, schedule, x0, horizon, 0.01)
+        gap = reparam_check(objective, schedule, x0, horizon=horizon, step=0.01)
+        assert abs(gap - gaps.max()) <= 1e-14 * max(1.0, gaps.max())
+        if objective.name == "runaway":
+            assert gaps.argmax() == gaps.size - 1
+
     def test_quadratic_power_schedule(self):
         gap = reparam_check(unit_quadratic(), Power(K=1.0, alpha=0.5), [1.0, 0.0], horizon=10.0)
         assert gap <= 1e-5

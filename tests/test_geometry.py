@@ -187,15 +187,6 @@ class TestPredicates:
         assert not AffineHyperplane([1, 1], 1).is_symmetric()
         assert not Simplex(2).is_symmetric()
 
-    def test_interior_table(self):
-        assert WholeSpace(2).has_interior()
-        assert Box([-1, -1], [1, 1]).has_interior()
-        assert not Box([0, -1], [0, 1]).has_interior()
-        assert Ball([0, 0], 1).has_interior()
-        assert HalfSpace([1, 0], 1).has_interior()
-        assert not AffineHyperplane([1, 1], 0).has_interior()
-        assert not Simplex(3).has_interior()
-
     def test_contains_ball(self):
         assert contains_ball(Box([-2, -2], [2, 2]), [0.5, 0.5], 0.5)
         assert not contains_ball(Box([-2, -2], [2, 2]), [1.8, 0.0], 0.5)

@@ -263,7 +263,6 @@ class TestMetadataHonesty:
     def test_singleton_argmin_distance(self):
         s = singleton([1.0, 2.0])
         assert s.project([5.0, 5.0]) == pytest.approx([1.0, 2.0])
-        assert not s.has_interior()
 
 
 class TestDesingularizer:
