@@ -17,7 +17,7 @@ from .errors import InvalidInputError
 from .flow import Trajectory
 from .geometry import Ball, Box, ConvexSet, as_point, contains_ball
 from .objectives import Desingularizer
-from .schedules import ConditionReport, Power, Schedule, validate
+from .schedules import Power, validate
 
 R2_THRESHOLD = 0.99
 EXPONENT_SLACK = 0.15
@@ -65,12 +65,7 @@ class DiagnosticSeries:
         return len(self.t)
 
 
-def diagnostics(
-    traj: Trajectory,
-    z,
-    schedule: Optional[Schedule] = None,
-    desing: Optional[Desingularizer] = None,
-) -> DiagnosticSeries:
+def diagnostics(traj: Trajectory, z, desing: Optional[Desingularizer] = None) -> DiagnosticSeries:
     """Evaluate the Lyapunov series of a run against a reference point z.
 
     Monotonicity of phi_z and psi is only meaningful when z lies in the
@@ -78,7 +73,7 @@ def diagnostics(
     series stays nonnegative despite sub-epsilon rounding in the samples.
     """
     z = as_point(z, dim=traj.problem.objective.dim)
-    sched = schedule if schedule is not None else traj.problem.schedule
+    sched = traj.problem.schedule
     if sched is not None:
         lam = np.array([sched.value(float(s)) for s in traj.t])
     else:
@@ -245,12 +240,7 @@ def fit_power(traj: Trajectory, quantity: str, window_fraction: float = 0.5) -> 
     return RateReport(quantity, POWER_MODEL, slope, r2, theoretical, verdict, window, reason)
 
 
-def fit_exponential(
-    traj: Trajectory,
-    quantity: str,
-    schedule: Optional[Schedule] = None,
-    window_fraction: float = 0.5,
-) -> RateReport:
+def fit_exponential(traj: Trajectory, quantity: str, window_fraction: float = 0.5) -> RateReport:
     """OLS of log(quantity) against Gamma(t); fitted value is mu = -slope."""
     series, mask, window = _masked(traj, quantity, window_fraction)
     if int(mask.sum()) < 3:
@@ -260,11 +250,7 @@ def fit_exponential(
     if float(vals.min()) <= 0.0:
         return RateReport(quantity, EXP_MODEL, math.nan, 0.0, None,
                           INAPPLICABLE, window, reason="converged exactly")
-    if schedule is not None:
-        gam = np.array([schedule.gamma(float(s)) for s in traj.t[mask]])
-    else:
-        gam = traj.gamma[mask]
-    slope, r2 = _ols_loglin(gam, np.log(vals))
+    slope, r2 = _ols_loglin(traj.gamma[mask], np.log(vals))
     mu = -slope
     verdict, reason = PASS, ""
     if r2 < R2_THRESHOLD:
@@ -320,7 +306,6 @@ def _rate_pair_status(fits, model):
 
 def theorem_verdict(
     traj: Trajectory,
-    condition_report: Optional[ConditionReport] = None,
     fits: Sequence[RateReport] = (),
     *,
     requested_theta: Optional[float] = None,
@@ -333,9 +318,8 @@ def theorem_verdict(
     """
     problem = traj.problem
     domain, obj, sched = problem.domain, problem.objective, problem.schedule
-    if condition_report is None and sched is not None:
-        hol_theta = obj.holder.theta if obj.holder is not None else None
-        condition_report = validate(sched, theta=hol_theta)
+    hol_theta = obj.holder.theta if obj.holder is not None else None
+    condition_report = validate(sched, theta=hol_theta) if sched is not None else None
     out = []
 
     # vanishing objective gap in Gamma time

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import config as config_mod
 from .analysis import (
-    EXP_MODEL,
     PASS,
     POWER_MODEL,
     QUANTITIES,
@@ -32,7 +31,7 @@ from .analysis import (
 from .config import ConfigError, ExperimentConfig
 from .errors import DivergenceError, InvalidInputError, UnsupportedObjectiveError
 from .flow import FlowProblem, Trajectory, discrete_run, integrate, reparam_check, write_trajectory_csv
-from .geometry import variational_gap
+from .geometry import ConvexSet, variational_gap
 from .objectives import Desingularizer, gheb_check, grad_check, lojasiewicz_check
 from .schedules import Power, validate
 
@@ -55,15 +54,14 @@ class ExperimentResult:
     trajectory: Trajectory
     fits: tuple
     claims: tuple
-    condition_report: object
     reparam_gap: Optional[float]
 
 
 def _compute_fits(traj: Trajectory, cfg: ExperimentConfig):
-    hol = cfg.objective.holder
+    hol = cfg.problem.objective.holder
     if hol is None:
         return ()
-    if hol.theta < 0.5 and isinstance(cfg.schedule, Power):
+    if hol.theta < 0.5 and isinstance(cfg.problem.schedule, Power):
         return tuple(fit_power(traj, q, cfg.window_fraction) for q in QUANTITIES)
     if hol.theta == 0.5:
         return tuple(fit_exponential(traj, q, window_fraction=cfg.window_fraction)
@@ -73,26 +71,20 @@ def _compute_fits(traj: Trajectory, cfg: ExperimentConfig):
 
 def execute(cfg: ExperimentConfig) -> ExperimentResult:
     """Integrate the configured problem and evaluate fits and claims."""
-    if cfg.system == "discrete":
-        traj = discrete_run(cfg.domain, cfg.objective, cfg.discrete_alphas, cfg.x0)
+    problem = cfg.problem
+    if problem.system == "discrete":
+        traj = discrete_run(problem, cfg.discrete_alphas)
     else:
-        problem = FlowProblem(cfg.domain, cfg.objective, cfg.schedule, cfg.x0,
-                              system=cfg.system)
         traj = integrate(problem, horizon=cfg.horizon, step=cfg.step,
                          sample_every=cfg.sample_every)
-    cond = None
-    if cfg.schedule is not None:
-        hol = cfg.objective.holder
-        cond = validate(cfg.schedule, theta=hol.theta if hol is not None else None)
     reparam_gap = None
-    if cfg.system == "scaled":
-        reparam_gap = reparam_check(cfg.objective, cfg.schedule, cfg.x0,
+    if problem.system == "scaled":
+        reparam_gap = reparam_check(problem.objective, problem.schedule, problem.x0,
                                     horizon=cfg.horizon, step=cfg.step)
     fits = _compute_fits(traj, cfg)
-    claims = theorem_verdict(traj, cond, fits,
-                             requested_theta=cfg.requested_theta,
+    claims = theorem_verdict(traj, fits, requested_theta=cfg.requested_theta,
                              reparam_gap=reparam_gap)
-    return ExperimentResult(cfg, traj, fits, claims, cond, reparam_gap)
+    return ExperimentResult(cfg, traj, fits, claims, reparam_gap)
 
 
 def _expected_claims_pass(res: ExperimentResult) -> bool:
@@ -158,17 +150,24 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise ConfigError(f"sweep values must be numbers, got {args.values!r}") from None
 
+    # every value's config is built, and so validated, before any run starts
     pairs = config_mod.load_pairs(args.config)
-    os.makedirs(args.out_dir, exist_ok=True)
-    aggregate = []
-    all_expected_pass = True
-    report_path = None
+    runs = {}
     for value in values:
+        suffix = f"{args.param}_{value:g}"
+        if suffix in runs:
+            raise ConfigError(f"sweep values {runs[suffix][0]!r} and {value!r} "
+                              f"map to the same file suffix {suffix!r}")
         override = dict(pairs)
         override[key] = repr(value)
         cfg = config_mod.build_config(override, name=f"sweep {args.param}={value:g}")
-        suffix = f"{args.param}_{value:g}"
         cfg.trajectory_path = _with_suffix(cfg.trajectory_path, suffix)
+        runs[suffix] = (value, cfg)
+
+    os.makedirs(args.out_dir, exist_ok=True)
+    aggregate = []
+    all_expected_pass = True
+    for value, cfg in runs.values():
         res = execute(cfg)
         write_trajectory_csv(res.trajectory, os.path.join(args.out_dir, cfg.trajectory_path))
         print(f"sweep {args.param}={value:g}: samples={len(res.trajectory.t)}")
@@ -180,7 +179,7 @@ def cmd_sweep(args) -> int:
             if claim.name in set(cfg.expect) and claim.status != PASS:
                 print(_claim_line(claim, True))
         all_expected_pass = all_expected_pass and _expected_claims_pass(res)
-        report_path = os.path.join(args.out_dir, cfg.report_path)
+    report_path = os.path.join(args.out_dir, cfg.report_path)
     write_report_csv(report_path, aggregate)
     print(f"wrote {report_path}")
     if args.strict and not all_expected_pass:
@@ -189,12 +188,12 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _schedule_rows(cfg: ExperimentConfig):
-    if cfg.schedule is None:
+def _schedule_rows(problem: FlowProblem):
+    if problem.schedule is None:
         yield ("schedule conditions", "not-applicable", "no schedule configured")
         return
-    hol = cfg.objective.holder
-    report = validate(cfg.schedule, theta=hol.theta if hol is not None else None)
+    hol = problem.objective.holder
+    report = validate(problem.schedule, theta=hol.theta if hol is not None else None)
     named = (
         ("clock unbounded", report.gamma_unbounded),
         ("variation finite", report.variation_finite),
@@ -208,8 +207,7 @@ def _schedule_rows(cfg: ExperimentConfig):
     yield ("schedule monotone", "pass" if report.monotone else "fail", "")
 
 
-def _projection_rows(cfg: ExperimentConfig, rng):
-    domain = cfg.domain
+def _projection_rows(domain: ConvexSet, rng):
     probes = domain.sample(rng, 32)
     xs = domain.sample(rng, 200) + rng.normal(size=(200, domain.dim)) * 2.0
     ys = domain.sample(rng, 200) + rng.normal(size=(200, domain.dim)) * 2.0
@@ -232,22 +230,23 @@ def _projection_rows(cfg: ExperimentConfig, rng):
 
 def cmd_check(args) -> int:
     cfg = config_mod.load_config(args.config)
+    problem = cfg.problem
+    domain, obj = problem.domain, problem.objective
     rng = np.random.default_rng(args.seed)
     rows = []
 
-    feas = cfg.domain.residual(cfg.x0)
+    feas = domain.residual(problem.x0)
     rows.append(("start point feasible", "pass" if feas <= 1e-12 else "fail",
                  f"residual {feas:.3g}"))
-    rows.extend(_schedule_rows(cfg))
+    rows.extend(_schedule_rows(problem))
 
-    obj = cfg.objective
-    worst_grad = max(grad_check(obj, pt) for pt in cfg.domain.sample(rng, 100))
+    worst_grad = max(grad_check(obj, pt) for pt in domain.sample(rng, 100))
     rows.append(("gradient check", "pass" if worst_grad <= 1e-4 else "fail",
                  f"max rel err {worst_grad:.3g} over 100 points"))
 
     if obj.holder is not None and obj.optimum is not None:
-        samples = cfg.domain.sample(rng, 1000)
-        ratio = gheb_check(obj, cfg.domain, samples)
+        samples = domain.sample(rng, 1000)
+        ratio = gheb_check(obj, domain, samples)
         bar = obj.holder.kappa * (1.0 - 1e-6)
         rows.append(("error bound sampling", "pass" if ratio >= bar else "fail",
                      f"min ratio {ratio:.6g} vs kappa {obj.holder.kappa:g}"))
@@ -259,15 +258,15 @@ def cmd_check(args) -> int:
         rows.append(("error bound sampling", "not-applicable", "no certificate metadata"))
         rows.append(("lojasiewicz sampling", "not-applicable", "no certificate metadata"))
 
-    rows.extend(_projection_rows(cfg, rng))
+    rows.extend(_projection_rows(domain, rng))
 
     if "strong_convergence_symmetric_even" in cfg.expect:
-        ok = cfg.domain.is_symmetric() and obj.is_even
+        ok = domain.is_symmetric() and obj.is_even
         rows.append(("symmetric-set assertion", "pass" if ok else "not-applicable",
                      "" if ok else "set is not origin-symmetric or objective is not even"))
     if "strong_convergence_interior_argmin" in cfg.expect:
         inside = (obj.optimum is not None
-                  and _argmin_strictly_inside(cfg.domain, obj.optimum.argmin))
+                  and _argmin_strictly_inside(domain, obj.optimum.argmin))
         rows.append(("interior-argmin assertion", "pass" if inside else "not-applicable",
                      "" if inside else "argmin is not strictly inside the set"))
 
@@ -284,25 +283,24 @@ def cmd_check(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--strict", action="store_true",
+    out_dir = argparse.ArgumentParser(add_help=False)
+    out_dir.add_argument("--out-dir", default=".",
+                         help="directory for trajectory and report files")
+    strict = argparse.ArgumentParser(add_help=False)
+    strict.add_argument("--strict", action="store_true",
                         help="exit 4 when an expected claim does not pass")
-    common.add_argument("--out-dir", default=".",
-                        help="directory for trajectory and report files")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for probe sampling; integration is deterministic")
 
     parser = argparse.ArgumentParser(
         prog="pgflow",
         description="Run projected gradient flow experiments from flat configs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", parents=[common],
+    run_p = sub.add_parser("run", parents=[strict, out_dir],
                            help="integrate one config and write trajectory + report CSVs")
     run_p.add_argument("config", help="config file path or shipped preset name")
     run_p.set_defaults(func=cmd_run)
 
-    sweep_p = sub.add_parser("sweep", parents=[common],
+    sweep_p = sub.add_parser("sweep", parents=[strict, out_dir],
                              help="repeat a config over several parameter values")
     sweep_p.add_argument("config", help="config file path or shipped preset name")
     sweep_p.add_argument("--param", required=True, choices=sorted(SWEEP_PARAMS),
@@ -311,9 +309,12 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="comma-separated numbers, e.g. 0.25,0.5,0.75")
     sweep_p.set_defaults(func=cmd_sweep)
 
-    check_p = sub.add_parser("check", parents=[common],
+    # check writes nothing; it takes --out-dir so every command line can end with it
+    check_p = sub.add_parser("check", parents=[out_dir],
                              help="validate schedule, gradients, bound certificates, projections")
     check_p.add_argument("config", help="config file path or shipped preset name")
+    check_p.add_argument("--seed", type=int, default=0,
+                         help="seed for probe sampling")
     check_p.set_defaults(func=cmd_check)
     return parser
 

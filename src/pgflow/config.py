@@ -24,9 +24,10 @@ from .flow import (
     DEFAULT_SAMPLE_EVERY,
     DEFAULT_STEP,
     MAX_RK4_STEPS,
-    SYSTEMS,
+    FlowProblem,
     check_numerics,
     check_replay,
+    check_step_sizes,
 )
 from .geometry import (
     AffineHyperplane,
@@ -135,17 +136,14 @@ def _as_names(raw) -> tuple:
 
 @dataclass(eq=False)
 class ExperimentConfig:
-    """A fully built experiment: catalog objects plus numerics and outputs."""
+    """A built run: its problem, its numerics (continuous systems) or step
+    sizes (discrete), what to check, and where to write."""
 
     name: str
-    domain: ConvexSet
-    objective: Objective
-    schedule: Optional[Schedule]
-    x0: np.ndarray
-    system: str
-    step: float
-    horizon: float
-    sample_every: float
+    problem: FlowProblem
+    step: Optional[float]
+    horizon: Optional[float]
+    sample_every: Optional[float]
     discrete_alphas: Optional[np.ndarray]
     window_fraction: float
     reference_z: Optional[np.ndarray]
@@ -153,6 +151,10 @@ class ExperimentConfig:
     requested_theta: Optional[float]
     trajectory_path: str
     report_path: str
+
+    @property
+    def system(self) -> str:
+        return self.problem.system
 
 
 def _build_set(bag: _KeyBag) -> ConvexSet:
@@ -230,10 +232,6 @@ def _build_objective(bag: _KeyBag, domain: ConvexSet) -> Objective:
         raise ConfigError(
             f"problem.objective: unknown kind {kind!r} (choose from {OBJECTIVE_KINDS})")
 
-    if obj.dim != domain.dim:
-        raise ConfigError(
-            f"objective dimension {obj.dim} does not match set dimension {domain.dim}")
-
     if bag.has("objective.kappa"):
         kappa = _as_float("objective.kappa", bag.take("objective.kappa"))
         if obj.holder is None:
@@ -257,41 +255,9 @@ def _build_schedule(bag: _KeyBag) -> Optional[Schedule]:
         f"problem.schedule: unknown family {family!r} (choose from {SCHEDULE_FAMILIES})")
 
 
-def build_config(pairs: dict, name: str = "experiment") -> ExperimentConfig:
-    """Validate raw pairs and construct every catalog object they reference."""
-    bag = _KeyBag(pairs)
-    name = bag.take("name", name)
-
-    domain = _build_set(bag)
-    objective = _build_objective(bag, domain)
-    schedule = _build_schedule(bag)
-    system = bag.take("problem.system", "projected").lower()
-    if system not in SYSTEMS:
-        raise ConfigError(f"problem.system: unknown system {system!r} (choose from {SYSTEMS})")
-    if system == "unscaled" and schedule is not None:
-        raise ConfigError("problem.schedule: the unscaled system runs on the unit clock; "
-                          "drop the schedule or use the scaled system")
-    x0 = as_point(_as_vector("problem.x0", bag.take("problem.x0")), dim=objective.dim)
-
-    step = _as_float("numerics.step", bag.take("numerics.step", repr(DEFAULT_STEP)))
-    horizon = _as_float("numerics.horizon", bag.take("numerics.horizon", repr(DEFAULT_HORIZON)))
-    sample_every = _as_float(
-        "numerics.sample_every", bag.take("numerics.sample_every", repr(DEFAULT_SAMPLE_EVERY)))
-    for label, val in (("numerics.step", step), ("numerics.horizon", horizon),
-                       ("numerics.sample_every", sample_every)):
-        if val <= 0.0:
-            raise ConfigError(f"{label} must be positive")
-    if system != "discrete":
-        try:
-            check_numerics(domain, horizon, step, sample_every)
-            if system == "scaled" and schedule is not None:
-                check_replay(schedule, horizon, step)
-        except InvalidInputError as exc:
-            raise ConfigError(f"numerics: {exc}") from None
-
-    discrete_alphas = None
+def _build_discrete_alphas(bag: _KeyBag) -> np.ndarray:
     if bag.has("discrete.alphas"):
-        discrete_alphas = _as_vector("discrete.alphas", bag.take("discrete.alphas"))
+        alphas = _as_vector("discrete.alphas", bag.take("discrete.alphas"))
     elif bag.has("discrete.alpha") or bag.has("discrete.steps"):
         alpha = _as_float("discrete.alpha", bag.take("discrete.alpha"))
         count = _as_int("discrete.steps", bag.take("discrete.steps"))
@@ -299,9 +265,50 @@ def build_config(pairs: dict, name: str = "experiment") -> ExperimentConfig:
             raise ConfigError("discrete.steps must be positive")
         if count > MAX_RK4_STEPS:
             raise ConfigError(f"discrete.steps {count} is above the limit of {MAX_RK4_STEPS:.0e}")
-        discrete_alphas = np.full(count, alpha)
-    if system == "discrete" and discrete_alphas is None:
+        alphas = np.full(count, alpha)
+    else:
         raise ConfigError("discrete runs need discrete.alpha and discrete.steps (or discrete.alphas)")
+    try:
+        return check_step_sizes(alphas)
+    except InvalidInputError as exc:
+        raise ConfigError(f"discrete: {exc}") from None
+
+
+def build_config(pairs: dict, name: str = "experiment") -> ExperimentConfig:
+    """Validate raw pairs and build the run they describe.
+
+    FlowProblem alone rules which set, objective, schedule, start and system
+    make a run. numerics.* keys are read for continuous systems only,
+    discrete.* keys for the discrete one; any other key is an error.
+    """
+    bag = _KeyBag(pairs)
+    name = bag.take("name", name)
+
+    domain = _build_set(bag)
+    objective = _build_objective(bag, domain)
+    schedule = _build_schedule(bag)
+    system = bag.take("problem.system", "projected").lower()
+    x0 = _as_vector("problem.x0", bag.take("problem.x0"))
+    try:
+        problem = FlowProblem(domain, objective, schedule, x0, system)
+    except InvalidInputError as exc:
+        raise ConfigError(f"problem: {exc}") from None
+
+    step = horizon = sample_every = discrete_alphas = None
+    if system == "discrete":
+        discrete_alphas = _build_discrete_alphas(bag)
+    else:
+        step = _as_float("numerics.step", bag.take("numerics.step", repr(DEFAULT_STEP)))
+        horizon = _as_float(
+            "numerics.horizon", bag.take("numerics.horizon", repr(DEFAULT_HORIZON)))
+        sample_every = _as_float(
+            "numerics.sample_every", bag.take("numerics.sample_every", repr(DEFAULT_SAMPLE_EVERY)))
+        try:
+            check_numerics(domain, horizon, step, sample_every)
+            if system == "scaled":
+                check_replay(problem.schedule, horizon, step)
+        except InvalidInputError as exc:
+            raise ConfigError(f"numerics: {exc}") from None
 
     window_fraction = _as_float(
         "analysis.window_fraction", bag.take("analysis.window_fraction", "0.5"))
@@ -329,11 +336,7 @@ def build_config(pairs: dict, name: str = "experiment") -> ExperimentConfig:
     bag.assert_exhausted()
     return ExperimentConfig(
         name=name,
-        domain=domain,
-        objective=objective,
-        schedule=schedule,
-        x0=x0,
-        system=system,
+        problem=problem,
         step=step,
         horizon=horizon,
         sample_every=sample_every,

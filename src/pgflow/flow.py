@@ -75,16 +75,21 @@ class FlowProblem:
         self.x0 = as_point(self.x0, self.objective.dim)
         if self.domain.dim is not None and self.domain.dim != self.x0.size:
             raise InvalidInputError("domain and starting point dimensions differ")
-        if self.domain.residual(self.x0) > 1e-12:
-            raise InvalidInputError("starting point must lie in the feasible set")
         if self.system in ("scaled", "unscaled") and not isinstance(self.domain, WholeSpace):
             raise InvalidInputError(f"the {self.system} system is unconstrained; use WholeSpace")
+        if self.system in ("unscaled", "discrete") and self.schedule is not None:
+            clock = "runs on the unit clock" if self.system == "unscaled" else "takes step sizes"
+            raise InvalidInputError(f"the {self.system} system {clock}; it takes no schedule")
         if self.system == "unscaled":
-            if self.schedule is not None:
-                raise InvalidInputError("the unscaled system runs on the unit clock; it takes no schedule")
             self.schedule = Constant(K=1.0)
         elif self.system != "discrete" and self.schedule is None:
             raise InvalidInputError(f"the {self.system} system needs a schedule")
+
+
+def _check_start(problem: FlowProblem) -> None:
+    """Every run starts in the set; `pgflow check` reports this as a row instead."""
+    if problem.domain.residual(problem.x0) > 1e-12:
+        raise InvalidInputError("starting point must lie in the feasible set")
 
 
 @dataclass(eq=False)
@@ -182,6 +187,7 @@ def integrate(
     """
     F = _rhs_factory(problem)
     check_numerics(problem.domain, horizon, step, sample_every)
+    _check_start(problem)
     proj = problem.domain._project
     guard_sq = DIVERGENCE_NORM * DIVERGENCE_NORM
 
@@ -255,22 +261,27 @@ def _assemble(problem, times, states, drifts, F=None, gamma=None, speed=None) ->
     )
 
 
-def discrete_run(domain: ConvexSet, objective: Objective, steps, x0) -> Trajectory:
+def check_step_sizes(steps) -> np.ndarray:
+    """The step sizes of a discrete run as a float array; raise unless there
+    is at least one and each is finite and >= 0."""
+    a = np.atleast_1d(np.asarray(steps, dtype=float))
+    if a.size == 0 or not np.all(np.isfinite(a)) or np.any(a < 0):
+        raise InvalidInputError("need at least one step size, each finite and >= 0")
+    return a
+
+
+def discrete_run(problem: FlowProblem, steps) -> Trajectory:
     """Iterate x_{k+1} = P(x_k - a_k grad f(x_k)), one sample per iterate.
 
     Sample times are the iteration indices and gamma accumulates the step
     sizes, mirroring the continuous clock. Zero steps are allowed (they
     leave the iterate in place); negative steps are not.
     """
-    a = np.atleast_1d(np.asarray(steps, dtype=float))
-    if a.size == 0:
-        raise InvalidInputError("need at least one step size")
-    if not np.all(np.isfinite(a)) or np.any(a < 0):
-        raise InvalidInputError("step sizes must be finite and >= 0")
-    problem = FlowProblem(domain=domain, objective=objective, schedule=None, x0=x0, system="discrete")
+    a = check_step_sizes(steps)
+    _check_start(problem)
 
-    grad = objective.grad_fn
-    proj = domain._project
+    grad = problem.objective.grad_fn
+    proj = problem.domain._project
     x = problem.x0.copy()
     states = [x.copy()]
     for ak in a:

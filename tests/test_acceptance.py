@@ -209,8 +209,7 @@ def test_criterion_3_monotone_diagnostics_and_gamma_gap(preset_runs):
     for name in CGP_PRESETS:
         run = preset_runs[name]
         traj = run.result.trajectory
-        series = diagnostics(traj, run.config.reference_z,
-                             schedule=run.config.schedule)
+        series = diagnostics(traj, run.config.reference_z)
         lam_gap = series.psi - series.phi_z
         assert check_monotone(traj.f_gap, 1e-8).passed, name
         assert check_monotone(lam_gap, 1e-8).passed, name
@@ -242,9 +241,7 @@ def test_criterion_4_power_rates_and_alpha_sweep(preset_runs):
         override["schedule.alpha"] = repr(alpha)
         cfg = build_config(override, name=f"alpha={alpha:g}")
         begin = time.perf_counter()
-        prob = FlowProblem(cfg.domain, cfg.objective, cfg.schedule, cfg.x0,
-                           system=cfg.system)
-        traj = integrate(prob, horizon=cfg.horizon, step=cfg.step,
+        traj = integrate(cfg.problem, horizon=cfg.horizon, step=cfg.step,
                          sample_every=cfg.sample_every)
         rep = fit_power(traj, "f_gap", cfg.window_fraction)
         elapsed += time.perf_counter() - begin

@@ -269,15 +269,6 @@ class TestFitExponential:
         assert rep.verdict == FAIL
         assert "positive" in rep.reason
 
-    def test_explicit_schedule_recomputes_clock(self):
-        sched = Power(K=1.0, alpha=0.5)
-        t = np.linspace(0.0, 50.0, 501)
-        gam = np.array([sched.gamma(s) for s in t])
-        prob = wholespace_problem(schedule=sched)
-        traj = synth_traj(t, np.exp(-2.0 * gam), prob, gamma=np.zeros_like(t))
-        rep = fit_exponential(traj, F_GAP, schedule=sched, window_fraction=0.9)
-        assert abs(rep.fitted - 2.0) <= 1e-6
-
     def test_zero_in_window_inapplicable(self):
         t = np.linspace(0.0, 50.0, 100)
         prob = wholespace_problem(schedule=Constant(K=1.0))

@@ -33,9 +33,16 @@ def minimal_pairs(**extra):
         "set.radius": "1",
         "problem.objective": "quadratic",
         "objective.center": "2,0",
+        "problem.schedule": "power",
         "problem.x0": "0,0",
     }
     pairs.update(extra)
+    return pairs
+
+
+def discrete_pairs(**extra):
+    pairs = minimal_pairs(**{"problem.system": "discrete"}, **extra)
+    del pairs["problem.schedule"]
     return pairs
 
 
@@ -70,7 +77,7 @@ class TestBuildConfig:
         assert cfg.horizon == 50.0
         assert cfg.sample_every == 0.1
         assert cfg.window_fraction == 0.5
-        assert cfg.schedule is None
+        assert cfg.discrete_alphas is None
         assert cfg.expect == ()
         assert cfg.trajectory_path == "trajectory.csv"
         assert cfg.report_path == "report.csv"
@@ -114,34 +121,32 @@ class TestBuildConfig:
             build_config(minimal_pairs(**{"problem.schedule": "cyclic"}))
 
     def test_nonpositive_numerics(self):
-        with pytest.raises(ConfigError, match="numerics.step must be positive"):
+        with pytest.raises(ConfigError, match="numerics: need 0 < step"):
             build_config(minimal_pairs(**{"numerics.step": "0"}))
 
     def test_discrete_requires_alphas(self):
         with pytest.raises(ConfigError, match="discrete runs need"):
-            build_config(minimal_pairs(**{"problem.system": "discrete"}))
+            build_config(discrete_pairs())
 
     def test_discrete_steps_positive(self):
         with pytest.raises(ConfigError, match="discrete.steps must be positive"):
-            build_config(minimal_pairs(
+            build_config(discrete_pairs(
                 **{"discrete.alpha": "0.1", "discrete.steps": "0"}))
 
     def test_discrete_steps_bounded_before_allocation(self):
         tracemalloc.start()
         try:
             with pytest.raises(ConfigError, match="discrete.steps"):
-                build_config(minimal_pairs(
-                    **{"problem.system": "discrete",
-                       "discrete.alpha": "0.1", "discrete.steps": str(MAX_RK4_STEPS + 1)}))
+                build_config(discrete_pairs(
+                    **{"discrete.alpha": "0.1", "discrete.steps": str(MAX_RK4_STEPS + 1)}))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
 
     def test_discrete_alpha_times_steps(self):
-        cfg = build_config(minimal_pairs(
-            **{"problem.system": "discrete",
-               "discrete.alpha": "0.05", "discrete.steps": "7"}))
+        cfg = build_config(discrete_pairs(
+            **{"discrete.alpha": "0.05", "discrete.steps": "7"}))
         assert cfg.discrete_alphas.shape == (7,)
         assert np.all(cfg.discrete_alphas == 0.05)
 
@@ -163,8 +168,8 @@ class TestBuildConfig:
 
     def test_schedule_defaults(self):
         cfg = build_config(minimal_pairs(**{"problem.schedule": "power"}))
-        assert cfg.schedule.K == 1.0
-        assert cfg.schedule.alpha == 0.5
+        assert cfg.problem.schedule.K == 1.0
+        assert cfg.problem.schedule.alpha == 0.5
 
 
 class TestOptimumInjection:
@@ -172,7 +177,7 @@ class TestOptimumInjection:
 
     def test_isotropic_center_outside_projects(self):
         cfg = build_config(minimal_pairs())
-        opt = cfg.objective.optimum
+        opt = cfg.problem.objective.optimum
         assert opt is not None
         assert opt.f_star == pytest.approx(1.0)
         argmin_point = opt.argmin.project(np.zeros(2))
@@ -180,24 +185,24 @@ class TestOptimumInjection:
 
     def test_anisotropic_center_outside_drops_optimum(self):
         cfg = build_config(minimal_pairs(**{"objective.diag": "1,4"}))
-        assert cfg.objective.optimum is None
+        assert cfg.problem.objective.optimum is None
 
     def test_center_inside_keeps_free_optimum(self):
         cfg = build_config(minimal_pairs(
             **{"objective.center": "0.5,0", "objective.shift": "0.25",
                "objective.diag": "1,4"}))
-        opt = cfg.objective.optimum
+        opt = cfg.problem.objective.optimum
         assert opt.f_star == 0.25
         assert np.allclose(opt.argmin.project(np.zeros(2)), [0.5, 0.0])
 
     def test_power_objective_outside_projects(self):
         cfg = build_config(minimal_pairs(
             **{"problem.objective": "power", "objective.theta": "0.25"}))
-        opt = cfg.objective.optimum
+        opt = cfg.problem.objective.optimum
         # p = 1/(2 theta) = 2, base gap at (1,0) is 1, so f_star is 1^2
         assert opt.f_star == pytest.approx(1.0)
         assert np.allclose(opt.argmin.project(np.zeros(2)), [1.0, 0.0])
-        assert cfg.objective.value([1.0, 0.0]) == pytest.approx(opt.f_star)
+        assert cfg.problem.objective.value([1.0, 0.0]) == pytest.approx(opt.f_star)
 
     def test_even_quartic_needs_origin(self):
         pairs = {
@@ -206,9 +211,10 @@ class TestOptimumInjection:
             "set.hi": "1.5",
             "problem.objective": "even_quartic",
             "objective.dim": "1",
+            "problem.schedule": "power",
             "problem.x0": "1",
         }
-        assert build_config(pairs).objective.optimum is None
+        assert build_config(pairs).problem.objective.optimum is None
 
     def test_flat_bottom_needs_contained_plateau(self):
         pairs = minimal_pairs(**{
@@ -218,7 +224,7 @@ class TestOptimumInjection:
         })
         del pairs["objective.center"]
         pairs["objective.center"] = "0,0"
-        assert build_config(pairs).objective.optimum is None
+        assert build_config(pairs).problem.objective.optimum is None
 
     def test_flat_bottom_contained_keeps_ball_argmin(self):
         pairs = minimal_pairs(**{
@@ -227,18 +233,18 @@ class TestOptimumInjection:
         })
         pairs["objective.center"] = "0,0"
         cfg = build_config(pairs)
-        assert isinstance(cfg.objective.optimum.argmin, Ball)
-        assert cfg.objective.optimum.f_star == 0.0
+        assert isinstance(cfg.problem.objective.optimum.argmin, Ball)
+        assert cfg.problem.objective.optimum.f_star == 0.0
 
     def test_kappa_override_swaps_certificate(self):
         cfg = build_config(minimal_pairs(**{"objective.kappa": "10"}))
-        assert cfg.objective.holder.kappa == 10.0
-        assert cfg.objective.holder.theta == 0.5
+        assert cfg.problem.objective.holder.kappa == 10.0
+        assert cfg.problem.objective.holder.theta == 0.5
 
     def test_gap_requires_optimum(self):
         cfg = build_config(minimal_pairs(**{"objective.diag": "1,4"}))
         with pytest.raises(UnsupportedObjectiveError, match="no known optimum"):
-            cfg.objective.gap([0.0, 0.0])
+            cfg.problem.objective.gap([0.0, 0.0])
 
 
 class TestPresetResolution:
@@ -334,6 +340,54 @@ numerics.sample_every = 0.1
 """
 
 
+DISCRETE_CFG = """
+problem.set = ball
+set.center = 0,0
+set.radius = 1
+problem.objective = quadratic
+objective.center = 2,0
+problem.x0 = 0,0
+problem.system = discrete
+discrete.alpha = 0.05
+discrete.steps = 10
+"""
+
+# configs FlowProblem or the per-system key reading rejects; `check` must
+# reject each exactly as `run` does
+REJECTED_CFGS = {
+    "scaled-on-box": CHEAP_SWEEP_CFG.replace(
+        "problem.set = ball\nset.center = 0,0\nset.radius = 1",
+        "problem.set = box\nset.lo = -1,-1\nset.hi = 1,1") + "problem.system = scaled\n",
+    "projected-without-schedule": CHEAP_SWEEP_CFG.replace("problem.schedule = power\n", ""),
+    "discrete-with-schedule": DISCRETE_CFG + "problem.schedule = power\n",
+    "discrete-keys-on-projected": CHEAP_SWEEP_CFG + "discrete.alpha = 0.05\ndiscrete.steps = 10\n",
+    "numerics-keys-on-discrete": DISCRETE_CFG + "numerics.step = 0.01\n",
+    "negative-discrete-step": DISCRETE_CFG.replace("discrete.alpha = 0.05", "discrete.alpha = -0.05"),
+}
+
+
+class TestCheckRejectsWhatRunRejects:
+    @pytest.mark.parametrize("name", sorted(REJECTED_CFGS))
+    def test_check_and_run_exit_2_and_write_nothing(self, tmp_path, capsys, name):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(REJECTED_CFGS[name])
+        out = tmp_path / "out"
+        for command in ("check", "run"):
+            assert main([command, str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG, command
+            assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infeasible_start_fails_check_row_and_run(self, tmp_path, capsys):
+        cfg = tmp_path / "outside.cfg"
+        cfg.write_text(CHEAP_SWEEP_CFG.replace("problem.x0 = 0,0", "problem.x0 = 2,0"))
+        assert main(["check", str(cfg)]) == EXIT_VERDICT
+        assert "check(s) failed: start point feasible" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+        assert "feasible set" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCliRun:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
@@ -398,7 +452,7 @@ class TestCliRun:
         # rejected before the sample grid or any state is allocated
         cfg = tmp_path / "long.cfg"
         cfg.write_text("\n".join(f"{k} = {v}" for k, v in minimal_pairs().items())
-                       + "\nproblem.schedule = power\n" + numerics + "\n")
+                       + "\n" + numerics + "\n")
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
         assert what in capsys.readouterr().err
@@ -490,11 +544,45 @@ class TestCliSweep:
         assert main(["sweep", "rate_theta50_alpha50",
                      "--param", "theta", "--values", "0.4"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("text, param, values", [
+        (DISCRETE_CFG, "step", "0.1,0.2"),            # discrete runs read no numerics.*
+        (CHEAP_SWEEP_CFG, "step", "0.005,2"),         # 2 is above the RK4 step bound
+        (CHEAP_SWEEP_CFG, "K", "0.5,0.5"),            # one file suffix for two runs
+        (CHEAP_SWEEP_CFG, "K", "1.0000001,1.0000002"),
+    ], ids=["discrete-step", "second-value-invalid", "repeated", "same-suffix"])
+    def test_bad_value_exits_2_before_any_run(self, tmp_path, capsys, text, param, values):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["sweep", str(cfg), "--param", param, "--values", values,
+                     "--out-dir", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_unknown_param_rejected_by_parser(self, capsys):
         code = main(["sweep", "rate_theta50_alpha50",
                      "--param", "bogus", "--values", "1"])
         assert code == EXIT_CONFIG
         assert "invalid choice" in capsys.readouterr().err
+
+
+class TestSubcommandFlags:
+    @pytest.mark.parametrize("argv", [
+        ["run", "rate_theta50_alpha50", "--seed", "7"],
+        ["sweep", "rate_theta50_alpha50", "--param", "K", "--values", "1", "--seed", "7"],
+        ["check", "rate_theta50_alpha50", "--strict"],
+    ], ids=["run-seed", "sweep-seed", "check-strict"])
+    def test_flag_a_command_does_not_read_exits_2(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out-dir", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_check_accepts_out_dir_and_writes_nothing(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["check", "discrete_vs_continuous_ball", "--out-dir", str(out)]) == EXIT_OK
+        assert not out.exists()
 
 
 class TestOutputPathOverride:

@@ -58,8 +58,16 @@ class TestRhs:
 
 class TestProblemValidation:
     def test_infeasible_start_rejected(self):
-        with pytest.raises(InvalidInputError):
-            FlowProblem(Ball([0.0, 0.0], 1.0), unit_quadratic(), Constant(K=1.0), [2.0, 0.0])
+        # the problem can be built, so `check` can report the start as a failing row
+        f, x0 = unit_quadratic(), [2.0, 0.0]
+        with pytest.raises(InvalidInputError, match="feasible set"):
+            integrate(FlowProblem(Ball([0.0, 0.0], 1.0), f, Constant(K=1.0), x0))
+        with pytest.raises(InvalidInputError, match="feasible set"):
+            discrete_run(FlowProblem(Ball([0.0, 0.0], 1.0), f, None, x0, system="discrete"), [0.1])
+
+    def test_discrete_takes_no_schedule(self):
+        with pytest.raises(InvalidInputError, match="takes no schedule"):
+            FlowProblem(WholeSpace(2), unit_quadratic(), Constant(K=1.0), [1.0, 0.0], system="discrete")
 
     def test_constrained_set_rejected_for_unconstrained_system(self):
         with pytest.raises(InvalidInputError):
@@ -327,41 +335,45 @@ class TestConvexityBound:
         assert np.max(traj.feas_drift) <= 1e-12
 
 
+def iterate(domain, objective, steps, x0):
+    return discrete_run(FlowProblem(domain, objective, None, x0, system="discrete"), steps)
+
+
 class TestDiscreteRun:
     def test_single_step_matches_hand_value(self):
-        traj = discrete_run(WholeSpace(2), unit_quadratic(), [0.25], [1.0, 0.0])
+        traj = iterate(WholeSpace(2), unit_quadratic(), [0.25], [1.0, 0.0])
         np.testing.assert_allclose(traj.x[-1], [0.5, 0.0])
 
     def test_explicit_euler_identity(self):
         # one unconstrained step is exactly x - a grad f(x)
         f = quadratic([1.0, -1.0], diag=[2.0, 3.0])
         x0 = np.array([0.3, 0.4])
-        traj = discrete_run(WholeSpace(2), f, [0.05], x0)
+        traj = iterate(WholeSpace(2), f, [0.05], x0)
         np.testing.assert_array_equal(traj.x[-1], x0 - 0.05 * f.grad(x0))
 
     def test_ball_constrained_step_hits_minimizer(self):
         f = quadratic([2.0, 0.0])
-        traj = discrete_run(Ball([0.0, 0.0], 1.0), f, [0.5] * 3, [0.0, 0.0])
+        traj = iterate(Ball([0.0, 0.0], 1.0), f, [0.5] * 3, [0.0, 0.0])
         np.testing.assert_allclose(traj.x[1], [1.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(traj.x[-1], [1.0, 0.0], atol=1e-15)
 
     def test_zero_steps_freeze_iterate(self):
         f = quadratic([2.0, 0.0])
-        traj = discrete_run(Ball([0.0, 0.0], 1.0), f, [0.0, 0.0], [0.3, 0.2])
+        traj = iterate(Ball([0.0, 0.0], 1.0), f, [0.0, 0.0], [0.3, 0.2])
         assert np.all(traj.x == np.array([0.3, 0.2]))
 
     def test_indexing_and_gamma(self):
-        traj = discrete_run(WholeSpace(1), quadratic([0.0]), [0.1, 0.2, 0.3], [1.0])
+        traj = iterate(WholeSpace(1), quadratic([0.0]), [0.1, 0.2, 0.3], [1.0])
         np.testing.assert_array_equal(traj.t, [0.0, 1.0, 2.0, 3.0])
         np.testing.assert_allclose(traj.gamma, [0.0, 0.1, 0.3, 0.6])
 
     def test_empty_steps_rejected(self):
         with pytest.raises(InvalidInputError):
-            discrete_run(WholeSpace(1), quadratic([0.0]), [], [1.0])
+            iterate(WholeSpace(1), quadratic([0.0]), [], [1.0])
 
     def test_negative_step_rejected(self):
         with pytest.raises(InvalidInputError):
-            discrete_run(WholeSpace(1), quadratic([0.0]), [-0.1], [1.0])
+            iterate(WholeSpace(1), quadratic([0.0]), [-0.1], [1.0])
 
 
 def reference_reparam_gaps(objective, schedule, x0, horizon, step):
