@@ -55,6 +55,9 @@ from .schedules import Constant, Power, PowerGE1, Schedule
 SET_KINDS = ("wholespace", "box", "ball", "halfspace", "hyperplane", "simplex")
 OBJECTIVE_KINDS = ("quadratic", "even_quartic", "flat_bottom", "power")
 SCHEDULE_FAMILIES = ("constant", "power", "power_ge1")
+# Keys that only one kind of system reads.
+NUMERICS_KEYS = ("numerics.step", "numerics.horizon", "numerics.sample_every")
+DISCRETE_KEYS = ("discrete.alpha", "discrete.steps", "discrete.alphas")
 
 _MISSING = object()
 
@@ -157,8 +160,7 @@ class ExperimentConfig:
         return self.problem.system
 
 
-def _build_set(bag: _KeyBag) -> ConvexSet:
-    kind = bag.take("problem.set").lower()
+def _build_set(bag: _KeyBag, kind: str) -> ConvexSet:
     if kind == "wholespace":
         return WholeSpace(_as_int("set.dim", bag.take("set.dim")))
     if kind == "box":
@@ -179,8 +181,20 @@ def _build_set(bag: _KeyBag) -> ConvexSet:
     raise ConfigError(f"problem.set: unknown kind {kind!r} (choose from {SET_KINDS})")
 
 
-def _quadratic_params(bag: _KeyBag):
+def _check_dim(key: str, dim: int, domain: ConvexSet, set_kind: str) -> None:
+    if domain.dim is not None and dim != domain.dim:
+        raise ConfigError(
+            f"{key}: dimension {dim} does not match the {set_kind} set's dimension {domain.dim}")
+
+
+def _center(bag: _KeyBag, domain: ConvexSet, set_kind: str) -> np.ndarray:
     center = _as_vector("objective.center", bag.take("objective.center"))
+    _check_dim("objective.center", center.size, domain, set_kind)
+    return center
+
+
+def _quadratic_params(bag: _KeyBag, domain: ConvexSet, set_kind: str):
+    center = _center(bag, domain, set_kind)
     diag = None
     if bag.has("objective.diag"):
         diag = _as_vector("objective.diag", bag.take("objective.diag"))
@@ -206,24 +220,25 @@ def _constrain_quadratic_family(obj: Objective, domain: ConvexSet,
     return dataclasses.replace(obj, optimum=Optimum(obj.value(p), singleton(p)))
 
 
-def _build_objective(bag: _KeyBag, domain: ConvexSet) -> Objective:
+def _build_objective(bag: _KeyBag, domain: ConvexSet, set_kind: str) -> Objective:
     kind = bag.take("problem.objective").lower()
     if kind == "quadratic":
-        center, diag, shift, isotropic = _quadratic_params(bag)
+        center, diag, shift, isotropic = _quadratic_params(bag, domain, set_kind)
         obj = quadratic(center, diag=diag, shift=shift)
         obj = _constrain_quadratic_family(obj, domain, center, isotropic)
     elif kind == "power":
-        center, diag, shift, isotropic = _quadratic_params(bag)
+        center, diag, shift, isotropic = _quadratic_params(bag, domain, set_kind)
         theta = _as_float("objective.theta", bag.take("objective.theta"))
         base = quadratic(center, diag=diag, shift=shift)
         obj = make_power_objective(base, theta)
         obj = _constrain_quadratic_family(obj, domain, center, isotropic)
     elif kind == "even_quartic":
         obj = even_quartic(_as_int("objective.dim", bag.take("objective.dim")))
+        _check_dim("objective.dim", obj.dim, domain, set_kind)
         if not domain.contains(np.zeros(obj.dim)):
             obj = dataclasses.replace(obj, optimum=None)
     elif kind == "flat_bottom":
-        center = _as_vector("objective.center", bag.take("objective.center"))
+        center = _center(bag, domain, set_kind)
         rho = _as_float("objective.rho", bag.take("objective.rho"))
         obj = flat_bottom(center, rho)
         if not contains_ball(domain, center, rho):
@@ -284,8 +299,9 @@ def build_config(pairs: dict, name: str = "experiment") -> ExperimentConfig:
     bag = _KeyBag(pairs)
     name = bag.take("name", name)
 
-    domain = _build_set(bag)
-    objective = _build_objective(bag, domain)
+    set_kind = bag.take("problem.set").lower()
+    domain = _build_set(bag, set_kind)
+    objective = _build_objective(bag, domain, set_kind)
     schedule = _build_schedule(bag)
     system = bag.take("problem.system", "projected").lower()
     x0 = _as_vector("problem.x0", bag.take("problem.x0"))
@@ -333,6 +349,12 @@ def build_config(pairs: dict, name: str = "experiment") -> ExperimentConfig:
     trajectory_path = bag.take("output.trajectory_path", "trajectory.csv")
     report_path = bag.take("output.report_path", "report.csv")
 
+    foreign, reader = ((NUMERICS_KEYS, "a continuous problem.system (projected, scaled, unscaled)")
+                       if system == "discrete" else (DISCRETE_KEYS, "problem.system = discrete"))
+    misplaced = [key for key in foreign if bag.has(key)]
+    if misplaced:
+        raise ConfigError(f"{', '.join(misplaced)}: read only by {reader}, "
+                          f"not by problem.system = {system}")
     bag.assert_exhausted()
     return ExperimentConfig(
         name=name,

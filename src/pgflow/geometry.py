@@ -259,16 +259,18 @@ def variational_gap(cs: ConvexSet, x, probes) -> float:
     the check.
     """
     p = as_point(x, cs.dim)
-    px = cs._project(p)
-    worst = -np.inf
-    for w in np.atleast_2d(np.asarray(probes, dtype=float)):
-        wp = as_point(w, cs.dim)
-        if cs._residual(wp) > 1e-9:
-            raise InvalidInputError("probe point lies outside the set")
-        worst = max(worst, float((p - px) @ (wp - px)))
-    if worst == -np.inf:
+    W = np.atleast_2d(np.asarray(probes, dtype=float))
+    if W.ndim != 2 or W.shape[1] != p.size:
+        raise InvalidInputError(f"probes must have shape (m, {p.size}), got {W.shape}")
+    if W.shape[0] == 0:
         raise InvalidInputError("need at least one probe point")
-    return worst
+    if not np.all(np.isfinite(W)):
+        raise InvalidInputError("probe points have non-finite coordinates")
+    for w in W:
+        if cs._residual(w) > 1e-9:
+            raise InvalidInputError("probe point lies outside the set")
+    px = cs._project(p)
+    return float(np.max((W - px) @ (p - px)))
 
 
 def contains_ball(cs: ConvexSet, center, rho: float) -> bool:

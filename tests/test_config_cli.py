@@ -108,6 +108,21 @@ class TestBuildConfig:
         with pytest.raises(Exception, match="dimension"):
             build_config(minimal_pairs(**{"objective.center": "2,0,0"}))
 
+    @pytest.mark.parametrize("objective, extra", [
+        ("quadratic", {"objective.center": "2,0,0"}),
+        ("power", {"objective.center": "2,0,0", "objective.theta": "0.25"}),
+        ("flat_bottom", {"objective.center": "2,0,0", "objective.rho": "0.5"}),
+        ("even_quartic", {"objective.dim": "3"}),
+    ])
+    def test_objective_dimension_names_key_and_set(self, objective, extra):
+        pairs = minimal_pairs(**{"problem.objective": objective})
+        del pairs["objective.center"]
+        pairs.update(extra)
+        key = "objective.dim" if objective == "even_quartic" else "objective.center"
+        with pytest.raises(ConfigError, match=f"{key}: dimension 3 does not match "
+                                              "the ball set's dimension 2"):
+            build_config(pairs)
+
     def test_unknown_system(self):
         with pytest.raises(ConfigError, match="unknown system"):
             build_config(minimal_pairs(**{"problem.system": "leapfrog"}))
@@ -241,6 +256,17 @@ class TestOptimumInjection:
         assert cfg.problem.objective.holder.kappa == 10.0
         assert cfg.problem.objective.holder.theta == 0.5
 
+    @pytest.mark.parametrize("extra", [
+        {},
+        {"objective.diag": "1,4"},
+        {"objective.kappa": "10"},
+        {"problem.objective": "power", "objective.theta": "0.25", "objective.kappa": "10"},
+    ], ids=["projected-optimum", "dropped-optimum", "kappa", "power-kappa"])
+    def test_replaced_objective_keeps_fn_rows(self, extra):
+        obj = build_config(minimal_pairs(**extra)).problem.objective
+        X = np.array([[0.5, -0.25], [2.0, 1.0]])
+        np.testing.assert_allclose(obj.fn_rows(X), [obj.fn(x) for x in X], rtol=1e-13)
+
     def test_gap_requires_optimum(self):
         cfg = build_config(minimal_pairs(**{"objective.diag": "1,4"}))
         with pytest.raises(UnsupportedObjectiveError, match="no known optimum"):
@@ -363,6 +389,8 @@ REJECTED_CFGS = {
     "discrete-keys-on-projected": CHEAP_SWEEP_CFG + "discrete.alpha = 0.05\ndiscrete.steps = 10\n",
     "numerics-keys-on-discrete": DISCRETE_CFG + "numerics.step = 0.01\n",
     "negative-discrete-step": DISCRETE_CFG.replace("discrete.alpha = 0.05", "discrete.alpha = -0.05"),
+    "objective-dimension-mismatch": CHEAP_SWEEP_CFG.replace(
+        "objective.center = 2,0", "objective.center = 2,0,0"),
 }
 
 
@@ -376,6 +404,20 @@ class TestCheckRejectsWhatRunRejects:
             assert main([command, str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG, command
             assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name, message", [
+        ("objective-dimension-mismatch",
+         "objective.center: dimension 3 does not match the ball set's dimension 2"),
+        ("discrete-keys-on-projected", "discrete.alpha, discrete.steps: read only by "
+                                       "problem.system = discrete, not by problem.system = projected"),
+        ("numerics-keys-on-discrete", "numerics.step: read only by a continuous problem.system"),
+    ])
+    def test_error_names_the_key_and_what_reads_it(self, tmp_path, capsys, name, message):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(REJECTED_CFGS[name])
+        for command in ("check", "run"):
+            assert main([command, str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+            assert message in capsys.readouterr().err, command
 
     def test_infeasible_start_fails_check_row_and_run(self, tmp_path, capsys):
         cfg = tmp_path / "outside.cfg"

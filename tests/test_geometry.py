@@ -240,6 +240,26 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             variational_gap(b, [2.0, 0.0], [[5.0, 5.0]])
 
+    @pytest.mark.parametrize("probes, message", [
+        ([[0.0, 0.0], [5.0, 5.0]], "outside the set"),
+        ([[0.0, 0.0, 0.0]], "shape"),
+        (np.zeros((2, 2, 2)), "shape"),
+        (np.zeros((0, 2)), "at least one probe"),
+        ([[0.0, np.nan]], "non-finite"),
+    ], ids=["one-outside", "wrong-width", "3-d", "empty", "nan"])
+    def test_variational_gap_validates_probe_array(self, probes, message):
+        with pytest.raises(InvalidInputError, match=message):
+            variational_gap(Ball([0.0, 0.0], 1.0), [2.0, 0.0], probes)
+
+    def test_variational_gap_matches_per_probe_products(self):
+        rng = np.random.default_rng(3)
+        for cs in (Ball([0.5, -0.5], 1.5), Simplex(2, scale=2.0), Box([-1.0, 0.0], [1.0, 3.0])):
+            probes = cs.sample(rng, 32)
+            x = rng.normal(size=2, scale=3.0)
+            px = cs.project(x)
+            expected = max(float((x - px) @ (w - px)) for w in probes)
+            assert variational_gap(cs, x, probes) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
     def test_wholespace_sample_needs_dim(self):
         with pytest.raises(InvalidInputError):
             WholeSpace().sample(np.random.default_rng(0), 3)

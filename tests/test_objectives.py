@@ -1,12 +1,15 @@
 """Objective catalog: frozen values, finite-difference gradient oracle,
 certificate checks with known pass/fail outcomes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pgflow.errors import InvalidInputError, UnsupportedObjectiveError
 from pgflow.geometry import Ball, Box, WholeSpace
 from pgflow.objectives import (
+    GRAD_CHECK_BLOCK_FLOATS,
     Desingularizer,
     HolderErrorBound,
     Objective,
@@ -86,6 +89,96 @@ class TestGradCheck:
     def test_rejects_nonpositive_h(self):
         with pytest.raises(InvalidInputError):
             grad_check(quadratic([0.0]), [1.0], h=0.0)
+
+
+def grad_check_reference(obj, x, h=1e-5):
+    """The per-coordinate loop grad_check replaced: 2n scalar fn calls."""
+    p = np.asarray(x, dtype=float)
+    g = obj.grad(p)
+    worst = 0.0
+    for i in range(obj.dim):
+        e = np.zeros(obj.dim)
+        e[i] = h
+        fd = (obj.fn(p + e) - obj.fn(p - e)) / (2.0 * h)
+        err = abs(g[i] - fd) / max(1.0, abs(g[i]), abs(fd))
+        worst = max(worst, err)
+    return worst
+
+
+def catalog(n):
+    """One objective per catalog family at dimension n."""
+    rng = np.random.default_rng(n)
+    center = rng.normal(size=n)
+    return [
+        quadratic(center, diag=rng.uniform(0.5, 2.0, size=n), shift=0.5),
+        even_quartic(n),
+        flat_bottom(center, 0.5 * np.sqrt(n)),
+        make_power_objective(quadratic(center), theta=0.25),
+        make_power_objective(quadratic(center, diag=rng.uniform(0.5, 2.0, size=n)), theta=0.4),
+    ]
+
+
+BLOCK_DIMS = (1, 2, 3, 65, 1000)
+
+
+class TestBatchedGradCheck:
+    @pytest.mark.parametrize("n", BLOCK_DIMS)
+    def test_agrees_with_per_coordinate_reference(self, n):
+        h = 1e-5
+        rng = np.random.default_rng(100 + n)
+        for obj in catalog(n):
+            for _ in range(3):
+                x = rng.normal(size=n, scale=2.0)
+                tol = 64 * np.finfo(float).eps * max(1.0, abs(obj.fn(x))) / h
+                got, ref = grad_check(obj, x, h=h), grad_check_reference(obj, x, h=h)
+                assert abs(got - ref) <= tol, (obj.name, n, got, ref)
+
+    @pytest.mark.parametrize("n", BLOCK_DIMS)
+    def test_fn_rows_matches_fn_and_leaves_input_alone(self, n):
+        rng = np.random.default_rng(200 + n)
+        X = rng.normal(size=(7, n), scale=2.0)
+        X[0] = 0.0  # inside the flat bottom
+        before = X.copy()
+        for obj in catalog(n):
+            values = obj.fn_rows(X)
+            assert values.shape == (7,)
+            np.testing.assert_allclose(values, [obj.fn(row) for row in X], rtol=1e-13, atol=0.0)
+            np.testing.assert_array_equal(X, before)
+
+    @pytest.mark.parametrize("n", (3, 65, 1000))
+    def test_wrong_last_coordinate_fails(self, n):
+        obj = quadratic(np.linspace(-1.0, 1.0, n))
+        good = obj.grad_fn
+
+        def bad(x):
+            g = good(x)
+            g[-1] += 1.0
+            return g
+
+        wrong = dataclasses.replace(obj, grad_fn=bad)
+        x = np.full(n, 0.3)
+        assert grad_check(obj, x) < 1e-8
+        assert grad_check(wrong, x) > 1e-4
+
+    def test_last_block_of_1000_is_partial(self):
+        block = GRAD_CHECK_BLOCK_FLOATS // (2 * 1000)
+        assert 1 < block < 1000 and 1000 % block != 0
+
+    def test_objective_without_fn_rows_is_checked_row_by_row(self):
+        sq = Objective(fn=lambda x: float(x @ x), grad_fn=lambda x: 2.0 * x, dim=3)
+        assert sq.fn_rows is None
+        x = [0.5, -1.0, 2.0]
+        assert grad_check(sq, x) == grad_check_reference(sq, x)
+        assert grad_check(sq, x) < 1e-8
+        skewed = dataclasses.replace(sq, grad_fn=lambda x: 2.0 * x + [0.0, 0.0, 1.0])
+        assert grad_check(skewed, x) > 1e-4
+
+    def test_power_of_objective_without_fn_rows(self):
+        base = Objective(fn=lambda x: float(x @ x), grad_fn=lambda x: 2.0 * x, dim=2,
+                         optimum=quadratic([0.0, 0.0]).optimum, strong_convexity=2.0)
+        obj = make_power_objective(base, theta=0.25)
+        assert obj.fn_rows is None
+        assert grad_check(obj, [1.0, 1.0]) < 1e-6
 
 
 class TestPowerConstruction:
