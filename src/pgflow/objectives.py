@@ -7,14 +7,21 @@ and an evenness flag. The certificate checks at the bottom of the
 module sample the claimed inequalities rather than trusting the
 metadata.
 
-Every catalog objective also carries ``fn_rows``, the same f applied to
-each row of an ``(m, n)`` array in one vectorised call, without
-mutating the array. ``grad_check`` uses it to evaluate the 2n central
-difference points ``p +- h e_i`` in blocks of rows of one buffer of at
-most ``GRAD_CHECK_BLOCK_FLOATS`` floats (512 KiB), whatever n is, down
-to a floor of two rows. An Objective built without ``fn_rows`` is
-checked one ``fn`` call per row. The integrator only ever calls ``fn``
-and ``grad_fn`` on single points.
+Every catalog objective also carries ``fn_rows`` and ``grad_rows``,
+the same f and gradient applied to each row of an ``(m, n)`` array in
+one vectorised call, without mutating the array. Row reductions use
+``np.vecdot``, the point path's dot kernel row by row, so row k of
+``fn_rows`` equals ``fn`` of that row exactly; ``grad_rows`` does too,
+except that a power objective's exponent may round differently in
+numpy's ``power`` than in Python's.
+
+``grad_check`` uses ``fn_rows`` to evaluate the 2n central difference
+points ``p +- h e_i`` in blocks of rows of one buffer of at most
+``GRAD_CHECK_BLOCK_FLOATS`` floats (512 KiB), whatever n is, down to a
+floor of two rows. An Objective built without ``fn_rows`` is checked
+one ``fn`` call per row. A single run integrates with ``fn`` and
+``grad_fn`` on points; a batch of runs (see ``flow.integrate_batch``)
+with ``grad_rows``, and an Objective without it is never batched.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedObjectiveError
-from .geometry import Ball, Box, ConvexSet, as_point, distance
+from .geometry import Ball, Box, ConvexSet, _RowTiles, as_point, distance
 
 
 @dataclass(frozen=True)
@@ -89,6 +96,8 @@ class Objective:
     is_even: bool = False
     # f of every row of an (m, n) array, shape (m,); must not mutate it.
     fn_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    # the gradient of every row of an (m, n) array, shape (m, n); must not mutate it.
+    grad_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def value(self, x) -> float:
         p = as_point(x, self.dim)
@@ -127,7 +136,9 @@ def grad_check(obj: Objective, x, h: float = 1e-5) -> float:
     the first 2k rows of a buffer that holds p in every row, evaluated by
     one ``obj.fn_rows`` call. Row r gets +h and row k + r gets -h on
     coordinate start + r: two diagonals, strided views of the flat
-    buffer, which are restored to p after the call.
+    buffer, which are restored to p after the call. A coordinate whose
+    difference is not a number (f overflowed at p +- h e_i) makes the
+    result NaN, which fails every threshold.
     """
     if h <= 0:
         raise InvalidInputError("step h must be positive")
@@ -143,19 +154,20 @@ def grad_check(obj: Objective, x, h: float = 1e-5) -> float:
     buf[:] = p
     flat = buf.reshape(-1)
     worst = 0.0
-    for start in range(0, n, block):
-        k = min(block, n - start)
-        plus = flat[start:start + k * (n + 1):n + 1]
-        minus = flat[start + k * n:start + k * (2 * n + 1):n + 1]
-        plus += h
-        minus -= h
-        f = fn_rows(buf[:2 * k])
-        plus[:] = minus[:] = p[start:start + k]
-        fd = (f[:k] - f[k:]) / (2.0 * h)
-        gi = g[start:start + k]
-        err = np.abs(gi - fd) / np.maximum(np.maximum(1.0, np.abs(gi)), np.abs(fd))
-        # fmax ignores a NaN error (f overflowed at p +- h e_i): it never raises worst
-        worst = float(np.fmax.reduce(err, initial=worst))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, block):
+            k = min(block, n - start)
+            plus = flat[start:start + k * (n + 1):n + 1]
+            minus = flat[start + k * n:start + k * (2 * n + 1):n + 1]
+            plus += h
+            minus -= h
+            f = fn_rows(buf[:2 * k])
+            plus[:] = minus[:] = p[start:start + k]
+            fd = (f[:k] - f[k:]) / (2.0 * h)
+            gi = g[start:start + k]
+            err = np.abs(gi - fd) / np.maximum(np.maximum(1.0, np.abs(gi)), np.abs(fd))
+            # maximum propagates a NaN error; fmax would drop it
+            worst = float(np.maximum.reduce(err, initial=worst))
     return worst
 
 
@@ -183,19 +195,25 @@ def quadratic(center, diag=None, shift: float = 0.0, name: str | None = None) ->
         r = x - a
         return float(d @ (r * r)) + shift
 
-    def fn_rows(X, a=a, d=d, shift=shift):
-        R = X - a
+    a_rows, d2_rows = _RowTiles(a), _RowTiles(2.0 * d)
+
+    def fn_rows(X, d=d, shift=np.array(shift)):  # 0-d array, a faster scalar for numpy
+        R = X - a_rows(X)
         R *= R
-        return R @ d + shift
+        return np.vecdot(R, d) + shift
 
     def grad_fn(x, a=a, d2=2.0 * d):
         return d2 * (x - a)
+
+    def grad_rows(X):
+        return d2_rows(X) * (X - a_rows(X))
 
     dmin = float(np.min(d))
     return Objective(
         fn=fn,
         fn_rows=fn_rows,
         grad_fn=grad_fn,
+        grad_rows=grad_rows,
         dim=a.size,
         name=name or "quadratic",
         optimum=Optimum(f_star=shift, argmin=singleton(a)),
@@ -215,16 +233,20 @@ def even_quartic(dim: int) -> Objective:
         return s * s + s
 
     def fn_rows(X):
-        s = np.einsum("ij,ij->i", X, X)
+        s = np.vecdot(X, X)
         return s * s + s
 
     def grad_fn(x):
         return (4.0 * float(x @ x) + 2.0) * x
 
+    def grad_rows(X):
+        return (4.0 * np.vecdot(X, X) + 2.0)[:, None] * X
+
     return Objective(
         fn=fn,
         fn_rows=fn_rows,
         grad_fn=grad_fn,
+        grad_rows=grad_rows,
         dim=int(dim),
         name="even_quartic",
         optimum=Optimum(f_star=0.0, argmin=singleton(np.zeros(dim))),
@@ -247,6 +269,7 @@ def flat_bottom(center, rho: float) -> Objective:
     if not np.isfinite(rho) or rho <= 0:
         raise InvalidInputError("rho must be positive and finite")
     ball = Ball(a, rho)
+    a_rows = _RowTiles(a)
 
     def fn(x, a=a, rho=rho):
         d = x - a
@@ -254,9 +277,9 @@ def flat_bottom(center, rho: float) -> Objective:
         excess = r - rho
         return excess * excess if excess > 0.0 else 0.0
 
-    def fn_rows(X, a=a, rho=rho):
-        D = X - a
-        excess = np.maximum(np.sqrt(np.einsum("ij,ij->i", D, D)) - rho, 0.0)
+    def fn_rows(X, rho=rho):
+        D = X - a_rows(X)
+        excess = np.maximum(np.sqrt(np.vecdot(D, D)) - rho, 0.0)
         return excess * excess
 
     def grad_fn(x, a=a, rho=rho):
@@ -266,10 +289,18 @@ def flat_bottom(center, rho: float) -> Objective:
             return np.zeros_like(d)
         return (2.0 * (r - rho) / r) * d
 
+    def grad_rows(X, rho=rho):
+        D = X - a_rows(X)
+        r = np.sqrt(np.vecdot(D, D))
+        # max(r, rho) only keeps the unused branch of rows inside the ball finite
+        coef = 2.0 * (r - rho) / np.maximum(r, rho)
+        return np.where((r <= rho)[:, None], 0.0, coef[:, None] * D)
+
     return Objective(
         fn=fn,
         fn_rows=fn_rows,
         grad_fn=grad_fn,
+        grad_rows=grad_rows,
         dim=a.size,
         name="flat_bottom",
         optimum=Optimum(f_star=0.0, argmin=ball),
@@ -309,11 +340,19 @@ def make_power_objective(g: Objective, theta: float) -> Objective:
             return np.zeros(x.size)
         return (p * gv ** (p - 1.0)) * base_grad(x)
 
+    def grad_rows(X, base_rows=g.fn_rows, base_grad_rows=g.grad_rows,
+                  p=np.array(p), e=np.array(p - 1.0)):
+        # p and e are 0-d arrays, faster scalars for numpy. p >= 1 and the
+        # base gradient is 0 wherever the base vanishes, so a zero base
+        # needs no mask.
+        return (p * base_rows(X) ** e)[:, None] * base_grad_rows(X)
+
     m = g.strong_convexity
     return Objective(
         fn=fn,
         fn_rows=None if g.fn_rows is None else fn_rows,
         grad_fn=grad_fn,
+        grad_rows=None if g.fn_rows is None or g.grad_rows is None else grad_rows,
         dim=g.dim,
         name=f"{g.name}^{p:g}",
         optimum=Optimum(f_star=g.optimum.f_star**p, argmin=g.optimum.argmin),

@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pgflow import cli, flow
 from pgflow.analysis import REPORT_HEADER
 from pgflow.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERDICT, main
 from pgflow.config import (
@@ -608,6 +609,110 @@ class TestCliSweep:
                      "--param", "bogus", "--values", "1"])
         assert code == EXIT_CONFIG
         assert "invalid choice" in capsys.readouterr().err
+
+
+SCALED_SWEEP_CFG = """
+problem.set = wholespace
+set.dim = 2
+problem.objective = quadratic
+objective.center = 0,0
+problem.schedule = power
+problem.x0 = 1,0
+problem.system = scaled
+numerics.step = 0.01
+numerics.horizon = 2
+numerics.sample_every = 0.1
+"""
+
+POWER_BOX_CFG = """
+problem.set = box
+set.lo = -1, -1
+set.hi = 1, 1
+problem.objective = power
+objective.center = 0, 0
+objective.theta = 0.25
+problem.schedule = power
+problem.x0 = 1, 0.8
+numerics.step = 0.005
+numerics.horizon = 4
+numerics.sample_every = 0.1
+"""
+
+
+def sweep_outputs(tmp_path, capsys, name, text, param, values):
+    """Exit code, stdout, stderr and {file: bytes} of one sweep."""
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(text)
+    out = tmp_path / name
+    code = main(["sweep", str(cfg), "--param", param, "--values", values,
+                 "--out-dir", str(out)])
+    captured = capsys.readouterr()
+    files = {f.name: f.read_bytes() for f in out.iterdir()} if out.exists() else {}
+    return code, captured.out.replace(str(out), "OUT"), captured.err, files
+
+
+class TestBatchedSweep:
+    """alpha and K sweeps on a continuous system integrate as one batch and
+    write exactly what the value-by-value sweep writes."""
+
+    @pytest.mark.parametrize("text, param, values", [
+        (POWER_BOX_CFG, "alpha", "0.25,0.5,0.75"),
+        (POWER_BOX_CFG, "K", "0.5,1,2"),
+        (CHEAP_SWEEP_CFG, "alpha", "0.3,0.6"),
+        (SCALED_SWEEP_CFG, "K", "1,2,3"),
+    ], ids=["box-alpha", "box-K", "ball-alpha", "scaled-K"])
+    def test_same_output_as_one_value_at_a_time(self, tmp_path, capsys, monkeypatch,
+                                                 text, param, values):
+        batched = sweep_outputs(tmp_path, capsys, "batched", text, param, values)
+        monkeypatch.setattr(cli, "BATCHED_PARAMS", ())
+        sequential = sweep_outputs(tmp_path, capsys, "sequential", text, param, values)
+        assert batched == sequential
+        assert batched[0] in (EXIT_OK, EXIT_VERDICT) and len(batched[3]) > 1
+
+    def test_cap_split_writes_the_same_files(self, tmp_path, capsys, monkeypatch):
+        whole = sweep_outputs(tmp_path, capsys, "whole", POWER_BOX_CFG, "alpha",
+                              "0.2,0.3,0.4,0.5,0.6")
+        sizes = []
+        rows = flow._integrate_rows
+        monkeypatch.setattr(flow, "_integrate_rows",
+                            lambda problems, *a: sizes.append(len(problems)) or rows(problems, *a))
+        # 41 samples of 2 floats: two runs per batch
+        monkeypatch.setattr(flow, "BATCH_MAX_FLOATS", 2 * 41 * 2)
+        split = sweep_outputs(tmp_path, capsys, "split", POWER_BOX_CFG, "alpha",
+                              "0.2,0.3,0.4,0.5,0.6")
+        assert sizes == [2, 2]
+        assert split == whole
+
+    def test_divergence_matches_the_sequential_sweep(self, tmp_path, capsys):
+        code, out, err, files = sweep_outputs(tmp_path, capsys, "out", SCALED_SWEEP_CFG,
+                                              "K", "1,500,2")
+        assert code == EXIT_DIVERGED
+        assert out.startswith("sweep K=1: samples=21\n") and "K=500" not in out
+        assert err == "divergence: state norm left the trust region near t = 0.05\n"
+        assert sorted(files) == ["trajectory_K_1.csv"]
+
+    @pytest.mark.parametrize("text, param, values", [
+        (CHEAP_SWEEP_CFG, "step", "0.01,0.02"),
+        (POWER_BOX_CFG, "theta", "0.25,0.3"),
+        (POWER_BOX_CFG, "alpha", "0.5"),
+    ], ids=["step", "theta", "one-value"])
+    def test_other_sweeps_run_one_value_at_a_time(self, tmp_path, capsys, monkeypatch,
+                                                  text, param, values):
+        monkeypatch.setattr(flow, "_integrate_rows", None)  # any batch would raise TypeError
+        code, _, _, files = sweep_outputs(tmp_path, capsys, "out", text, param, values)
+        assert code in (EXIT_OK, EXIT_VERDICT)
+        assert len(files) == len(values.split(",")) + 1
+
+
+class TestCheckGradientNaN:
+    def test_nan_error_anywhere_fails_the_row(self, capsys, monkeypatch):
+        # Python's max([0.5, nan]) is 0.5: the NaN must not be dropped
+        errors = iter([1e-9, float("nan")] + [1e-9] * 98)
+        monkeypatch.setattr(cli, "grad_check", lambda obj, pt: next(errors))
+        assert main(["check", "rate_theta50_alpha50"]) == EXIT_VERDICT
+        out = capsys.readouterr().out
+        assert "gradient check" in out and "max rel err nan" in out
+        assert "result: 1 check(s) failed: gradient check" in out
 
 
 class TestSubcommandFlags:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pgflow import flow
 from pgflow.errors import DivergenceError, InvalidInputError
 from pgflow.flow import (
     PROJECTED_STEP_MAX,
@@ -18,13 +19,14 @@ from pgflow.flow import (
     _sample_grid,
     discrete_run,
     integrate,
+    integrate_batch,
     reparam_check,
     rhs,
     write_trajectory_csv,
 )
 from pgflow.geometry import AffineHyperplane, Ball, Box, HalfSpace, Simplex, WholeSpace, distance
-from pgflow.objectives import Objective, even_quartic, quadratic
-from pgflow.schedules import Constant, Power
+from pgflow.objectives import Objective, even_quartic, make_power_objective, quadratic
+from pgflow.schedules import Constant, Power, PowerGE1
 
 
 def unit_quadratic(dim=2):
@@ -333,6 +335,146 @@ class TestConvexityBound:
         traj = integrate(problem, horizon=4.0 * sample_every, step=step, sample_every=sample_every)
         assert max(distance(domain, row) for row in traj.x) <= 1e-12
         assert np.max(traj.feas_drift) <= 1e-12
+
+
+TRAJECTORY_FIELDS = ("t", "x", "f_gap", "gamma", "feas_drift", "speed", "dist_argmin")
+
+# one list of schedules per swept key; together they cover all three families
+ALPHA_SWEEP = [Power(K=1.0, alpha=0.25), Power(K=1.0, alpha=0.5), PowerGE1(K=1.0, alpha=1.5)]
+K_SWEEP = [Constant(K=0.5), Constant(K=1.0), Constant(K=2.0), Power(K=3.0, alpha=0.5)]
+
+
+def assert_same_runs(batched, sequential, rtol):
+    assert len(batched) == len(sequential)
+    for got, want in zip(batched, sequential):
+        assert got.f_star_source == want.f_star_source
+        for name in TRAJECTORY_FIELDS:
+            a, b = getattr(got, name), getattr(want, name)
+            if rtol == 0.0:
+                assert np.array_equal(a, b), name
+            else:
+                np.testing.assert_allclose(a, b, rtol=rtol, atol=rtol, err_msg=name)
+
+
+def sweep_problem(kind, seed, objective=None):
+    rng = np.random.default_rng(seed)
+    domain = random_set(kind, rng, 3)
+    f = objective or quadratic(rng.uniform(-2.0, 2.0, 3), diag=rng.uniform(0.5, 2.0, 3))
+    return FlowProblem(domain, f, Constant(K=1.0), domain._project(rng.uniform(-2.0, 2.0, 3)))
+
+
+class TestIntegrateBatch:
+    """A sweep over schedules integrated as the rows of one state gives the
+    runs integrate gives one at a time."""
+
+    @pytest.mark.parametrize("schedules", [ALPHA_SWEEP, K_SWEEP], ids=["alpha", "K"])
+    @pytest.mark.parametrize("kind", SET_KINDS)
+    def test_matches_sequential_runs(self, kind, schedules):
+        problem = sweep_problem(kind, seed=SET_KINDS.index(kind))
+        grid = dict(horizon=2.0, step=0.01, sample_every=0.1)
+        batched = list(integrate_batch(problem, schedules, **grid))
+        sequential = [integrate(FlowProblem(problem.domain, problem.objective, s, problem.x0),
+                                **grid) for s in schedules]
+        assert_same_runs(batched, sequential, rtol=0.0 if kind == "box" else 1e-12)
+
+    @pytest.mark.parametrize("schedules", [ALPHA_SWEEP, K_SWEEP], ids=["alpha", "K"])
+    def test_power_objective_on_a_box_is_bitwise(self, schedules):
+        # the shape of the README sweep: ||x - a||^4 on a box
+        f = make_power_objective(quadratic([0.1, -0.2, 0.3]), theta=0.25)
+        problem = sweep_problem("box", seed=7, objective=f)
+        grid = dict(horizon=3.0, step=0.005, sample_every=0.1)
+        batched = list(integrate_batch(problem, schedules, **grid))
+        sequential = [integrate(FlowProblem(problem.domain, f, s, problem.x0), **grid)
+                      for s in schedules]
+        assert_same_runs(batched, sequential, rtol=0.0)
+
+    def test_batch_runs_on_rows(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(flow, "integrate", lambda *a, **k: calls.append(a))
+        list(integrate_batch(sweep_problem("ball", seed=1), K_SWEEP, horizon=0.5, step=0.01))
+        assert calls == []
+
+    @pytest.mark.parametrize("case", ["one-schedule", "no-grad-rows", "other-schedule"])
+    def test_falls_back_to_single_runs(self, monkeypatch, case):
+        problem = sweep_problem("box", seed=2)
+        schedules = K_SWEEP
+        if case == "one-schedule":
+            schedules = K_SWEEP[:1]
+        elif case == "no-grad-rows":
+            g = problem.objective.grad_fn
+            problem = FlowProblem(problem.domain, Objective(fn=problem.objective.fn,
+                                                            grad_fn=lambda x: g(x), dim=3),
+                                  Constant(K=1.0), problem.x0)
+        else:
+            class Halved(Constant):
+                def value(self, t):
+                    return 0.5 * super().value(t)
+            schedules = [Halved(K=1.0)] + K_SWEEP
+        monkeypatch.setattr(flow, "_integrate_rows", None)  # any batch would fail
+        grid = dict(horizon=0.5, step=0.01, sample_every=0.1)
+        batched = list(integrate_batch(problem, schedules, **grid))
+        sequential = [integrate(FlowProblem(problem.domain, problem.objective, s, problem.x0),
+                                **grid) for s in schedules]
+        assert_same_runs(batched, sequential, rtol=0.0)
+
+    def test_cap_splits_into_consecutive_batches(self, monkeypatch):
+        problem = sweep_problem("ball", seed=3)
+        schedules = K_SWEEP + [Power(K=1.0, alpha=0.75)]
+        grid = dict(horizon=1.0, step=0.01, sample_every=0.1)
+        whole = list(integrate_batch(problem, schedules, **grid))
+        sizes = []
+        rows = flow._integrate_rows
+
+        def spy(problems, times, step):
+            sizes.append(len(problems))
+            return rows(problems, times, step)
+
+        monkeypatch.setattr(flow, "_integrate_rows", spy)
+        # 11 samples of 3 floats: room for two runs per batch
+        monkeypatch.setattr(flow, "BATCH_MAX_FLOATS", 2 * 11 * 3 + 1)
+        split = list(integrate_batch(problem, schedules, **grid))
+        assert sizes == [2, 2]  # and the fifth run alone, on the point path
+        assert_same_runs(split, whole, rtol=0.0)
+
+    def test_a_diverging_row_leaves_the_rest_running(self):
+        # K = 500 makes RK4 unstable (2 K step = 10); the other rows go on
+        problem = FlowProblem(WholeSpace(2), unit_quadratic(), Constant(K=1.0), [1.0, 0.5],
+                              system="scaled")
+        grid = dict(horizon=2.0, step=0.01, sample_every=0.1)
+        schedules = [Constant(K=1.0), Constant(K=2.0), Constant(K=500.0)]
+        runs = integrate_batch(problem, schedules, **grid)
+        got = [next(runs), next(runs)]
+        with pytest.raises(DivergenceError) as exc:
+            next(runs)
+        with pytest.raises(DivergenceError) as single:
+            integrate(FlowProblem(WholeSpace(2), unit_quadratic(), schedules[2], [1.0, 0.5],
+                                  system="scaled"), **grid)
+        assert str(exc.value) == str(single.value)
+        assert exc.value.time == single.value.time
+        sequential = [integrate(FlowProblem(WholeSpace(2), unit_quadratic(), s, [1.0, 0.5],
+                                            system="scaled"), **grid) for s in schedules[:2]]
+        assert_same_runs(got, sequential, rtol=0.0)
+
+    def test_every_row_diverging_stops_the_loop(self, monkeypatch):
+        samples = []
+        settle = flow._Batch.settle
+        monkeypatch.setattr(flow._Batch, "settle",
+                            lambda self, X: samples.append(len(X)) or settle(self, X))
+        problem = FlowProblem(WholeSpace(2), unit_quadratic(), Constant(K=1.0), [1.0, 0.5])
+        runs = integrate_batch(problem, [Constant(K=400.0), Constant(K=500.0)],
+                               horizon=1e4, step=0.01, sample_every=0.1)
+        with pytest.raises(DivergenceError, match="near t = 0.0"):
+            next(runs)
+        assert samples == []  # both left within the first sample, of 100000
+
+    def test_rejects_infeasible_start_and_bad_numerics(self):
+        f = unit_quadratic()
+        outside = FlowProblem(Ball([0.0, 0.0], 1.0), f, Constant(K=1.0), [2.0, 0.0])
+        with pytest.raises(InvalidInputError, match="feasible set"):
+            next(integrate_batch(outside, K_SWEEP))
+        inside = FlowProblem(Ball([0.0, 0.0], 1.0), f, Constant(K=1.0), [0.5, 0.0])
+        with pytest.raises(InvalidInputError, match="RK4 convexity bound"):
+            next(integrate_batch(inside, K_SWEEP, horizon=2.6, step=1.3, sample_every=1.3))
 
 
 def iterate(domain, objective, steps, x0):

@@ -21,6 +21,8 @@ from pgflow.geometry import (
     variational_gap,
 )
 
+from test_flow import SET_KINDS, random_set
+
 RNG = np.random.default_rng(1234)
 
 
@@ -263,3 +265,63 @@ class TestValidation:
     def test_wholespace_sample_needs_dim(self):
         with pytest.raises(InvalidInputError):
             WholeSpace().sample(np.random.default_rng(0), 3)
+
+
+EPS = np.finfo(float).eps
+
+
+def assert_rows_match_points(cs, X):
+    """Row k of _project_rows(X) is _project(X[k]): bit for bit where the
+    kernel is elementwise, within a few ulp where it reduces a row."""
+    before = X.copy()
+    P = cs._project_rows(X)
+    np.testing.assert_array_equal(X, before)
+    expected = np.array([cs._project(x) for x in X])
+    assert P.shape == X.shape
+    if isinstance(cs, (WholeSpace, Box)):
+        assert np.array_equal(P, expected)
+    else:
+        np.testing.assert_allclose(P, expected, rtol=8 * EPS,
+                                   atol=8 * EPS * max(1.0, float(np.max(np.abs(X)))))
+
+
+class TestProjectRows:
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(SET_KINDS), dim=st.integers(1, 6), rows=st.integers(1, 9),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 1.0, 5.0, 1e3]))
+    def test_rows_match_points(self, kind, dim, rows, seed, scale):
+        rng = np.random.default_rng(seed)
+        cs = random_set(kind, rng, dim)
+        X = rng.normal(size=(rows, dim)) * scale
+        X[: rows // 2] = cs.sample(rng, rows // 2)  # rows already in the set keep X
+        assert_rows_match_points(cs, X)
+
+    @pytest.mark.parametrize("kind", SET_KINDS)
+    def test_row_count_changes_and_large_arrays(self, kind):
+        # constant vectors are tiled for small arrays and broadcast for large
+        # ones; both, and every change of row count, give the same rows
+        rng = np.random.default_rng(11)
+        cs = random_set(kind, rng, 50)
+        for rows in (3, 5, 3, 200, 1, 200):
+            assert_rows_match_points(cs, rng.normal(size=(rows, 50), scale=4.0))
+
+
+class TestVariationalGapRows:
+    def test_rows_give_the_largest_point_gap(self):
+        rng = np.random.default_rng(5)
+        for kind in SET_KINDS:
+            cs = random_set(kind, rng, 3)
+            probes = cs.sample(rng, 32)
+            X = cs.sample(rng, 20) + rng.normal(size=(20, 3), scale=2.0)
+            expected = max(variational_gap(cs, x, probes) for x in X)
+            assert variational_gap(cs, X, probes) == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("points, message", [
+        (np.zeros((0, 2)), "shape"),
+        (np.zeros((3, 3)), "shape"),
+        (np.zeros((2, 2, 2)), "shape"),
+        ([[0.0, 0.0], [np.inf, 0.0]], "non-finite"),
+    ], ids=["empty", "wrong-width", "3-d", "inf"])
+    def test_point_rows_validated(self, points, message):
+        with pytest.raises(InvalidInputError, match=message):
+            variational_gap(Ball([0.0, 0.0], 1.0), points, [[0.0, 0.0]])

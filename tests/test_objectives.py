@@ -181,6 +181,51 @@ class TestBatchedGradCheck:
         assert grad_check(obj, [1.0, 1.0]) < 1e-6
 
 
+class TestGradRows:
+    @pytest.mark.parametrize("n", BLOCK_DIMS)
+    def test_grad_rows_matches_grad_fn_and_leaves_input_alone(self, n):
+        rng = np.random.default_rng(300 + n)
+        for obj in catalog(n):
+            X = rng.normal(size=(7, n), scale=2.0)
+            X[0] = 0.0  # inside the flat bottom
+            X[1] = obj.optimum.argmin.sample(rng, 1)[0]  # on the argmin: a zero gradient
+            before = X.copy()
+            G = obj.grad_rows(X)
+            np.testing.assert_array_equal(X, before)
+            expected = np.array([obj.grad_fn(row) for row in X])
+            assert G.shape == (7, n)
+            # a power objective's exponent may round differently in numpy's pow
+            np.testing.assert_allclose(G, expected, rtol=8 * np.finfo(float).eps, atol=0.0)
+            assert np.all(G[1] == 0.0)
+
+    def test_quadratic_rows_are_bitwise(self):
+        obj = catalog(3)[0]
+        X = np.random.default_rng(4).normal(size=(9, 3))
+        assert np.array_equal(obj.grad_rows(X), [obj.grad_fn(row) for row in X])
+
+    def test_objective_without_rows_has_no_grad_rows(self):
+        sq = Objective(fn=lambda x: float(x @ x), grad_fn=lambda x: 2.0 * x, dim=2,
+                       optimum=quadratic([0.0, 0.0]).optimum, strong_convexity=2.0)
+        assert sq.grad_rows is None
+        assert make_power_objective(sq, theta=0.25).grad_rows is None
+
+
+class TestGradCheckNaN:
+    def test_overflow_fails_the_check(self):
+        # f overflows at p +- h e_0, so that difference is inf - inf
+        assert np.isnan(grad_check(quadratic([0.0, 0.0]), [1e160, 1.0]))
+
+    def test_overflow_fails_without_fn_rows(self):
+        sq = Objective(fn=lambda x: float(x @ x), grad_fn=lambda x: 2.0 * x, dim=2)
+        assert np.isnan(grad_check(sq, [1e160, 1.0]))
+
+    def test_nan_in_an_early_block_survives_later_blocks(self):
+        n = 1000
+        p = np.full(n, 0.5)
+        p[0] = 1e160
+        assert np.isnan(grad_check(quadratic(np.zeros(n)), p))
+
+
 class TestPowerConstruction:
     def test_theta_quarter_gives_norm4(self):
         h = norm4()
