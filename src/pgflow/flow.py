@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError, InvalidInputError
-from .geometry import ConvexSet, WholeSpace, as_point, distance
+from .geometry import ConvexSet, WholeSpace, _row_norms, as_point
 from .objectives import Objective
 from .schedules import Constant, Power, PowerGE1, Schedule
 
@@ -151,22 +151,12 @@ def _field(problem: FlowProblem, rows: bool = False):
     return G
 
 
-def _rhs_factory(problem: FlowProblem):
-    G = _field(problem)
-    lam = problem.schedule.value
-
-    def F(t, x):
-        return G(lam(t), x)
-
-    return F
-
-
 def rhs(problem: FlowProblem, t: float, x) -> np.ndarray:
     """Vector field of the continuous flow at (t, x)."""
     if t < 0:
         raise InvalidInputError("time must be >= 0")
     p = as_point(x, problem.objective.dim)
-    return _rhs_factory(problem)(float(t), p)
+    return _field(problem)(problem.schedule.value(float(t)), p)
 
 
 def _sample_grid(horizon: float, sample_every: float) -> np.ndarray:
@@ -284,7 +274,7 @@ def integrate(
         return x
 
     _rk4(G, problem.schedule.value, states[0], sample_times, step, settle, on_trip)
-    return _assemble(problem, sample_times, states, drifts, _rhs_factory(problem))
+    return _assemble(problem, sample_times, states, drifts)
 
 
 # Schedules whose lambda is K (1+t)^(-alpha): Constant has alpha 0 and
@@ -315,7 +305,7 @@ class _Batch:
     def settle(self, X):
         P = self.proj(X)
         D = X - P
-        drift = np.sqrt(np.vecdot(D, D))
+        drift = _row_norms(D)
         X = np.where((drift > 0.0)[:, None], P, X)
         self.j += 1
         self.states[self.j, self.members] = X
@@ -323,19 +313,16 @@ class _Batch:
         return X
 
     def on_trip(self, X, t):
-        # the single run's test, row by row; a diverged row leaves the batch
-        keep = []
-        for row, x in enumerate(X):
-            ss = float(x @ x)
-            if math.isfinite(ss) and ss <= _GUARD_SQ:
-                keep.append(row)
-            else:
-                self.errors[self.members[row]] = _diverged(t)
-        if len(keep) == len(X):
+        # the single run's guard on each row, which NaN fails; a diverged row leaves the batch
+        ok = np.vecdot(X, X) <= _GUARD_SQ
+        for row in np.flatnonzero(~ok):
+            self.errors[self.members[row]] = _diverged(t)
+        if ok.all():
             return X
+        keep = np.flatnonzero(ok)
         self.members = [self.members[r] for r in keep]
         self.clocks = [self.clocks[r] for r in keep]
-        return X[keep] if keep else None
+        return X[keep] if keep.size else None
 
 
 def _integrate_rows(problems, times, step):
@@ -345,8 +332,7 @@ def _integrate_rows(problems, times, step):
     for k, problem in enumerate(problems):
         if k in batch.errors:
             raise batch.errors[k]
-        yield _assemble(problem, times, batch.states[:, k], batch.drifts[:, k].copy(),
-                        _rhs_factory(problem))
+        yield _assemble(problem, times, batch.states[:, k], batch.drifts[:, k].copy())
 
 
 def integrate_batch(
@@ -364,15 +350,14 @@ def integrate_batch(
     turn comes, as a loop over integrate would. A batch stores at most
     BATCH_MAX_FLOATS samples (runs x samples x n floats), so a longer
     list runs as consecutive batches, each integrated when the caller
-    reaches it. A batch of one run, an objective without grad_rows or a
-    schedule outside the shipped families runs integrate instead.
+    reaches it. A batch of one run or a schedule outside the shipped
+    families runs integrate instead.
     """
     check_numerics(problem.domain, horizon, step, sample_every)
     _check_start(problem)
     members = [replace(problem, schedule=s) for s in schedules]
     times = _sample_grid(horizon, sample_every)
-    rows = (problem.objective.grad_rows is not None
-            and all(type(s) in _ROW_CLOCKS for s in schedules))
+    rows = all(type(s) in _ROW_CLOCKS for s in schedules)
     size = max(1, BATCH_MAX_FLOATS // (times.size * problem.x0.size))
     for start in range(0, len(members), size):
         chunk = members[start:start + size]
@@ -383,28 +368,27 @@ def integrate_batch(
                 yield integrate(member, horizon, step, sample_every)
 
 
-def _assemble(problem, times, states, drifts, F=None, gamma=None, speed=None) -> Trajectory:
-    """Build the Trajectory record of a sampled run.
-
-    A continuous run passes its vector field F: gamma is then the
-    schedule's clock and speed is |F| at each sample. discrete_run passes
-    its own gamma and speed instead.
-    """
+def _assemble(problem, times, states, drifts, gamma=None, speed=None) -> Trajectory:
+    """Build the Trajectory record of a sampled run from its (m, n) states,
+    with one row kernel call each for f, dist_argmin and a continuous run's
+    speed |F|. discrete_run passes its own gamma and speed."""
     obj = problem.objective
     xs = np.vstack(states)
-    fvals = np.array([obj.fn(s) for s in states], dtype=float)
+    fvals = obj.fn_rows(xs)
     if obj.optimum is not None:
         f_star = obj.optimum.f_star
         source = ANALYTIC
-        dist_argmin = np.array([distance(obj.optimum.argmin, s) for s in states])
+        dist_argmin = _row_norms(xs - obj.optimum.argmin._project_rows(xs))
     else:
         f_star = float(np.min(fvals))
         source = BEST_SEEN
         dist_argmin = None
     if gamma is None:
-        gamma = [problem.schedule.gamma(t) for t in times]
-    if speed is None:
-        speed = [float(np.linalg.norm(F(float(t), s))) for t, s in zip(times, states)]
+        # Schedule.value per sample time: Python's pow, as in the RK4 loop
+        clock = problem.schedule
+        gamma = [clock.gamma(t) for t in times]
+        lam = np.array([clock.value(t) for t in times])[:, None]
+        speed = _row_norms(_field(problem, rows=True)(lam, xs))
     return Trajectory(
         t=np.asarray(times, dtype=float),
         x=xs,
@@ -503,7 +487,7 @@ def reparam_check(
                          horizon=g_end, step=h, sample_every=h)
     # np.interp's formula on every coordinate at once; g = gamma(horizon)
     # is the replay's last sample and takes it exactly.
-    g = np.array([schedule.gamma(float(t)) for t in scaled.t])
+    g = scaled.gamma
     tp, yp = unscaled.t, unscaled.x
     j = np.minimum(np.searchsorted(tp, g, side="right") - 1, tp.size - 2)
     slope = (yp[j + 1] - yp[j]) / (tp[j + 1] - tp[j])[:, None]

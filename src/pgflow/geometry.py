@@ -52,6 +52,21 @@ class _RowTiles:
         return tiled
 
 
+def as_rows(x, dim: int | None = None, what: str = "point") -> np.ndarray:
+    """Coerce ``x``, one point or the rows of an (m, n) array, to a finite
+    2-d float array of at least one row, with n = ``dim`` when given."""
+    X = np.asarray(x, dtype=float)
+    if X.ndim < 2:
+        return as_point(X, dim)[None, :]
+    if X.ndim != 2 or X.shape[1] == 0 or (dim is not None and X.shape[1] != dim):
+        raise InvalidInputError(f"{what}s must have shape (m, {dim}), got {X.shape}")
+    if X.shape[0] == 0:
+        raise InvalidInputError(f"need at least one {what}, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise InvalidInputError(f"{what}s have non-finite coordinates")
+    return X
+
+
 def as_point(x, dim: int | None = None) -> np.ndarray:
     """Coerce ``x`` to a finite 1-d float array, optionally of length ``dim``."""
     p = np.atleast_1d(np.asarray(x, dtype=float))
@@ -217,7 +232,7 @@ class HalfSpace(ConvexSet):
         # mirrored across the boundary, which keeps them in the set.
         anchor = self.normal * (self.offset / self._norm_sq)
         pts = anchor + rng.standard_normal((n, self.dim))
-        slack = pts @ self.normal - self.offset
+        slack = np.vecdot(pts, self.normal) - self.offset
         bad = slack > 0
         pts[bad] -= (2.0 * slack[bad, None] / self._norm_sq) * self.normal
         return pts
@@ -257,7 +272,7 @@ class AffineHyperplane(ConvexSet):
 
     def sample(self, rng, n):
         pts = rng.standard_normal((n, self.dim))
-        g = (pts @ self.normal - self.offset) / self._norm_sq
+        g = (np.vecdot(pts, self.normal) - self.offset) / self._norm_sq
         return pts - g[:, None] * self.normal
 
     def _project(self, x):
@@ -314,6 +329,11 @@ class Simplex(ConvexSet):
         return max(0.0, -float(np.min(x)), abs(float(np.sum(x)) - self.scale))
 
 
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-d float array, as the point path computes it."""
+    return np.sqrt(np.vecdot(X, X))
+
+
 def distance(cs: ConvexSet, x) -> float:
     """Euclidean distance from ``x`` to the set."""
     p = as_point(x, cs.dim)
@@ -329,21 +349,8 @@ def variational_gap(cs: ConvexSet, x, probes) -> float:
     flags a broken nearest-point map. Probes must lie in the set;
     infeasible probes are rejected rather than silently skewing the check.
     """
-    X = np.asarray(x, dtype=float)
-    if X.ndim < 2:
-        X = as_point(X, cs.dim)[None, :]
-    elif X.ndim != 2 or X.shape[0] == 0 or (cs.dim is not None and X.shape[1] != cs.dim):
-        raise InvalidInputError(f"points must have shape (m, {cs.dim}), got {X.shape}")
-    elif not np.all(np.isfinite(X)):
-        raise InvalidInputError("points have non-finite coordinates")
-    n = X.shape[1]
-    W = np.atleast_2d(np.asarray(probes, dtype=float))
-    if W.ndim != 2 or W.shape[1] != n:
-        raise InvalidInputError(f"probes must have shape (m, {n}), got {W.shape}")
-    if W.shape[0] == 0:
-        raise InvalidInputError("need at least one probe point")
-    if not np.all(np.isfinite(W)):
-        raise InvalidInputError("probe points have non-finite coordinates")
+    X = as_rows(x, cs.dim)
+    W = as_rows(probes, X.shape[1], "probe point")
     for w in W:
         if cs._residual(w) > 1e-9:
             raise InvalidInputError("probe point lies outside the set")

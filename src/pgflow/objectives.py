@@ -7,33 +7,32 @@ and an evenness flag. The certificate checks at the bottom of the
 module sample the claimed inequalities rather than trusting the
 metadata.
 
-Every catalog objective also carries ``fn_rows`` and ``grad_rows``,
-the same f and gradient applied to each row of an ``(m, n)`` array in
-one vectorised call, without mutating the array. Row reductions use
-``np.vecdot``, the point path's dot kernel row by row, so row k of
-``fn_rows`` equals ``fn`` of that row exactly; ``grad_rows`` does too,
-except that a power objective's exponent may round differently in
-numpy's ``power`` than in Python's.
+Every Objective also carries ``fn_rows`` and ``grad_rows``, f and its
+gradient on each row of an ``(m, n)`` array, which they must not mutate.
+The catalog's row kernels reduce rows with ``np.vecdot``, the point
+path's dot kernel, so row k equals ``fn`` or ``grad_fn`` of that row
+exactly, except that a power objective's exponent may round differently
+in numpy's ``power`` than in Python's. An Objective given only ``fn`` and
+``grad_fn`` gets row kernels that call them row by row.
 
-``grad_check`` uses ``fn_rows`` to evaluate the 2n central difference
-points ``p +- h e_i`` in blocks of rows of one buffer of at most
-``GRAD_CHECK_BLOCK_FLOATS`` floats (512 KiB), whatever n is, down to a
-floor of two rows. An Objective built without ``fn_rows`` is checked
-one ``fn`` call per row. A single run integrates with ``fn`` and
-``grad_fn`` on points; a batch of runs (see ``flow.integrate_batch``)
-with ``grad_rows``, and an Objective without it is never batched.
+A single run integrates with the point kernels. Everything else that
+evaluates many points uses the row kernels: a batch of runs (see
+``flow.integrate_batch``), a run's samples, and the checks below, which
+work in blocks of at most ``GRAD_CHECK_BLOCK_FLOATS`` floats (512 KiB)
+whatever n is.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedObjectiveError
-from .geometry import Ball, Box, ConvexSet, _RowTiles, as_point, distance
+from .geometry import Ball, Box, ConvexSet, _RowTiles, _row_norms, as_point, as_rows
 
 
 @dataclass(frozen=True)
@@ -70,8 +69,9 @@ class Desingularizer:
             return 0.0
         return s**self.theta / (self.kappa * self.theta)
 
-    def derivative(self, s: float) -> float:
-        if s <= 0:
+    def derivative(self, s):
+        """phi'(s) of one value, or of each value of an array."""
+        if np.any(np.less_equal(s, 0)):
             raise InvalidInputError("desingularizer derivative needs s > 0")
         return s ** (self.theta - 1.0) / self.kappa
 
@@ -82,6 +82,11 @@ class Optimum:
 
     f_star: float
     argmin: ConvexSet
+
+
+def _each_row(point, X):
+    """``point`` of a copy of each row of X: the row kernel an Objective derives."""
+    return np.array([point(x.copy()) for x in X], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -98,6 +103,13 @@ class Objective:
     fn_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
     # the gradient of every row of an (m, n) array, shape (m, n); must not mutate it.
     grad_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        # derived anew, so dataclasses.replace with a new fn does not keep stale rows
+        for rows, point in (("fn_rows", self.fn), ("grad_rows", self.grad_fn)):
+            kernel = getattr(self, rows)
+            if kernel is None or getattr(kernel, "func", None) is _each_row:
+                object.__setattr__(self, rows, partial(_each_row, point))
 
     def value(self, x) -> float:
         p = as_point(x, self.dim)
@@ -125,7 +137,7 @@ class Objective:
         return self.value(x) - self.optimum.f_star
 
 
-GRAD_CHECK_BLOCK_FLOATS = 2**16  # ceiling of grad_check's buffer of perturbed rows
+GRAD_CHECK_BLOCK_FLOATS = 2**16  # ceiling of the row blocks the checks evaluate at once
 
 
 def grad_check(obj: Objective, x, h: float = 1e-5) -> float:
@@ -145,10 +157,6 @@ def grad_check(obj: Objective, x, h: float = 1e-5) -> float:
     p = as_point(x, obj.dim)
     g = obj.grad(p)
     n = obj.dim
-    fn_rows = obj.fn_rows
-    if fn_rows is None:
-        def fn_rows(rows, fn=obj.fn):
-            return np.array([fn(row.copy()) for row in rows], dtype=float)
     block = max(1, min(n, GRAD_CHECK_BLOCK_FLOATS // (2 * n)))
     buf = np.empty((2 * block, n))
     buf[:] = p
@@ -161,7 +169,7 @@ def grad_check(obj: Objective, x, h: float = 1e-5) -> float:
             minus = flat[start + k * n:start + k * (2 * n + 1):n + 1]
             plus += h
             minus -= h
-            f = fn_rows(buf[:2 * k])
+            f = obj.fn_rows(buf[:2 * k])
             plus[:] = minus[:] = p[start:start + k]
             fd = (f[:k] - f[k:]) / (2.0 * h)
             gi = g[start:start + k]
@@ -350,9 +358,9 @@ def make_power_objective(g: Objective, theta: float) -> Objective:
     m = g.strong_convexity
     return Objective(
         fn=fn,
-        fn_rows=None if g.fn_rows is None else fn_rows,
+        fn_rows=fn_rows,
         grad_fn=grad_fn,
-        grad_rows=None if g.fn_rows is None or g.grad_rows is None else grad_rows,
+        grad_rows=grad_rows,
         dim=g.dim,
         name=f"{g.name}^{p:g}",
         optimum=Optimum(f_star=g.optimum.f_star**p, argmin=g.optimum.argmin),
@@ -365,6 +373,19 @@ def make_power_objective(g: Objective, theta: float) -> Objective:
 GAP_FLOOR = 1e-14  # below this the bound ratios are 0/0 noise
 
 
+def _sample_gaps(obj: Objective, samples):
+    """Yield the samples in blocks of at most GRAD_CHECK_BLOCK_FLOATS
+    floats, each with its f(x) - f_star."""
+    X = as_rows(samples, obj.dim, "sample")
+    block = max(1, GRAD_CHECK_BLOCK_FLOATS // obj.dim)
+    for start in range(0, X.shape[0], block):
+        rows = X[start:start + block]
+        f = obj.fn_rows(rows)
+        if not np.all(np.isfinite(f)):
+            raise InvalidInputError("objective evaluated to a non-finite value")
+        yield rows, f - obj.optimum.f_star
+
+
 def gheb_check(obj: Objective, domain: ConvexSet, samples) -> float:
     """Smallest sampled value of (f(x) - f_star)^theta / dist(x, argmin).
 
@@ -374,21 +395,14 @@ def gheb_check(obj: Objective, domain: ConvexSet, samples) -> float:
     """
     if obj.optimum is None or obj.holder is None:
         raise UnsupportedObjectiveError(f"{obj.name}: needs optimum and bound certificate")
-    theta = obj.holder.theta
-    f_star = obj.optimum.f_star
-    argmin = obj.optimum.argmin
     worst = np.inf
-    for x in np.atleast_2d(np.asarray(samples, dtype=float)):
-        pt = as_point(x, obj.dim)
-        if domain.residual(pt) > 1e-9:
-            raise InvalidInputError("sample lies outside the domain")
-        gap = obj.value(pt) - f_star
-        if gap <= GAP_FLOOR:
-            continue
-        dist = distance(argmin, pt)
-        if dist == 0.0:
-            continue
-        worst = min(worst, gap**theta / dist)
+    for rows, gap in _sample_gaps(obj, samples):
+        for x in rows:
+            if domain.residual(x) > 1e-9:
+                raise InvalidInputError("sample lies outside the domain")
+        dist = _row_norms(rows - obj.optimum.argmin._project_rows(rows))
+        keep = (gap > GAP_FLOOR) & (dist != 0.0)
+        worst = min(worst, np.min(gap[keep] ** obj.holder.theta / dist[keep], initial=np.inf))
     if worst == np.inf:
         raise InvalidInputError("no sample had a positive objective gap")
     return float(worst)
@@ -401,14 +415,16 @@ def lojasiewicz_check(obj: Objective, phi: Desingularizer, samples) -> float:
     """
     if obj.optimum is None:
         raise UnsupportedObjectiveError(f"{obj.name}: needs optimum metadata")
-    f_star = obj.optimum.f_star
     worst = np.inf
-    for x in np.atleast_2d(np.asarray(samples, dtype=float)):
-        pt = as_point(x, obj.dim)
-        gap = obj.value(pt) - f_star
-        if gap <= GAP_FLOOR:
+    for rows, gap in _sample_gaps(obj, samples):
+        keep = gap > GAP_FLOOR
+        if not keep.any():
             continue
-        worst = min(worst, phi.derivative(gap) * float(np.linalg.norm(obj.grad(pt))))
+        rows, gap = rows[keep], gap[keep]
+        G = np.asarray(obj.grad_rows(rows), dtype=float)
+        if G.shape != rows.shape or not np.all(np.isfinite(G)):
+            raise InvalidInputError(f"gradient rows must be finite, of shape {rows.shape}")
+        worst = min(worst, np.min(phi.derivative(gap) * _row_norms(G)))
     if worst == np.inf:
         raise InvalidInputError("no sample had a positive objective gap")
     return float(worst)

@@ -180,9 +180,6 @@ class ConditionReport:
     exp_tail_integrable: ConditionVerdict
     monotone: bool
 
-    def core_passed(self) -> bool:
-        return self.gamma_unbounded.passed and self.variation_finite.passed
-
 
 def validate(schedule: Schedule, theta: Optional[float] = None, horizon: float = 100.0) -> ConditionReport:
     """Classify a schedule against the integrability conditions.

@@ -556,6 +556,30 @@ class TestCliCheck:
         assert main(["check", "rate_theta50_alpha50", "--seed", "7"]) == EXIT_OK
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("preset, override, row", [
+        # a quadratic centred off the origin is not even
+        ("even_box", {"problem.objective": "quadratic", "objective.center": "0.5,0",
+                      "numerics.horizon": "20"}, "symmetric-set assertion"),
+        # the argmin (1, 0) lies on the unit circle, not inside the disk
+        ("rate_theta50_alpha50",
+         {"analysis.expect": "objective_gap_vanishes_in_gamma_time, "
+                             "strong_convergence_interior_argmin"}, "interior-argmin assertion"),
+    ], ids=["symmetric", "interior"])
+    def test_expected_claim_with_false_premise_fails(self, tmp_path, capsys, preset, override,
+                                                     row):
+        pairs = {k: v for k, v in load_pairs(preset).items() if k != "objective.dim"}
+        pairs.update(override)
+        cfg = tmp_path / "premise.cfg"
+        cfg.write_text("\n".join(f"{k} = {v}" for k, v in pairs.items()) + "\n")
+        assert main(["check", str(cfg)]) == EXIT_VERDICT
+        assert f"check(s) failed: {row}" in capsys.readouterr().out
+        out = str(tmp_path / "out")
+        assert main(["run", str(cfg), "--strict", "--out-dir", out]) == EXIT_VERDICT
+
+    @pytest.mark.parametrize("preset", list_presets())
+    def test_every_preset_passes(self, capsys, preset):
+        assert main(["check", preset]) == EXIT_OK, capsys.readouterr().out
+
 
 class TestCliSweep:
     def test_empty_values_exit_2(self):

@@ -15,7 +15,6 @@ from pgflow.errors import DivergenceError, InvalidInputError
 from pgflow.flow import (
     PROJECTED_STEP_MAX,
     FlowProblem,
-    _rhs_factory,
     _sample_grid,
     discrete_run,
     integrate,
@@ -216,7 +215,7 @@ class TestTrajectoryRecord:
 def reference_integrate(problem, horizon, step, sample_every, F=None):
     """RK4 with the feasibility guard after every substep: the residual is
     recorded and the state re-projected whenever it is positive."""
-    F = F or _rhs_factory(problem)
+    F = F or (lambda t, x: rhs(problem, t, x))
     resid, proj = problem.domain._residual, problem.domain._project
     times = _sample_grid(horizon, sample_every)
     x = problem.x0.copy()
@@ -394,17 +393,28 @@ class TestIntegrateBatch:
         list(integrate_batch(sweep_problem("ball", seed=1), K_SWEEP, horizon=0.5, step=0.01))
         assert calls == []
 
-    @pytest.mark.parametrize("case", ["one-schedule", "no-grad-rows", "other-schedule"])
+    def test_bare_objective_batches_on_rows(self, monkeypatch):
+        # an Objective given only fn and grad_fn batches on its per-row loops
+        problem = sweep_problem("box", seed=2)
+        g = problem.objective.grad_fn
+        problem = FlowProblem(problem.domain, Objective(fn=problem.objective.fn,
+                                                        grad_fn=lambda x: g(x), dim=3),
+                              Constant(K=1.0), problem.x0)
+        grid = dict(horizon=0.5, step=0.01, sample_every=0.1)
+        sequential = [integrate(FlowProblem(problem.domain, problem.objective, s, problem.x0),
+                                **grid) for s in K_SWEEP]
+        calls = []
+        monkeypatch.setattr(flow, "integrate", lambda *a, **k: calls.append(a))
+        batched = list(integrate_batch(problem, K_SWEEP, **grid))
+        assert calls == []
+        assert_same_runs(batched, sequential, rtol=0.0)
+
+    @pytest.mark.parametrize("case", ["one-schedule", "other-schedule"])
     def test_falls_back_to_single_runs(self, monkeypatch, case):
         problem = sweep_problem("box", seed=2)
         schedules = K_SWEEP
         if case == "one-schedule":
             schedules = K_SWEEP[:1]
-        elif case == "no-grad-rows":
-            g = problem.objective.grad_fn
-            problem = FlowProblem(problem.domain, Objective(fn=problem.objective.fn,
-                                                            grad_fn=lambda x: g(x), dim=3),
-                                  Constant(K=1.0), problem.x0)
         else:
             class Halved(Constant):
                 def value(self, t):

@@ -2,13 +2,15 @@
 certificate checks with known pass/fail outcomes."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pgflow.errors import InvalidInputError, UnsupportedObjectiveError
-from pgflow.geometry import Ball, Box, WholeSpace
+from pgflow.geometry import Ball, Box, WholeSpace, distance
 from pgflow.objectives import (
+    GAP_FLOOR,
     GRAD_CHECK_BLOCK_FLOATS,
     Desingularizer,
     HolderErrorBound,
@@ -166,7 +168,10 @@ class TestBatchedGradCheck:
 
     def test_objective_without_fn_rows_is_checked_row_by_row(self):
         sq = Objective(fn=lambda x: float(x @ x), grad_fn=lambda x: 2.0 * x, dim=3)
-        assert sq.fn_rows is None
+        X = np.random.default_rng(5).normal(size=(4, 3))
+        before = X.copy()
+        assert np.array_equal(sq.fn_rows(X), [sq.fn(row) for row in X])
+        np.testing.assert_array_equal(X, before)
         x = [0.5, -1.0, 2.0]
         assert grad_check(sq, x) == grad_check_reference(sq, x)
         assert grad_check(sq, x) < 1e-8
@@ -177,7 +182,12 @@ class TestBatchedGradCheck:
         base = Objective(fn=lambda x: float(x @ x), grad_fn=lambda x: 2.0 * x, dim=2,
                          optimum=quadratic([0.0, 0.0]).optimum, strong_convexity=2.0)
         obj = make_power_objective(base, theta=0.25)
-        assert obj.fn_rows is None
+        X = np.random.default_rng(6).normal(size=(5, 2))
+        # a power objective's exponent may round differently in numpy's pow
+        np.testing.assert_allclose(obj.fn_rows(X), [obj.fn(row) for row in X],
+                                   rtol=8 * np.finfo(float).eps, atol=0.0)
+        np.testing.assert_allclose(obj.grad_rows(X), [obj.grad_fn(row) for row in X],
+                                   rtol=8 * np.finfo(float).eps, atol=0.0)
         assert grad_check(obj, [1.0, 1.0]) < 1e-6
 
 
@@ -203,11 +213,21 @@ class TestGradRows:
         X = np.random.default_rng(4).normal(size=(9, 3))
         assert np.array_equal(obj.grad_rows(X), [obj.grad_fn(row) for row in X])
 
-    def test_objective_without_rows_has_no_grad_rows(self):
-        sq = Objective(fn=lambda x: float(x @ x), grad_fn=lambda x: 2.0 * x, dim=2,
-                       optimum=quadratic([0.0, 0.0]).optimum, strong_convexity=2.0)
-        assert sq.grad_rows is None
-        assert make_power_objective(sq, theta=0.25).grad_rows is None
+    def test_objective_without_rows_gets_per_row_kernels(self):
+        sq = Objective(fn=lambda x: float(x @ x), grad_fn=lambda x: 2.0 * x, dim=2)
+        X = np.random.default_rng(7).normal(size=(5, 2))
+        before = X.copy()
+        assert np.array_equal(sq.grad_rows(X), [sq.grad_fn(row) for row in X])
+        np.testing.assert_array_equal(X, before)
+        # replacing a point kernel derives its rows again
+        moved = dataclasses.replace(sq, fn=lambda x: float(x @ x) + 1.0,
+                                    grad_fn=lambda x: 2.0 * x - 1.0)
+        assert np.array_equal(moved.fn_rows(X), [moved.fn(row) for row in X])
+        assert np.array_equal(moved.grad_rows(X), [moved.grad_fn(row) for row in X])
+        # a catalog objective keeps its vectorised kernels
+        q = quadratic([1.0, 2.0])
+        kept = dataclasses.replace(q, optimum=None)
+        assert kept.fn_rows is q.fn_rows and kept.grad_rows is q.grad_rows
 
 
 class TestGradCheckNaN:
@@ -359,6 +379,81 @@ class TestCertificates:
         samples = RNG.normal(size=(100, 2))
         assert lojasiewicz_check(f, phi, samples) == pytest.approx(0.2, abs=1e-9)
         assert lojasiewicz_check(f, phi, samples) < 1 - 1e-6
+
+
+def gheb_check_reference(obj, samples):
+    """gheb_check one sample at a time, with Python's pow."""
+    worst = np.inf
+    for x in samples:
+        gap = obj.value(x) - obj.optimum.f_star
+        dist = distance(obj.optimum.argmin, x)
+        if gap > GAP_FLOOR and dist != 0.0:
+            worst = min(worst, gap**obj.holder.theta / dist)
+    return worst
+
+
+def lojasiewicz_check_reference(obj, phi, samples):
+    """lojasiewicz_check one sample at a time, with Python's pow."""
+    worst = np.inf
+    for x in samples:
+        gap = obj.value(x) - obj.optimum.f_star
+        if gap > GAP_FLOOR:
+            worst = min(worst, phi.derivative(gap) * float(np.linalg.norm(obj.grad(x))))
+    return worst
+
+
+class TestBlockedCertificates:
+    @pytest.mark.parametrize("n", BLOCK_DIMS)
+    def test_match_per_sample_reference(self, n):
+        rng = np.random.default_rng(400 + n)
+        for obj in catalog(n):
+            samples = rng.normal(size=(200, n), scale=2.0)
+            # at n = 1000 the first block of 65 rows lies on the argmin, all skipped
+            samples[:70] = obj.optimum.argmin.sample(rng, 70)
+            phi = Desingularizer(obj.holder.kappa, obj.holder.theta)
+            # numpy's pow may round differently from Python's
+            rtol = 16 * np.finfo(float).eps
+            assert gheb_check(obj, WholeSpace(n), samples) == pytest.approx(
+                gheb_check_reference(obj, samples), rel=rtol, abs=0.0), obj.name
+            assert lojasiewicz_check(obj, phi, samples) == pytest.approx(
+                lojasiewicz_check_reference(obj, phi, samples), rel=rtol, abs=0.0), obj.name
+
+    def test_memory_stays_in_blocks(self):
+        # one (1000, 1000) temporary would take 8 MB
+        n = 1000
+        obj = catalog(n)[2]
+        samples = np.random.default_rng(8).normal(size=(1000, n))
+        phi = Desingularizer(obj.holder.kappa, obj.holder.theta)
+        tracemalloc.start()
+        try:
+            gheb_check(obj, WholeSpace(n), samples)
+            lojasiewicz_check(obj, phi, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
+    @pytest.mark.parametrize("samples", [np.zeros((3, 3)), np.zeros((2, 2, 2)), [[1.0, np.nan]],
+                                         np.zeros((1, 0))],
+                             ids=["wrong-dim", "3-d", "non-finite", "empty-point"])
+    def test_rejects_malformed_samples(self, samples):
+        f = quadratic([0.0, 0.0])
+        with pytest.raises(InvalidInputError):
+            gheb_check(f, WholeSpace(2), samples)
+        with pytest.raises(InvalidInputError):
+            lojasiewicz_check(f, Desingularizer(1.0, 0.5), samples)
+
+    def test_non_finite_values_and_gradients_rejected(self):
+        f = quadratic([0.0, 0.0])
+        phi = Desingularizer(1.0, 0.5)
+        bad_value = dataclasses.replace(f, fn_rows=lambda X: np.full(len(X), np.inf))
+        with pytest.raises(InvalidInputError, match="non-finite value"):
+            gheb_check(bad_value, WholeSpace(2), [[1.0, 0.0]])
+        with pytest.raises(InvalidInputError, match="non-finite value"):
+            lojasiewicz_check(bad_value, phi, [[1.0, 0.0]])
+        bad_grad = dataclasses.replace(f, grad_rows=lambda X: np.full(X.shape, np.inf))
+        with pytest.raises(InvalidInputError, match="gradient rows must be finite"):
+            lojasiewicz_check(bad_grad, phi, [[1.0, 0.0]])
 
 
 class TestMetadataHonesty:
