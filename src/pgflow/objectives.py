@@ -13,7 +13,11 @@ The catalog's row kernels reduce rows with ``np.vecdot``, the point
 path's dot kernel, so row k equals ``fn`` or ``grad_fn`` of that row
 exactly, except that a power objective's exponent may round differently
 in numpy's ``power`` than in Python's. An Objective given only ``fn`` and
-``grad_fn`` gets row kernels that call them row by row.
+``grad_fn`` gets row kernels that call them row by row. A catalog row
+kernel records the point kernel it mirrors, and an Objective keeps it
+only while that is still its ``fn`` or ``grad_fn``: replacing a point
+kernel with ``dataclasses.replace`` derives the row loop anew, while a
+row kernel the caller passes is kept as given.
 
 A single run integrates with the point kernels. Everything else that
 evaluates many points uses the row kernels: a batch of runs (see
@@ -24,6 +28,7 @@ whatever n is.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -89,6 +94,16 @@ def _each_row(point, X):
     return np.array([point(x.copy()) for x in X], dtype=float)
 
 
+def _rows_of(point):
+    """Mark a row kernel as the mirror of the point kernel ``point``."""
+
+    def mark(rows):
+        rows.mirrors = point
+        return rows
+
+    return mark
+
+
 @dataclass(frozen=True)
 class Objective:
     fn: Callable[[np.ndarray], float]
@@ -105,11 +120,16 @@ class Objective:
     grad_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        # derived anew, so dataclasses.replace with a new fn does not keep stale rows
+        # A row kernel that mirrors a point kernel (a catalog one, or one
+        # derived here) holds only while that is still this objective's, so
+        # dataclasses.replace with a new fn does not keep stale rows. A
+        # wrapper made with functools.wraps counts as the kernel it wraps.
         for rows, point in (("fn_rows", self.fn), ("grad_rows", self.grad_fn)):
             kernel = getattr(self, rows)
-            if kernel is None or getattr(kernel, "func", None) is _each_row:
-                object.__setattr__(self, rows, partial(_each_row, point))
+            mirrored = getattr(kernel, "mirrors", None)
+            if kernel is None or (mirrored is not None
+                                  and inspect.unwrap(mirrored) is not inspect.unwrap(point)):
+                object.__setattr__(self, rows, _rows_of(point)(partial(_each_row, point)))
 
     def value(self, x) -> float:
         p = as_point(x, self.dim)
@@ -201,10 +221,11 @@ def quadratic(center, diag=None, shift: float = 0.0, name: str | None = None) ->
 
     def fn(x, a=a, d=d, shift=shift):
         r = x - a
-        return float(d @ (r * r)) + shift
+        return float(d.dot(r * r)) + shift
 
     a_rows, d2_rows = _RowTiles(a), _RowTiles(2.0 * d)
 
+    @_rows_of(fn)
     def fn_rows(X, d=d, shift=np.array(shift)):  # 0-d array, a faster scalar for numpy
         R = X - a_rows(X)
         R *= R
@@ -213,6 +234,7 @@ def quadratic(center, diag=None, shift: float = 0.0, name: str | None = None) ->
     def grad_fn(x, a=a, d2=2.0 * d):
         return d2 * (x - a)
 
+    @_rows_of(grad_fn)
     def grad_rows(X):
         return d2_rows(X) * (X - a_rows(X))
 
@@ -237,16 +259,18 @@ def even_quartic(dim: int) -> Objective:
         raise InvalidInputError("dim must be a positive integer")
 
     def fn(x):
-        s = float(x @ x)
+        s = float(x.dot(x))
         return s * s + s
 
+    @_rows_of(fn)
     def fn_rows(X):
         s = np.vecdot(X, X)
         return s * s + s
 
     def grad_fn(x):
-        return (4.0 * float(x @ x) + 2.0) * x
+        return (4.0 * float(x.dot(x)) + 2.0) * x
 
+    @_rows_of(grad_fn)
     def grad_rows(X):
         return (4.0 * np.vecdot(X, X) + 2.0)[:, None] * X
 
@@ -285,6 +309,7 @@ def flat_bottom(center, rho: float) -> Objective:
         excess = r - rho
         return excess * excess if excess > 0.0 else 0.0
 
+    @_rows_of(fn)
     def fn_rows(X, rho=rho):
         D = X - a_rows(X)
         excess = np.maximum(np.sqrt(np.vecdot(D, D)) - rho, 0.0)
@@ -297,6 +322,7 @@ def flat_bottom(center, rho: float) -> Objective:
             return np.zeros_like(d)
         return (2.0 * (r - rho) / r) * d
 
+    @_rows_of(grad_fn)
     def grad_rows(X, rho=rho):
         D = X - a_rows(X)
         r = np.sqrt(np.vecdot(D, D))
@@ -339,6 +365,7 @@ def make_power_objective(g: Objective, theta: float) -> Objective:
     def fn(x, base=g.fn, p=p):
         return float(base(x)) ** p
 
+    @_rows_of(fn)
     def fn_rows(X, base_rows=g.fn_rows, p=p):
         return base_rows(X) ** p
 
@@ -348,6 +375,7 @@ def make_power_objective(g: Objective, theta: float) -> Objective:
             return np.zeros(x.size)
         return (p * gv ** (p - 1.0)) * base_grad(x)
 
+    @_rows_of(grad_fn)
     def grad_rows(X, base_rows=g.fn_rows, base_grad_rows=g.grad_rows,
                   p=np.array(p), e=np.array(p - 1.0)):
         # p and e are 0-d arrays, faster scalars for numpy. p >= 1 and the

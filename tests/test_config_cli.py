@@ -5,12 +5,16 @@ files rather than parsing stdout, except where the output format itself
 is the contract.
 """
 
+import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import pgflow
 from pgflow import cli, flow
 from pgflow.analysis import REPORT_HEADER
 from pgflow.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERDICT, main
@@ -737,6 +741,37 @@ class TestCheckGradientNaN:
         out = capsys.readouterr().out
         assert "gradient check" in out and "max rel err nan" in out
         assert "result: 1 check(s) failed: gradient check" in out
+
+
+NO_SCIPY_SCRIPT = """
+import json, sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+from pgflow.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if "scipy" in m)}))
+"""
+
+
+class TestWithoutScipy:
+    def test_commands_run_on_numpy_alone(self, tmp_path):
+        # check on every preset; run --strict on the discrete, projected and
+        # scaled (with its time-rescaling replay) presets; the README sweep
+        argvs = [["check", p] for p in list_presets()]
+        argvs += [["run", p, "--strict", "--out-dir", str(tmp_path / p)]
+                  for p in ("discrete_vs_continuous_ball", "rate_theta50_alpha50",
+                            "reparam_quadratic")]
+        argvs.append(["sweep", "rate_theta25_alpha50", "--param", "alpha",
+                      "--values", "0.25,0.5,0.75", "--out-dir", str(tmp_path / "sweep")])
+        src = os.path.dirname(os.path.dirname(pgflow.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(argvs)],
+                              capture_output=True, text=True, env=env, cwd=tmp_path,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["codes"] == [EXIT_OK] * len(argvs)
+        assert result["scipy"] == ["scipy"]  # only the blocking entry
+        assert len(list((tmp_path / "sweep").glob("*_trajectory_alpha_*.csv"))) == 3
 
 
 class TestSubcommandFlags:

@@ -1,6 +1,7 @@
 """Integrator against closed-form solutions, discrete iteration oracles,
 and the trajectory record contract."""
 
+import dataclasses
 import importlib.util
 import math
 from pathlib import Path
@@ -476,6 +477,25 @@ class TestIntegrateBatch:
         with pytest.raises(DivergenceError, match="near t = 0.0"):
             next(runs)
         assert samples == []  # both left within the first sample, of 100000
+
+    def test_replaced_gradient_batches_with_the_new_gradient(self):
+        # the catalog grad_rows mirrors the old grad_fn, so the batch must not keep it
+        a = np.array([0.5, 0.0])
+        f = dataclasses.replace(quadratic(a), grad_fn=lambda x: 3.0 * (x - a))
+        problem = FlowProblem(Ball([0.0, 0.0], 1.0), f, Constant(K=1.0), [-0.6, 0.7])
+        grid = dict(horizon=1.0, step=0.01, sample_every=0.1)
+        batched = list(integrate_batch(problem, ALPHA_SWEEP, **grid))
+        sequential = [integrate(FlowProblem(problem.domain, f, s, problem.x0), **grid)
+                      for s in ALPHA_SWEEP]
+        assert_same_runs(batched, sequential, rtol=1e-12)
+
+    def test_replaced_value_gives_the_gap(self):
+        a = np.array([0.5, 0.0])
+        f = dataclasses.replace(quadratic(a), fn=lambda x: 3.0 * float((x - a).dot(x - a)))
+        problem = FlowProblem(Ball([0.0, 0.0], 1.0), f, Power(K=1.0, alpha=0.5), [-0.6, 0.7])
+        for traj in (integrate(problem, horizon=1.0, step=0.01),
+                     *integrate_batch(problem, ALPHA_SWEEP[:2], horizon=1.0, step=0.01)):
+            assert np.array_equal(traj.f_gap, [f.fn(x) for x in traj.x])
 
     def test_rejects_infeasible_start_and_bad_numerics(self):
         f = unit_quadratic()

@@ -2,6 +2,7 @@
 certificate checks with known pass/fail outcomes."""
 
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -228,6 +229,48 @@ class TestGradRows:
         q = quadratic([1.0, 2.0])
         kept = dataclasses.replace(q, optimum=None)
         assert kept.fn_rows is q.fn_rows and kept.grad_rows is q.grad_rows
+
+
+class TestReplacedPointKernels:
+    """A catalog row kernel mirrors one point kernel; replacing that point
+    kernel must not leave the old rows behind."""
+
+    def test_new_gradient_gets_its_own_rows(self):
+        a = np.array([0.5, 0.0])
+        q = quadratic(a)
+        moved = dataclasses.replace(q, grad_fn=lambda x: 3.0 * (x - a))
+        X = np.zeros((1, 2))
+        assert np.array_equal(moved.grad_fn(X[0]), [-1.5, 0.0])
+        assert np.array_equal(moved.grad_rows(X), [[-1.5, 0.0]])
+        assert moved.fn_rows is q.fn_rows  # fn is unchanged, so its rows stay
+
+    @pytest.mark.parametrize("n", (1, 3))
+    def test_every_catalog_kernel_follows_its_point_kernel(self, n):
+        X = np.random.default_rng(8).normal(size=(4, n))
+        for obj in catalog(n):
+            moved = dataclasses.replace(obj, fn=lambda x: float(x.sum()) + 7.0,
+                                        grad_fn=lambda x: x + 1.0)
+            assert np.array_equal(moved.fn_rows(X), [moved.fn(x) for x in X]), obj.name
+            assert np.array_equal(moved.grad_rows(X), [moved.grad_fn(x) for x in X]), obj.name
+
+    def test_explicit_row_kernel_is_kept(self):
+        q = quadratic([1.0, 2.0])
+
+        def rows(X):
+            return np.zeros(len(X))
+
+        kept = dataclasses.replace(q, fn=lambda x: 0.0, fn_rows=rows)
+        assert kept.fn_rows is rows
+
+    def test_wrapped_point_kernel_keeps_the_catalog_rows(self):
+        q = quadratic([1.0, 2.0])
+
+        @functools.wraps(q.grad_fn)
+        def counted(x):
+            return q.grad_fn(x)
+
+        kept = dataclasses.replace(q, grad_fn=counted)
+        assert kept.grad_rows is q.grad_rows
 
 
 class TestGradCheckNaN:

@@ -1,11 +1,15 @@
-"""Schedule families against a quadrature oracle, plus validator verdicts."""
+"""Schedule families against a quadrature oracle, validator verdicts, and
+the tanh-sinh rule behind the validator's evidence. scipy is the test
+oracle only; pgflow itself runs on numpy alone."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from pgflow import schedules
 from pgflow.errors import InvalidInputError
 from pgflow.schedules import Constant, Power, PowerGE1, validate
 
@@ -147,3 +151,89 @@ class TestValidator:
             Constant(K=0.0)
         with pytest.raises(InvalidInputError):
             Constant(K=-2.0)
+
+
+def exp_tail_by_clock(s, c, horizon=100.0):
+    """The exponential tail of a Power schedule in the clock u = Gamma(t).
+
+    There dt = du / lambda and (1+t) lambda = K + (1-alpha) u, so the
+    integrand e^(-c u) / (K + (1-alpha) u) is smooth; its decay scale is
+    1/c, so splitting at 50/c resolves what the t variable squeezes into
+    a layer of width about 1/(c K) at t = 0.
+    """
+    def g(u):
+        return math.exp(-c * u) / (s.K + (1.0 - s.alpha) * u)
+
+    end = s.gamma(horizon)
+    split = min(50.0 / c, end)
+    head, _ = quad(g, 0.0, split, epsabs=0.0, epsrel=1e-13, limit=200)
+    tail, _ = quad(g, split, end, epsabs=0.0, epsrel=1e-13, limit=200)
+    return head + tail
+
+
+class TestTanhSinhRule:
+    def test_fixed_rule_of_513_nodes_in_the_interval(self):
+        assert schedules._TS_WEIGHT.size == 513
+        nodes = []
+        schedules.quad(lambda s: nodes.append(s.copy()) or np.zeros_like(s), 0.0, 1e-3)
+        (s,) = nodes
+        # nodes next to a stay off it, so an integrand infinite at a is never evaluated there
+        assert s.size == 513 and np.all(np.diff(s) >= 0.0)
+        assert s[0] > 0.0 and s[-1] <= 1e-3
+
+    @pytest.mark.parametrize("theta", [0.2, 0.25, 0.4, 0.45])
+    @pytest.mark.parametrize("K", [0.5, 1.0, 20.0])
+    @pytest.mark.parametrize("horizon", [2.0, 100.0, 1e4])
+    def test_log_clock_power_tail_is_exact(self, theta, K, horizon):
+        # Gamma = K log(1+t): with u = log(1+t) the tail is K^-q int u^-q du
+        q = theta / (1.0 - 2.0 * theta)
+        lo, hi = math.log(2.0), math.log1p(horizon)
+        exact = K**-q * (hi ** (1.0 - q) - lo ** (1.0 - q)) / (1.0 - q)
+        ev = validate(PowerGE1(K=K, alpha=1.0), theta=theta, horizon=horizon)
+        assert ev.power_tail_integrable.evidence["tail_quadrature_from_1"] == pytest.approx(
+            exact, rel=1e-10)
+
+    @pytest.mark.parametrize("s", [Power(K=1.0, alpha=0.3), PowerGE1(K=1.0, alpha=2.0),
+                                   Constant(K=1.0)], ids=repr)
+    def test_power_tail_scales_as_K_to_the_minus_q(self, s):
+        theta = 0.25
+        q = theta / (1.0 - 2.0 * theta)
+        base = validate(s, theta=theta).power_tail_integrable.evidence["tail_quadrature_from_1"]
+        for K in (0.01, 7.0, 300.0):
+            scaled = dataclasses.replace(s, K=K)
+            tail = validate(scaled, theta=theta).power_tail_integrable.evidence
+            assert tail["tail_quadrature_from_1"] == pytest.approx(K**-q * base, rel=1e-10)
+
+    # c K <= 10 for every probed c: no layer at t = 0 that scipy's quad can miss
+    @pytest.mark.parametrize("s", [s for s in FAMILIES if s.K <= 1.0]
+                             + [Power(K=0.1, alpha=0.5), Constant(K=0.5)], ids=repr)
+    def test_matches_scipy_where_it_is_accurate(self, s):
+        for theta, horizon in ((0.25, 100.0), (0.4, 30.0)):
+            q = theta / (1.0 - 2.0 * theta)
+            ref, _ = quad(lambda t: s.gamma(t) ** -q / (1.0 + t), 1.0, horizon,
+                          epsabs=0.0, epsrel=1e-13, limit=200)
+            ev = validate(s, theta=theta, horizon=horizon).power_tail_integrable.evidence
+            assert ev["tail_quadrature_from_1"] == pytest.approx(ref, rel=1e-10)
+        ev = validate(s, theta=0.5).exp_tail_integrable.evidence
+        for c in schedules.EXP_TAIL_CS:
+            ref, _ = quad(lambda t: math.exp(-c * s.gamma(t)) / (1.0 + t), 0.0, 100.0,
+                          epsabs=0.0, epsrel=1e-13, limit=200)
+            assert ev[f"quadrature_c_{c:g}"] == pytest.approx(ref, rel=1e-10), c
+
+    @pytest.mark.parametrize("K, true_value", [(20.0, 4.98756e-3), (100.0, 9.99500e-4)])
+    def test_resolves_the_layer_at_t_0(self, K, true_value):
+        s = Power(K=K, alpha=0.5)
+        got = validate(s, theta=0.5).exp_tail_integrable.evidence["quadrature_c_10"]
+        ref = exp_tail_by_clock(s, 10.0)
+        assert ref == pytest.approx(true_value, rel=1e-5)
+        assert got == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("s", FAMILIES, ids=repr)
+    def test_variation_to_horizon_is_the_closed_form(self, s):
+        for horizon in (1.0, 100.0, 1000.0):
+            ev = validate(s, horizon=horizon).variation_finite.evidence
+            assert ev["abs_derivative_integral_to_horizon"] == s.value(0.0) - s.value(horizon)
+            ref, _ = quad(lambda t: abs(s.derivative(t)), 0.0, horizon,
+                          epsabs=1e-14, epsrel=1e-12, limit=200)
+            assert ev["abs_derivative_integral_to_horizon"] == pytest.approx(ref, rel=1e-10,
+                                                                             abs=1e-14)
