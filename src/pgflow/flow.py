@@ -22,11 +22,10 @@ from the set is recorded as feas_drift and the state is replaced by its
 projection whenever that distance is positive. On WholeSpace it is 0.
 
 One RK4 loop, _rk4, steps either one (n,) state with the point kernels
-(``grad_fn`` and ``_project``) or a batch: a (B, n) state whose rows are
-runs that differ only in their schedules, stepped with the row kernels
-(``grad_rows`` and ``_project_rows``). Both evaluate the shipped
-families' lambda = K (1+t)^(-alpha) by that one expression, per row in a
-batch. integrate runs one state and
+(``grad_fn``, ``_project`` and ``Schedule.value``) or a batch: a (B, n)
+state whose rows are runs that differ only in their schedules, stepped
+with the row kernels (``grad_rows``, ``_project_rows`` and
+lambda = K (1+t)^(-alpha) per row). integrate runs one state and
 integrate_batch a batch, for a sweep over schedule.alpha or schedule.K.
 Every row repeats its single run's arithmetic, so a batch yields the
 same floats, and a row that diverges leaves the batch while the others
@@ -136,16 +135,12 @@ class Trajectory:
         return self.t.size
 
 
-def _check_continuous(problem: FlowProblem) -> None:
-    if problem.system == "discrete":
-        raise InvalidInputError("the discrete system has no right-hand side; use discrete_run")
-
-
 def _field(problem: FlowProblem, rows: bool = False):
     """G(l, x) = P(x - l grad f(x)) - x, the vector field with lambda(t)
     already evaluated. With rows, x holds one state per row and l is a
     column of one lambda per row."""
-    _check_continuous(problem)
+    if problem.system == "discrete":
+        raise InvalidInputError("the discrete system has no right-hand side; use discrete_run")
     obj, dom = problem.objective, problem.domain
     grad = obj.grad_rows if rows else obj.grad_fn
     proj = dom._project_rows if rows else dom._project
@@ -204,18 +199,17 @@ def _diverged(t: float) -> DivergenceError:
     return DivergenceError(f"state norm left the trust region near t = {t:.6g}", time=t)
 
 
-def _rk4(grad, proj, lam, x, times, step, settle, on_trip) -> None:
-    """Classic fixed-step RK4 of x' = proj(x - lam(t) grad(x)) - x from
-    times[0] through every later sample time.
+def _rk4(G, lam, x, times, step, settle, on_trip) -> None:
+    """Classic fixed-step RK4 from times[0] through every later sample time.
 
-    x is one (n,) state, with the point kernels and lam(t) a 0-d array
-    or a float, or a (B, n) batch, with the row kernels and lam(t) a
-    (B, 1) column. lambda is evaluated once per distinct stage time, 3
-    times per step. Each inter-sample segment is split into equal
-    substeps no larger than ``step``. settle(x) runs at every sample and
-    returns the state to go on from. on_trip(x, t) runs when the squared
-    norm of the whole state passes _TRIP_SQ or stops being finite; it
-    returns the state to go on from, or None to stop.
+    x is one (n,) state, with the point field G and lam(t) a float, or a
+    (B, n) batch, with the row field and lam(t) a (B, 1) column. lambda
+    is evaluated once per distinct stage time, 3 times per step. Each
+    inter-sample segment is split into equal substeps no larger than
+    ``step``. settle(x) runs at every sample and returns the state to go
+    on from. on_trip(x, t) runs when the squared norm of the whole state
+    passes _TRIP_SQ or stops being finite; it returns the state to go on
+    from, or None to stop.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         t0 = times[0]
@@ -228,13 +222,10 @@ def _rk4(grad, proj, lam, x, times, step, settle, on_trip) -> None:
             for i in range(n_sub):
                 t = t0 + i * h
                 lam_mid = lam(t + 0.5 * h)
-                k1 = proj(x - lam(t) * grad(x)) - x
-                y = x + half_h * k1
-                k2 = proj(y - lam_mid * grad(y)) - y
-                y = x + half_h * k2
-                k3 = proj(y - lam_mid * grad(y)) - y
-                y = x + full_h * k3
-                k4 = proj(y - lam(t + h) * grad(y)) - y
+                k1 = G(lam(t), x)
+                k2 = G(lam_mid, x + half_h * k1)
+                k3 = G(lam_mid, x + half_h * k2)
+                k4 = G(lam(t + h), x + full_h * k3)
                 x = x + sixth_h * (k1 + _TWO * (k2 + k3) + k4)
                 if not np.vdot(x, x) <= _TRIP_SQ:
                     x = on_trip(x, t + h)
@@ -242,14 +233,6 @@ def _rk4(grad, proj, lam, x, times, step, settle, on_trip) -> None:
                         return
             x = settle(x)
             t0 = t1
-
-
-# Schedules whose lambda is K (1+t)^(-alpha): Constant has alpha 0 and
-# (1+t) ** -0.0 == 1.0. For these, both integrate and a batch evaluate
-# lambda by that expression; t is a float64 of the sample grid, whose
-# scalar pow is C's pow, as Python's is in Schedule.value, so the values
-# are the same.
-_ROW_CLOCKS = (Constant, Power, PowerGE1)
 
 
 def integrate(
@@ -266,7 +249,7 @@ def integrate(
     DivergenceError, carrying the failure time, as soon as the state norm
     passes 1e12 or stops being finite.
     """
-    _check_continuous(problem)
+    G = _field(problem)
     check_numerics(problem.domain, horizon, step, sample_every)
     _check_start(problem)
     proj = problem.domain._project
@@ -290,17 +273,13 @@ def integrate(
             raise _diverged(t)
         return x
 
-    sched = problem.schedule
-    if type(sched) in _ROW_CLOCKS:
-        K, neg_alpha = sched.K, -sched.alpha
-
-        def lam(t):
-            # _Batch.lam's expression for one run, as a 0-d array
-            return np.array(K * (1.0 + t) ** neg_alpha)
-    else:
-        lam = sched.value
-    _rk4(problem.objective.grad_fn, proj, lam, states[0], sample_times, step, settle, on_trip)
+    _rk4(G, problem.schedule.value, states[0], sample_times, step, settle, on_trip)
     return _assemble(problem, sample_times, states, drifts)
+
+
+# Schedules whose lambda is K (1+t)^(-alpha): Constant has alpha 0 and
+# (1+t) ** -0.0 == 1.0.
+_ROW_CLOCKS = (Constant, Power, PowerGE1)
 
 
 class _Batch:
@@ -318,8 +297,8 @@ class _Batch:
         self.j = 0
 
     def lam(self, t):
-        # a scalar pow per row keeps every row's lambda bit-identical to
-        # its single run; numpy's vectorised pow may round otherwise
+        # Python's pow, as Schedule.value uses, keeps every row's lambda
+        # bit-identical to its single run; numpy's pow may round otherwise
         b = 1.0 + t
         return np.array([K * b ** neg_alpha for K, neg_alpha in self.clocks])[:, None]
 
@@ -349,8 +328,7 @@ class _Batch:
 def _integrate_rows(problems, times, step):
     batch = _Batch(problems, times)
     X = np.tile(problems[0].x0, (len(problems), 1))
-    _rk4(problems[0].objective.grad_rows, batch.proj, batch.lam, X, times, step,
-         batch.settle, batch.on_trip)
+    _rk4(_field(problems[0], rows=True), batch.lam, X, times, step, batch.settle, batch.on_trip)
     for k, problem in enumerate(problems):
         if k in batch.errors:
             raise batch.errors[k]

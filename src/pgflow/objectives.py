@@ -17,7 +17,12 @@ in numpy's ``power`` than in Python's. An Objective given only ``fn`` and
 kernel records the point kernel it mirrors, and an Objective keeps it
 only while that is still its ``fn`` or ``grad_fn``: replacing a point
 kernel with ``dataclasses.replace`` derives the row loop anew, while a
-row kernel the caller passes is kept as given.
+row kernel the caller passes is kept as given. A wrapper that sets
+``__wrapped__`` (``functools.wraps`` does) counts as the kernel it wraps,
+so that a traced or counted kernel keeps the vectorised rows; such a
+wrapper must return the kernel's values. One that changes them keeps the
+old rows too, and a batch then differs from a single run; pass its row
+kernel, or ``None`` to have one derived, with it.
 
 A single run integrates with the point kernels. Everything else that
 evaluates many points uses the row kernels: a batch of runs (see
@@ -123,7 +128,7 @@ class Objective:
         # A row kernel that mirrors a point kernel (a catalog one, or one
         # derived here) holds only while that is still this objective's, so
         # dataclasses.replace with a new fn does not keep stale rows. A
-        # wrapper made with functools.wraps counts as the kernel it wraps.
+        # wrapper with __wrapped__ counts as the kernel it wraps (see above).
         for rows, point in (("fn_rows", self.fn), ("grad_rows", self.grad_fn)):
             kernel = getattr(self, rows)
             mirrored = getattr(kernel, "mirrors", None)
@@ -221,7 +226,7 @@ def quadratic(center, diag=None, shift: float = 0.0, name: str | None = None) ->
 
     def fn(x, a=a, d=d, shift=shift):
         r = x - a
-        return float(d.dot(r * r)) + shift
+        return float(d @ (r * r)) + shift
 
     a_rows, d2_rows = _RowTiles(a), _RowTiles(2.0 * d)
 
@@ -259,7 +264,7 @@ def even_quartic(dim: int) -> Objective:
         raise InvalidInputError("dim must be a positive integer")
 
     def fn(x):
-        s = float(x.dot(x))
+        s = float(x @ x)
         return s * s + s
 
     @_rows_of(fn)
@@ -268,7 +273,7 @@ def even_quartic(dim: int) -> Objective:
         return s * s + s
 
     def grad_fn(x):
-        return (4.0 * float(x.dot(x)) + 2.0) * x
+        return (4.0 * float(x @ x) + 2.0) * x
 
     @_rows_of(grad_fn)
     def grad_rows(X):

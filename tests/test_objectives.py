@@ -272,6 +272,24 @@ class TestReplacedPointKernels:
         kept = dataclasses.replace(q, grad_fn=counted)
         assert kept.grad_rows is q.grad_rows
 
+    def test_wrapper_that_changes_values_needs_its_own_rows(self):
+        # the rule's limit: a functools.wraps wrapper counts as the kernel it
+        # wraps even when it changes the values, so the catalog rows stay
+        q = quadratic([1.0, 2.0])
+
+        @functools.wraps(q.grad_fn)
+        def scaled(x):
+            return 3.0 * q.grad_fn(x)
+
+        X = np.zeros((1, 2))
+        stale = dataclasses.replace(q, grad_fn=scaled)
+        assert stale.grad_rows is q.grad_rows
+        assert np.array_equal(stale.grad_rows(X), [[-2.0, -4.0]])
+        assert np.array_equal(stale.grad_fn(X[0]), [-6.0, -12.0])
+        # passing grad_rows=None with it derives the row loop
+        fresh = dataclasses.replace(q, grad_fn=scaled, grad_rows=None)
+        assert np.array_equal(fresh.grad_rows(X), [[-6.0, -12.0]])
+
 
 class TestGradCheckNaN:
     def test_overflow_fails_the_check(self):

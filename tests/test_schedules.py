@@ -177,9 +177,15 @@ class TestTanhSinhRule:
         nodes = []
         schedules.quad(lambda s: nodes.append(s.copy()) or np.zeros_like(s), 0.0, 1e-3)
         (s,) = nodes
-        # nodes next to a stay off it, so an integrand infinite at a is never evaluated there
+        # nodes next to a = 0 stay off it, so an integrand infinite at 0 is never evaluated there
         assert s.size == 513 and np.all(np.diff(s) >= 0.0)
         assert s[0] > 0.0 and s[-1] <= 1e-3
+        # offsets down to about 1e-37 (b - a) vanish next to a nonzero endpoint,
+        # so an integrand over [1, 100] must be finite at both ends
+        schedules.quad(lambda s: nodes.append(s.copy()) or np.zeros_like(s), 1.0, 100.0)
+        s = nodes[1]
+        assert s.size == 513 and np.all(np.diff(s) >= 0.0)
+        assert s[0] == 1.0 and s[-1] == 100.0
 
     @pytest.mark.parametrize("theta", [0.2, 0.25, 0.4, 0.45])
     @pytest.mark.parametrize("K", [0.5, 1.0, 20.0])
