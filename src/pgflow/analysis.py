@@ -17,7 +17,7 @@ from .errors import InvalidInputError
 from .flow import Trajectory
 from .geometry import Ball, Box, ConvexSet, as_point, contains_ball
 from .objectives import Desingularizer
-from .schedules import Power
+from .schedules import sublinear_power
 
 R2_THRESHOLD = 0.99
 EXPONENT_SLACK = 0.15
@@ -75,7 +75,7 @@ def diagnostics(traj: Trajectory, z, desing: Optional[Desingularizer] = None) ->
     z = as_point(z, dim=traj.problem.objective.dim)
     sched = traj.problem.schedule
     if sched is not None:
-        lam = np.array([sched.value(float(s)) for s in traj.t])
+        lam = sched.value(traj.t)
     else:
         lam = np.ones_like(traj.t)
     gap = np.maximum(traj.f_gap, 0.0)
@@ -204,7 +204,7 @@ def _fit_window(traj: Trajectory, quantity: str, window_fraction: float):
 def _theoretical_power(traj: Trajectory, quantity: str) -> Optional[float]:
     sched = traj.problem.schedule
     hol = traj.problem.objective.holder
-    if not isinstance(sched, Power) or hol is None or hol.theta >= 0.5:
+    if not sublinear_power(sched) or hol is None or hol.theta >= 0.5:
         return None
     theta, alpha = hol.theta, sched.alpha
     if quantity == F_GAP:
@@ -367,7 +367,7 @@ def theorem_verdict(
 
     # power decay rates
     hol = obj.holder
-    if not isinstance(sched, Power) or hol is None or hol.theta >= 0.5:
+    if not sublinear_power(sched) or hol is None or hol.theta >= 0.5:
         out.append(ClaimVerdict(CLAIM_NAMES[3], INAPPLICABLE,
                                 "needs a sub-linear power schedule and theta below one half"))
     else:

@@ -41,7 +41,7 @@ from .flow import (
 )
 from .geometry import ConvexSet, _row_norms, variational_gap
 from .objectives import Desingularizer, gheb_check, grad_check, lojasiewicz_check
-from .schedules import Power, validate
+from .schedules import sublinear_power, validate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -73,7 +73,7 @@ def _compute_fits(traj: Trajectory, cfg: ExperimentConfig):
     hol = cfg.problem.objective.holder
     if hol is None:
         return ()
-    if hol.theta < 0.5 and isinstance(cfg.problem.schedule, Power):
+    if hol.theta < 0.5 and sublinear_power(cfg.problem.schedule):
         return tuple(fit_power(traj, q, cfg.window_fraction) for q in QUANTITIES)
     if hol.theta == 0.5:
         return tuple(fit_exponential(traj, q, window_fraction=cfg.window_fraction)

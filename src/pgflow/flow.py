@@ -22,15 +22,18 @@ from the set is recorded as feas_drift and the state is replaced by its
 projection whenever that distance is positive. On WholeSpace it is 0.
 
 One RK4 loop, _rk4, steps either one (n,) state with the point kernels
-(``grad_fn``, ``_project`` and ``Schedule.value``) or a batch: a (B, n)
-state whose rows are runs that differ only in their schedules, stepped
-with the row kernels (``grad_rows``, ``_project_rows`` and
-lambda = K (1+t)^(-alpha) per row). integrate runs one state and
+(``grad_fn``, ``_project`` and ``Schedule.value`` on a float) or a batch:
+a (B, n) state whose rows are runs that differ only in their schedules,
+stepped with the row kernels (``grad_rows``, ``_project_rows`` and
+lambda = K (1+t)^(-alpha) per row, in Python's float arithmetic as
+``Schedule.value`` computes it). integrate runs one state and
 integrate_batch a batch, for a sweep over schedule.alpha or schedule.K.
 Every row repeats its single run's arithmetic, so a batch yields the
 same floats, and a row that diverges leaves the batch while the others
 go on. A single run stays on the point kernels: on a 2-d state one row
-costs about 1.5 times as much per step as one point.
+costs about 1.5 times as much per step as one point. A run's record
+evaluates the clock and lambda at all its sample times in one array call
+each.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 from .errors import DivergenceError, InvalidInputError
 from .geometry import ConvexSet, WholeSpace, _row_norms, as_point
 from .objectives import Objective
-from .schedules import Constant, Power, PowerGE1, Schedule
+from .schedules import Constant, Schedule
 
 SYSTEMS = ("projected", "scaled", "unscaled", "discrete")
 
@@ -277,11 +280,6 @@ def integrate(
     return _assemble(problem, sample_times, states, drifts)
 
 
-# Schedules whose lambda is K (1+t)^(-alpha): Constant has alpha 0 and
-# (1+t) ** -0.0 == 1.0.
-_ROW_CLOCKS = (Constant, Power, PowerGE1)
-
-
 class _Batch:
     """The runs of one batch: which rows still integrate, and their samples."""
 
@@ -297,7 +295,7 @@ class _Batch:
         self.j = 0
 
     def lam(self, t):
-        # Python's pow, as Schedule.value uses, keeps every row's lambda
+        # Python's pow, as Schedule.value uses on a float, keeps every row's lambda
         # bit-identical to its single run; numpy's pow may round otherwise
         b = 1.0 + t
         return np.array([K * b ** neg_alpha for K, neg_alpha in self.clocks])[:, None]
@@ -350,18 +348,16 @@ def integrate_batch(
     turn comes, as a loop over integrate would. A batch stores at most
     BATCH_MAX_FLOATS samples (runs x samples x n floats), so a longer
     list runs as consecutive batches, each integrated when the caller
-    reaches it. A batch of one run or a schedule outside the shipped
-    families runs integrate instead.
+    reaches it. A batch of one run runs integrate instead.
     """
     check_numerics(problem.domain, horizon, step, sample_every)
     _check_start(problem)
     members = [replace(problem, schedule=s) for s in schedules]
     times = _sample_grid(horizon, sample_every)
-    rows = all(type(s) in _ROW_CLOCKS for s in schedules)
     size = max(1, BATCH_MAX_FLOATS // (times.size * problem.x0.size))
     for start in range(0, len(members), size):
         chunk = members[start:start + size]
-        if rows and len(chunk) > 1:
+        if len(chunk) > 1:
             yield from _integrate_rows(chunk, times, step)
         else:
             for member in chunk:
@@ -384,10 +380,9 @@ def _assemble(problem, times, states, drifts, gamma=None, speed=None) -> Traject
         source = BEST_SEEN
         dist_argmin = None
     if gamma is None:
-        # Schedule.value per sample time: Python's pow, as in the RK4 loop
         clock = problem.schedule
-        gamma = [clock.gamma(t) for t in times]
-        lam = np.array([clock.value(t) for t in times])[:, None]
+        gamma = clock.gamma(times)
+        lam = clock.value(times)[:, None]
         speed = _row_norms(_field(problem, rows=True)(lam, xs))
     return Trajectory(
         t=np.asarray(times, dtype=float),

@@ -346,14 +346,14 @@ def variational_gap(cs: ConvexSet, x, probes) -> float:
     ``x`` is one point or the rows of an (m, n) array of points; the
     largest value over every point and probe is returned. For an exact
     projection this is <= 0 for every w in the set, so a positive return
-    flags a broken nearest-point map. Probes must lie in the set;
-    infeasible probes are rejected rather than silently skewing the check.
+    flags a broken nearest-point map. Probes must lie in the set, within
+    a Euclidean distance of 1e-9; infeasible probes are rejected rather
+    than silently skewing the check.
     """
     X = as_rows(x, cs.dim)
     W = as_rows(probes, X.shape[1], "probe point")
-    for w in W:
-        if cs._residual(w) > 1e-9:
-            raise InvalidInputError("probe point lies outside the set")
+    if np.any(_row_norms(W - cs._project_rows(W)) > 1e-9):
+        raise InvalidInputError("probe point lies outside the set")
     PX = cs._project_rows(X)
     R = X - PX
     # <r, w - px> = <r, w> - <r, px>: every point against every probe in one

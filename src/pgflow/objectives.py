@@ -424,15 +424,19 @@ def gheb_check(obj: Objective, domain: ConvexSet, samples) -> float:
 
     The certificate holds when the return value is at least
     kappa * (1 - 1e-6). Samples at or below the gap floor are skipped:
-    the inequality says nothing on the argmin set itself.
+    the inequality says nothing on the argmin set itself. A sample more
+    than 1e-9 from the set, by the Euclidean distance of each row from its
+    projection (on the simplex too, whose ``residual`` is a surrogate),
+    raises InvalidInputError.
     """
     if obj.optimum is None or obj.holder is None:
         raise UnsupportedObjectiveError(f"{obj.name}: needs optimum and bound certificate")
+    if domain.dim not in (None, obj.dim):
+        raise InvalidInputError(f"expected dimension {domain.dim}, got {obj.dim}")
     worst = np.inf
     for rows, gap in _sample_gaps(obj, samples):
-        for x in rows:
-            if domain.residual(x) > 1e-9:
-                raise InvalidInputError("sample lies outside the domain")
+        if np.any(_row_norms(rows - domain._project_rows(rows)) > 1e-9):
+            raise InvalidInputError("sample lies outside the domain")
         dist = _row_norms(rows - obj.optimum.argmin._project_rows(rows))
         keep = (gap > GAP_FLOOR) & (dist != 0.0)
         worst = min(worst, np.min(gap[keep] ** obj.holder.theta / dist[keep], initial=np.inf))

@@ -1,16 +1,18 @@
 """Step-size schedules, their cumulative clocks, and integrability checks.
 
-Only analytically integrable families ship, so the cumulative step size
-and the derivative are exact closed forms and contribute no quadrature
-error to rate experiments. The validator classifies each schedule
-against the integrability conditions that the convergence guarantees
-need: an unbounded cumulative clock, finite total variation, and the
+Every schedule is lambda(t) = K (1+t)^(-alpha), so the cumulative step
+size Gamma(t) is an exact closed form and contributes no quadrature error
+to rate experiments. The three families, Constant (alpha = 0), Power
+(0 < alpha < 1) and PowerGE1 (alpha >= 1), are ranges of alpha that build
+the one Schedule class. The validator classifies each schedule against
+the integrability conditions that the convergence guarantees need: an
+unbounded cumulative clock, finite total variation, and the
 tail-integrability conditions tied to the error-bound exponent theta.
 Its verdicts are analytic; the tail integrals it reports as evidence come
 from ``quad``, a fixed tanh-sinh rule in numpy.
 
-Every schedule exposes ``K``, ``alpha``, ``value``, ``derivative``,
-``gamma``, ``gamma_limit`` and ``monotone``.
+A Schedule exposes ``K``, ``alpha``, ``value`` and ``gamma`` (each on a
+time or an array of times), ``gamma_limit`` and ``monotone``.
 """
 
 from __future__ import annotations
@@ -67,132 +69,129 @@ def quad(f, a: float, b: float) -> float:
     return float(half * np.dot(_TS_WEIGHT, f(s)))
 
 
-def _gamma_at(schedule: "Schedule", s: np.ndarray) -> np.ndarray:
-    """The closed-form clock at each node of an array."""
-    return np.array([schedule.gamma(v) for v in s])
+_BAD_TIME = "time must be finite and >= 0"
+_INF = math.inf
 
 
-def _check_time(t) -> float:
-    t = float(t)
-    if not math.isfinite(t) or t < 0:
-        raise InvalidInputError("time must be finite and >= 0")
+def _check_times(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0.0) & (t < _INF)):
+        raise InvalidInputError(_BAD_TIME) from None
     return t
 
 
-@dataclass(frozen=True)
+def _check_time(t):
+    """t as a float, or an array of times as a float array; raise unless
+    every time is finite and >= 0."""
+    try:
+        t = float(t)
+    except TypeError:  # float() refuses an array of times
+        return _check_times(t)
+    if not 0.0 <= t < _INF:
+        raise InvalidInputError(_BAD_TIME)
+    return t
+
+
+def _check_K(K) -> None:
+    if not (math.isfinite(K) and K > 0):
+        raise InvalidInputError("K must be positive and finite")
+
+
+@dataclass(frozen=True, repr=False)
 class Schedule:
-    """Base for the shipped families. All have non-increasing lambda."""
+    """lambda(t) = K (1+t)^(-alpha) with K > 0 and alpha >= 0, both finite.
+
+    Non-increasing for every such K and alpha. ``value`` and ``gamma`` take
+    a time, computed in Python's float arithmetic, or an array of times,
+    computed elementwise in numpy, whose ``pow`` may round a few ulp
+    differently. The family constructors Constant, Power and PowerGE1
+    build it for their ranges of alpha, and its repr names the one that
+    builds it.
+    """
 
     K: float
+    alpha: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.K) and self.K > 0):
-            raise InvalidInputError("K must be positive and finite")
+        _check_K(self.K)
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise InvalidInputError("alpha must be finite and >= 0")
+
+    def __repr__(self) -> str:
+        if self.alpha == 0.0:
+            return f"Constant(K={self.K!r})"
+        family = "Power" if self.alpha < 1.0 else "PowerGE1"
+        return f"{family}(K={self.K!r}, alpha={self.alpha!r})"
 
     @property
     def monotone(self) -> bool:
-        """lambda' <= 0 everywhere for every shipped family."""
+        """lambda' <= 0 everywhere, for every K and alpha."""
         return True
 
-    def value(self, t) -> float:
-        raise NotImplementedError
+    def value(self, t):
+        """lambda(t); Constant's (1+t) ** -0.0 is exactly 1."""
+        # _check_time inlined: the RK4 loop calls this 3 times per step
+        try:
+            t = float(t)
+        except TypeError:
+            t = _check_times(t)
+        else:
+            if not 0.0 <= t < _INF:
+                raise InvalidInputError(_BAD_TIME)
+        return self.K * (1.0 + t) ** (-self.alpha)
 
-    def derivative(self, t) -> float:
-        raise NotImplementedError
-
-    def gamma(self, t) -> float:
+    def gamma(self, t):
         """Cumulative step size: the integral of lambda from 0 to t."""
-        raise NotImplementedError
+        t = _check_time(t)
+        a = self.alpha
+        if a == 0.0:
+            return self.K * t
+        if a == 1.0:
+            return self.K * (math.log1p(t) if type(t) is float else np.log1p(t))
+        if a < 1.0:
+            return self.K * ((1.0 + t) ** (1.0 - a) - 1.0) / (1.0 - a)
+        return self.K * (1.0 - (1.0 + t) ** (1.0 - a)) / (a - 1.0)
 
     def gamma_limit(self) -> float:
-        """Limit of gamma at infinity; inf when the clock is unbounded."""
-        raise NotImplementedError
+        """Limit of gamma at infinity: K/(alpha-1) for alpha > 1, inf otherwise."""
+        return self.K / (self.alpha - 1.0) if self.alpha > 1.0 else math.inf
 
 
-@dataclass(frozen=True)
-class Constant(Schedule):
+def Constant(K: float) -> Schedule:
     """lambda(t) = K."""
-
-    @property
-    def alpha(self) -> float:
-        return 0.0
-
-    def value(self, t) -> float:
-        _check_time(t)
-        return self.K
-
-    def derivative(self, t) -> float:
-        _check_time(t)
-        return 0.0
-
-    def gamma(self, t) -> float:
-        return self.K * _check_time(t)
-
-    def gamma_limit(self) -> float:
-        return math.inf
+    return Schedule(K)
 
 
-@dataclass(frozen=True)
-class Power(Schedule):
+def Power(K: float, alpha: float = 0.5) -> Schedule:
     """lambda(t) = K (1+t)^(-alpha) with alpha in (0, 1).
 
     The workhorse family: the clock grows like t^(1-alpha), unbounded,
     and every integrability condition below holds.
     """
-
-    alpha: float = 0.5
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not (0 < self.alpha < 1):
-            raise InvalidInputError("Power needs alpha in (0, 1); use PowerGE1 for alpha >= 1")
-
-    def value(self, t) -> float:
-        return self.K * (1.0 + _check_time(t)) ** (-self.alpha)
-
-    def derivative(self, t) -> float:
-        return -self.alpha * self.K * (1.0 + _check_time(t)) ** (-self.alpha - 1.0)
-
-    def gamma(self, t) -> float:
-        t = _check_time(t)
-        return self.K * ((1.0 + t) ** (1.0 - self.alpha) - 1.0) / (1.0 - self.alpha)
-
-    def gamma_limit(self) -> float:
-        return math.inf
+    _check_K(K)
+    if not (0 < alpha < 1):
+        raise InvalidInputError("Power needs alpha in (0, 1); use PowerGE1 for alpha >= 1")
+    return Schedule(K, alpha)
 
 
-@dataclass(frozen=True)
-class PowerGE1(Schedule):
+def PowerGE1(K: float, alpha: float = 1.0) -> Schedule:
     """lambda(t) = K (1+t)^(-alpha) with alpha >= 1.
 
     Ships to exhibit failure modes: for alpha > 1 the clock saturates at
     K/(alpha-1), which sinks the guarantees assuming an unbounded clock.
     The integrator accepts it regardless.
     """
+    _check_K(K)
+    if alpha < 1:
+        raise InvalidInputError("PowerGE1 needs alpha >= 1")
+    return Schedule(K, alpha)
 
-    alpha: float = 1.0
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.alpha < 1:
-            raise InvalidInputError("PowerGE1 needs alpha >= 1")
-
-    def value(self, t) -> float:
-        return self.K * (1.0 + _check_time(t)) ** (-self.alpha)
-
-    def derivative(self, t) -> float:
-        return -self.alpha * self.K * (1.0 + _check_time(t)) ** (-self.alpha - 1.0)
-
-    def gamma(self, t) -> float:
-        t = _check_time(t)
-        if self.alpha == 1.0:
-            return self.K * math.log1p(t)
-        return self.K * (1.0 - (1.0 + t) ** (1.0 - self.alpha)) / (self.alpha - 1.0)
-
-    def gamma_limit(self) -> float:
-        if self.alpha == 1.0:
-            return math.inf
-        return self.K / (self.alpha - 1.0)
+def sublinear_power(schedule: Optional[Schedule]) -> bool:
+    """Whether a run has a sub-linear power clock, 0 < alpha < 1: the
+    schedules whose rates the power fits and claim 3 predict. False
+    without a schedule, as on a discrete run."""
+    return schedule is not None and 0.0 < schedule.alpha < 1.0
 
 
 @dataclass(frozen=True)
@@ -231,7 +230,7 @@ class ConditionReport:
 def validate(schedule: Schedule, theta: Optional[float] = None, horizon: float = 100.0) -> ConditionReport:
     """Classify a schedule against the integrability conditions.
 
-    Verdicts come from the analytic criteria for the shipped families;
+    Verdicts come from the analytic criteria for K (1+t)^(-alpha);
     closed forms and tail quadratures up to ``horizon`` ride along as
     diagnostic evidence.
     ``theta`` selects which tail condition applies: values below 1/2 engage
@@ -257,8 +256,8 @@ def validate(schedule: Schedule, theta: Optional[float] = None, horizon: float =
     else:
         gamma_unbounded = ConditionVerdict("pass", ev)
 
-    # Total variation: the families are non-increasing with lambda -> 0
-    # (or constant), so TV = lambda(0) - lim lambda, always finite, and
+    # Total variation: lambda is non-increasing with lambda -> 0 (or
+    # constant at alpha = 0), so TV = lambda(0) - lim lambda, always finite, and
     # the variation up to the horizon is lambda(0) - lambda(horizon).
     lam_inf = 0.0 if alpha > 0 else K
     lam0 = schedule.value(0.0)
@@ -274,12 +273,12 @@ def validate(schedule: Schedule, theta: Optional[float] = None, horizon: float =
         q = theta / (1.0 - 2.0 * theta)
         if clock_bounded:
             status = "fail"  # Gamma^-q bottoms out, leaving a divergent 1/(1+t) tail
-        elif isinstance(schedule, PowerGE1) and alpha == 1.0:
+        elif alpha == 1.0:
             # Gamma grows like log t; t^-1 (log t)^-q integrates iff q > 1.
             status = "pass" if q > 1.0 else "fail"
         else:
             status = "pass"  # Gamma grows like a positive power of t
-        tail = quad(lambda s: _gamma_at(schedule, s) ** (-q) / (1.0 + s), 1.0, horizon)
+        tail = quad(lambda s: schedule.gamma(s) ** (-q) / (1.0 + s), 1.0, horizon)
         power_tail = ConditionVerdict(status, {"exponent": q, "tail_quadrature_from_1": tail})
 
     # Exponential tail, theta = 1/2, probed over a spread of c values.
@@ -287,7 +286,7 @@ def validate(schedule: Schedule, theta: Optional[float] = None, horizon: float =
         ev = {}
         for c in EXP_TAIL_CS:
             ev[f"quadrature_c_{c:g}"] = quad(
-                lambda s, c=c: np.exp(-c * _gamma_at(schedule, s)) / (1.0 + s), 0.0, horizon)
+                lambda s, c=c: np.exp(-c * schedule.gamma(s)) / (1.0 + s), 0.0, horizon)
         # Bounded clock: integrand ~ const/(1+t), divergent for every c.
         # Unbounded clock: exp(-c Gamma) eventually beats every power of t
         # for the polynomial clocks, and for the log clock gives the

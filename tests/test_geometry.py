@@ -306,6 +306,18 @@ class TestProjectRows:
             assert_rows_match_points(cs, rng.normal(size=(rows, 50), scale=4.0))
 
 
+def just_outside(cs, rng, x, gap=1e-6):
+    """A point at distance ``gap`` from the set, off the nearest point of a
+    far point near x: P(p + s u) = p along the outward normal u at p."""
+    g = rng.normal(size=x.size) * 100.0
+    y = x + g if distance(cs, x + g) > 0.0 else x - g
+    p = cs.project(y)
+    u = (y - p) / np.linalg.norm(y - p)
+    out = p + gap * u
+    assert distance(cs, out) == pytest.approx(gap, rel=1e-6)
+    return out
+
+
 class TestVariationalGapRows:
     def test_rows_give_the_largest_point_gap(self):
         rng = np.random.default_rng(5)
@@ -315,6 +327,17 @@ class TestVariationalGapRows:
             X = cs.sample(rng, 20) + rng.normal(size=(20, 3), scale=2.0)
             expected = max(variational_gap(cs, x, probes) for x in X)
             assert variational_gap(cs, X, probes) == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("kind", [k for k in SET_KINDS if k != "wholespace"])
+    def test_probe_just_outside_rejected_by_its_distance(self, kind):
+        rng = np.random.default_rng(SET_KINDS.index(kind))
+        cs = random_set(kind, rng, 50)
+        probes = cs.sample(rng, 32)
+        x = cs.sample(rng, 4) + rng.normal(size=(4, 50))
+        assert np.isfinite(variational_gap(cs, x, probes))
+        probes[-1] = just_outside(cs, rng, probes[-1])
+        with pytest.raises(InvalidInputError, match="probe point lies outside the set"):
+            variational_gap(cs, x, probes)
 
     @pytest.mark.parametrize("points, message", [
         (np.zeros((0, 2)), "shape"),

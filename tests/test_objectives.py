@@ -26,6 +26,9 @@ from pgflow.objectives import (
     singleton,
 )
 
+from test_flow import SET_KINDS, random_set
+from test_geometry import just_outside
+
 RNG = np.random.default_rng(555)
 
 
@@ -478,6 +481,25 @@ class TestBlockedCertificates:
                 gheb_check_reference(obj, samples), rel=rtol, abs=0.0), obj.name
             assert lojasiewicz_check(obj, phi, samples) == pytest.approx(
                 lojasiewicz_check_reference(obj, phi, samples), rel=rtol, abs=0.0), obj.name
+
+    @pytest.mark.parametrize("kind", SET_KINDS)
+    def test_feasibility_is_the_row_distance(self, kind):
+        # four blocks of 65 rows at n = 1000; the bad sample sits in the last
+        n = 1000
+        rng = np.random.default_rng(SET_KINDS.index(kind))
+        domain = random_set(kind, rng, n)
+        samples = domain.sample(rng, 200)
+        obj = quadratic(rng.uniform(-1.0, 1.0, n))
+        assert gheb_check(obj, domain, samples) > 0.0
+        if kind == "wholespace":
+            return  # no point lies outside
+        samples[-1] = just_outside(domain, rng, samples[-1])
+        with pytest.raises(InvalidInputError, match="sample lies outside the domain"):
+            gheb_check(obj, domain, samples)
+
+    def test_set_of_another_dimension_rejected(self):
+        with pytest.raises(InvalidInputError, match="expected dimension 3, got 2"):
+            gheb_check(quadratic([0.0, 0.0]), WholeSpace(3), [[1.0, 0.0]])
 
     def test_memory_stays_in_blocks(self):
         # one (1000, 1000) temporary would take 8 MB

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 from pgflow import schedules
 from pgflow.errors import InvalidInputError
-from pgflow.schedules import Constant, Power, PowerGE1, validate
+from pgflow.schedules import Constant, Power, PowerGE1, Schedule, validate
 
 FAMILIES = [
     Constant(K=2.0),
@@ -33,11 +33,6 @@ class TestFrozenValues:
         assert s.value(0.0) == 1.0
         assert s.value(3.0) == pytest.approx(0.5)
 
-    def test_derivatives(self):
-        assert Constant(K=2.0).derivative(13.0) == 0.0
-        assert Power(K=1.0, alpha=0.5).derivative(0.0) == pytest.approx(-0.5)
-        assert PowerGE1(K=2.0, alpha=1.0).derivative(1.0) == pytest.approx(-0.5)
-
     def test_gamma_closed_forms(self):
         assert Constant(K=2.0).gamma(5.0) == 10.0
         # antiderivative of (1+t)^(-1/2) from 0 to 10
@@ -56,7 +51,17 @@ class TestFrozenValues:
         assert PowerGE1(K=3.0, alpha=2.5).gamma_limit() == pytest.approx(2.0)
 
 
-@pytest.mark.parametrize("s", FAMILIES, ids=lambda s: f"{type(s).__name__}-a{s.alpha:g}")
+def slope(s, t):
+    """lambda'(t) = -alpha K (1+t)^(-alpha-1), the schedules' closed-form slope."""
+    return -s.alpha * s.K * (1.0 + t) ** (-s.alpha - 1.0)
+
+
+def family_id(s):
+    """The family's name, which a schedule's repr starts with, and alpha."""
+    return f"{repr(s).partition('(')[0]}-a{s.alpha:g}"
+
+
+@pytest.mark.parametrize("s", FAMILIES, ids=family_id)
 class TestAgainstQuadrature:
     def test_gamma_matches_quadrature(self, s):
         for t in (0.5, 1.0, 7.0, 33.0, 100.0):
@@ -67,8 +72,7 @@ class TestAgainstQuadrature:
         h = 1e-6
         for t in (0.0, 0.7, 4.0, 50.0):
             fd = (s.value(t + h) - s.value(max(t - h, 0.0))) / (h if t < h else 2 * h)
-            d = s.derivative(t)
-            assert d == pytest.approx(fd, rel=1e-5, abs=1e-10)
+            assert slope(s, t) == pytest.approx(fd, rel=1e-5, abs=1e-10)
 
     def test_gamma_concave_when_monotone(self, s):
         assert s.monotone
@@ -87,9 +91,80 @@ class TestAgainstQuadrature:
         assert np.all(np.diff(g) > 0)
 
     def test_negative_time_rejected(self, s):
-        for method in (s.value, s.derivative, s.gamma):
+        for method in (s.value, s.gamma):
             with pytest.raises(InvalidInputError):
                 method(-0.1)
+
+
+# a grid like a run's samples, then times from 1e-9 to 1e6
+TIMES = np.concatenate([np.linspace(0.0, 100.0, 2001), np.geomspace(1e-9, 1e6, 301)])
+
+
+@pytest.mark.parametrize("s", FAMILIES, ids=family_id)
+class TestArrayClock:
+    """value and gamma on an array of times: one numpy expression each,
+    equal to the float calls up to the rounding of numpy's pow."""
+
+    def test_value_rows_within_4_ulp(self, s):
+        got = s.value(TIMES)
+        assert isinstance(got, np.ndarray) and got.shape == TIMES.shape
+        np.testing.assert_array_max_ulp(got, [s.value(t) for t in TIMES], maxulp=4)
+
+    def test_gamma_rows_within_4_ulp(self, s):
+        got = s.gamma(TIMES)
+        want = np.array([s.gamma(t) for t in TIMES])
+        assert isinstance(got, np.ndarray) and got.shape == TIMES.shape
+        a = s.alpha
+        if a in (0.0, 1.0):
+            np.testing.assert_array_max_ulp(got, want, maxulp=4)
+        else:
+            # (1+t)^(1-alpha) - 1 cancels near t = 0, so the ulp is that of
+            # the larger operand of that difference, scaled as the result
+            scale = s.K * np.maximum(1.0, (1.0 + TIMES) ** (1.0 - a)) / abs(1.0 - a)
+            assert np.all(np.abs(got - want) <= 4.0 * np.spacing(scale))
+
+    @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
+    def test_bad_time_in_an_array_rejected(self, s, bad):
+        for method in (s.value, s.gamma):
+            with pytest.raises(InvalidInputError, match="time must be finite and >= 0"):
+                method(np.array([0.0, 1.0, bad]))
+            with pytest.raises(InvalidInputError):
+                method([bad, 2.0])
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestFamilyConstructors:
+    """Every family builds the one Schedule, whose K and alpha are finite."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf"])
+    def test_non_finite_K_rejected(self, bad):
+        for make in (Constant, lambda K: Power(K=K, alpha=0.5),
+                     lambda K: PowerGE1(K=K, alpha=1.5), Schedule):
+            with pytest.raises(InvalidInputError, match="K must be positive and finite"):
+                make(bad)
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf"])
+    def test_non_finite_alpha_rejected(self, bad):
+        for make in (Power, PowerGE1, Schedule):
+            with pytest.raises(InvalidInputError):
+                make(K=1.0, alpha=bad)
+
+    def test_family_ranges_keep_their_messages(self):
+        with pytest.raises(InvalidInputError, match="Power needs alpha in"):
+            Power(K=1.0, alpha=-0.5)
+        with pytest.raises(InvalidInputError, match="PowerGE1 needs alpha >= 1"):
+            PowerGE1(K=1.0, alpha=0.0)
+        with pytest.raises(InvalidInputError, match="K must be positive"):
+            Power(K=-1.0, alpha=2.0)
+        with pytest.raises(InvalidInputError, match="alpha must be finite and >= 0"):
+            Schedule(K=1.0, alpha=-0.5)
+
+    def test_families_build_one_class(self):
+        for s in FAMILIES:
+            assert type(s) is Schedule
+            assert eval(repr(s)) == s  # the repr names the constructor that builds it
 
 
 class TestValidator:
@@ -239,7 +314,7 @@ class TestTanhSinhRule:
         for horizon in (1.0, 100.0, 1000.0):
             ev = validate(s, horizon=horizon).variation_finite.evidence
             assert ev["abs_derivative_integral_to_horizon"] == s.value(0.0) - s.value(horizon)
-            ref, _ = quad(lambda t: abs(s.derivative(t)), 0.0, horizon,
+            ref, _ = quad(lambda t: abs(slope(s, t)), 0.0, horizon,
                           epsabs=1e-14, epsrel=1e-12, limit=200)
             assert ev["abs_derivative_integral_to_horizon"] == pytest.approx(ref, rel=1e-10,
                                                                              abs=1e-14)
