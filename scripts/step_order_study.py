@@ -17,6 +17,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from pgflow.flow import FlowProblem, integrate
 from pgflow.geometry import WholeSpace
 from pgflow.objectives import quadratic
+from pgflow.schedules import Constant
 
 
 def run(argv=None) -> int:
@@ -26,8 +27,8 @@ def run(argv=None) -> int:
     args = ap.parse_args(argv)
 
     x0 = np.array([1.0, -0.5])
-    prob = FlowProblem(WholeSpace(2), quadratic([0.0, 0.0]), None, x0,
-                       system="unscaled")
+    prob = FlowProblem(WholeSpace(2), quadratic([0.0, 0.0]), Constant(K=1.0), x0,
+                       system="scaled")
     exact = math.exp(-2.0) * x0
 
     print(f"{'step':>10} {'error':>12} {'ratio':>8} {'order':>7}")

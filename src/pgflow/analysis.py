@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .flow import Trajectory
+from .flow import FlowProblem, Trajectory
 from .geometry import Ball, Box, ConvexSet, as_point, contains_ball
 from .objectives import Desingularizer
 from .schedules import sublinear_power
@@ -304,6 +304,82 @@ def _rate_pair_status(fits, model):
     return FAIL, "; ".join(r.reason for r in pair if not r.passed)
 
 
+def claim_premises(problem: FlowProblem, requested_theta: Optional[float] = None) -> dict:
+    """The claims a run of ``problem`` cannot witness, each with the first
+    premise it lacks.
+
+    These are the premises that hold or fail before anything is
+    integrated, checked in this order: the system, a bounded clock, set
+    symmetry and evenness, the argmin metadata and its interior test, the
+    power schedule and theta, the requested theta, the scaled system and a
+    clock other than the unit clock. A claim missing from the result goes
+    to its witness on the run. ``theorem_verdict`` reports a listed claim
+    as inapplicable, ``pgflow check`` fails an expected one, and the
+    rescaling replay runs only when its claim is not listed.
+    """
+    domain, obj, sched = problem.domain, problem.objective, problem.schedule
+    hol = obj.holder
+    bounded = sched is not None and math.isfinite(sched.gamma_limit())
+    out = {}
+    if problem.system != "projected":
+        for name in CLAIM_NAMES[:3]:
+            out[name] = "requires the projected system"
+    else:
+        if bounded:
+            # every shipped schedule has finite variation, so the clock decides
+            out[CLAIM_NAMES[0]] = "schedule clock is bounded"
+        if not (domain.is_symmetric() and obj.is_even):
+            out[CLAIM_NAMES[1]] = "needs an origin-symmetric set and an even objective"
+        if obj.optimum is None:
+            out[CLAIM_NAMES[2]] = "objective carries no argmin metadata"
+        else:
+            inside = _argmin_strictly_inside(domain, obj.optimum.argmin)
+            if inside is None:
+                out[CLAIM_NAMES[2]] = "no interior test for this argmin shape"
+            elif not inside:
+                out[CLAIM_NAMES[2]] = "argmin is not strictly inside the set"
+    if not sublinear_power(sched) or hol is None or hol.theta >= 0.5:
+        out[CLAIM_NAMES[3]] = "needs a sub-linear power schedule and theta below one half"
+    if hol is None or hol.theta != 0.5:
+        out[CLAIM_NAMES[4]] = "needs a certified theta of exactly one half"
+    elif bounded:
+        out[CLAIM_NAMES[4]] = "schedule clock is bounded"
+    theta_req = requested_theta if requested_theta is not None else (
+        hol.theta if hol is not None else None)
+    if theta_req is None or theta_req <= 0.5:
+        out[CLAIM_NAMES[5]] = "no theta above one half was requested"
+    if problem.system != "scaled":
+        out[CLAIM_NAMES[6]] = "requires the scaled system"
+    elif sched.alpha == 0.0 and sched.K == 1.0:
+        out[CLAIM_NAMES[6]] = "the unit clock has nothing to rescale"
+    return out
+
+
+def _witness(name: str, traj: Trajectory, fits, reparam_gap) -> ClaimVerdict:
+    """The verdict of one claim whose premises hold, read off the run."""
+    if name == CLAIM_NAMES[0]:
+        gg = traj.gamma * np.maximum(traj.f_gap, 0.0)
+        rep = check_gamma_gap_limit(gg, float(traj.gamma[-1]))
+        detail = rep.reason or f"tail mean {rep.tail_mean:.3e} vs peak {rep.peak:.3e}"
+        return ClaimVerdict(name, rep.status, detail, rep.tail_mean)
+    if name in CLAIM_NAMES[1:3]:
+        gap = _cauchy_gap(traj)
+        return ClaimVerdict(name, PASS if gap <= CAUCHY_TOL else FAIL,
+                            f"terminal Cauchy gap {gap:.3e}", gap)
+    if name == CLAIM_NAMES[3]:
+        return ClaimVerdict(name, *_rate_pair_status(fits, POWER_MODEL))
+    if name == CLAIM_NAMES[4]:
+        return ClaimVerdict(name, *_rate_pair_status(fits, EXP_MODEL))
+    if name == CLAIM_NAMES[5]:
+        disp = float(np.max(np.linalg.norm(traj.x - traj.x[0], axis=1)))
+        return ClaimVerdict(name, PASS if disp == 0.0 else FAIL,
+                            f"max displacement {disp:.3e}", disp)
+    if reparam_gap is None:
+        return ClaimVerdict(name, INAPPLICABLE, "no rescaling comparison was supplied")
+    return ClaimVerdict(name, PASS if reparam_gap <= RESCALING_TOL else FAIL,
+                        f"max interpolation gap {reparam_gap:.3e}", reparam_gap)
+
+
 def theorem_verdict(
     traj: Trajectory,
     fits: Sequence[RateReport] = (),
@@ -314,100 +390,13 @@ def theorem_verdict(
     """Map one run onto the convergence claims it can witness.
 
     Each claim is pass, fail, or inapplicable with a reason; inapplicable
-    means the run's premises do not match the claim, never that it failed.
+    means the run's premises do not match the claim (see claim_premises),
+    never that it failed.
     """
-    problem = traj.problem
-    domain, obj, sched = problem.domain, problem.objective, problem.schedule
-    out = []
-
-    # vanishing objective gap in Gamma time
-    if problem.system != "projected":
-        out.append(ClaimVerdict(CLAIM_NAMES[0], INAPPLICABLE,
-                                "requires the projected system"))
-    elif math.isfinite(sched.gamma_limit()):
-        # every shipped schedule has finite variation, so the clock decides
-        out.append(ClaimVerdict(CLAIM_NAMES[0], INAPPLICABLE, "schedule clock is bounded"))
-    else:
-        gg = traj.gamma * np.maximum(traj.f_gap, 0.0)
-        rep = check_gamma_gap_limit(gg, float(traj.gamma[-1]))
-        detail = rep.reason or f"tail mean {rep.tail_mean:.3e} vs peak {rep.peak:.3e}"
-        out.append(ClaimVerdict(CLAIM_NAMES[0], rep.status, detail, rep.tail_mean))
-
-    # strong convergence, symmetric set + even objective
-    if problem.system != "projected":
-        out.append(ClaimVerdict(CLAIM_NAMES[1], INAPPLICABLE,
-                                "requires the projected system"))
-    elif not (domain.is_symmetric() and obj.is_even):
-        out.append(ClaimVerdict(CLAIM_NAMES[1], INAPPLICABLE,
-                                "needs an origin-symmetric set and an even objective"))
-    else:
-        gap = _cauchy_gap(traj)
-        out.append(ClaimVerdict(CLAIM_NAMES[1], PASS if gap <= CAUCHY_TOL else FAIL,
-                                f"terminal Cauchy gap {gap:.3e}", gap))
-
-    # strong convergence, argmin strictly inside the set
-    if problem.system != "projected":
-        out.append(ClaimVerdict(CLAIM_NAMES[2], INAPPLICABLE,
-                                "requires the projected system"))
-    elif obj.optimum is None:
-        out.append(ClaimVerdict(CLAIM_NAMES[2], INAPPLICABLE,
-                                "objective carries no argmin metadata"))
-    else:
-        inside = _argmin_strictly_inside(domain, obj.optimum.argmin)
-        if inside is None:
-            out.append(ClaimVerdict(CLAIM_NAMES[2], INAPPLICABLE,
-                                    "no interior test for this argmin shape"))
-        elif not inside:
-            out.append(ClaimVerdict(CLAIM_NAMES[2], INAPPLICABLE,
-                                    "argmin is not strictly inside the set"))
-        else:
-            gap = _cauchy_gap(traj)
-            out.append(ClaimVerdict(CLAIM_NAMES[2], PASS if gap <= CAUCHY_TOL else FAIL,
-                                    f"terminal Cauchy gap {gap:.3e}", gap))
-
-    # power decay rates
-    hol = obj.holder
-    if not sublinear_power(sched) or hol is None or hol.theta >= 0.5:
-        out.append(ClaimVerdict(CLAIM_NAMES[3], INAPPLICABLE,
-                                "needs a sub-linear power schedule and theta below one half"))
-    else:
-        status, why = _rate_pair_status(fits, POWER_MODEL)
-        out.append(ClaimVerdict(CLAIM_NAMES[3], status, why))
-
-    # exponential decay rates
-    if hol is None or hol.theta != 0.5:
-        out.append(ClaimVerdict(CLAIM_NAMES[4], INAPPLICABLE,
-                                "needs a certified theta of exactly one half"))
-    elif sched is not None and math.isfinite(sched.gamma_limit()):
-        out.append(ClaimVerdict(CLAIM_NAMES[4], INAPPLICABLE,
-                                "schedule clock is bounded"))
-    else:
-        status, why = _rate_pair_status(fits, EXP_MODEL)
-        out.append(ClaimVerdict(CLAIM_NAMES[4], status, why))
-
-    # stationary trajectory when theta above one half is requested
-    theta_req = requested_theta if requested_theta is not None else (
-        hol.theta if hol is not None else None)
-    if theta_req is None or theta_req <= 0.5:
-        out.append(ClaimVerdict(CLAIM_NAMES[5], INAPPLICABLE,
-                                "no theta above one half was requested"))
-    else:
-        disp = float(np.max(np.linalg.norm(traj.x - traj.x[0], axis=1)))
-        out.append(ClaimVerdict(CLAIM_NAMES[5], PASS if disp == 0.0 else FAIL,
-                                f"max displacement {disp:.3e}", disp))
-
-    # time rescaling equivalence
-    if problem.system != "scaled":
-        out.append(ClaimVerdict(CLAIM_NAMES[6], INAPPLICABLE,
-                                "requires the scaled system"))
-    elif reparam_gap is None:
-        out.append(ClaimVerdict(CLAIM_NAMES[6], INAPPLICABLE,
-                                "no rescaling comparison was supplied"))
-    else:
-        out.append(ClaimVerdict(CLAIM_NAMES[6],
-                                PASS if reparam_gap <= RESCALING_TOL else FAIL,
-                                f"max interpolation gap {reparam_gap:.3e}", reparam_gap))
-    return tuple(out)
+    premises = claim_premises(traj.problem, requested_theta)
+    return tuple(ClaimVerdict(name, INAPPLICABLE, premises[name]) if name in premises
+                 else _witness(name, traj, fits, reparam_gap)
+                 for name in CLAIM_NAMES)
 
 
 def _cell(value) -> str:

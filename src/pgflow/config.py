@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import CLAIM_NAMES
+from .analysis import CLAIM_NAMES, claim_premises
 from .errors import InvalidInputError
 from .flow import (
     DEFAULT_HORIZON,
@@ -293,8 +293,10 @@ def build_config(pairs: dict, name: str = "experiment") -> ExperimentConfig:
     """Validate raw pairs and build the run they describe.
 
     FlowProblem alone rules which set, objective, schedule, start and system
-    make a run. numerics.* keys are read for continuous systems only,
-    discrete.* keys for the discrete one; any other key is an error.
+    make a run; ``problem.system = unscaled`` spells the scaled system on
+    the unit clock, Constant(K=1), and takes no schedule. numerics.* keys
+    are read for continuous systems only, discrete.* keys for the discrete
+    one; any other key is an error.
     """
     bag = _KeyBag(pairs)
     name = bag.take("name", name)
@@ -304,9 +306,15 @@ def build_config(pairs: dict, name: str = "experiment") -> ExperimentConfig:
     objective = _build_objective(bag, domain, set_kind)
     schedule = _build_schedule(bag)
     system = bag.take("problem.system", "projected").lower()
+    if system == "unscaled":
+        if schedule is not None:
+            raise ConfigError("problem: the unscaled system runs on the unit clock; "
+                              "it takes no schedule")
+        schedule = Constant(K=1.0)
     x0 = _as_vector("problem.x0", bag.take("problem.x0"))
     try:
-        problem = FlowProblem(domain, objective, schedule, x0, system)
+        problem = FlowProblem(domain, objective, schedule, x0,
+                              "scaled" if system == "unscaled" else system)
     except InvalidInputError as exc:
         raise ConfigError(f"problem: {exc}") from None
 
@@ -321,7 +329,7 @@ def build_config(pairs: dict, name: str = "experiment") -> ExperimentConfig:
             "numerics.sample_every", bag.take("numerics.sample_every", repr(DEFAULT_SAMPLE_EVERY)))
         try:
             check_numerics(domain, horizon, step, sample_every)
-            if system == "scaled":
+            if "time_rescaling_equivalence" not in claim_premises(problem):
                 check_replay(problem.schedule, horizon, step)
         except InvalidInputError as exc:
             raise ConfigError(f"numerics: {exc}") from None

@@ -5,13 +5,13 @@ Every continuous run integrates the one vector field
     F(t, x) = P(x - lambda(t) grad f(x)) - x
 
 with fixed-step classic Runge-Kutta. The system label does not change the
-field; it fixes the set or the clock and says which of the paper's claims
-a run can witness:
+field; it fixes the set, and with the rest of the problem it decides which
+of the paper's claims a run can witness (``analysis.claim_premises``):
 
 - "projected":  x' + x = P(x - lambda(t) grad f(x)), the constrained flow
 - "scaled":     the same flow on WholeSpace, where P is the identity and
-                F = -lambda(t) grad f(x)
-- "unscaled":   the scaled flow on the unit clock, lambda = Constant(K=1)
+                F = -lambda(t) grad f(x); on the unit clock, Constant(K=1),
+                it is the unscaled flow y' = -grad f(y)
 - "discrete":   x_{k+1} = P(x_k - a_k grad f(x_k)), the classical iteration
 
 On a set, a whole RK4 step is a convex combination of the current state
@@ -49,7 +49,7 @@ from .geometry import ConvexSet, WholeSpace, _row_norms, as_point
 from .objectives import Objective
 from .schedules import Constant, Schedule
 
-SYSTEMS = ("projected", "scaled", "unscaled", "discrete")
+SYSTEMS = ("projected", "scaled", "discrete")
 
 DIVERGENCE_NORM = 1e12
 _GUARD_SQ = DIVERGENCE_NORM * DIVERGENCE_NORM
@@ -99,14 +99,11 @@ class FlowProblem:
         self.x0 = as_point(self.x0, self.objective.dim)
         if self.domain.dim is not None and self.domain.dim != self.x0.size:
             raise InvalidInputError("domain and starting point dimensions differ")
-        if self.system in ("scaled", "unscaled") and not isinstance(self.domain, WholeSpace):
-            raise InvalidInputError(f"the {self.system} system is unconstrained; use WholeSpace")
-        if self.system in ("unscaled", "discrete") and self.schedule is not None:
-            clock = "runs on the unit clock" if self.system == "unscaled" else "takes step sizes"
-            raise InvalidInputError(f"the {self.system} system {clock}; it takes no schedule")
-        if self.system == "unscaled":
-            self.schedule = Constant(K=1.0)
-        elif self.system != "discrete" and self.schedule is None:
+        if self.system == "scaled" and not isinstance(self.domain, WholeSpace):
+            raise InvalidInputError("the scaled system is unconstrained; use WholeSpace")
+        if self.system == "discrete" and self.schedule is not None:
+            raise InvalidInputError("the discrete system takes step sizes; it takes no schedule")
+        if self.system != "discrete" and self.schedule is None:
             raise InvalidInputError(f"the {self.system} system needs a schedule")
 
 
@@ -478,7 +475,7 @@ def reparam_check(
         step=step,
         sample_every=max(step, horizon / 500.0),
     )
-    unscaled = integrate(FlowProblem(space, objective, None, x0, system="unscaled"),
+    unscaled = integrate(FlowProblem(space, objective, Constant(K=1.0), x0, system="scaled"),
                          horizon=g_end, step=h, sample_every=h)
     # np.interp's formula on every coordinate at once; g = gamma(horizon)
     # is the replay's last sample and takes it exactly.

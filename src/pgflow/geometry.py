@@ -1,8 +1,8 @@
 """Closed convex sets with exact Euclidean projections.
 
-Every set exposes ``project`` (nearest-point map), ``residual`` (a cheap
-feasibility measure that is zero exactly on the set), membership and
-symmetry predicates, and a sampler used by the certificate checks.
+Every set exposes ``project`` (nearest-point map), ``residual`` (the
+Euclidean distance to the set, ``|x - P(x)|``), membership and symmetry
+predicates, and a sampler used by the certificate checks.
 Validation happens once at the public boundary; the underscore variants
 skip it and are what the integrator calls in its inner loop.
 
@@ -139,9 +139,6 @@ class WholeSpace(ConvexSet):
 
     _project_rows = _project
 
-    def _residual(self, x):
-        return 0.0
-
 
 class Box(ConvexSet):
     """Axis-aligned box {lo <= x <= hi}, bounds elementwise."""
@@ -204,10 +201,6 @@ class Ball(ConvexSet):
         scale = self.radius / np.maximum(r, self.radius)
         return np.where((r <= self.radius)[:, None], X, C + scale[:, None] * D)
 
-    def _residual(self, x):
-        d = x - self.center
-        return max(0.0, math.sqrt(d.dot(d)) - self.radius)
-
 
 class HalfSpace(ConvexSet):
     """Half-space {<normal, x> <= offset}."""
@@ -247,9 +240,6 @@ class HalfSpace(ConvexSet):
         g = np.vecdot(X, self.normal) - self.offset
         return np.where((g <= 0.0)[:, None], X, X - (g / self._norm_sq)[:, None] * self.normal)
 
-    def _residual(self, x):
-        return max(0.0, (float(self.normal @ x) - self.offset) / self._norm)
-
 
 class AffineHyperplane(ConvexSet):
     """Hyperplane {<normal, x> = offset}. Closed, convex, no interior."""
@@ -263,7 +253,6 @@ class AffineHyperplane(ConvexSet):
         if not np.isfinite(self.offset):
             raise InvalidInputError("offset must be finite")
         self.dim = self.normal.size
-        self._norm = nn
         self._norm_sq = nn * nn
 
     def is_symmetric(self) -> bool:
@@ -282,9 +271,6 @@ class AffineHyperplane(ConvexSet):
     def _project_rows(self, X):
         g = (np.vecdot(X, self.normal) - self.offset) / self._norm_sq
         return X - g[:, None] * self.normal
-
-    def _residual(self, x):
-        return abs(float(self.normal @ x) - self.offset) / self._norm
 
 
 class Simplex(ConvexSet):
@@ -323,21 +309,10 @@ class Simplex(ConvexSet):
         tau = css[np.arange(X.shape[0]), k - 1] / k
         return np.maximum(X - tau[:, None], 0.0)
 
-    def _residual(self, x):
-        # Cheap surrogate, zero exactly on the set: worst nonnegativity
-        # violation combined with the sum defect.
-        return max(0.0, -float(np.min(x)), abs(float(np.sum(x)) - self.scale))
-
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a 2-d float array, as the point path computes it."""
     return np.sqrt(np.vecdot(X, X))
-
-
-def distance(cs: ConvexSet, x) -> float:
-    """Euclidean distance from ``x`` to the set."""
-    p = as_point(x, cs.dim)
-    return float(np.linalg.norm(p - cs._project(p)))
 
 
 def variational_gap(cs: ConvexSet, x, probes) -> float:

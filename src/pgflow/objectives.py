@@ -152,15 +152,6 @@ class Objective:
             raise InvalidInputError("gradient has non-finite components")
         return g
 
-    def __call__(self, x) -> float:
-        return self.value(x)
-
-    def gap(self, x) -> float:
-        """f(x) - f_star. Needs optimum metadata."""
-        if self.optimum is None:
-            raise UnsupportedObjectiveError(f"{self.name}: no known optimum")
-        return self.value(x) - self.optimum.f_star
-
 
 GRAD_CHECK_BLOCK_FLOATS = 2**16  # ceiling of the row blocks the checks evaluate at once
 

@@ -304,7 +304,7 @@ def test_criterion_7_rescaling_envelope_stationarity(preset_runs):
 
     # desingularized gap rides under its exponential envelope
     obj = quadratic([0.0, 0.0])
-    prob = FlowProblem(WholeSpace(2), obj, None, [1.2, -0.9], system="unscaled")
+    prob = FlowProblem(WholeSpace(2), obj, Constant(K=1.0), [1.2, -0.9], system="scaled")
     traj = integrate(prob, horizon=3.0, step=1e-3, sample_every=0.05)
     desing = Desingularizer(obj.holder.kappa, obj.holder.theta)
     series = diagnostics(traj, [0.0, 0.0], desing=desing)

@@ -1,5 +1,6 @@
 """Diagnostics and rate-fit behavior, anchored on closed forms and synthetic data."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from pgflow.analysis import (
     RateReport,
     check_gamma_gap_limit,
     check_monotone,
+    claim_premises,
     diagnostics,
     fit_exponential,
     fit_power,
@@ -393,11 +395,71 @@ class TestTheoremVerdict:
         assert tuple(v.name for v in verdicts) == CLAIM_NAMES
 
 
+SYM_BOX = Box([-1.0, -1.0], [1.0, 1.0])
+QUARTER = make_power_objective(quadratic([0.0, 0.0]), theta=0.25)
+
+# claim index, reason, then the changes to a base problem (projected, SYM_BOX,
+# quadratic centred at 0, Power(1, 1/2), no requested theta) that make the
+# run lack that one premise, and the changes that give a run that has it
+PREMISE_CASES = {
+    "system": (0, "requires the projected system",
+               {"system": "scaled", "domain": WholeSpace(2)}, {"domain": WholeSpace(2)}),
+    "system-symmetric": (1, "requires the projected system",
+                         {"system": "scaled", "domain": WholeSpace(2)}, {"domain": WholeSpace(2)}),
+    "system-interior": (2, "requires the projected system",
+                        {"system": "scaled", "domain": WholeSpace(2)}, {"domain": WholeSpace(2)}),
+    "gap-clock": (0, "schedule clock is bounded", {"schedule": PowerGE1(K=1.0, alpha=2.0)}, {}),
+    "symmetric": (1, "needs an origin-symmetric set and an even objective",
+                  {"domain": Box([-1.0, -1.0], [2.0, 2.0])}, {}),
+    "argmin-metadata": (2, "objective carries no argmin metadata",
+                        {"objective": dataclasses.replace(quadratic([0.0, 0.0]), optimum=None)}, {}),
+    "argmin-shape": (2, "no interior test for this argmin shape",
+                     {"objective": dataclasses.replace(
+                         quadratic([0.0, 0.0]),
+                         optimum=Optimum(0.0, Box([-0.1, -0.1], [0.1, 0.1])))}, {}),
+    "argmin-boundary": (2, "argmin is not strictly inside the set",
+                        {"domain": Box([0.0, -1.0], [1.0, 1.0])}, {}),
+    "power-schedule": (3, "needs a sub-linear power schedule and theta below one half",
+                       {"objective": QUARTER, "schedule": Constant(K=1.0)}, {"objective": QUARTER}),
+    "half-theta": (4, "needs a certified theta of exactly one half", {"objective": QUARTER}, {}),
+    "exp-clock": (4, "schedule clock is bounded", {"schedule": PowerGE1(K=1.0, alpha=2.0)}, {}),
+    "requested-theta": (5, "no theta above one half was requested",
+                        {"theta": 0.4}, {"theta": 0.75}),
+    "scaled": (6, "requires the scaled system",
+               {"domain": WholeSpace(2)}, {"system": "scaled", "domain": WholeSpace(2)}),
+    "unit-clock": (6, "the unit clock has nothing to rescale",
+                   {"system": "scaled", "domain": WholeSpace(2), "schedule": Constant(K=1.0)},
+                   {"system": "scaled", "domain": WholeSpace(2), "schedule": Constant(K=2.0)}),
+}
+
+
+def premise_problem(system="projected", domain=SYM_BOX, objective=quadratic([0.0, 0.0]),
+                    schedule=Power(K=1.0, alpha=0.5), theta=None):
+    return FlowProblem(domain, objective, schedule, [0.5, 0.0], system=system), theta
+
+
+class TestClaimPremises:
+    @pytest.mark.parametrize("index, reason, lacking, control", PREMISE_CASES.values(),
+                             ids=PREMISE_CASES.keys())
+    def test_each_premise_is_the_reported_reason(self, index, reason, lacking, control):
+        claim = CLAIM_NAMES[index]
+        for changes, lacks in ((lacking, True), (control, False)):
+            problem, theta = premise_problem(**changes)
+            assert claim_premises(problem, theta).get(claim) == (reason if lacks else None)
+            traj = integrate(problem, horizon=1.0, step=0.05, sample_every=0.1)
+            verdict = theorem_verdict(traj, requested_theta=theta)[index]
+            assert verdict.name == claim
+            if lacks:
+                assert (verdict.status, verdict.detail) == (INAPPLICABLE, reason)
+            else:
+                assert verdict.detail != reason
+
+
 class TestLojasiewiczEnvelope:
     def test_unscaled_quadratic_respects_closed_form_bound(self):
         # kappa = 1, theta = 1/2: h(t) must stay under h(0) e^{-2t} + 1e-6
-        prob = FlowProblem(WholeSpace(2), quadratic([0.0, 0.0]), None, [1.0, 0.0],
-                           system="unscaled")
+        prob = FlowProblem(WholeSpace(2), quadratic([0.0, 0.0]), Constant(K=1.0), [1.0, 0.0],
+                           system="scaled")
         traj = integrate(prob, horizon=5.0, step=1e-3, sample_every=0.05)
         series = diagnostics(traj, [0.0, 0.0], desing=Desingularizer(1.0, 0.5))
         bound = series.lojasiewicz_h[0] * np.exp(-2.0 * traj.t) + 1e-6

@@ -28,7 +28,6 @@ from pgflow.config import (
 )
 from pgflow.flow import MAX_RK4_STEPS
 from pgflow.geometry import Ball
-from pgflow.objectives import UnsupportedObjectiveError
 
 
 def minimal_pairs(**extra):
@@ -273,9 +272,9 @@ class TestOptimumInjection:
         np.testing.assert_allclose(obj.fn_rows(X), [obj.fn(x) for x in X], rtol=1e-13)
 
     def test_gap_requires_optimum(self):
+        # an anisotropic center outside the set has no closed-form argmin
         cfg = build_config(minimal_pairs(**{"objective.diag": "1,4"}))
-        with pytest.raises(UnsupportedObjectiveError, match="no known optimum"):
-            cfg.problem.objective.gap([0.0, 0.0])
+        assert cfg.problem.objective.optimum is None
 
 
 class TestPresetResolution:
@@ -342,6 +341,18 @@ WHOLE_STEP_CFG = BALL_STEP_CFG.replace(
 UNSCALED_SCHEDULE_CFG = DIVERGE_CFG.replace(
     "numerics.step = 2\nnumerics.sample_every = 2\nnumerics.horizon = 200",
     "problem.schedule = power\nnumerics.horizon = 1")
+
+# a free quadratic, completed below as `unscaled` or as `scaled` on Constant(K=1)
+UNIT_CLOCK_CFG = """
+problem.set = wholespace
+set.dim = 2
+problem.objective = quadratic
+objective.center = 1,-0.5
+problem.x0 = 2,1
+numerics.step = 0.01
+numerics.horizon = 2
+analysis.expect = time_rescaling_equivalence
+"""
 
 # the replay runs to Gamma(2) = 2000 sampled at every step of 0.001: 2e6 samples
 LONG_REPLAY_CFG = """
@@ -516,6 +527,24 @@ class TestCliRun:
             assert "unit clock" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unscaled_is_scaled_on_the_unit_clock(self, tmp_path, capsys):
+        texts = {"unscaled": UNIT_CLOCK_CFG + "problem.system = unscaled\n",
+                 "scaled": UNIT_CLOCK_CFG + "problem.system = scaled\n"
+                           "problem.schedule = constant\nschedule.K = 1\n"}
+        files = {}
+        for name, text in texts.items():
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text)
+            out = tmp_path / name
+            assert main(["run", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+            stdout = capsys.readouterr().out
+            assert "system=scaled" in stdout
+            assert "the unit clock has nothing to rescale" in stdout
+            files[name] = [(out / f).read_bytes() for f in ("trajectory.csv", "report.csv")]
+        assert files["unscaled"] == files["scaled"]
+        report = files["scaled"][1].decode().splitlines()
+        assert "time_rescaling_equivalence,claim,,,,inapplicable" in report
+
     def test_long_rescaling_replay_names_its_clock(self, tmp_path, capsys):
         cfg = tmp_path / "replay.cfg"
         cfg.write_text(LONG_REPLAY_CFG)
@@ -568,7 +597,11 @@ class TestCliCheck:
         ("rate_theta50_alpha50",
          {"analysis.expect": "objective_gap_vanishes_in_gamma_time, "
                              "strong_convergence_interior_argmin"}, "interior-argmin assertion"),
-    ], ids=["symmetric", "interior"])
+        # a symmetric set and an even objective, but the claim needs the projected system
+        ("reparam_quadratic", {"objective.center": "0,0", "numerics.horizon": "2",
+                               "analysis.expect": "strong_convergence_symmetric_even"},
+         "symmetric-set assertion"),
+    ], ids=["symmetric", "interior", "scaled"])
     def test_expected_claim_with_false_premise_fails(self, tmp_path, capsys, preset, override,
                                                      row):
         pairs = {k: v for k, v in load_pairs(preset).items() if k != "objective.dim"}

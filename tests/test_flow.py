@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pgflow import flow
+from pgflow.config import build_config
 from pgflow.errors import DivergenceError, InvalidInputError
 from pgflow.flow import (
     PROJECTED_STEP_MAX,
@@ -24,7 +25,7 @@ from pgflow.flow import (
     rhs,
     write_trajectory_csv,
 )
-from pgflow.geometry import AffineHyperplane, Ball, Box, HalfSpace, Simplex, WholeSpace, distance
+from pgflow.geometry import AffineHyperplane, Ball, Box, HalfSpace, Simplex, WholeSpace
 from pgflow.objectives import Objective, even_quartic, make_power_objective, quadratic
 from pgflow.schedules import Constant, Power, PowerGE1
 
@@ -45,7 +46,7 @@ class TestRhs:
         np.testing.assert_allclose(rhs(p, 0.0, [1.5]), [-0.5])
 
     def test_unscaled(self):
-        p = FlowProblem(WholeSpace(2), unit_quadratic(), None, [1.0, 1.0], system="unscaled")
+        p = FlowProblem(WholeSpace(2), unit_quadratic(), Constant(K=1.0), [1.0, 1.0], system="scaled")
         np.testing.assert_allclose(rhs(p, 3.0, [1.0, 1.0]), [-2.0, -2.0])
 
     def test_scaled_uses_schedule(self):
@@ -80,7 +81,13 @@ class TestProblemValidation:
             FlowProblem(Box([-1.0], [1.0]), unit_quadratic(2), Constant(K=1.0), [0.5])
 
     def test_unscaled_takes_no_schedule(self):
+        # unscaled is a config spelling of the scaled system on the unit clock
+        pairs = {"problem.set": "wholespace", "set.dim": "2", "problem.objective": "quadratic",
+                 "objective.center": "0,0", "problem.x0": "1,0", "problem.system": "unscaled"}
+        assert build_config(pairs).problem.schedule == Constant(K=1.0)
         with pytest.raises(InvalidInputError, match="unit clock"):
+            build_config({**pairs, "problem.schedule": "constant"})
+        with pytest.raises(InvalidInputError, match="unknown system"):
             FlowProblem(WholeSpace(2), unit_quadratic(), Constant(K=1.0), [1.0, 0.0], system="unscaled")
 
     def test_unknown_system(self):
@@ -192,7 +199,7 @@ class TestTrajectoryRecord:
     def test_divergence_guard_names_time(self):
         # gradient ascent in disguise: y' = +2y blows past 1e12 near t = 13.9
         runaway = Objective(fn=lambda x: -float(x @ x), grad_fn=lambda x: -2.0 * x, dim=1, name="runaway")
-        p = FlowProblem(WholeSpace(1), runaway, None, [1.0], system="unscaled")
+        p = FlowProblem(WholeSpace(1), runaway, Constant(K=1.0), [1.0], system="scaled")
         with pytest.raises(DivergenceError) as exc:
             integrate(p, horizon=20.0, step=0.01)
         assert 13.0 < exc.value.time < 15.0
@@ -263,9 +270,9 @@ class TestPerSampleGuard:
 
 def unconstrained_field(problem):
     """The scaled and unscaled fields written out directly: -lambda(t) grad f
-    and -grad f."""
+    and, on the unit clock, -grad f."""
     grad = problem.objective.grad_fn
-    if problem.system == "unscaled":
+    if problem.schedule == Constant(K=1.0):
         return lambda t, x: -grad(x)
     lam = problem.schedule.value
     return lambda t, x: -lam(t) * grad(x)
@@ -275,8 +282,8 @@ class TestOneVectorField:
     @pytest.mark.parametrize("problem", [
         FlowProblem(WholeSpace(2), quadratic([1.0, -0.5], diag=[1.0, 3.0]), Power(K=1.0, alpha=0.5),
                     [2.0, 1.0], system="scaled"),
-        FlowProblem(WholeSpace(2), quadratic([1.0, -0.5], diag=[1.0, 3.0]), None,
-                    [2.0, 1.0], system="unscaled"),
+        FlowProblem(WholeSpace(2), quadratic([1.0, -0.5], diag=[1.0, 3.0]), Constant(K=1.0),
+                    [2.0, 1.0], system="scaled"),
     ], ids=["scaled", "unscaled"])
     def test_matches_the_unconstrained_fields(self, problem):
         traj = integrate(problem, horizon=3.0, step=0.01, sample_every=0.1)
@@ -285,7 +292,7 @@ class TestOneVectorField:
         assert np.all(traj.feas_drift == 0.0) and np.all(drifts == 0.0)
 
     def test_unscaled_clock_is_time(self):
-        p = FlowProblem(WholeSpace(2), unit_quadratic(), None, [1.0, 0.0], system="unscaled")
+        p = FlowProblem(WholeSpace(2), unit_quadratic(), Constant(K=1.0), [1.0, 0.0], system="scaled")
         traj = integrate(p, horizon=1.05, step=0.01, sample_every=0.1)
         assert np.array_equal(traj.gamma, traj.t)
 
@@ -333,7 +340,7 @@ class TestConvexityBound:
         problem = FlowProblem(domain, f, Power(K=k_frac * k_max, alpha=0.5), x0)
         sample_every = step * substeps
         traj = integrate(problem, horizon=4.0 * sample_every, step=step, sample_every=sample_every)
-        assert max(distance(domain, row) for row in traj.x) <= 1e-12
+        assert max(domain.residual(row) for row in traj.x) <= 1e-12
         assert np.max(traj.feas_drift) <= 1e-12
 
 
@@ -549,7 +556,7 @@ def reference_reparam_gaps(objective, schedule, x0, horizon, step):
                        horizon=horizon, step=step, sample_every=max(step, horizon / 500.0))
     g_end = schedule.gamma(horizon)
     h = min(step, g_end / 10.0)
-    unscaled = integrate(FlowProblem(space, objective, None, x0, system="unscaled"),
+    unscaled = integrate(FlowProblem(space, objective, Constant(K=1.0), x0, system="scaled"),
                          horizon=g_end, step=h, sample_every=h)
     gaps = []
     for k, t in enumerate(scaled.t):

@@ -17,7 +17,6 @@ from pgflow.geometry import (
     WholeSpace,
     as_point,
     contains_ball,
-    distance,
     variational_gap,
 )
 
@@ -153,7 +152,7 @@ class TestProjectionProperties:
 
     def test_distance_matches_projection(self, cs):
         x = RNG.normal(size=2, scale=3.0)
-        assert distance(cs, x) == pytest.approx(np.linalg.norm(x - cs.project(x)), abs=1e-12)
+        assert cs.residual(x) == pytest.approx(np.linalg.norm(x - cs.project(x)), abs=1e-12)
 
 
 @given(
@@ -310,11 +309,11 @@ def just_outside(cs, rng, x, gap=1e-6):
     """A point at distance ``gap`` from the set, off the nearest point of a
     far point near x: P(p + s u) = p along the outward normal u at p."""
     g = rng.normal(size=x.size) * 100.0
-    y = x + g if distance(cs, x + g) > 0.0 else x - g
+    y = x + g if cs.residual(x + g) > 0.0 else x - g
     p = cs.project(y)
     u = (y - p) / np.linalg.norm(y - p)
     out = p + gap * u
-    assert distance(cs, out) == pytest.approx(gap, rel=1e-6)
+    assert cs.residual(out) == pytest.approx(gap, rel=1e-6)
     return out
 
 

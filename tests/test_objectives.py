@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pgflow.errors import InvalidInputError, UnsupportedObjectiveError
-from pgflow.geometry import Ball, Box, WholeSpace, distance
+from pgflow.geometry import Ball, Box, WholeSpace
 from pgflow.objectives import (
     GAP_FLOOR,
     GRAD_CHECK_BLOCK_FLOATS,
@@ -450,7 +450,7 @@ def gheb_check_reference(obj, samples):
     worst = np.inf
     for x in samples:
         gap = obj.value(x) - obj.optimum.f_star
-        dist = distance(obj.optimum.argmin, x)
+        dist = obj.optimum.argmin.residual(x)
         if gap > GAP_FLOOR and dist != 0.0:
             worst = min(worst, gap**obj.holder.theta / dist)
     return worst
