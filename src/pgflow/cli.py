@@ -40,7 +40,7 @@ from .flow import (
     write_trajectory_csv,
 )
 from .geometry import ConvexSet, _row_norms, variational_gap
-from .objectives import Desingularizer, gheb_check, grad_check, lojasiewicz_check
+from .objectives import Desingularizer, certificate_checks, grad_check, row_blocks
 from .schedules import sublinear_power, validate
 
 EXIT_OK = 0
@@ -228,15 +228,26 @@ def _schedule_rows(problem: FlowProblem):
     yield ("schedule monotone", "pass" if report.monotone else "fail", "")
 
 
+def _draws(domain: ConvexSet, rng, count: int):
+    """``count`` points of the set, drawn one block of rows at a time."""
+    for b in row_blocks(count, domain.dim):
+        yield domain.sample(rng, b.stop - b.start)
+
+
 def _projection_rows(domain: ConvexSet, rng):
     probes = domain.sample(rng, 32)
-    xs = domain.sample(rng, 200) + rng.normal(size=(200, domain.dim)) * 2.0
-    ys = domain.sample(rng, 200) + rng.normal(size=(200, domain.dim)) * 2.0
-    px, py = domain._project_rows(xs), domain._project_rows(ys)
-    excess = _row_norms(px - py) - _row_norms(xs - ys)
-    worst_nonexp = float(np.max(excess, initial=0.0))
-    worst_idem = float(np.max(_row_norms(domain._project_rows(px) - px), initial=0.0))
-    worst_gap = float(np.maximum(variational_gap(domain, xs, probes), 0.0))
+    # np.max and np.maximum keep a NaN wherever it falls; Python's max may drop it
+    worst_nonexp = worst_idem = worst_gap = 0.0
+    for b in row_blocks(200, domain.dim):
+        k = b.stop - b.start
+        xs, ys = (domain.sample(rng, k) + rng.normal(size=(k, domain.dim)) * 2.0
+                  for _ in range(2))
+        px, py = domain._project_rows(xs), domain._project_rows(ys)
+        excess = _row_norms(px - py) - _row_norms(xs - ys)
+        worst_nonexp = float(np.max(excess, initial=worst_nonexp))
+        worst_idem = float(np.max(_row_norms(domain._project_rows(px) - px),
+                                  initial=worst_idem))
+        worst_gap = float(np.maximum(variational_gap(domain, xs, probes), worst_gap))
     yield ("projection nonexpansive", "pass" if worst_nonexp <= 1e-12 else "fail",
            f"max excess {worst_nonexp:.3g}")
     yield ("projection idempotent", "pass" if worst_idem <= 1e-9 else "fail",
@@ -258,18 +269,17 @@ def cmd_check(args) -> int:
     rows.extend(_schedule_rows(problem))
 
     # np.max keeps a NaN error wherever it falls; Python's max may drop it
-    worst_grad = float(np.max([grad_check(obj, pt) for pt in domain.sample(rng, 100)]))
+    worst_grad = float(np.max([grad_check(obj, pt)
+                               for X in _draws(domain, rng, 100) for pt in X]))
     rows.append(("gradient check", "pass" if worst_grad <= 1e-4 else "fail",
                  f"max rel err {worst_grad:.3g} over 100 points"))
 
     if obj.holder is not None and obj.optimum is not None:
-        samples = domain.sample(rng, 1000)
-        ratio = gheb_check(obj, domain, samples)
+        phi = Desingularizer(obj.holder.kappa, obj.holder.theta)
+        ratio, product = certificate_checks(obj, domain, phi, _draws(domain, rng, 1000))
         bar = obj.holder.kappa * (1.0 - 1e-6)
         rows.append(("error bound sampling", "pass" if ratio >= bar else "fail",
                      f"min ratio {ratio:.6g} vs kappa {obj.holder.kappa:g}"))
-        phi = Desingularizer(obj.holder.kappa, obj.holder.theta)
-        product = lojasiewicz_check(obj, phi, samples)
         rows.append(("lojasiewicz sampling", "pass" if product >= 1.0 - 1e-6 else "fail",
                      f"min product {product:.6g}"))
     else:

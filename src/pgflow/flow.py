@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidInputError
 from .geometry import ConvexSet, WholeSpace, _row_norms, as_point
-from .objectives import Objective
+from .objectives import Objective, row_blocks
 from .schedules import Constant, Schedule
 
 SYSTEMS = ("projected", "scaled", "discrete")
@@ -254,26 +254,30 @@ def integrate(
     _check_start(problem)
     proj = problem.domain._project
     sample_times = _sample_grid(horizon, sample_every)
-    states = [problem.x0.copy()]
-    drifts = [0.0]
+    states = np.empty((sample_times.size, problem.x0.size))
+    states[0] = problem.x0
+    drifts = np.zeros(sample_times.size)
+    j = 0
 
     def settle(x):
+        nonlocal j
         p = proj(x)
         d = x - p
         drift = math.sqrt(d.dot(d))
         if drift > 0.0:
             x = p
-        states.append(x)
-        drifts.append(drift)
+        j += 1
+        states[j] = x
+        drifts[j] = drift
         return x
 
     def on_trip(x, t):
-        ss = float(x @ x)
+        ss = float(x.dot(x))
         if not math.isfinite(ss) or ss > _GUARD_SQ:
             raise _diverged(t)
         return x
 
-    _rk4(G, problem.schedule.value, states[0], sample_times, step, settle, on_trip)
+    _rk4(G, problem.schedule.value, problem.x0.copy(), sample_times, step, settle, on_trip)
     return _assemble(problem, sample_times, states, drifts)
 
 
@@ -363,24 +367,32 @@ def integrate_batch(
 
 def _assemble(problem, times, states, drifts, gamma=None, speed=None) -> Trajectory:
     """Build the Trajectory record of a sampled run from its (m, n) states,
-    with one row kernel call each for f, dist_argmin and a continuous run's
-    speed |F|. discrete_run passes its own gamma and speed."""
-    obj = problem.objective
-    xs = np.vstack(states)
-    fvals = obj.fn_rows(xs)
-    if obj.optimum is not None:
-        f_star = obj.optimum.f_star
-        source = ANALYTIC
-        dist_argmin = _row_norms(xs - obj.optimum.argmin._project_rows(xs))
-    else:
-        f_star = float(np.min(fvals))
-        source = BEST_SEEN
-        dist_argmin = None
+    with the row kernels for f, dist_argmin and a continuous run's speed
+    |F|, called on blocks of rows (objectives.row_blocks) so that their
+    temporaries stay small whatever n is. discrete_run passes its own gamma
+    and speed."""
+    obj, opt = problem.objective, problem.objective.optimum
+    xs = np.ascontiguousarray(states, dtype=float)
+    fvals = np.empty(len(xs))
+    dist_argmin = None if opt is None else np.empty(len(xs))
+    field = None
     if gamma is None:
         clock = problem.schedule
         gamma = clock.gamma(times)
         lam = clock.value(times)[:, None]
-        speed = _row_norms(_field(problem, rows=True)(lam, xs))
+        field = _field(problem, rows=True)
+        speed = np.empty(len(xs))
+    for b in row_blocks(*xs.shape):
+        X = xs[b]
+        fvals[b] = obj.fn_rows(X)
+        if opt is not None:
+            dist_argmin[b] = _row_norms(X - opt.argmin._project_rows(X))
+        if field is not None:
+            speed[b] = _row_norms(field(lam[b], X))
+    if opt is not None:
+        f_star, source = opt.f_star, ANALYTIC
+    else:
+        f_star, source = float(np.min(fvals)), BEST_SEEN
     return Trajectory(
         t=np.asarray(times, dtype=float),
         x=xs,
@@ -419,7 +431,7 @@ def discrete_run(problem: FlowProblem, steps) -> Trajectory:
     states = [x.copy()]
     for ak in a:
         x = np.array(proj(x - ak * grad(x)), dtype=float)
-        ss = float(x @ x)
+        ss = float(x.dot(x))
         if not math.isfinite(ss) or ss > _GUARD_SQ:
             raise DivergenceError(
                 f"iterate norm left the trust region at k = {len(states)}", time=float(len(states))
@@ -428,8 +440,9 @@ def discrete_run(problem: FlowProblem, steps) -> Trajectory:
 
     times = np.arange(a.size + 1, dtype=float)
     gamma = np.concatenate([[0.0], np.cumsum(a)])
-    speed = np.concatenate([[0.0], np.linalg.norm(np.diff(states, axis=0), axis=1)])
-    return _assemble(problem, times, states, np.zeros(times.size), gamma=gamma, speed=speed)
+    xs = np.array(states)
+    speed = np.concatenate([[0.0], np.linalg.norm(np.diff(xs, axis=0), axis=1)])
+    return _assemble(problem, times, xs, np.zeros(times.size), gamma=gamma, speed=speed)
 
 
 def check_replay(schedule: Schedule, horizon: float, step: float) -> tuple:
@@ -477,15 +490,19 @@ def reparam_check(
     )
     unscaled = integrate(FlowProblem(space, objective, Constant(K=1.0), x0, system="scaled"),
                          horizon=g_end, step=h, sample_every=h)
-    # np.interp's formula on every coordinate at once; g = gamma(horizon)
-    # is the replay's last sample and takes it exactly.
-    g = scaled.gamma
+    # np.interp's formula on every coordinate of a block of samples at
+    # once; g = gamma(horizon) is the replay's last sample and takes it exactly.
     tp, yp = unscaled.t, unscaled.x
-    j = np.minimum(np.searchsorted(tp, g, side="right") - 1, tp.size - 2)
-    slope = (yp[j + 1] - yp[j]) / (tp[j + 1] - tp[j])[:, None]
-    y = slope * (g - tp[j])[:, None] + yp[j]
-    y[g >= tp[-1]] = yp[-1]
-    return float(np.max(np.linalg.norm(scaled.x - y, axis=1)))
+    worst = 0.0
+    for b in row_blocks(*scaled.x.shape):
+        g = scaled.gamma[b]
+        j = np.minimum(np.searchsorted(tp, g, side="right") - 1, tp.size - 2)
+        slope = (yp[j + 1] - yp[j]) / (tp[j + 1] - tp[j])[:, None]
+        y = slope * (g - tp[j])[:, None] + yp[j]
+        y[g >= tp[-1]] = yp[-1]
+        # np.max keeps a NaN gap wherever it falls
+        worst = float(np.max(np.linalg.norm(scaled.x[b] - y, axis=1), initial=worst))
+    return worst
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -495,21 +512,11 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     files. dist_argmin is left empty when the objective has no argmin
     metadata.
     """
-    dim = traj.x.shape[1]
     header = ["t", "gamma", "f_gap", "dist_argmin", "feas_drift", "speed"]
-    header += [f"x_{j}" for j in range(dim)]
-    lines = [",".join(header)]
-    for k in range(len(traj)):
-        da = "" if traj.dist_argmin is None else repr(float(traj.dist_argmin[k]))
-        row = [
-            repr(float(traj.t[k])),
-            repr(float(traj.gamma[k])),
-            repr(float(traj.f_gap[k])),
-            da,
-            repr(float(traj.feas_drift[k])),
-            repr(float(traj.speed[k])),
-        ]
-        row += [repr(float(v)) for v in traj.x[k]]
-        lines.append(",".join(row))
+    header += [f"x_{j}" for j in range(traj.x.shape[1])]
+    scalars = (traj.t, traj.gamma, traj.f_gap, traj.dist_argmin, traj.feas_drift, traj.speed)
+    columns = [[""] * len(traj) if c is None else list(map(repr, c.tolist())) for c in scalars]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for k, x in enumerate(traj.x):
+            fh.write(",".join([*(col[k] for col in columns), *map(repr, x.tolist())]) + "\n")

@@ -183,8 +183,9 @@ class Ball(ConvexSet):
         # Direction uniform on the sphere, radius via the u^(1/d) transform.
         g = rng.standard_normal((n, self.dim))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
-        r = self.radius * rng.uniform(size=(n, 1)) ** (1.0 / self.dim)
-        return self.center + r * g
+        g *= self.radius * rng.uniform(size=(n, 1)) ** (1.0 / self.dim)
+        g += self.center
+        return g
 
     def _project(self, x):
         d = x - self.center
@@ -223,15 +224,15 @@ class HalfSpace(ConvexSet):
     def sample(self, rng, n):
         # Gaussian cloud around a feasible anchor; infeasible draws are
         # mirrored across the boundary, which keeps them in the set.
-        anchor = self.normal * (self.offset / self._norm_sq)
-        pts = anchor + rng.standard_normal((n, self.dim))
+        pts = rng.standard_normal((n, self.dim))
+        pts += self.normal * (self.offset / self._norm_sq)  # the anchor
         slack = np.vecdot(pts, self.normal) - self.offset
         bad = slack > 0
         pts[bad] -= (2.0 * slack[bad, None] / self._norm_sq) * self.normal
         return pts
 
     def _project(self, x):
-        g = float(self.normal @ x) - self.offset
+        g = float(self.normal.dot(x)) - self.offset
         if g <= 0.0:
             return x
         return x - (g / self._norm_sq) * self.normal
@@ -262,10 +263,11 @@ class AffineHyperplane(ConvexSet):
     def sample(self, rng, n):
         pts = rng.standard_normal((n, self.dim))
         g = (np.vecdot(pts, self.normal) - self.offset) / self._norm_sq
-        return pts - g[:, None] * self.normal
+        pts -= g[:, None] * self.normal
+        return pts
 
     def _project(self, x):
-        g = (float(self.normal @ x) - self.offset) / self._norm_sq
+        g = (float(self.normal.dot(x)) - self.offset) / self._norm_sq
         return x - g * self.normal
 
     def _project_rows(self, X):
@@ -288,7 +290,9 @@ class Simplex(ConvexSet):
         return False
 
     def sample(self, rng, n):
-        return self.scale * rng.dirichlet(np.ones(self.dim), size=n)
+        pts = rng.dirichlet(np.ones(self.dim), size=n)
+        pts *= self.scale
+        return pts
 
     def _project(self, x):
         # Sort-then-threshold: find the largest k with u_k > (cumsum_k - scale)/k,

@@ -26,9 +26,9 @@ kernel, or ``None`` to have one derived, with it.
 
 A single run integrates with the point kernels. Everything else that
 evaluates many points uses the row kernels: a batch of runs (see
-``flow.integrate_batch``), a run's samples, and the checks below, which
-work in blocks of at most ``GRAD_CHECK_BLOCK_FLOATS`` floats (512 KiB)
-whatever n is.
+``flow.integrate_batch``), a run's samples, and the checks below. The
+samples and the checks work in blocks of at most
+``GRAD_CHECK_BLOCK_FLOATS`` floats (512 KiB) whatever n is (``row_blocks``).
 """
 
 from __future__ import annotations
@@ -153,7 +153,14 @@ class Objective:
         return g
 
 
-GRAD_CHECK_BLOCK_FLOATS = 2**16  # ceiling of the row blocks the checks evaluate at once
+GRAD_CHECK_BLOCK_FLOATS = 2**16  # ceiling of the row blocks that check and run evaluate at once
+
+
+def row_blocks(count: int, dim: int) -> list:
+    """Slices that split ``count`` rows of ``dim`` floats into consecutive
+    blocks of at most GRAD_CHECK_BLOCK_FLOATS floats, one row at least."""
+    size = max(1, GRAD_CHECK_BLOCK_FLOATS // dim)
+    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
 
 
 def grad_check(obj: Objective, x, h: float = 1e-5) -> float:
@@ -217,7 +224,7 @@ def quadratic(center, diag=None, shift: float = 0.0, name: str | None = None) ->
 
     def fn(x, a=a, d=d, shift=shift):
         r = x - a
-        return float(d @ (r * r)) + shift
+        return float(d.dot(r * r)) + shift
 
     a_rows, d2_rows = _RowTiles(a), _RowTiles(2.0 * d)
 
@@ -255,7 +262,7 @@ def even_quartic(dim: int) -> Objective:
         raise InvalidInputError("dim must be a positive integer")
 
     def fn(x):
-        s = float(x @ x)
+        s = float(x.dot(x))
         return s * s + s
 
     @_rows_of(fn)
@@ -264,7 +271,7 @@ def even_quartic(dim: int) -> Objective:
         return s * s + s
 
     def grad_fn(x):
-        return (4.0 * float(x @ x) + 2.0) * x
+        return (4.0 * float(x.dot(x)) + 2.0) * x
 
     @_rows_of(grad_fn)
     def grad_rows(X):
@@ -397,17 +404,53 @@ def make_power_objective(g: Objective, theta: float) -> Objective:
 GAP_FLOOR = 1e-14  # below this the bound ratios are 0/0 noise
 
 
-def _sample_gaps(obj: Objective, samples):
-    """Yield the samples in blocks of at most GRAD_CHECK_BLOCK_FLOATS
-    floats, each with its f(x) - f_star."""
-    X = as_rows(samples, obj.dim, "sample")
-    block = max(1, GRAD_CHECK_BLOCK_FLOATS // obj.dim)
-    for start in range(0, X.shape[0], block):
-        rows = X[start:start + block]
+def certificate_checks(obj: Objective, domain: Optional[ConvexSet],
+                       phi: Optional[Desingularizer], blocks) -> tuple:
+    """gheb_check on ``domain`` and lojasiewicz_check with ``phi`` in one
+    pass over the samples, which come as an iterable of (m, n) row blocks.
+
+    Each block's f is evaluated once, for both certificates, so a caller
+    that draws the blocks one at a time holds one block at a time. Returns
+    the smallest ratio and the smallest product; a certificate whose
+    ``domain`` or ``phi`` is None is skipped and returns inf. Either one
+    raises InvalidInputError when no sample of the whole stream had a
+    positive objective gap.
+    """
+    if domain is not None and (obj.optimum is None or obj.holder is None):
+        raise UnsupportedObjectiveError(f"{obj.name}: needs optimum and bound certificate")
+    if obj.optimum is None:
+        raise UnsupportedObjectiveError(f"{obj.name}: needs optimum metadata")
+    if domain is not None and domain.dim not in (None, obj.dim):
+        raise InvalidInputError(f"expected dimension {domain.dim}, got {obj.dim}")
+    ratio = product = np.inf
+    for X in blocks:
+        rows = as_rows(X, obj.dim, "sample")
         f = obj.fn_rows(rows)
         if not np.all(np.isfinite(f)):
             raise InvalidInputError("objective evaluated to a non-finite value")
-        yield rows, f - obj.optimum.f_star
+        gap = f - obj.optimum.f_star
+        keep = gap > GAP_FLOOR
+        if domain is not None:
+            if np.any(_row_norms(rows - domain._project_rows(rows)) > 1e-9):
+                raise InvalidInputError("sample lies outside the domain")
+            dist = _row_norms(rows - obj.optimum.argmin._project_rows(rows))
+            ok = keep & (dist != 0.0)
+            ratio = min(ratio, np.min(gap[ok] ** obj.holder.theta / dist[ok], initial=np.inf))
+        if phi is not None and keep.any():
+            kept = rows[keep]
+            G = np.asarray(obj.grad_rows(kept), dtype=float)
+            if G.shape != kept.shape or not np.all(np.isfinite(G)):
+                raise InvalidInputError(f"gradient rows must be finite, of shape {kept.shape}")
+            product = min(product, np.min(phi.derivative(gap[keep]) * _row_norms(G)))
+    if (domain is not None and ratio == np.inf) or (phi is not None and product == np.inf):
+        raise InvalidInputError("no sample had a positive objective gap")
+    return float(ratio), float(product)
+
+
+def _blocks_of(samples, dim: int):
+    X = as_rows(samples, dim, "sample")
+    for b in row_blocks(X.shape[0], dim):
+        yield X[b]
 
 
 def gheb_check(obj: Objective, domain: ConvexSet, samples) -> float:
@@ -420,20 +463,7 @@ def gheb_check(obj: Objective, domain: ConvexSet, samples) -> float:
     projection (on the simplex too, whose ``residual`` is a surrogate),
     raises InvalidInputError.
     """
-    if obj.optimum is None or obj.holder is None:
-        raise UnsupportedObjectiveError(f"{obj.name}: needs optimum and bound certificate")
-    if domain.dim not in (None, obj.dim):
-        raise InvalidInputError(f"expected dimension {domain.dim}, got {obj.dim}")
-    worst = np.inf
-    for rows, gap in _sample_gaps(obj, samples):
-        if np.any(_row_norms(rows - domain._project_rows(rows)) > 1e-9):
-            raise InvalidInputError("sample lies outside the domain")
-        dist = _row_norms(rows - obj.optimum.argmin._project_rows(rows))
-        keep = (gap > GAP_FLOOR) & (dist != 0.0)
-        worst = min(worst, np.min(gap[keep] ** obj.holder.theta / dist[keep], initial=np.inf))
-    if worst == np.inf:
-        raise InvalidInputError("no sample had a positive objective gap")
-    return float(worst)
+    return certificate_checks(obj, domain, None, _blocks_of(samples, obj.dim))[0]
 
 
 def lojasiewicz_check(obj: Objective, phi: Desingularizer, samples) -> float:
@@ -441,18 +471,4 @@ def lojasiewicz_check(obj: Objective, phi: Desingularizer, samples) -> float:
 
     The inequality passes when the return value is >= 1 - 1e-6.
     """
-    if obj.optimum is None:
-        raise UnsupportedObjectiveError(f"{obj.name}: needs optimum metadata")
-    worst = np.inf
-    for rows, gap in _sample_gaps(obj, samples):
-        keep = gap > GAP_FLOOR
-        if not keep.any():
-            continue
-        rows, gap = rows[keep], gap[keep]
-        G = np.asarray(obj.grad_rows(rows), dtype=float)
-        if G.shape != rows.shape or not np.all(np.isfinite(G)):
-            raise InvalidInputError(f"gradient rows must be finite, of shape {rows.shape}")
-        worst = min(worst, np.min(phi.derivative(gap) * _row_norms(G)))
-    if worst == np.inf:
-        raise InvalidInputError("no sample had a positive objective gap")
-    return float(worst)
+    return certificate_checks(obj, None, phi, _blocks_of(samples, obj.dim))[1]

@@ -776,6 +776,54 @@ class TestCheckGradientNaN:
         assert "result: 1 check(s) failed: gradient check" in out
 
 
+def _vector(values) -> str:
+    return ", ".join(repr(float(v)) for v in values)
+
+
+def highdim_pairs(kind: str, n: int) -> dict:
+    """A quadratic with a seeded centre on an n-dimensional set, as the
+    benchmark's high-dimensional configs are built."""
+    pairs = {
+        "problem.set": kind,
+        "problem.objective": "quadratic",
+        "objective.center": _vector(np.random.default_rng(5).normal(size=n)),
+        "problem.schedule": "power",
+        "schedule.alpha": "0.5",
+        "numerics.horizon": "2",
+        "numerics.step": "0.01",
+        "numerics.sample_every": "0.1",
+        "problem.x0": _vector(np.zeros(n)),
+    }
+    if kind == "ball":
+        pairs.update({"set.center": _vector(np.zeros(n)), "set.radius": repr(0.5 * n**0.5)})
+    elif kind == "simplex":
+        pairs.update({"set.dim": str(n), "problem.x0": _vector(np.full(n, 1.0 / n))})
+    else:
+        pairs.update({"set.dim": str(n), "problem.system": "scaled"})
+    return pairs
+
+
+class TestMemoryStaysInBlocks:
+    """check draws and evaluates its samples, and run assembles and
+    compares its samples, a few blocks of rows at a time: at n = 2000 the
+    whole command's peak stays below one array of 1000 samples (16 MB)."""
+
+    @pytest.mark.parametrize("command, kind", [("check", "ball"), ("check", "simplex"),
+                                               ("run", "wholespace")])
+    def test_peak_below_1000_samples(self, tmp_path, capsys, command, kind):
+        n = 2000
+        cfg = tmp_path / f"{kind}.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in highdim_pairs(kind, n).items()))
+        tracemalloc.start()
+        try:
+            code = main([command, str(cfg), "--out-dir", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK, capsys.readouterr()
+        assert peak < 1000 * n * 8
+
+
 NO_SCIPY_SCRIPT = """
 import json, sys
 sys.modules["scipy"] = None  # every import of scipy now raises ImportError

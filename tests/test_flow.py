@@ -25,7 +25,15 @@ from pgflow.flow import (
     rhs,
     write_trajectory_csv,
 )
-from pgflow.geometry import AffineHyperplane, Ball, Box, HalfSpace, Simplex, WholeSpace
+from pgflow.geometry import (
+    AffineHyperplane,
+    Ball,
+    Box,
+    HalfSpace,
+    Simplex,
+    WholeSpace,
+    _row_norms,
+)
 from pgflow.objectives import Objective, even_quartic, make_power_objective, quadratic
 from pgflow.schedules import Constant, Power, PowerGE1
 
@@ -203,6 +211,21 @@ class TestTrajectoryRecord:
         with pytest.raises(DivergenceError) as exc:
             integrate(p, horizon=20.0, step=0.01)
         assert 13.0 < exc.value.time < 15.0
+
+    def test_columns_of_many_blocks_match_one_call_over_all_rows(self):
+        # 101 samples of n = 1000 are two blocks of 65 rows
+        n = 1000
+        rng = np.random.default_rng(21)
+        f = quadratic(rng.normal(size=n))
+        p = FlowProblem(Ball(np.zeros(n), 0.5 * math.sqrt(n)), f, Power(K=1.0, alpha=0.5),
+                        np.zeros(n))
+        traj = integrate(p, horizon=1.0, step=0.01, sample_every=0.01)
+        X = traj.x
+        assert X.shape == (101, n)
+        assert np.array_equal(traj.f_gap, f.fn_rows(X) - f.optimum.f_star)
+        assert np.array_equal(traj.dist_argmin, _row_norms(X - f.optimum.argmin._project_rows(X)))
+        lam = p.schedule.value(traj.t)[:, None]
+        assert np.array_equal(traj.speed, _row_norms(flow._field(p, rows=True)(lam, X)))
 
     def test_step_larger_than_sample_every_rejected(self):
         f = unit_quadratic()
@@ -572,7 +595,9 @@ class TestReparametrization:
         # growth puts the largest gap at the last sample, where Gamma(t) = Gamma(horizon)
         (Objective(fn=lambda x: -float(x @ x), grad_fn=lambda x: -2.0 * x, dim=2, name="runaway"),
          Constant(K=2.0), [0.3, -0.1], 3.0),
-    ], ids=["quadratic", "runaway"])
+        # 301 samples of n = 300 are two blocks of 218 rows
+        (quadratic(np.linspace(-1.0, 1.0, 300)), Power(K=1.0, alpha=0.5), np.zeros(300), 3.0),
+    ], ids=["quadratic", "runaway", "two-blocks"])
     def test_matches_per_coordinate_interp(self, objective, schedule, x0, horizon):
         gaps = reference_reparam_gaps(objective, schedule, x0, horizon, 0.01)
         gap = reparam_check(objective, schedule, x0, horizon=horizon, step=0.01)
@@ -616,6 +641,19 @@ class TestCsvExport:
         write_trajectory_csv(traj, out)
         row = out.read_text().strip().split("\n")[1].split(",")
         assert row[3] == ""
+
+    def test_cells_are_the_repr_of_each_float(self, tmp_path):
+        f = quadratic([2.0, 0.0, 0.5])
+        p = FlowProblem(Ball(np.zeros(3), 1.0), f, Power(K=1.0, alpha=0.5), np.zeros(3))
+        traj = integrate(p, horizon=1.0, step=0.01)
+        out = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, out)
+        rows = out.read_text().split("\n")[1:-1]
+        assert len(rows) == len(traj)
+        for k, row in enumerate(rows):
+            scalars = [traj.t[k], traj.gamma[k], traj.f_gap[k], traj.dist_argmin[k],
+                       traj.feas_drift[k], traj.speed[k], *traj.x[k]]
+            assert row == ",".join(repr(float(v)) for v in scalars)
 
     def test_byte_determinism(self, tmp_path):
         f = quadratic([2.0, 0.0])

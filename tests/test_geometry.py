@@ -305,6 +305,37 @@ class TestProjectRows:
             assert_rows_match_points(cs, rng.normal(size=(rows, 50), scale=4.0))
 
 
+def sample_reference(cs, rng, n):
+    """The samplers as they were written before they built their samples
+    in place."""
+    if isinstance(cs, Ball):
+        g = rng.standard_normal((n, cs.dim))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        r = cs.radius * rng.uniform(size=(n, 1)) ** (1.0 / cs.dim)
+        return cs.center + r * g
+    if isinstance(cs, HalfSpace):
+        anchor = cs.normal * (cs.offset / cs._norm_sq)
+        pts = anchor + rng.standard_normal((n, cs.dim))
+        slack = np.vecdot(pts, cs.normal) - cs.offset
+        bad = slack > 0
+        pts[bad] -= (2.0 * slack[bad, None] / cs._norm_sq) * cs.normal
+        return pts
+    if isinstance(cs, AffineHyperplane):
+        pts = rng.standard_normal((n, cs.dim))
+        g = (np.vecdot(pts, cs.normal) - cs.offset) / cs._norm_sq
+        return pts - g[:, None] * cs.normal
+    return cs.scale * rng.dirichlet(np.ones(cs.dim), size=n)
+
+
+@pytest.mark.parametrize("kind", ["ball", "halfspace", "hyperplane", "simplex"])
+@pytest.mark.parametrize("n", [2, 7, 1000])
+def test_in_place_samplers_draw_the_same_floats(kind, n):
+    cs = random_set(kind, np.random.default_rng(n), n)
+    got = cs.sample(np.random.default_rng(99), 50)
+    want = sample_reference(cs, np.random.default_rng(99), 50)
+    assert np.array_equal(got, want)
+
+
 def just_outside(cs, rng, x, gap=1e-6):
     """A point at distance ``gap`` from the set, off the nearest point of a
     far point near x: P(p + s u) = p along the outward normal u at p."""

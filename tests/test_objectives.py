@@ -18,6 +18,7 @@ from pgflow.objectives import (
     Objective,
     even_quartic,
     flat_bottom,
+    certificate_checks,
     gheb_check,
     grad_check,
     lojasiewicz_check,
@@ -496,6 +497,21 @@ class TestBlockedCertificates:
         samples[-1] = just_outside(domain, rng, samples[-1])
         with pytest.raises(InvalidInputError, match="sample lies outside the domain"):
             gheb_check(obj, domain, samples)
+
+    @pytest.mark.parametrize("order", ["argmin-first", "argmin-last"])
+    def test_block_on_the_argmin_is_skipped_in_a_stream(self, order):
+        # a block of samples all on the argmin has no positive gap; the
+        # error needs the whole stream to have none
+        obj = quadratic([0.5, 0.0])
+        phi = Desingularizer(obj.holder.kappa, obj.holder.theta)
+        on_argmin = np.tile([0.5, 0.0], (4, 1))
+        off = np.array([[0.0, 0.0], [0.5, 0.5]])
+        blocks = [on_argmin, off] if order == "argmin-first" else [off, on_argmin]
+        ratio, product = certificate_checks(obj, WholeSpace(2), phi, iter(blocks))
+        assert ratio == pytest.approx(1.0) and product == pytest.approx(2.0)
+        for domain, phi_ in ((WholeSpace(2), None), (None, phi)):
+            with pytest.raises(InvalidInputError, match="no sample had a positive objective gap"):
+                certificate_checks(obj, domain, phi_, iter([on_argmin, on_argmin]))
 
     def test_set_of_another_dimension_rejected(self):
         with pytest.raises(InvalidInputError, match="expected dimension 3, got 2"):

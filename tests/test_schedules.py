@@ -40,6 +40,16 @@ class TestFrozenValues:
         for s in FAMILIES:
             assert s.gamma(0.0) == 0.0
 
+    @pytest.mark.parametrize("s, exact", [
+        # 2 (sqrt(1 + t) - 1) and 1 - 1/(1 + t) at t = 1e-12, to first order in t^2
+        (Power(K=1.0, alpha=0.5), 1e-12 - 0.25e-24),
+        (PowerGE1(K=1.0, alpha=2.0), 1e-12 - 1e-24),
+    ], ids=["alpha-0.5", "alpha-2"])
+    def test_gamma_accurate_at_small_t(self, s, exact):
+        # (1 + t)^(1 - alpha) - 1 cancelled here: Power gave 1.0000889e-12
+        assert s.gamma(1e-12) == pytest.approx(exact, rel=4e-16, abs=0.0)
+        assert s.gamma(np.array([1e-12]))[0] == pytest.approx(exact, rel=4e-16, abs=0.0)
+
     def test_gamma_log_form(self):
         assert PowerGE1(K=1.0, alpha=1.0).gamma(math.e - 1.0) == pytest.approx(1.0)
 
