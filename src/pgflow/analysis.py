@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .flow import FlowProblem, Trajectory
 from .geometry import Ball, Box, ConvexSet, as_point, contains_ball
-from .objectives import Desingularizer
+from .objectives import Desingularizer, row_blocks
 from .schedules import sublinear_power
 
 R2_THRESHOLD = 0.99
@@ -79,7 +79,7 @@ def diagnostics(traj: Trajectory, z, desing: Optional[Desingularizer] = None) ->
     else:
         lam = np.ones_like(traj.t)
     gap = np.maximum(traj.f_gap, 0.0)
-    phi = 0.5 * np.sum((traj.x - z) ** 2, axis=1)
+    phi = _per_row(traj.x, lambda X: 0.5 * np.sum((X - z) ** 2, axis=1))
     psi = phi + lam * gap
     gamma_gap = traj.gamma * gap
     loj = None
@@ -182,12 +182,27 @@ def _ols_loglin(xs: np.ndarray, ys: np.ndarray):
     return float(coef[0]), float(r2)
 
 
+def _per_row(X: np.ndarray, fn) -> np.ndarray:
+    """fn of X's rows, one block of rows (objectives.row_blocks) at a time,
+    so that fn's temporaries stay a block's size. Each row's value is the
+    one fn gives on all rows at once."""
+    out = np.empty(len(X))
+    for b in row_blocks(*X.shape):
+        out[b] = fn(X[b])
+    return out
+
+
+def _distances(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(X - y, axis=1), the distance of every row from y."""
+    return _per_row(X, lambda B: np.linalg.norm(B - y, axis=1))
+
+
 def _series_for(traj: Trajectory, quantity: str) -> np.ndarray:
     if quantity == F_GAP:
         return traj.f_gap
     if quantity == TRAJ_ERR:
         # terminal state stands in for the unknown limit point
-        return np.linalg.norm(traj.x - traj.x[-1], axis=1)
+        return _distances(traj.x, traj.x[-1])
     raise InvalidInputError(f"unknown fit quantity {quantity!r}")
 
 
@@ -371,7 +386,7 @@ def _witness(name: str, traj: Trajectory, fits, reparam_gap) -> ClaimVerdict:
     if name == CLAIM_NAMES[4]:
         return ClaimVerdict(name, *_rate_pair_status(fits, EXP_MODEL))
     if name == CLAIM_NAMES[5]:
-        disp = float(np.max(np.linalg.norm(traj.x - traj.x[0], axis=1)))
+        disp = float(np.max(_distances(traj.x, traj.x[0])))
         return ClaimVerdict(name, PASS if disp == 0.0 else FAIL,
                             f"max displacement {disp:.3e}", disp)
     if reparam_gap is None:

@@ -21,19 +21,23 @@ restored once per sample rather than per substep: the sample's distance
 from the set is recorded as feas_drift and the state is replaced by its
 projection whenever that distance is positive. On WholeSpace it is 0.
 
-One RK4 loop, _rk4, steps either one (n,) state with the point kernels
-(``grad_fn``, ``_project`` and ``Schedule.value`` on a float) or a batch:
-a (B, n) state whose rows are runs that differ only in their schedules,
-stepped with the row kernels (``grad_rows``, ``_project_rows`` and
-lambda = K (1+t)^(-alpha) per row, in Python's float arithmetic as
-``Schedule.value`` computes it). integrate runs one state and
-integrate_batch a batch, for a sweep over schedule.alpha or schedule.K.
-Every row repeats its single run's arithmetic, so a batch yields the
-same floats, and a row that diverges leaves the batch while the others
-go on. A single run stays on the point kernels: on a 2-d state one row
-costs about 1.5 times as much per step as one point. A run's record
-evaluates the clock and lambda at all its sample times in one array call
-each.
+A single run of at most FLOAT_MAX_DIM coordinates, whose ``grad_fn`` and
+``_project`` are marked as taking floats (``geometry.takes_floats``),
+steps a list of Python floats through those point kernels and
+``Schedule.value`` (_rk4_floats): on a 2-d state numpy spends more on
+dispatching its about 45 calls per step than on the arithmetic. Every
+other run steps a (B, n) array with the row kernels (``grad_rows``,
+``_project_rows`` and lambda = K (1+t)^(-alpha) per row, in Python's
+float arithmetic as ``Schedule.value`` computes it) in _rk4: a batch,
+whose rows are runs that differ only in their schedules (integrate_batch,
+for a sweep over schedule.alpha or schedule.K), and as a one-row batch a
+wider single run or one whose kernels a caller passed in. Up to
+FLOAT_MAX_DIM columns a row kernel sums in the order of its point kernel
+(see ``geometry``), so every row of a batch and every one-row run yields
+the floats of the list run, bit for bit; a wider run has no list run to
+match. A row that diverges leaves the batch while the others go on. A
+run's record evaluates the clock and lambda at all its sample times in
+one array call each.
 """
 
 from __future__ import annotations
@@ -45,7 +49,16 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError, InvalidInputError
-from .geometry import ConvexSet, WholeSpace, _row_norms, as_point
+from .geometry import (
+    FLOAT_MAX_DIM,
+    ConvexSet,
+    WholeSpace,
+    _row_dots,
+    _row_norms,
+    _sum_sq,
+    as_point,
+    takes_floats,
+)
 from .objectives import Objective, row_blocks
 from .schedules import Constant, Schedule
 
@@ -135,12 +148,15 @@ class Trajectory:
         return self.t.size
 
 
+_NO_FIELD = "the discrete system has no right-hand side; use discrete_run"
+
+
 def _field(problem: FlowProblem, rows: bool = False):
     """G(l, x) = P(x - l grad f(x)) - x, the vector field with lambda(t)
     already evaluated. With rows, x holds one state per row and l is a
     column of one lambda per row."""
     if problem.system == "discrete":
-        raise InvalidInputError("the discrete system has no right-hand side; use discrete_run")
+        raise InvalidInputError(_NO_FIELD)
     obj, dom = problem.objective, problem.domain
     grad = obj.grad_rows if rows else obj.grad_fn
     proj = dom._project_rows if rows else dom._project
@@ -199,17 +215,16 @@ def _diverged(t: float) -> DivergenceError:
     return DivergenceError(f"state norm left the trust region near t = {t:.6g}", time=t)
 
 
-def _rk4(G, lam, x, times, step, settle, on_trip) -> None:
-    """Classic fixed-step RK4 from times[0] through every later sample time.
+def _rk4(G, lam, X, times, step, settle, on_trip) -> None:
+    """Classic fixed-step RK4 on a (B, n) batch from times[0] through every
+    later sample time.
 
-    x is one (n,) state, with the point field G and lam(t) a float, or a
-    (B, n) batch, with the row field and lam(t) a (B, 1) column. lambda
-    is evaluated once per distinct stage time, 3 times per step. Each
-    inter-sample segment is split into equal substeps no larger than
-    ``step``. settle(x) runs at every sample and returns the state to go
-    on from. on_trip(x, t) runs when the squared norm of the whole state
-    passes _TRIP_SQ or stops being finite; it returns the state to go on
-    from, or None to stop.
+    G is the row field and lam(t) a (B, 1) column, evaluated once per
+    distinct stage time, 3 times per step. Each inter-sample segment is
+    split into equal substeps no larger than ``step``. settle(X) runs at
+    every sample and returns the state to go on from. on_trip(X, t) runs
+    when the squared norm of the whole state passes _TRIP_SQ or stops
+    being finite; it returns the state to go on from, or None to stop.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         t0 = times[0]
@@ -222,17 +237,72 @@ def _rk4(G, lam, x, times, step, settle, on_trip) -> None:
             for i in range(n_sub):
                 t = t0 + i * h
                 lam_mid = lam(t + 0.5 * h)
-                k1 = G(lam(t), x)
-                k2 = G(lam_mid, x + half_h * k1)
-                k3 = G(lam_mid, x + half_h * k2)
-                k4 = G(lam(t + h), x + full_h * k3)
-                x = x + sixth_h * (k1 + _TWO * (k2 + k3) + k4)
-                if not np.vdot(x, x) <= _TRIP_SQ:
-                    x = on_trip(x, t + h)
-                    if x is None:
+                k1 = G(lam(t), X)
+                k2 = G(lam_mid, X + half_h * k1)
+                k3 = G(lam_mid, X + half_h * k2)
+                k4 = G(lam(t + h), X + full_h * k3)
+                X = X + sixth_h * (k1 + _TWO * (k2 + k3) + k4)
+                if not np.vdot(X, X) <= _TRIP_SQ:
+                    X = on_trip(X, t + h)
+                    if X is None:
                         return
-            x = settle(x)
+            X = settle(X)
             t0 = t1
+
+
+def _rk4_floats(problem: FlowProblem, times: np.ndarray, step: float) -> tuple:
+    """_rk4's arithmetic on one state held as a list of Python floats.
+
+    The loop calls the problem's ``grad_fn``, ``_project`` and
+    ``Schedule.value`` as it finds them, wrappers included. Per sample
+    the state's distance from the set is its feas_drift, and the state is
+    replaced by its projection whenever that distance is positive.
+    Returns the (m, n) samples and their drifts. A step whose state's
+    squared norm passes the guard or is not a number raises its
+    DivergenceError; the float kernels let an overflow become inf, as
+    numpy does, and carry a NaN through to the guard.
+    """
+    grad, proj, lam = problem.objective.grad_fn, problem.domain._project, problem.schedule.value
+
+    def G(lam_t, x):
+        y = proj([v - lam_t * g for v, g in zip(x, grad(x))])
+        return [p - v for p, v in zip(y, x)]
+
+    states = np.empty((times.size, problem.x0.size))
+    states[0] = problem.x0
+    drifts = np.zeros(times.size)
+    x = problem.x0.tolist()
+    grid = times.tolist()
+    t0 = grid[0]
+    for j in range(1, len(grid)):
+        span = grid[j] - t0
+        n_sub = max(1, math.ceil(span / step - 1e-12))
+        h = span / n_sub
+        half_h, sixth_h = 0.5 * h, h / 6.0
+        for i in range(n_sub):
+            t = t0 + i * h
+            lam_mid = lam(t + 0.5 * h)
+            k1 = G(lam(t), x)
+            k2 = G(lam_mid, [v + half_h * k for v, k in zip(x, k1)])
+            k3 = G(lam_mid, [v + half_h * k for v, k in zip(x, k2)])
+            k4 = G(lam(t + h), [v + h * k for v, k in zip(x, k3)])
+            x = [v + sixth_h * (a + 2.0 * (b + c) + d) for v, a, b, c, d in zip(x, k1, k2, k3, k4)]
+            if not _sum_sq(x) <= _GUARD_SQ:
+                raise _diverged(t + h)
+        p = proj(x)
+        drift = math.sqrt(_sum_sq([v - q for v, q in zip(x, p)]))
+        if drift > 0.0:
+            x = p
+        states[j] = x
+        drifts[j] = drift
+        t0 = grid[j]
+    return states, drifts
+
+
+def _on_floats(problem: FlowProblem) -> bool:
+    """Whether a single run of ``problem`` steps a list of floats (_rk4_floats)."""
+    return (problem.x0.size <= FLOAT_MAX_DIM and takes_floats(problem.objective.grad_fn)
+            and takes_floats(problem.domain._project))
 
 
 def integrate(
@@ -247,38 +317,20 @@ def integrate(
     each inter-sample segment is subdivided into equal substeps no larger
     than ``step``. The numerics must pass check_numerics. Raises
     DivergenceError, carrying the failure time, as soon as the state norm
-    passes 1e12 or stops being finite.
+    passes 1e12 or stops being finite. A state of at most FLOAT_MAX_DIM
+    coordinates whose kernels take floats steps as a list of floats;
+    any other runs as a one-row batch, with the same floats where both
+    apply.
     """
-    G = _field(problem)
+    if problem.system == "discrete":
+        raise InvalidInputError(_NO_FIELD)
     check_numerics(problem.domain, horizon, step, sample_every)
     _check_start(problem)
-    proj = problem.domain._project
     sample_times = _sample_grid(horizon, sample_every)
-    states = np.empty((sample_times.size, problem.x0.size))
-    states[0] = problem.x0
-    drifts = np.zeros(sample_times.size)
-    j = 0
-
-    def settle(x):
-        nonlocal j
-        p = proj(x)
-        d = x - p
-        drift = math.sqrt(d.dot(d))
-        if drift > 0.0:
-            x = p
-        j += 1
-        states[j] = x
-        drifts[j] = drift
-        return x
-
-    def on_trip(x, t):
-        ss = float(x.dot(x))
-        if not math.isfinite(ss) or ss > _GUARD_SQ:
-            raise _diverged(t)
-        return x
-
-    _rk4(G, problem.schedule.value, problem.x0.copy(), sample_times, step, settle, on_trip)
-    return _assemble(problem, sample_times, states, drifts)
+    if _on_floats(problem):
+        states, drifts = _rk4_floats(problem, sample_times, step)
+        return _assemble(problem, sample_times, states, drifts)
+    return next(_integrate_rows([problem], sample_times, step))
 
 
 class _Batch:
@@ -313,7 +365,7 @@ class _Batch:
 
     def on_trip(self, X, t):
         # the single run's guard on each row, which NaN fails; a diverged row leaves the batch
-        ok = np.vecdot(X, X) <= _GUARD_SQ
+        ok = _row_dots(X, X) <= _GUARD_SQ
         for row in np.flatnonzero(~ok):
             self.errors[self.members[row]] = _diverged(t)
         if ok.all():
@@ -425,22 +477,20 @@ def discrete_run(problem: FlowProblem, steps) -> Trajectory:
     a = check_step_sizes(steps)
     _check_start(problem)
 
-    grad = problem.objective.grad_fn
-    proj = problem.domain._project
-    x = problem.x0.copy()
-    states = [x.copy()]
-    for ak in a:
-        x = np.array(proj(x - ak * grad(x)), dtype=float)
-        ss = float(x.dot(x))
-        if not math.isfinite(ss) or ss > _GUARD_SQ:
-            raise DivergenceError(
-                f"iterate norm left the trust region at k = {len(states)}", time=float(len(states))
-            )
-        states.append(x)
+    # the iterate as a one-row array, stepped with the row kernels
+    grad = problem.objective.grad_rows
+    proj = problem.domain._project_rows
+    xs = np.empty((a.size + 1, problem.x0.size))
+    xs[0] = problem.x0
+    X = xs[:1]
+    for k, ak in enumerate(a, 1):
+        X = proj(X - ak * grad(X))
+        if not _row_dots(X, X)[0] <= _GUARD_SQ:
+            raise DivergenceError(f"iterate norm left the trust region at k = {k}", time=float(k))
+        xs[k] = X[0]
 
     times = np.arange(a.size + 1, dtype=float)
     gamma = np.concatenate([[0.0], np.cumsum(a)])
-    xs = np.array(states)
     speed = np.concatenate([[0.0], np.linalg.norm(np.diff(xs, axis=0), axis=1)])
     return _assemble(problem, times, xs, np.zeros(times.size), gamma=gamma, speed=speed)
 

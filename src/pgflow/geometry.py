@@ -4,18 +4,28 @@ Every set exposes ``project`` (nearest-point map), ``residual`` (the
 Euclidean distance to the set, ``|x - P(x)|``), membership and symmetry
 predicates, and a sampler used by the certificate checks.
 Validation happens once at the public boundary; the underscore variants
-skip it and are what the integrator calls in its inner loop.
+skip it and are what the integrator calls in its inner loop. The public
+maps evaluate their one point as a row of ``_project_rows``.
 
-``_project_rows(X)`` projects every row of an ``(m, n)`` array in one
-vectorised call, for a batch of runs and for the projection rows of
-``pgflow check``. Row k equals ``_project(X[k])`` bit for bit: the
-elementwise sets reuse ``_project``, and every row reduction is
-``np.vecdot``, which computes each row's dot product with the same
-kernel as the point path's 1-d ``dot``.
+Each set has two projection kernels. ``_project(x)``, the point kernel,
+computes in Python floats on any sequence of floats and returns a list,
+or x itself where x is its own projection; a single run of at most
+``FLOAT_MAX_DIM`` coordinates steps a list through it. ``_project_rows(X)``, the row
+kernel, projects every row of an ``(m, n)`` array in one numpy call, for
+a batch of runs, a wider single run and the rows of ``pgflow check``.
+Row k equals ``_project(X[k])`` bit for bit up to ``FLOAT_MAX_DIM``
+columns, by one reduction-order rule: a point kernel sums a dot product
+of that many terms left to right (``_dot``), and a row kernel sums the
+columns of its products in the same order (``_row_dots``). A longer sum
+is ``math.fsum`` in a point kernel, correctly rounded, and ``np.vecdot``
+in a row kernel, within a few ulp of it. ``on_floats`` marks a point
+kernel that computes in floats, and ``takes_floats`` reads the mark
+through any ``functools.wraps`` wrapper.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -26,6 +36,62 @@ MEMBERSHIP_TOL = 1e-12
 
 # Up to this many floats a row kernel tiles its constant vectors (see _RowTiles).
 TILE_MAX_FLOATS = 4096
+
+# The widest state a single run steps as a list of Python floats. Per RK4
+# step, lists beat a one-row numpy run up to n = 16 on box + quadratic
+# (11 against 27 us at n = 2, 25 against 27 at n = 16) and by more where
+# the kernels reduce; a row kernel sums up to this many columns one at a
+# time, each a numpy call, where wider rows take one np.vecdot.
+FLOAT_MAX_DIM = 7
+
+
+def on_floats(kernel):
+    """Mark a point kernel as computing in Python floats on any sequence of floats."""
+    kernel.on_floats = True
+    return kernel
+
+
+def takes_floats(kernel) -> bool:
+    """Whether ``kernel``, or the kernel it wraps, is marked by on_floats."""
+    return getattr(inspect.unwrap(kernel), "on_floats", False)
+
+
+def _dot(u, v) -> float:
+    """<u, v> of two sequences of floats: up to FLOAT_MAX_DIM products
+    summed left to right from -0.0, the identity of +, and more with
+    math.fsum, correctly rounded."""
+    if len(u) > FLOAT_MAX_DIM:
+        return math.fsum([a * b for a, b in zip(u, v)])
+    s = -0.0
+    for a, b in zip(u, v):
+        s += a * b
+    return s
+
+
+def _sum_sq(u) -> float:
+    """<u, u>, summed as _dot sums."""
+    if len(u) > FLOAT_MAX_DIM:
+        return math.fsum([a * a for a in u])
+    s = -0.0
+    for a in u:
+        s += a * a
+    return s
+
+
+def _row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """<X[k], Y[k]>, or <X[k], Y> for one vector Y, of each row of a 2-d X.
+
+    Up to FLOAT_MAX_DIM columns the products are summed column by column,
+    left to right as _dot sums; wider rows use np.vecdot.
+    """
+    width = X.shape[1]
+    if width > FLOAT_MAX_DIM:
+        return np.vecdot(X, Y)
+    P = X * Y
+    s = P[:, 0]
+    for j in range(1, width):
+        s = s + P[:, j]
+    return s
 
 
 class _RowTiles:
@@ -88,7 +154,7 @@ class ConvexSet:
 
     def project(self, x) -> np.ndarray:
         p = as_point(x, self.dim)
-        return np.array(self._project(p), dtype=float)
+        return np.array(self._project_rows(p[None, :])[0])
 
     def residual(self, x) -> float:
         p = as_point(x, self.dim)
@@ -105,13 +171,13 @@ class ConvexSet:
         """Draw ``n`` points from the set, shape (n, dim)."""
         raise NotImplementedError
 
-    # Fast paths, no validation. x must already be a 1-d float array.
-    def _project(self, x: np.ndarray) -> np.ndarray:
+    # Fast paths, no validation. x must be a sequence of finite floats.
+    def _project(self, x):
         raise NotImplementedError
 
-    def _residual(self, x: np.ndarray) -> float:
-        d = x - self._project(x)
-        return math.sqrt(d.dot(d))
+    def _residual(self, x) -> float:
+        X = np.array(x, dtype=float, ndmin=2)
+        return float(_row_norms(X - self._project_rows(X))[0])
 
     def _project_rows(self, X: np.ndarray) -> np.ndarray:
         """P of each row of a 2-d float array, without validation."""
@@ -134,10 +200,12 @@ class WholeSpace(ConvexSet):
             raise InvalidInputError("cannot sample: dimension not fixed")
         return rng.standard_normal((n, self.dim))
 
+    @on_floats
     def _project(self, x):
         return x
 
-    _project_rows = _project
+    def _project_rows(self, X):
+        return X
 
 
 class Box(ConvexSet):
@@ -149,6 +217,7 @@ class Box(ConvexSet):
         if np.any(self.lo > self.hi):
             raise InvalidInputError("box needs lo <= hi in every coordinate")
         self.dim = self.lo.size
+        self._bounds = list(zip(self.lo.tolist(), self.hi.tolist()))
         self._lo_rows, self._hi_rows = _RowTiles(self.lo), _RowTiles(self.hi)
 
     def is_symmetric(self) -> bool:
@@ -157,11 +226,13 @@ class Box(ConvexSet):
     def sample(self, rng, n):
         return rng.uniform(self.lo, self.hi, size=(n, self.dim))
 
+    @on_floats
     def _project(self, x):
-        # np.clip's Python wrapper costs more than the two ufuncs it runs.
-        return np.minimum(np.maximum(x, self.lo), self.hi)
+        # np.minimum(np.maximum(x, lo), hi) on floats; a NaN fails both tests and stays
+        return [lo if v < lo else hi if v > hi else v for v, (lo, hi) in zip(x, self._bounds)]
 
     def _project_rows(self, X):
+        # np.clip's Python wrapper costs more than the two ufuncs it runs.
         return np.minimum(np.maximum(X, self._lo_rows(X)), self._hi_rows(X))
 
 
@@ -174,6 +245,7 @@ class Ball(ConvexSet):
         if not np.isfinite(self.radius) or self.radius <= 0:
             raise InvalidInputError("radius must be positive and finite")
         self.dim = self.center.size
+        self._c = self.center.tolist()
         self._center_rows = _RowTiles(self.center)
 
     def is_symmetric(self) -> bool:
@@ -187,17 +259,19 @@ class Ball(ConvexSet):
         g += self.center
         return g
 
+    @on_floats
     def _project(self, x):
-        d = x - self.center
-        r = math.sqrt(d.dot(d))
+        d = [v - c for v, c in zip(x, self._c)]
+        r = math.sqrt(_sum_sq(d))
         if r <= self.radius:
             return x
-        return self.center + (self.radius / r) * d
+        s = self.radius / r
+        return [c + s * e for c, e in zip(self._c, d)]
 
     def _project_rows(self, X):
         C = self._center_rows(X)
         D = X - C
-        r = np.sqrt(np.vecdot(D, D))
+        r = np.sqrt(_row_dots(D, D))
         # rows inside keep X itself; max(r, radius) only keeps the unused branch finite
         scale = self.radius / np.maximum(r, self.radius)
         return np.where((r <= self.radius)[:, None], X, C + scale[:, None] * D)
@@ -215,6 +289,7 @@ class HalfSpace(ConvexSet):
         if not np.isfinite(self.offset):
             raise InvalidInputError("offset must be finite")
         self.dim = self.normal.size
+        self._n = self.normal.tolist()
         self._norm = nn
         self._norm_sq = nn * nn
 
@@ -231,14 +306,16 @@ class HalfSpace(ConvexSet):
         pts[bad] -= (2.0 * slack[bad, None] / self._norm_sq) * self.normal
         return pts
 
+    @on_floats
     def _project(self, x):
-        g = float(self.normal.dot(x)) - self.offset
+        g = _dot(x, self._n) - self.offset
         if g <= 0.0:
             return x
-        return x - (g / self._norm_sq) * self.normal
+        s = g / self._norm_sq
+        return [v - s * a for v, a in zip(x, self._n)]
 
     def _project_rows(self, X):
-        g = np.vecdot(X, self.normal) - self.offset
+        g = _row_dots(X, self.normal) - self.offset
         return np.where((g <= 0.0)[:, None], X, X - (g / self._norm_sq)[:, None] * self.normal)
 
 
@@ -254,6 +331,7 @@ class AffineHyperplane(ConvexSet):
         if not np.isfinite(self.offset):
             raise InvalidInputError("offset must be finite")
         self.dim = self.normal.size
+        self._n = self.normal.tolist()
         self._norm_sq = nn * nn
 
     def is_symmetric(self) -> bool:
@@ -266,12 +344,13 @@ class AffineHyperplane(ConvexSet):
         pts -= g[:, None] * self.normal
         return pts
 
+    @on_floats
     def _project(self, x):
-        g = (float(self.normal.dot(x)) - self.offset) / self._norm_sq
-        return x - g * self.normal
+        g = (_dot(x, self._n) - self.offset) / self._norm_sq
+        return [v - g * a for v, a in zip(x, self._n)]
 
     def _project_rows(self, X):
-        g = (np.vecdot(X, self.normal) - self.offset) / self._norm_sq
+        g = (_row_dots(X, self.normal) - self.offset) / self._norm_sq
         return X - g[:, None] * self.normal
 
 
@@ -294,15 +373,22 @@ class Simplex(ConvexSet):
         pts *= self.scale
         return pts
 
+    @on_floats
     def _project(self, x):
         # Sort-then-threshold: find the largest k with u_k > (cumsum_k - scale)/k,
-        # shift by that threshold and clip. O(n log n).
-        u = np.sort(x)[::-1]
-        css = np.cumsum(u) - self.scale
-        ks = np.arange(1, x.size + 1)
-        k = int(ks[u * ks > css][-1])
-        tau = css[k - 1] / k
-        return np.maximum(x - tau, 0.0)
+        # shift by that threshold and clip. O(n log n). With no such k (a
+        # NaN or an infinity) k is n, as in _project_rows.
+        total, k, css_k = 0.0, 0, 0.0
+        for j, u in enumerate(sorted(x, reverse=True), 1):
+            total += u
+            css = total - self.scale
+            if u * j > css:
+                k, css_k = j, css
+        if k == 0:
+            k, css_k = j, css
+        tau = css_k / k
+        # np.maximum(v - tau, 0.0): a NaN fails the test and stays
+        return [0.0 if w < 0.0 else w for w in (v - tau for v in x)]
 
     def _project_rows(self, X):
         # _project along axis 1; k is the last column where the test holds
@@ -315,8 +401,8 @@ class Simplex(ConvexSet):
 
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a 2-d float array, as the point path computes it."""
-    return np.sqrt(np.vecdot(X, X))
+    """Euclidean norm of each row of a 2-d float array, summed as _row_dots sums."""
+    return np.sqrt(_row_dots(X, X))
 
 
 def variational_gap(cs: ConvexSet, x, probes) -> float:

@@ -7,28 +7,40 @@ and an evenness flag. The certificate checks at the bottom of the
 module sample the claimed inequalities rather than trusting the
 metadata.
 
-Every Objective also carries ``fn_rows`` and ``grad_rows``, f and its
-gradient on each row of an ``(m, n)`` array, which they must not mutate.
-The catalog's row kernels reduce rows with ``np.vecdot``, the point
-path's dot kernel, so row k equals ``fn`` or ``grad_fn`` of that row
-exactly, except that a power objective's exponent may round differently
-in numpy's ``power`` than in Python's. An Objective given only ``fn`` and
-``grad_fn`` gets row kernels that call them row by row. A catalog row
-kernel records the point kernel it mirrors, and an Objective keeps it
-only while that is still its ``fn`` or ``grad_fn``: replacing a point
-kernel with ``dataclasses.replace`` derives the row loop anew, while a
-row kernel the caller passes is kept as given. A wrapper that sets
-``__wrapped__`` (``functools.wraps`` does) counts as the kernel it wraps,
-so that a traced or counted kernel keeps the vectorised rows; such a
-wrapper must return the kernel's values. One that changes them keeps the
-old rows too, and a batch then differs from a single run; pass its row
-kernel, or ``None`` to have one derived, with it.
+An Objective has two kinds of kernel. The point kernels ``fn`` and
+``grad_fn`` take one point. The catalog's compute in Python floats on
+any sequence of floats, and ``grad_fn`` returns a list for a list and an
+array otherwise; they are marked ``geometry.on_floats``, and a power
+objective is marked only when its base kernels are. The row kernels
+``fn_rows`` and ``grad_rows`` take every row of an ``(m, n)`` array,
+which they must not mutate. The catalog's row kernels reduce rows with
+``geometry._row_dots``, in the order in which the point kernels sum, so
+up to ``FLOAT_MAX_DIM`` columns row k equals ``fn`` or ``grad_fn`` of
+that row bit for bit, and wider rows agree within a few ulp. The one
+exception is a power objective's exponent, which the point kernels raise
+with the C library's ``pow`` and the row kernels with numpy's vectorised
+``power``; an AVX-512 build of numpy rounds 5% of powers an ulp apart.
+Exponents 0 and 1 are exact in both, so the gradient of theta = 1/4 and
+1/2 agrees bit for bit. An Objective given only ``fn`` and ``grad_fn``
+gets row kernels that call them row by row. A catalog row kernel records
+the point kernel it mirrors, and an Objective keeps it only while that
+is still its ``fn`` or ``grad_fn``: replacing a point kernel with ``dataclasses.replace``
+derives the row loop anew, while a row kernel the caller passes is kept
+as given. A wrapper that sets ``__wrapped__`` (``functools.wraps`` does)
+counts as the kernel it wraps, for the rows and for the float mark, so
+that a traced or counted kernel keeps the vectorised rows and the float
+path; such a wrapper must return the kernel's values. One that changes
+them keeps the old rows too, and a batch then differs from a single run;
+pass its row kernel, or ``None`` to have one derived, with it.
 
-A single run integrates with the point kernels. Everything else that
-evaluates many points uses the row kernels: a batch of runs (see
-``flow.integrate_batch``), a run's samples, and the checks below. The
-samples and the checks work in blocks of at most
-``GRAD_CHECK_BLOCK_FLOATS`` floats (512 KiB) whatever n is (``row_blocks``).
+A single run of at most ``FLOAT_MAX_DIM`` coordinates whose gradient and
+projection take floats steps a list through the point kernels (see
+``flow.integrate``). Everything else that evaluates many points uses the
+row kernels: a batch of runs (see ``flow.integrate_batch``), a wider or
+unmarked single run, a run's samples, ``Objective.grad`` and the checks
+below. The samples
+and the checks work in blocks of at most ``GRAD_CHECK_BLOCK_FLOATS``
+floats (512 KiB) whatever n is (``row_blocks``).
 """
 
 from __future__ import annotations
@@ -42,7 +54,20 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedObjectiveError
-from .geometry import Ball, Box, ConvexSet, _RowTiles, _row_norms, as_point, as_rows
+from .geometry import (
+    Ball,
+    Box,
+    ConvexSet,
+    _row_dots,
+    _row_norms,
+    _RowTiles,
+    _dot,
+    _sum_sq,
+    as_point,
+    as_rows,
+    on_floats,
+    takes_floats,
+)
 
 
 @dataclass(frozen=True)
@@ -137,17 +162,24 @@ class Objective:
                 object.__setattr__(self, rows, _rows_of(point)(partial(_each_row, point)))
 
     def value(self, x) -> float:
+        """f at one point, as the one row of ``fn_rows``, so that it is the
+        value the samples of a run are measured with (see ``grad``)."""
         p = as_point(x, self.dim)
-        v = float(self.fn(p))
+        v = float(self.fn_rows(p[None, :])[0])
         if not np.isfinite(v):
             raise InvalidInputError("objective evaluated to a non-finite value")
         return v
 
     def grad(self, x) -> np.ndarray:
+        """The gradient at one point, as the one row of ``grad_rows``: the
+        catalog's equals ``grad_fn`` (bit for bit up to FLOAT_MAX_DIM
+        coordinates, see above) at numpy's speed, and a caller's
+        ``grad_fn`` alone is called through its row loop."""
         p = as_point(x, self.dim)
-        g = np.asarray(self.grad_fn(p), dtype=float)
-        if g.shape != (self.dim,):
-            raise InvalidInputError(f"gradient has shape {g.shape}, expected ({self.dim},)")
+        G = np.asarray(self.grad_rows(p[None, :]), dtype=float)
+        if G.shape != (1, self.dim):
+            raise InvalidInputError(f"gradient has shape {G.shape[1:]}, expected ({self.dim},)")
+        g = G[0]
         if not np.all(np.isfinite(g)):
             raise InvalidInputError("gradient has non-finite components")
         return g
@@ -222,20 +254,24 @@ def quadratic(center, diag=None, shift: float = 0.0, name: str | None = None) ->
     if not np.isfinite(shift):
         raise InvalidInputError("shift must be finite")
 
-    def fn(x, a=a, d=d, shift=shift):
-        r = x - a
-        return float(d.dot(r * r)) + shift
+    a_floats, d_floats, d2_floats = a.tolist(), d.tolist(), (2.0 * d).tolist()
 
-    a_rows, d2_rows = _RowTiles(a), _RowTiles(2.0 * d)
+    @on_floats
+    def fn(x, a=a_floats, d=d_floats, shift=shift):
+        return _dot([(v - c) * (v - c) for v, c in zip(x, a)], d) + shift
+
+    a_rows, d_rows, d2_rows = _RowTiles(a), _RowTiles(d), _RowTiles(2.0 * d)
 
     @_rows_of(fn)
-    def fn_rows(X, d=d, shift=np.array(shift)):  # 0-d array, a faster scalar for numpy
+    def fn_rows(X, shift=np.array(shift)):  # 0-d array, a faster scalar for numpy
         R = X - a_rows(X)
         R *= R
-        return np.vecdot(R, d) + shift
+        return _row_dots(R, d_rows(X)) + shift
 
-    def grad_fn(x, a=a, d2=2.0 * d):
-        return d2 * (x - a)
+    @on_floats
+    def grad_fn(x, a=a_floats, d2=d2_floats):
+        g = [w * (v - c) for v, c, w in zip(x, a, d2)]
+        return g if x.__class__ is list else np.array(g)
 
     @_rows_of(grad_fn)
     def grad_rows(X):
@@ -261,21 +297,25 @@ def even_quartic(dim: int) -> Objective:
     if dim < 1:
         raise InvalidInputError("dim must be a positive integer")
 
+    @on_floats
     def fn(x):
-        s = float(x.dot(x))
+        s = _sum_sq(x)
         return s * s + s
 
     @_rows_of(fn)
     def fn_rows(X):
-        s = np.vecdot(X, X)
+        s = _row_dots(X, X)
         return s * s + s
 
+    @on_floats
     def grad_fn(x):
-        return (4.0 * float(x.dot(x)) + 2.0) * x
+        c = 4.0 * _sum_sq(x) + 2.0
+        g = [c * v for v in x]
+        return g if x.__class__ is list else np.array(g)
 
     @_rows_of(grad_fn)
     def grad_rows(X):
-        return (4.0 * np.vecdot(X, X) + 2.0)[:, None] * X
+        return (4.0 * _row_dots(X, X) + 2.0)[:, None] * X
 
     return Objective(
         fn=fn,
@@ -304,31 +344,35 @@ def flat_bottom(center, rho: float) -> Objective:
     if not np.isfinite(rho) or rho <= 0:
         raise InvalidInputError("rho must be positive and finite")
     ball = Ball(a, rho)
-    a_rows = _RowTiles(a)
+    a_rows, a_floats = _RowTiles(a), a.tolist()
 
-    def fn(x, a=a, rho=rho):
-        d = x - a
-        r = math.sqrt(d.dot(d))
-        excess = r - rho
-        return excess * excess if excess > 0.0 else 0.0
+    @on_floats
+    def fn(x, a=a_floats, rho=rho):
+        excess = math.sqrt(_sum_sq([v - c for v, c in zip(x, a)])) - rho
+        # np.maximum(excess, 0.0): a NaN fails the test and stays
+        return 0.0 if excess < 0.0 else excess * excess
 
     @_rows_of(fn)
     def fn_rows(X, rho=rho):
         D = X - a_rows(X)
-        excess = np.maximum(np.sqrt(np.vecdot(D, D)) - rho, 0.0)
+        excess = np.maximum(np.sqrt(_row_dots(D, D)) - rho, 0.0)
         return excess * excess
 
-    def grad_fn(x, a=a, rho=rho):
-        d = x - a
-        r = math.sqrt(d.dot(d))
+    @on_floats
+    def grad_fn(x, a=a_floats, rho=rho):
+        d = [v - c for v, c in zip(x, a)]
+        r = math.sqrt(_sum_sq(d))
         if r <= rho:
-            return np.zeros_like(d)
-        return (2.0 * (r - rho) / r) * d
+            g = [0.0] * len(d)
+        else:
+            s = 2.0 * (r - rho) / r
+            g = [s * e for e in d]
+        return g if x.__class__ is list else np.array(g)
 
     @_rows_of(grad_fn)
     def grad_rows(X, rho=rho):
         D = X - a_rows(X)
-        r = np.sqrt(np.vecdot(D, D))
+        r = np.sqrt(_row_dots(D, D))
         # max(r, rho) only keeps the unused branch of rows inside the ball finite
         coef = 2.0 * (r - rho) / np.maximum(r, rho)
         return np.where((r <= rho)[:, None], 0.0, coef[:, None] * D)
@@ -345,6 +389,15 @@ def flat_bottom(center, rho: float) -> Objective:
         strong_convexity=None,
         is_even=bool(np.all(a == 0.0)),
     )
+
+
+def _pow(v: float, e: float) -> float:
+    """v ** e in Python's float arithmetic, which is the C library's pow,
+    and inf where that overflows, as numpy's power gives."""
+    try:
+        return v**e
+    except OverflowError:
+        return math.inf
 
 
 def make_power_objective(g: Objective, theta: float) -> Objective:
@@ -366,17 +419,23 @@ def make_power_objective(g: Objective, theta: float) -> Objective:
     p = 1.0 / (2.0 * theta)
 
     def fn(x, base=g.fn, p=p):
-        return float(base(x)) ** p
+        return _pow(float(base(x)), p)
 
     @_rows_of(fn)
     def fn_rows(X, base_rows=g.fn_rows, p=p):
         return base_rows(X) ** p
 
-    def grad_fn(x, base=g.fn, base_grad=g.grad_fn, p=p):
+    def grad_fn(x, base=g.fn, base_grad=g.grad_fn, p=p, e=p - 1.0):
         gv = float(base(x))
         if gv == 0.0:
-            return np.zeros(x.size)
-        return (p * gv ** (p - 1.0)) * base_grad(x)
+            out = [0.0] * len(x)
+        else:
+            c = p * _pow(gv, e)
+            out = [c * v for v in base_grad(x)]
+        return out if x.__class__ is list else np.array(out)
+
+    if takes_floats(g.fn) and takes_floats(g.grad_fn):
+        fn, grad_fn = on_floats(fn), on_floats(grad_fn)
 
     @_rows_of(grad_fn)
     def grad_rows(X, base_rows=g.fn_rows, base_grad_rows=g.grad_rows,

@@ -16,7 +16,7 @@ import pytest
 
 import pgflow
 from pgflow import cli, flow
-from pgflow.analysis import REPORT_HEADER
+from pgflow.analysis import REPORT_HEADER, diagnostics
 from pgflow.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERDICT, main
 from pgflow.config import (
     ConfigError,
@@ -308,6 +308,22 @@ numerics.sample_every = 2
 numerics.horizon = 200
 """
 
+# ||x||^10 from (3, 0): the gradient's power overflows within the first step
+POWER_OVERFLOW_CFG = """
+problem.set = wholespace
+set.dim = 2
+problem.objective = power
+objective.center = 0,0
+objective.theta = 0.1
+problem.schedule = constant
+schedule.K = 1
+problem.system = scaled
+problem.x0 = 3,0
+numerics.step = 0.5
+numerics.sample_every = 0.5
+numerics.horizon = 5
+"""
+
 GE1_CFG = """
 problem.set = ball
 set.center = 0,0
@@ -489,6 +505,19 @@ class TestCliRun:
         code = main(["run", str(cfg), "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_DIVERGED
         assert "divergence" in capsys.readouterr().err
+
+    def test_overflow_in_a_power_objective_exits_3(self, tmp_path, capsys):
+        # Python's ** raises OverflowError where numpy gives inf; the run
+        # must end as a divergence, as a batch of the same config does
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(POWER_OVERFLOW_CFG)
+        code = main(["run", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_DIVERGED
+        assert capsys.readouterr().err.startswith("divergence: ")
+        code = main(["sweep", str(cfg), "--param", "K", "--values", "1,2",
+                     "--out-dir", str(tmp_path / "sweep")])
+        assert code == EXIT_DIVERGED
+        assert capsys.readouterr().err.startswith("divergence: ")
 
 
     @pytest.mark.parametrize("text, code", [
@@ -821,6 +850,31 @@ class TestMemoryStaysInBlocks:
         finally:
             tracemalloc.stop()
         assert code == EXIT_OK, capsys.readouterr()
+        assert peak < 1000 * n * 8
+
+    def test_execute_of_a_long_trajectory_stays_in_blocks(self, tmp_path):
+        # 2001 samples of n = 1000 are 16 MB; the traj_err fits, the claim
+        # 5 displacement and the Lyapunov series each once built one more
+        n = 1000
+        pairs = highdim_pairs("ball", n)
+        pairs.update({"numerics.horizon": "20", "numerics.sample_every": "0.01",
+                      "analysis.theta": "0.75"})
+        cfg = tmp_path / "ball.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()))
+        config = load_config(str(cfg))
+        traj = cli.integrate(config.problem, horizon=config.horizon, step=config.step,
+                             sample_every=config.sample_every)
+        assert traj.x.shape == (2001, n)
+        tracemalloc.start()
+        try:
+            res = cli.execute(config, traj)
+            diagnostics(traj, np.zeros(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert {c.name for c in res.claims if c.status != "inapplicable"} >= {
+            "stationary_above_half_theta"}
+        assert any(rep.quantity == "traj_err" for rep in res.fits)
         assert peak < 1000 * n * 8
 
 
