@@ -35,7 +35,6 @@ from .flow import (
     Trajectory,
     discrete_run,
     integrate,
-    integrate_batch,
     reparam_check,
     write_trajectory_csv,
 )
@@ -54,10 +53,6 @@ SWEEP_PARAMS = {
     "K": "schedule.K",
     "step": "numerics.step",
 }
-# Sweeps whose runs differ only in the schedule, so they share the set,
-# objective, x0 and time grid and integrate as one batch. Only the
-# projected and scaled systems read schedule.* keys.
-BATCHED_PARAMS = ("alpha", "K")
 
 
 @dataclass(eq=False)
@@ -81,13 +76,12 @@ def _compute_fits(traj: Trajectory, cfg: ExperimentConfig):
     return ()
 
 
-def execute(cfg: ExperimentConfig, traj: Optional[Trajectory] = None) -> ExperimentResult:
-    """Integrate the configured problem, unless its trajectory is given,
-    and evaluate fits and claims."""
+def execute(cfg: ExperimentConfig) -> ExperimentResult:
+    """Integrate the configured problem and evaluate fits and claims."""
     problem = cfg.problem
-    if traj is None and problem.system == "discrete":
+    if problem.system == "discrete":
         traj = discrete_run(problem, cfg.discrete_alphas)
-    elif traj is None:
+    else:
         traj = integrate(problem, horizon=cfg.horizon, step=cfg.step,
                          sample_every=cfg.sample_every)
     reparam_gap = None
@@ -178,18 +172,10 @@ def cmd_sweep(args) -> int:
         runs[suffix] = (value, cfg)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    _, first = next(iter(runs.values()))
-    if args.param in BATCHED_PARAMS:
-        # a run that diverged raises from the iterator when its turn comes
-        trajs = integrate_batch(first.problem, [c.problem.schedule for _, c in runs.values()],
-                                horizon=first.horizon, step=first.step,
-                                sample_every=first.sample_every)
-    else:
-        trajs = [None] * len(runs)
     aggregate = []
     all_expected_pass = True
-    for (value, cfg), traj in zip(runs.values(), trajs):
-        res = execute(cfg, traj)
+    for value, cfg in runs.values():
+        res = execute(cfg)
         write_trajectory_csv(res.trajectory, os.path.join(args.out_dir, cfg.trajectory_path))
         print(f"sweep {args.param}={value:g}: samples={len(res.trajectory.t)}")
         for rep in res.fits:

@@ -21,29 +21,23 @@ restored once per sample rather than per substep: the sample's distance
 from the set is recorded as feas_drift and the state is replaced by its
 projection whenever that distance is positive. On WholeSpace it is 0.
 
-A single run of at most FLOAT_MAX_DIM coordinates, whose ``grad_fn`` and
+A run of at most FLOAT_MAX_DIM coordinates, whose ``grad_fn`` and
 ``_project`` are marked as taking floats (``geometry.takes_floats``),
-steps a list of Python floats through those point kernels and
-``Schedule.value`` (_rk4_floats): on a 2-d state numpy spends more on
-dispatching its about 45 calls per step than on the arithmetic. Every
-other run steps a (B, n) array with the row kernels (``grad_rows``,
-``_project_rows`` and lambda = K (1+t)^(-alpha) per row, in Python's
-float arithmetic as ``Schedule.value`` computes it) in _rk4: a batch,
-whose rows are runs that differ only in their schedules (integrate_batch,
-for a sweep over schedule.alpha or schedule.K), and as a one-row batch a
-wider single run or one whose kernels a caller passed in. Up to
-FLOAT_MAX_DIM columns a row kernel sums in the order of its point kernel
-(see ``geometry``), so every row of a batch and every one-row run yields
-the floats of the list run, bit for bit; a wider run has no list run to
-match. A row that diverges leaves the batch while the others go on. A
-run's record evaluates the clock and lambda at all its sample times in
-one array call each.
+steps a list of Python floats through those point kernels (_rk4_floats):
+on a 2-d state numpy spends more on dispatching its about 45 calls per
+step than on the arithmetic. A wider run, or one whose kernels a caller
+passed in, steps a one-row array through the row kernels ``grad_rows``
+and ``_project_rows`` (_rk4_rows). Both loops take lambda from
+``Schedule.value``. Up to FLOAT_MAX_DIM columns a row kernel sums in the
+order of its point kernel (see ``geometry``), so where both loops apply
+they yield the same floats, bit for bit. A run's record evaluates the
+clock and lambda at all its sample times in one array call each.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -66,11 +60,7 @@ SYSTEMS = ("projected", "scaled", "discrete")
 
 DIVERGENCE_NORM = 1e12
 _GUARD_SQ = DIVERGENCE_NORM * DIVERGENCE_NORM
-# A batch tests the squared norm of its whole state. Rounding can leave
-# that sum a few ulp below one row's own square, so the test trips a
-# hair early and on_trip then applies the exact guard.
-_TRIP_SQ = _GUARD_SQ * (1.0 - 1e-9)
-_TWO = np.array(2.0)  # RK4's weight on k2 + k3, a 0-d array like the step sizes in _rk4
+_TWO = np.array(2.0)  # RK4's weight on k2 + k3, a 0-d array like the step sizes in _rk4_rows
 DEFAULT_STEP = 1e-3
 DEFAULT_HORIZON = 50.0
 DEFAULT_SAMPLE_EVERY = 0.1
@@ -89,10 +79,6 @@ PROJECTED_STEP_MAX = 1.2955
 # shipped config needs 40k steps and 2k samples.
 MAX_RK4_STEPS = 10_000_000
 MAX_SAMPLES = 1_000_000
-
-# Ceiling of the samples one batch of runs stores, runs x samples x n
-# floats (32 MiB); integrate_batch splits a longer list of runs.
-BATCH_MAX_FLOATS = 2**22
 
 BEST_SEEN = "best-seen (diagnostic-only)"
 ANALYTIC = "analytic"
@@ -215,21 +201,28 @@ def _diverged(t: float) -> DivergenceError:
     return DivergenceError(f"state norm left the trust region near t = {t:.6g}", time=t)
 
 
-def _rk4(G, lam, X, times, step, settle, on_trip) -> None:
-    """Classic fixed-step RK4 on a (B, n) batch from times[0] through every
-    later sample time.
+def _rk4_rows(problem: FlowProblem, times: np.ndarray, step: float) -> tuple:
+    """Classic fixed-step RK4 on one state held as a (1, n) array, stepped
+    with the row field from times[0] through every later sample time.
 
-    G is the row field and lam(t) a (B, 1) column, evaluated once per
-    distinct stage time, 3 times per step. Each inter-sample segment is
-    split into equal substeps no larger than ``step``. settle(X) runs at
-    every sample and returns the state to go on from. on_trip(X, t) runs
-    when the squared norm of the whole state passes _TRIP_SQ or stops
-    being finite; it returns the state to go on from, or None to stop.
+    Each inter-sample segment is split into equal substeps no larger than
+    ``step``, and lambda comes from ``Schedule.value``, 3 times per step.
+    Per sample the state's distance from the set is its feas_drift, and
+    the state is replaced by its projection whenever that distance is
+    positive. Returns the (m, n) samples and their drifts. A step whose
+    state's squared norm passes the guard or is not a number raises its
+    DivergenceError.
     """
+    G, proj, lam = _field(problem, rows=True), problem.domain._project_rows, problem.schedule.value
+    states = np.empty((times.size, problem.x0.size))
+    states[0] = problem.x0
+    drifts = np.zeros(times.size)
+    X = states[:1].copy()
+    grid = times.tolist()
+    t0 = grid[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        t0 = times[0]
-        for t1 in times[1:]:
-            span = t1 - t0
+        for j in range(1, len(grid)):
+            span = grid[j] - t0
             n_sub = max(1, math.ceil(span / step - 1e-12))
             h = span / n_sub
             # 0-d arrays: numpy multiplies by them faster than by Python floats
@@ -242,25 +235,25 @@ def _rk4(G, lam, X, times, step, settle, on_trip) -> None:
                 k3 = G(lam_mid, X + half_h * k2)
                 k4 = G(lam(t + h), X + full_h * k3)
                 X = X + sixth_h * (k1 + _TWO * (k2 + k3) + k4)
-                if not np.vdot(X, X) <= _TRIP_SQ:
-                    X = on_trip(X, t + h)
-                    if X is None:
-                        return
-            X = settle(X)
-            t0 = t1
+                if not _row_dots(X, X)[0] <= _GUARD_SQ:
+                    raise _diverged(t + h)
+            P = proj(X)
+            drift = _row_norms(X - P)[0]
+            if drift > 0.0:
+                X = P
+            states[j] = X[0]
+            drifts[j] = drift
+            t0 = grid[j]
+    return states, drifts
 
 
 def _rk4_floats(problem: FlowProblem, times: np.ndarray, step: float) -> tuple:
-    """_rk4's arithmetic on one state held as a list of Python floats.
+    """_rk4_rows's arithmetic on one state held as a list of Python floats.
 
     The loop calls the problem's ``grad_fn``, ``_project`` and
-    ``Schedule.value`` as it finds them, wrappers included. Per sample
-    the state's distance from the set is its feas_drift, and the state is
-    replaced by its projection whenever that distance is positive.
-    Returns the (m, n) samples and their drifts. A step whose state's
-    squared norm passes the guard or is not a number raises its
-    DivergenceError; the float kernels let an overflow become inf, as
-    numpy does, and carry a NaN through to the guard.
+    ``Schedule.value`` as it finds them, wrappers included, and returns
+    and raises as _rk4_rows does; the float kernels let an overflow
+    become inf, as numpy does, and carry a NaN through to the guard.
     """
     grad, proj, lam = problem.objective.grad_fn, problem.domain._project, problem.schedule.value
 
@@ -300,7 +293,7 @@ def _rk4_floats(problem: FlowProblem, times: np.ndarray, step: float) -> tuple:
 
 
 def _on_floats(problem: FlowProblem) -> bool:
-    """Whether a single run of ``problem`` steps a list of floats (_rk4_floats)."""
+    """Whether a run of ``problem`` steps a list of floats (_rk4_floats)."""
     return (problem.x0.size <= FLOAT_MAX_DIM and takes_floats(problem.objective.grad_fn)
             and takes_floats(problem.domain._project))
 
@@ -319,102 +312,16 @@ def integrate(
     DivergenceError, carrying the failure time, as soon as the state norm
     passes 1e12 or stops being finite. A state of at most FLOAT_MAX_DIM
     coordinates whose kernels take floats steps as a list of floats;
-    any other runs as a one-row batch, with the same floats where both
-    apply.
+    any other as a one-row array, with the same floats where both apply.
     """
     if problem.system == "discrete":
         raise InvalidInputError(_NO_FIELD)
     check_numerics(problem.domain, horizon, step, sample_every)
     _check_start(problem)
     sample_times = _sample_grid(horizon, sample_every)
-    if _on_floats(problem):
-        states, drifts = _rk4_floats(problem, sample_times, step)
-        return _assemble(problem, sample_times, states, drifts)
-    return next(_integrate_rows([problem], sample_times, step))
-
-
-class _Batch:
-    """The runs of one batch: which rows still integrate, and their samples."""
-
-    def __init__(self, problems, times):
-        first = problems[0]
-        self.members = list(range(len(problems)))  # the run of each live row
-        self.clocks = [(p.schedule.K, -p.schedule.alpha) for p in problems]
-        self.proj = first.domain._project_rows
-        self.states = np.empty((times.size, len(problems), first.x0.size))
-        self.states[0] = first.x0
-        self.drifts = np.zeros((times.size, len(problems)))
-        self.errors = {}
-        self.j = 0
-
-    def lam(self, t):
-        # Python's pow, as Schedule.value uses on a float, keeps every row's lambda
-        # bit-identical to its single run; numpy's pow may round otherwise
-        b = 1.0 + t
-        return np.array([K * b ** neg_alpha for K, neg_alpha in self.clocks])[:, None]
-
-    def settle(self, X):
-        P = self.proj(X)
-        D = X - P
-        drift = _row_norms(D)
-        X = np.where((drift > 0.0)[:, None], P, X)
-        self.j += 1
-        self.states[self.j, self.members] = X
-        self.drifts[self.j, self.members] = drift
-        return X
-
-    def on_trip(self, X, t):
-        # the single run's guard on each row, which NaN fails; a diverged row leaves the batch
-        ok = _row_dots(X, X) <= _GUARD_SQ
-        for row in np.flatnonzero(~ok):
-            self.errors[self.members[row]] = _diverged(t)
-        if ok.all():
-            return X
-        keep = np.flatnonzero(ok)
-        self.members = [self.members[r] for r in keep]
-        self.clocks = [self.clocks[r] for r in keep]
-        return X[keep] if keep.size else None
-
-
-def _integrate_rows(problems, times, step):
-    batch = _Batch(problems, times)
-    X = np.tile(problems[0].x0, (len(problems), 1))
-    _rk4(_field(problems[0], rows=True), batch.lam, X, times, step, batch.settle, batch.on_trip)
-    for k, problem in enumerate(problems):
-        if k in batch.errors:
-            raise batch.errors[k]
-        yield _assemble(problem, times, batch.states[:, k], batch.drifts[:, k].copy())
-
-
-def integrate_batch(
-    problem: FlowProblem,
-    schedules,
-    horizon: float = DEFAULT_HORIZON,
-    step: float = DEFAULT_STEP,
-    sample_every: float = DEFAULT_SAMPLE_EVERY,
-):
-    """integrate(problem with each schedule in turn), as the rows of one state.
-
-    Yields, in order, each schedule's Trajectory, equal to the single
-    run's: the row kernels repeat its arithmetic row by row. A run that
-    diverged leaves the batch and raises its DivergenceError when its
-    turn comes, as a loop over integrate would. A batch stores at most
-    BATCH_MAX_FLOATS samples (runs x samples x n floats), so a longer
-    list runs as consecutive batches, each integrated when the caller
-    reaches it. A batch of one run runs integrate instead.
-    """
-    check_numerics(problem.domain, horizon, step, sample_every)
-    _check_start(problem)
-    members = [replace(problem, schedule=s) for s in schedules]
-    times = _sample_grid(horizon, sample_every)
-    size = max(1, BATCH_MAX_FLOATS // (times.size * problem.x0.size))
-    for start in range(0, len(members), size):
-        chunk = members[start:start + size]
-        if len(chunk) > 1:
-            yield from _integrate_rows(chunk, times, step)
-        else:
-            for member in chunk:
-                yield integrate(member, horizon, step, sample_every)
+    loop = _rk4_floats if _on_floats(problem) else _rk4_rows
+    states, drifts = loop(problem, sample_times, step)
+    return _assemble(problem, sample_times, states, drifts)
 
 
 def _assemble(problem, times, states, drifts, gamma=None, speed=None) -> Trajectory:

@@ -12,7 +12,8 @@ computes in Python floats on any sequence of floats and returns a list,
 or x itself where x is its own projection; a single run of at most
 ``FLOAT_MAX_DIM`` coordinates steps a list through it. ``_project_rows(X)``, the row
 kernel, projects every row of an ``(m, n)`` array in one numpy call, for
-a batch of runs, a wider single run and the rows of ``pgflow check``.
+a wider run, a run whose kernels a caller passed in, and the rows of
+``pgflow check``.
 Row k equals ``_project(X[k])`` bit for bit up to ``FLOAT_MAX_DIM``
 columns, by one reduction-order rule: a point kernel sums a dot product
 of that many terms left to right (``_dot``), and a row kernel sums the

@@ -30,15 +30,14 @@ as given. A wrapper that sets ``__wrapped__`` (``functools.wraps`` does)
 counts as the kernel it wraps, for the rows and for the float mark, so
 that a traced or counted kernel keeps the vectorised rows and the float
 path; such a wrapper must return the kernel's values. One that changes
-them keeps the old rows too, and a batch then differs from a single run;
+them keeps the old rows too, and the rows then differ from the points;
 pass its row kernel, or ``None`` to have one derived, with it.
 
-A single run of at most ``FLOAT_MAX_DIM`` coordinates whose gradient and
+A run of at most ``FLOAT_MAX_DIM`` coordinates whose gradient and
 projection take floats steps a list through the point kernels (see
 ``flow.integrate``). Everything else that evaluates many points uses the
-row kernels: a batch of runs (see ``flow.integrate_batch``), a wider or
-unmarked single run, a run's samples, ``Objective.grad`` and the checks
-below. The samples
+row kernels: a wider or unmarked run, a run's samples, ``Objective.grad``
+and the checks below. The samples
 and the checks work in blocks of at most ``GRAD_CHECK_BLOCK_FLOATS``
 floats (512 KiB) whatever n is (``row_blocks``).
 """

@@ -19,7 +19,7 @@ from pgflow.analysis import (
 )
 from pgflow.cli import execute
 from pgflow.config import build_config, load_pairs
-from pgflow.flow import ANALYTIC, FlowProblem, Trajectory, integrate, integrate_batch
+from pgflow.flow import ANALYTIC, FlowProblem, Trajectory, integrate
 from pgflow.geometry import (
     AffineHyperplane,
     Ball,
@@ -240,10 +240,8 @@ def test_criterion_4_power_rates_and_alpha_sweep(preset_runs):
             for alpha in alphas]
     cfg = cfgs[0]
     begin = time.perf_counter()
-    # one batch: the three runs are the rows of one RK4 state
-    trajs = list(integrate_batch(cfg.problem, [c.problem.schedule for c in cfgs],
-                                 horizon=cfg.horizon, step=cfg.step,
-                                 sample_every=cfg.sample_every))
+    trajs = [integrate(c.problem, horizon=c.horizon, step=c.step, sample_every=c.sample_every)
+             for c in cfgs]
     reps = [fit_power(traj, "f_gap", cfg.window_fraction) for traj in trajs]
     elapsed += time.perf_counter() - begin
     slopes = {}

@@ -508,7 +508,7 @@ class TestCliRun:
 
     def test_overflow_in_a_power_objective_exits_3(self, tmp_path, capsys):
         # Python's ** raises OverflowError where numpy gives inf; the run
-        # must end as a divergence, as a batch of the same config does
+        # must end as a divergence, in a run and in a sweep of the same config
         cfg = tmp_path / "overflow.cfg"
         cfg.write_text(POWER_OVERFLOW_CFG)
         code = main(["run", str(cfg), "--out-dir", str(tmp_path / "out")])
@@ -741,37 +741,46 @@ def sweep_outputs(tmp_path, capsys, name, text, param, values):
     return code, captured.out.replace(str(out), "OUT"), captured.err, files
 
 
+POWER3_BOX_CFG = """
+problem.set = box
+set.lo = -1, -1, -1
+set.hi = 1, 1, 1
+problem.objective = power
+objective.center = 0.1, -0.2, 0.3
+objective.theta = 0.3
+problem.schedule = power
+problem.x0 = 1, 0.8, -0.6
+numerics.step = 0.005
+numerics.horizon = 4
+numerics.sample_every = 0.1
+"""
+
+
 class TestBatchedSweep:
-    """alpha and K sweeps on a continuous system integrate as one batch and
-    write exactly what the value-by-value sweep writes."""
+    """A sweep runs its values one at a time, each as `run` runs its config."""
 
     @pytest.mark.parametrize("text, param, values", [
         (POWER_BOX_CFG, "alpha", "0.25,0.5,0.75"),
         (POWER_BOX_CFG, "K", "0.5,1,2"),
         (CHEAP_SWEEP_CFG, "alpha", "0.3,0.6"),
         (SCALED_SWEEP_CFG, "K", "1,2,3"),
-    ], ids=["box-alpha", "box-K", "ball-alpha", "scaled-K"])
-    def test_same_output_as_one_value_at_a_time(self, tmp_path, capsys, monkeypatch,
-                                                 text, param, values):
-        batched = sweep_outputs(tmp_path, capsys, "batched", text, param, values)
-        monkeypatch.setattr(cli, "BATCHED_PARAMS", ())
-        sequential = sweep_outputs(tmp_path, capsys, "sequential", text, param, values)
-        assert batched == sequential
-        assert batched[0] in (EXIT_OK, EXIT_VERDICT) and len(batched[3]) > 1
-
-    def test_cap_split_writes_the_same_files(self, tmp_path, capsys, monkeypatch):
-        whole = sweep_outputs(tmp_path, capsys, "whole", POWER_BOX_CFG, "alpha",
-                              "0.2,0.3,0.4,0.5,0.6")
-        sizes = []
-        rows = flow._integrate_rows
-        monkeypatch.setattr(flow, "_integrate_rows",
-                            lambda problems, *a: sizes.append(len(problems)) or rows(problems, *a))
-        # 41 samples of 2 floats: two runs per batch
-        monkeypatch.setattr(flow, "BATCH_MAX_FLOATS", 2 * 41 * 2)
-        split = sweep_outputs(tmp_path, capsys, "split", POWER_BOX_CFG, "alpha",
-                              "0.2,0.3,0.4,0.5,0.6")
-        assert sizes == [2, 2]
-        assert split == whole
+        (POWER3_BOX_CFG, "K", "0.5,1,2"),
+    ], ids=["box-alpha", "box-K", "ball-alpha", "scaled-K", "power-K"])
+    def test_same_output_as_one_value_at_a_time(self, tmp_path, capsys, text, param, values):
+        # each sweep trajectory file is, byte for byte, the file `run` writes
+        # for that value's config
+        code, _, _, files = sweep_outputs(tmp_path, capsys, "sweep", text, param, values)
+        assert code in (EXIT_OK, EXIT_VERDICT)
+        for token in values.split(","):
+            value = float(token)
+            pairs = {**parse_pairs(text), cli.SWEEP_PARAMS[param]: repr(value)}
+            cfg = tmp_path / f"{param}_{value:g}.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()))
+            out = tmp_path / f"run_{value:g}"
+            assert main(["run", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+            capsys.readouterr()
+            swept = files[f"trajectory_{param}_{value:g}.csv"]
+            assert swept == (out / "trajectory.csv").read_bytes(), value
 
     def test_divergence_matches_the_sequential_sweep(self, tmp_path, capsys):
         code, out, err, files = sweep_outputs(tmp_path, capsys, "out", SCALED_SWEEP_CFG,
@@ -788,9 +797,13 @@ class TestBatchedSweep:
     ], ids=["step", "theta", "one-value"])
     def test_other_sweeps_run_one_value_at_a_time(self, tmp_path, capsys, monkeypatch,
                                                   text, param, values):
-        monkeypatch.setattr(flow, "_integrate_rows", None)  # any batch would raise TypeError
+        runs = []
+        execute = cli.execute
+        monkeypatch.setattr(cli, "execute", lambda cfg: runs.append(cfg) or execute(cfg))
+        monkeypatch.setattr(flow, "_rk4_rows", None)  # 2-d catalog runs step floats
         code, _, _, files = sweep_outputs(tmp_path, capsys, "out", text, param, values)
         assert code in (EXIT_OK, EXIT_VERDICT)
+        assert len(runs) == len(values.split(","))
         assert len(files) == len(values.split(",")) + 1
 
 
@@ -852,7 +865,7 @@ class TestMemoryStaysInBlocks:
         assert code == EXIT_OK, capsys.readouterr()
         assert peak < 1000 * n * 8
 
-    def test_execute_of_a_long_trajectory_stays_in_blocks(self, tmp_path):
+    def test_execute_of_a_long_trajectory_stays_in_blocks(self, tmp_path, monkeypatch):
         # 2001 samples of n = 1000 are 16 MB; the traj_err fits, the claim
         # 5 displacement and the Lyapunov series each once built one more
         n = 1000
@@ -865,9 +878,10 @@ class TestMemoryStaysInBlocks:
         traj = cli.integrate(config.problem, horizon=config.horizon, step=config.step,
                              sample_every=config.sample_every)
         assert traj.x.shape == (2001, n)
+        monkeypatch.setattr(cli, "integrate", lambda *a, **k: traj)
         tracemalloc.start()
         try:
-            res = cli.execute(config, traj)
+            res = cli.execute(config)
             diagnostics(traj, np.zeros(n))
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -1,9 +1,9 @@
 """Point kernels on Python floats against the row kernels, and the run
 that steps them.
 
-Up to FLOAT_MAX_DIM coordinates a single run steps a list of floats
-through the catalog's point kernels, and a batch or a wider run steps
-numpy rows. The two must give the same floats wherever both apply, for
+Up to FLOAT_MAX_DIM coordinates a run steps a list of floats through the
+catalog's point kernels, and a wider run, or one with a caller's kernels,
+steps a numpy row. The two must give the same floats wherever both apply, for
 every set and objective kind, and the run must take the float path
 exactly when its kernels are marked as taking floats.
 """
@@ -124,7 +124,7 @@ class TestKernelsAgree:
 
 
 class TestRunsAgree:
-    """integrate on a list of floats equals the one-row batch bit for bit."""
+    """integrate on a list of floats equals the one-row run bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(SET_KINDS), objective=st.sampled_from(OBJECTIVE_KINDS),
@@ -144,7 +144,7 @@ class TestRunsAgree:
             got = exc
         try:
             times = _sample_grid(grid["horizon"], grid["sample_every"])
-            want = next(flow._integrate_rows([problem], times, grid["step"]))
+            want = flow._assemble(problem, times, *flow._rk4_rows(problem, times, grid["step"]))
         except DivergenceError as exc:
             want = exc
         if isinstance(want, DivergenceError):
@@ -158,10 +158,10 @@ class TestRunsAgree:
 def count_paths(monkeypatch):
     """Record which loop each integrate call takes."""
     taken = []
-    floats, rows = flow._rk4_floats, flow._integrate_rows
+    floats, rows = flow._rk4_floats, flow._rk4_rows
     monkeypatch.setattr(flow, "_rk4_floats",
                         lambda *a: taken.append("floats") or floats(*a))
-    monkeypatch.setattr(flow, "_integrate_rows",
+    monkeypatch.setattr(flow, "_rk4_rows",
                         lambda *a: taken.append("rows") or rows(*a))
     return taken
 

@@ -20,12 +20,12 @@ from pgflow.flow import (
     _sample_grid,
     discrete_run,
     integrate,
-    integrate_batch,
     reparam_check,
     rhs,
     write_trajectory_csv,
 )
 from pgflow.geometry import (
+    FLOAT_MAX_DIM,
     AffineHyperplane,
     Ball,
     Box,
@@ -374,16 +374,12 @@ ALPHA_SWEEP = [Power(K=1.0, alpha=0.25), Power(K=1.0, alpha=0.5), PowerGE1(K=1.0
 K_SWEEP = [Constant(K=0.5), Constant(K=1.0), Constant(K=2.0), Power(K=3.0, alpha=0.5)]
 
 
-def assert_same_runs(batched, sequential, rtol):
-    assert len(batched) == len(sequential)
-    for got, want in zip(batched, sequential):
-        assert got.f_star_source == want.f_star_source
+def assert_same_runs(got, want):
+    assert len(got) == len(want)
+    for a_run, b_run in zip(got, want):
+        assert a_run.f_star_source == b_run.f_star_source
         for name in TRAJECTORY_FIELDS:
-            a, b = getattr(got, name), getattr(want, name)
-            if rtol == 0.0:
-                assert np.array_equal(a, b), name
-            else:
-                np.testing.assert_allclose(a, b, rtol=rtol, atol=rtol, err_msg=name)
+            assert np.array_equal(getattr(a_run, name), getattr(b_run, name)), name
 
 
 def sweep_problem(kind, seed, objective=None):
@@ -393,141 +389,119 @@ def sweep_problem(kind, seed, objective=None):
     return FlowProblem(domain, f, Constant(K=1.0), domain._project(rng.uniform(-2.0, 2.0, 3)))
 
 
+def with_schedules(problem, schedules):
+    return [dataclasses.replace(problem, schedule=s) for s in schedules]
+
+
+def rows_run(problem, horizon, step, sample_every=0.1):
+    """integrate's run of ``problem`` stepped on the row kernels, whatever its width."""
+    times = _sample_grid(horizon, sample_every)
+    return flow._assemble(problem, times, *flow._rk4_rows(problem, times, step))
+
+
 class TestIntegrateBatch:
-    """A sweep over schedules integrated as the rows of one state gives the
-    runs integrate gives one at a time."""
+    """The runs of an alpha or K sweep differ only in their schedules, and
+    integrate runs each on its own: on the row kernels (_rk4_rows) every
+    schedule family gives the run of the float lists, bit for bit."""
 
     @pytest.mark.parametrize("schedules", [ALPHA_SWEEP, K_SWEEP], ids=["alpha", "K"])
     @pytest.mark.parametrize("kind", SET_KINDS)
     def test_matches_sequential_runs(self, kind, schedules):
-        problem = sweep_problem(kind, seed=SET_KINDS.index(kind))
+        problems = with_schedules(sweep_problem(kind, seed=SET_KINDS.index(kind)), schedules)
         grid = dict(horizon=2.0, step=0.01, sample_every=0.1)
-        batched = list(integrate_batch(problem, schedules, **grid))
-        sequential = [integrate(FlowProblem(problem.domain, problem.objective, s, problem.x0),
-                                **grid) for s in schedules]
-        assert_same_runs(batched, sequential, rtol=0.0 if kind == "box" else 1e-12)
+        assert all(flow._on_floats(p) for p in problems)
+        assert_same_runs([rows_run(p, **grid) for p in problems],
+                         [integrate(p, **grid) for p in problems])
 
     @pytest.mark.parametrize("schedules", [ALPHA_SWEEP, K_SWEEP], ids=["alpha", "K"])
     def test_power_objective_on_a_box_is_bitwise(self, schedules):
         # the shape of the README sweep: ||x - a||^4 on a box
         f = make_power_objective(quadratic([0.1, -0.2, 0.3]), theta=0.25)
-        problem = sweep_problem("box", seed=7, objective=f)
+        problems = with_schedules(sweep_problem("box", seed=7, objective=f), schedules)
         grid = dict(horizon=3.0, step=0.005, sample_every=0.1)
-        batched = list(integrate_batch(problem, schedules, **grid))
-        sequential = [integrate(FlowProblem(problem.domain, f, s, problem.x0), **grid)
-                      for s in schedules]
-        assert_same_runs(batched, sequential, rtol=0.0)
-
-    def test_batch_runs_on_rows(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(flow, "integrate", lambda *a, **k: calls.append(a))
-        list(integrate_batch(sweep_problem("ball", seed=1), K_SWEEP, horizon=0.5, step=0.01))
-        assert calls == []
+        assert_same_runs([rows_run(p, **grid) for p in problems],
+                         [integrate(p, **grid) for p in problems])
 
     def test_bare_objective_batches_on_rows(self, monkeypatch):
-        # an Objective given only fn and grad_fn batches on its per-row loops
+        # an Objective given only fn and grad_fn steps its per-row loops and
+        # gives the catalog objective's list runs
         problem = sweep_problem("box", seed=2)
         g = problem.objective.grad_fn
-        problem = FlowProblem(problem.domain, Objective(fn=problem.objective.fn,
-                                                        grad_fn=lambda x: g(x), dim=3),
-                              Constant(K=1.0), problem.x0)
+        bare = Objective(fn=problem.objective.fn, grad_fn=lambda x: g(x), dim=3)
         grid = dict(horizon=0.5, step=0.01, sample_every=0.1)
-        sequential = [integrate(FlowProblem(problem.domain, problem.objective, s, problem.x0),
-                                **grid) for s in K_SWEEP]
-        calls = []
-        monkeypatch.setattr(flow, "integrate", lambda *a, **k: calls.append(a))
-        batched = list(integrate_batch(problem, K_SWEEP, **grid))
-        assert calls == []
-        assert_same_runs(batched, sequential, rtol=0.0)
-
-    @pytest.mark.parametrize("case", ["one-schedule"])
-    def test_falls_back_to_single_runs(self, monkeypatch, case):
-        problem = sweep_problem("box", seed=2)
-        schedules = K_SWEEP[:1]
-        monkeypatch.setattr(flow, "_integrate_rows", None)  # any batch would fail
-        grid = dict(horizon=0.5, step=0.01, sample_every=0.1)
-        batched = list(integrate_batch(problem, schedules, **grid))
-        sequential = [integrate(FlowProblem(problem.domain, problem.objective, s, problem.x0),
-                                **grid) for s in schedules]
-        assert_same_runs(batched, sequential, rtol=0.0)
-
-    def test_cap_splits_into_consecutive_batches(self, monkeypatch):
-        problem = sweep_problem("ball", seed=3)
-        schedules = K_SWEEP + [Power(K=1.0, alpha=0.75)]
-        grid = dict(horizon=1.0, step=0.01, sample_every=0.1)
-        whole = list(integrate_batch(problem, schedules, **grid))
-        sizes = []
-        rows = flow._integrate_rows
-
-        def spy(problems, times, step):
-            sizes.append(len(problems))
-            return rows(problems, times, step)
-
-        monkeypatch.setattr(flow, "_integrate_rows", spy)
-        # 11 samples of 3 floats: room for two runs per batch
-        monkeypatch.setattr(flow, "BATCH_MAX_FLOATS", 2 * 11 * 3 + 1)
-        split = list(integrate_batch(problem, schedules, **grid))
-        assert sizes == [2, 2]  # and the fifth run alone, on the point path
-        assert_same_runs(split, whole, rtol=0.0)
+        catalog = [integrate(p, **grid) for p in with_schedules(problem, K_SWEEP)]
+        monkeypatch.setattr(flow, "_rk4_floats", None)  # a list run would raise TypeError
+        bare_problem = FlowProblem(problem.domain, bare, Constant(K=1.0), problem.x0)
+        got = [integrate(p, **grid) for p in with_schedules(bare_problem, K_SWEEP)]
+        # the bare objective has no optimum metadata, so only its gaps and dist_argmin differ
+        for a, b in zip(got, catalog):
+            for name in ("t", "x", "gamma", "feas_drift", "speed"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_a_diverging_row_leaves_the_rest_running(self):
-        # K = 500 makes RK4 unstable (2 K step = 10); the other rows go on
+        # K = 500 makes RK4 unstable (2 K step = 10); run after run, the others
+        # finish, and the rows raise the list run's error at the same time
         problem = FlowProblem(WholeSpace(2), unit_quadratic(), Constant(K=1.0), [1.0, 0.5],
                               system="scaled")
         grid = dict(horizon=2.0, step=0.01, sample_every=0.1)
-        schedules = [Constant(K=1.0), Constant(K=2.0), Constant(K=500.0)]
-        runs = integrate_batch(problem, schedules, **grid)
-        got = [next(runs), next(runs)]
-        with pytest.raises(DivergenceError) as exc:
-            next(runs)
-        with pytest.raises(DivergenceError) as single:
-            integrate(FlowProblem(WholeSpace(2), unit_quadratic(), schedules[2], [1.0, 0.5],
-                                  system="scaled"), **grid)
-        assert str(exc.value) == str(single.value)
-        assert exc.value.time == single.value.time
-        sequential = [integrate(FlowProblem(WholeSpace(2), unit_quadratic(), s, [1.0, 0.5],
-                                            system="scaled"), **grid) for s in schedules[:2]]
-        assert_same_runs(got, sequential, rtol=0.0)
+        fine = with_schedules(problem, [Constant(K=1.0), Constant(K=2.0)])
+        diverging = dataclasses.replace(problem, schedule=Constant(K=500.0))
+        assert_same_runs([rows_run(p, **grid) for p in fine],
+                         [integrate(p, **grid) for p in fine])
+        with pytest.raises(DivergenceError) as rows:
+            rows_run(diverging, **grid)
+        with pytest.raises(DivergenceError) as floats:
+            integrate(diverging, **grid)
+        assert str(rows.value) == str(floats.value)
+        assert rows.value.time == floats.value.time
 
     def test_every_row_diverging_stops_the_loop(self, monkeypatch):
+        # a run on the rows that diverges in its first sample stops there, not
+        # after the 100000 samples of its horizon
         samples = []
-        settle = flow._Batch.settle
-        monkeypatch.setattr(flow._Batch, "settle",
-                            lambda self, X: samples.append(len(X)) or settle(self, X))
-        problem = FlowProblem(WholeSpace(2), unit_quadratic(), Constant(K=1.0), [1.0, 0.5])
-        runs = integrate_batch(problem, [Constant(K=400.0), Constant(K=500.0)],
-                               horizon=1e4, step=0.01, sample_every=0.1)
+        norms = flow._row_norms
+        monkeypatch.setattr(flow, "_row_norms", lambda X: samples.append(len(X)) or norms(X))
+        n = FLOAT_MAX_DIM + 1
+        problem = FlowProblem(WholeSpace(n), quadratic(np.zeros(n)), Constant(K=500.0),
+                              np.full(n, 0.5))
+        assert not flow._on_floats(problem)
         with pytest.raises(DivergenceError, match="near t = 0.0"):
-            next(runs)
-        assert samples == []  # both left within the first sample, of 100000
+            integrate(problem, horizon=1e4, step=0.01, sample_every=0.1)
+        assert samples == []
 
     def test_replaced_gradient_batches_with_the_new_gradient(self):
-        # the catalog grad_rows mirrors the old grad_fn, so the batch must not keep it
+        # the catalog grad_rows mirrors the old grad_fn, so a run on the rows must
+        # not keep it: each run is the run of the quadratic whose gradient is 3 (x - a)
         a = np.array([0.5, 0.0])
         f = dataclasses.replace(quadratic(a), grad_fn=lambda x: 3.0 * (x - a))
         problem = FlowProblem(Ball([0.0, 0.0], 1.0), f, Constant(K=1.0), [-0.6, 0.7])
+        assert not flow._on_floats(problem)
+        same = dataclasses.replace(problem, objective=quadratic(a, diag=[1.5, 1.5]))
         grid = dict(horizon=1.0, step=0.01, sample_every=0.1)
-        batched = list(integrate_batch(problem, ALPHA_SWEEP, **grid))
-        sequential = [integrate(FlowProblem(problem.domain, f, s, problem.x0), **grid)
-                      for s in ALPHA_SWEEP]
-        assert_same_runs(batched, sequential, rtol=1e-12)
+        got = [integrate(p, **grid) for p in with_schedules(problem, ALPHA_SWEEP)]
+        want = [integrate(p, **grid) for p in with_schedules(same, ALPHA_SWEEP)]
+        np.testing.assert_allclose(np.concatenate([t.x for t in got]),
+                                   np.concatenate([t.x for t in want]), rtol=1e-12, atol=1e-12)
+        old = integrate(dataclasses.replace(problem, objective=quadratic(a)), **grid)
+        assert not np.allclose(got[0].x, old.x)
 
     def test_replaced_value_gives_the_gap(self):
         a = np.array([0.5, 0.0])
         f = dataclasses.replace(quadratic(a), fn=lambda x: 3.0 * float((x - a).dot(x - a)))
         problem = FlowProblem(Ball([0.0, 0.0], 1.0), f, Power(K=1.0, alpha=0.5), [-0.6, 0.7])
-        for traj in (integrate(problem, horizon=1.0, step=0.01),
-                     *integrate_batch(problem, ALPHA_SWEEP[:2], horizon=1.0, step=0.01)):
+        for p in with_schedules(problem, ALPHA_SWEEP[:2]):
+            traj = integrate(p, horizon=1.0, step=0.01)
             assert np.array_equal(traj.f_gap, [f.fn(x) for x in traj.x])
+            assert np.array_equal(rows_run(p, horizon=1.0, step=0.01).f_gap, traj.f_gap)
 
     def test_rejects_infeasible_start_and_bad_numerics(self):
         f = unit_quadratic()
         outside = FlowProblem(Ball([0.0, 0.0], 1.0), f, Constant(K=1.0), [2.0, 0.0])
         with pytest.raises(InvalidInputError, match="feasible set"):
-            next(integrate_batch(outside, K_SWEEP))
+            integrate(outside)
         inside = FlowProblem(Ball([0.0, 0.0], 1.0), f, Constant(K=1.0), [0.5, 0.0])
         with pytest.raises(InvalidInputError, match="RK4 convexity bound"):
-            next(integrate_batch(inside, K_SWEEP, horizon=2.6, step=1.3, sample_every=1.3))
+            integrate(inside, horizon=2.6, step=1.3, sample_every=1.3)
 
 
 def iterate(domain, objective, steps, x0):
