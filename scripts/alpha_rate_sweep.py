@@ -29,7 +29,7 @@ def run(argv=None) -> int:
         return code
 
     report = os.path.join(args.out_dir, f"{PRESET}_report.csv")
-    with open(report) as fh:
+    with open(report, encoding="utf-8") as fh:
         rows = [r for r in csv.DictReader(fh) if r["quantity"].startswith("f_gap@")]
     print()
     print(f"{'alpha':>8} {'fitted':>10} {'theoretical':>12} {'r2':>9} verdict")

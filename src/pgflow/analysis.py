@@ -38,7 +38,7 @@ PASS = "pass"
 FAIL = "fail"
 INAPPLICABLE = "inapplicable"
 
-REPORT_HEADER = "quantity,model,fitted,theoretical,r2,verdict"
+REPORT_HEADER = "quantity,model,fitted,theoretical,r2,verdict,reason"
 
 CLAIM_NAMES = (
     "objective_gap_vanishes_in_gamma_time",
@@ -73,11 +73,7 @@ def diagnostics(traj: Trajectory, z, desing: Optional[Desingularizer] = None) ->
     series stays nonnegative despite sub-epsilon rounding in the samples.
     """
     z = as_point(z, dim=traj.problem.objective.dim)
-    sched = traj.problem.schedule
-    if sched is not None:
-        lam = sched.value(traj.t)
-    else:
-        lam = np.ones_like(traj.t)
+    lam = traj.problem.schedule.value(traj.t)
     gap = np.maximum(traj.f_gap, 0.0)
     phi = _per_row(traj.x, lambda X: 0.5 * np.sum((X - z) ** 2, axis=1))
     psi = phi + lam * gap
@@ -334,7 +330,7 @@ def claim_premises(problem: FlowProblem, requested_theta: Optional[float] = None
     """
     domain, obj, sched = problem.domain, problem.objective, problem.schedule
     hol = obj.holder
-    bounded = sched is not None and math.isfinite(sched.gamma_limit())
+    bounded = math.isfinite(sched.gamma_limit())
     out = {}
     if problem.system != "projected":
         for name in CLAIM_NAMES[:3]:
@@ -423,12 +419,14 @@ def _cell(value) -> str:
 
 
 def write_report_csv(path, fits: Sequence[RateReport], claims: Sequence[ClaimVerdict] = ()) -> None:
-    """Serialize fit rows and claim rows under the shared 6-column header."""
-    with open(path, "w", newline="") as fh:
+    """Serialize fit rows and claim rows under the shared 7-column header;
+    the last column is a fit's reason or a claim's detail."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_HEADER.split(","))
         for rep in fits:
             writer.writerow([rep.quantity, rep.model, _cell(rep.fitted),
-                             _cell(rep.theoretical), _cell(rep.r_squared), rep.verdict])
+                             _cell(rep.theoretical), _cell(rep.r_squared), rep.verdict, rep.reason])
         for claim in claims:
-            writer.writerow([claim.name, "claim", _cell(claim.value), "", "", claim.status])
+            writer.writerow([claim.name, "claim", _cell(claim.value), "", "", claim.status,
+                             claim.detail])

@@ -33,7 +33,6 @@ from .errors import DivergenceError, InvalidInputError, UnsupportedObjectiveErro
 from .flow import (
     FlowProblem,
     Trajectory,
-    discrete_run,
     integrate,
     reparam_check,
     write_trajectory_csv,
@@ -79,11 +78,7 @@ def _compute_fits(traj: Trajectory, cfg: ExperimentConfig):
 def execute(cfg: ExperimentConfig) -> ExperimentResult:
     """Integrate the configured problem and evaluate fits and claims."""
     problem = cfg.problem
-    if problem.system == "discrete":
-        traj = discrete_run(problem, cfg.discrete_alphas)
-    else:
-        traj = integrate(problem, horizon=cfg.horizon, step=cfg.step,
-                         sample_every=cfg.sample_every)
+    traj = integrate(problem, horizon=cfg.horizon, step=cfg.step, sample_every=cfg.sample_every)
     reparam_gap = None
     if "time_rescaling_equivalence" not in claim_premises(problem):
         reparam_gap = reparam_check(problem.objective, problem.schedule, problem.x0,
@@ -196,7 +191,7 @@ def cmd_sweep(args) -> int:
 
 
 def _schedule_rows(problem: FlowProblem):
-    if problem.schedule is None:
+    if problem.system == "discrete":
         yield ("schedule conditions", "not-applicable", "no schedule configured")
         return
     hol = problem.objective.holder

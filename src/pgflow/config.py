@@ -23,11 +23,9 @@ from .flow import (
     DEFAULT_HORIZON,
     DEFAULT_SAMPLE_EVERY,
     DEFAULT_STEP,
-    MAX_RK4_STEPS,
     FlowProblem,
     check_numerics,
     check_replay,
-    check_step_sizes,
 )
 from .geometry import (
     AffineHyperplane,
@@ -57,7 +55,7 @@ OBJECTIVE_KINDS = ("quadratic", "even_quartic", "flat_bottom", "power")
 SCHEDULE_FAMILIES = ("constant", "power", "power_ge1")
 # Keys that only one kind of system reads.
 NUMERICS_KEYS = ("numerics.step", "numerics.horizon", "numerics.sample_every")
-DISCRETE_KEYS = ("discrete.alpha", "discrete.steps", "discrete.alphas")
+DISCRETE_KEYS = ("discrete.alpha", "discrete.steps")
 
 _MISSING = object()
 
@@ -139,15 +137,15 @@ def _as_names(raw) -> tuple:
 
 @dataclass(eq=False)
 class ExperimentConfig:
-    """A built run: its problem, its numerics (continuous systems) or step
-    sizes (discrete), what to check, and where to write."""
+    """A built run: its problem, its numerics, what to check, and where to
+    write. A discrete run takes ``discrete.steps`` Euler steps of size 1,
+    one per sample."""
 
     name: str
     problem: FlowProblem
-    step: Optional[float]
-    horizon: Optional[float]
-    sample_every: Optional[float]
-    discrete_alphas: Optional[np.ndarray]
+    step: float
+    horizon: float
+    sample_every: float
     window_fraction: float
     reference_z: Optional[np.ndarray]
     expect: tuple
@@ -270,23 +268,17 @@ def _build_schedule(bag: _KeyBag) -> Optional[Schedule]:
         f"problem.schedule: unknown family {family!r} (choose from {SCHEDULE_FAMILIES})")
 
 
-def _build_discrete_alphas(bag: _KeyBag) -> np.ndarray:
-    if bag.has("discrete.alphas"):
-        alphas = _as_vector("discrete.alphas", bag.take("discrete.alphas"))
-    elif bag.has("discrete.alpha") or bag.has("discrete.steps"):
-        alpha = _as_float("discrete.alpha", bag.take("discrete.alpha"))
-        count = _as_int("discrete.steps", bag.take("discrete.steps"))
-        if count <= 0:
-            raise ConfigError("discrete.steps must be positive")
-        if count > MAX_RK4_STEPS:
-            raise ConfigError(f"discrete.steps {count} is above the limit of {MAX_RK4_STEPS:.0e}")
-        alphas = np.full(count, alpha)
-    else:
-        raise ConfigError("discrete runs need discrete.alpha and discrete.steps (or discrete.alphas)")
-    try:
-        return check_step_sizes(alphas)
-    except InvalidInputError as exc:
-        raise ConfigError(f"discrete: {exc}") from None
+def _build_discrete(bag: _KeyBag) -> tuple:
+    """The clock Constant(K=discrete.alpha) and the horizon discrete.steps."""
+    if not (bag.has("discrete.alpha") or bag.has("discrete.steps")):
+        raise ConfigError("discrete runs need discrete.alpha and discrete.steps")
+    alpha = _as_float("discrete.alpha", bag.take("discrete.alpha"))
+    count = _as_int("discrete.steps", bag.take("discrete.steps"))
+    if alpha <= 0:
+        raise ConfigError("discrete.alpha must be positive")
+    if count <= 0:
+        raise ConfigError("discrete.steps must be positive")
+    return Constant(K=alpha), float(count)
 
 
 def build_config(pairs: dict, name: str = "experiment") -> ExperimentConfig:
@@ -294,9 +286,11 @@ def build_config(pairs: dict, name: str = "experiment") -> ExperimentConfig:
 
     FlowProblem alone rules which set, objective, schedule, start and system
     make a run; ``problem.system = unscaled`` spells the scaled system on
-    the unit clock, Constant(K=1), and takes no schedule. numerics.* keys
-    are read for continuous systems only, discrete.* keys for the discrete
-    one; any other key is an error.
+    the unit clock, Constant(K=1), and ``problem.system = discrete`` the
+    clock Constant(K=discrete.alpha) stepped discrete.steps times at
+    step 1; neither takes a schedule. numerics.* keys are read for
+    continuous systems only, discrete.* keys for the discrete one; any
+    other key is an error.
     """
     bag = _KeyBag(pairs)
     name = bag.take("name", name)
@@ -311,6 +305,12 @@ def build_config(pairs: dict, name: str = "experiment") -> ExperimentConfig:
             raise ConfigError("problem: the unscaled system runs on the unit clock; "
                               "it takes no schedule")
         schedule = Constant(K=1.0)
+    elif system == "discrete":
+        if schedule is not None:
+            raise ConfigError("problem: the discrete system takes its step from discrete.alpha; "
+                              "it takes no schedule")
+        schedule, horizon = _build_discrete(bag)
+        step = sample_every = 1.0
     x0 = _as_vector("problem.x0", bag.take("problem.x0"))
     try:
         problem = FlowProblem(domain, objective, schedule, x0,
@@ -318,21 +318,19 @@ def build_config(pairs: dict, name: str = "experiment") -> ExperimentConfig:
     except InvalidInputError as exc:
         raise ConfigError(f"problem: {exc}") from None
 
-    step = horizon = sample_every = discrete_alphas = None
-    if system == "discrete":
-        discrete_alphas = _build_discrete_alphas(bag)
-    else:
+    if system != "discrete":
         step = _as_float("numerics.step", bag.take("numerics.step", repr(DEFAULT_STEP)))
         horizon = _as_float(
             "numerics.horizon", bag.take("numerics.horizon", repr(DEFAULT_HORIZON)))
         sample_every = _as_float(
             "numerics.sample_every", bag.take("numerics.sample_every", repr(DEFAULT_SAMPLE_EVERY)))
-        try:
-            check_numerics(domain, horizon, step, sample_every)
-            if "time_rescaling_equivalence" not in claim_premises(problem):
-                check_replay(problem.schedule, horizon, step)
-        except InvalidInputError as exc:
-            raise ConfigError(f"numerics: {exc}") from None
+    try:
+        check_numerics(domain, horizon, step, sample_every)
+        if "time_rescaling_equivalence" not in claim_premises(problem):
+            check_replay(problem.schedule, horizon, step)
+    except InvalidInputError as exc:
+        key = "discrete.steps" if system == "discrete" else "numerics"
+        raise ConfigError(f"{key}: {exc}") from None
 
     window_fraction = _as_float(
         "analysis.window_fraction", bag.take("analysis.window_fraction", "0.5"))
@@ -370,7 +368,6 @@ def build_config(pairs: dict, name: str = "experiment") -> ExperimentConfig:
         step=step,
         horizon=horizon,
         sample_every=sample_every,
-        discrete_alphas=discrete_alphas,
         window_fraction=window_fraction,
         reference_z=reference_z,
         expect=expect,
@@ -390,13 +387,13 @@ def load_preset_text(name: str) -> str:
     if not path.is_file():
         raise ConfigError(
             f"no preset named {name!r}; shipped presets: {', '.join(list_presets())}")
-    return path.read_text()
+    return path.read_text(encoding="utf-8")
 
 
 def load_pairs(source: str) -> dict:
     """Read raw pairs from a config file path or a shipped preset name."""
     if os.path.isfile(source):
-        with open(source) as fh:
+        with open(source, encoding="utf-8") as fh:
             return parse_pairs(fh.read())
     base = os.path.basename(source)
     stem = base[:-4] if base.endswith(".cfg") else base

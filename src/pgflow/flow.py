@@ -1,28 +1,32 @@
 """Integration of the projected gradient flow and of its discrete iteration.
 
-Every continuous run integrates the one vector field
+Every run integrates the one vector field
 
     F(t, x) = P(x - lambda(t) grad f(x)) - x
 
-with fixed-step classic Runge-Kutta. The system label does not change the
-field; it fixes the set, and with the rest of the problem it decides which
-of the paper's claims a run can witness (``analysis.claim_premises``):
+The system label does not change the field; it fixes the set and the
+method, and with the rest of the problem it decides which of the paper's
+claims a run can witness (``analysis.claim_premises``):
 
 - "projected":  x' + x = P(x - lambda(t) grad f(x)), the constrained flow
 - "scaled":     the same flow on WholeSpace, where P is the identity and
                 F = -lambda(t) grad f(x); on the unit clock, Constant(K=1),
                 it is the unscaled flow y' = -grad f(y)
-- "discrete":   x_{k+1} = P(x_k - a_k grad f(x_k)), the classical iteration
+- "discrete":   x_{k+1} = P(x_k - a grad f(x_k)), the classical iteration:
+                forward Euler at h = 1 on F with lambda = a, Constant(K=a)
 
-On a set, a whole RK4 step is a convex combination of the current state
-and the four projected stage points (see PROJECTED_STEP_MAX), so in exact
-arithmetic it never leaves the set. Only rounding can, so feasibility is
-restored once per sample rather than per substep: the sample's distance
-from the set is recorded as feas_drift and the state is replaced by its
-projection whenever that distance is positive. On WholeSpace it is 0.
+Continuous systems step with fixed-step classic Runge-Kutta, the discrete
+one with forward Euler (_euler_rows). On a set, a whole RK4 step is a
+convex combination of the current state and the four projected stage
+points (see PROJECTED_STEP_MAX), as an Euler step of size at most 1 is of
+the state and its projected point, so in exact arithmetic neither leaves
+the set. Only rounding can, so feasibility is restored once per sample
+rather than per substep: the sample's distance from the set is recorded
+as feas_drift and the state is replaced by its projection whenever that
+distance is positive. On WholeSpace it is 0.
 
-A run of at most FLOAT_MAX_DIM coordinates, whose ``grad_fn`` and
-``_project`` are marked as taking floats (``geometry.takes_floats``),
+A continuous run of at most FLOAT_MAX_DIM coordinates, whose ``grad_fn``
+and ``_project`` are marked as taking floats (``geometry.takes_floats``),
 steps a list of Python floats through those point kernels (_rk4_floats):
 on a 2-d state numpy spends more on dispatching its about 45 calls per
 step than on the arithmetic. A wider run, or one whose kernels a caller
@@ -88,7 +92,7 @@ ANALYTIC = "analytic"
 class FlowProblem:
     domain: ConvexSet
     objective: Objective
-    schedule: Optional[Schedule]
+    schedule: Schedule
     x0: np.ndarray
     system: str = "projected"
 
@@ -100,16 +104,8 @@ class FlowProblem:
             raise InvalidInputError("domain and starting point dimensions differ")
         if self.system == "scaled" and not isinstance(self.domain, WholeSpace):
             raise InvalidInputError("the scaled system is unconstrained; use WholeSpace")
-        if self.system == "discrete" and self.schedule is not None:
-            raise InvalidInputError("the discrete system takes step sizes; it takes no schedule")
-        if self.system != "discrete" and self.schedule is None:
+        if self.schedule is None:
             raise InvalidInputError(f"the {self.system} system needs a schedule")
-
-
-def _check_start(problem: FlowProblem) -> None:
-    """Every run starts in the set; `pgflow check` reports this as a row instead."""
-    if problem.domain.residual(problem.x0) > 1e-12:
-        raise InvalidInputError("starting point must lie in the feasible set")
 
 
 @dataclass(eq=False)
@@ -134,15 +130,10 @@ class Trajectory:
         return self.t.size
 
 
-_NO_FIELD = "the discrete system has no right-hand side; use discrete_run"
-
-
 def _field(problem: FlowProblem, rows: bool = False):
     """G(l, x) = P(x - l grad f(x)) - x, the vector field with lambda(t)
     already evaluated. With rows, x holds one state per row and l is a
     column of one lambda per row."""
-    if problem.system == "discrete":
-        raise InvalidInputError(_NO_FIELD)
     obj, dom = problem.objective, problem.domain
     grad = obj.grad_rows if rows else obj.grad_fn
     proj = dom._project_rows if rows else dom._project
@@ -154,7 +145,7 @@ def _field(problem: FlowProblem, rows: bool = False):
 
 
 def rhs(problem: FlowProblem, t: float, x) -> np.ndarray:
-    """Vector field of the continuous flow at (t, x)."""
+    """The vector field F at (t, x)."""
     if t < 0:
         raise InvalidInputError("time must be >= 0")
     p = as_point(x, problem.objective.dim)
@@ -172,7 +163,7 @@ def _sample_grid(horizon: float, sample_every: float) -> np.ndarray:
 
 
 def check_numerics(domain: ConvexSet, horizon: float, step: float, sample_every: float) -> None:
-    """Raise InvalidInputError unless a continuous run fits the integrator.
+    """Raise InvalidInputError unless a run fits the integrator.
 
     It needs a positive finite horizon and ``0 < step <= sample_every``.
     On any set but WholeSpace, ``step <= PROJECTED_STEP_MAX``; the whole
@@ -292,6 +283,33 @@ def _rk4_floats(problem: FlowProblem, times: np.ndarray, step: float) -> tuple:
     return states, drifts
 
 
+def _euler_rows(problem: FlowProblem, times: np.ndarray, step: float) -> tuple:
+    """Forward Euler, x + h F(t, x), on one state held as a (1, n) array,
+    with the RK4 loops' substeps, lambda, guard and per-sample drift check.
+    At h = 1 a step is x + (P(x - lambda grad f(x)) - x), the discrete
+    iteration."""
+    G, proj, lam = _field(problem, rows=True), problem.domain._project_rows, problem.schedule.value
+    states = np.empty((times.size, problem.x0.size))
+    states[0] = problem.x0
+    drifts = np.zeros(times.size)
+    X = states[:1].copy()
+    grid = times.tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, len(grid)):
+            n_sub = max(1, math.ceil((grid[j] - grid[j - 1]) / step - 1e-12))
+            h = (grid[j] - grid[j - 1]) / n_sub
+            for i in range(n_sub):
+                X = X + h * G(lam(grid[j - 1] + i * h), X)
+                if not _row_dots(X, X)[0] <= _GUARD_SQ:
+                    raise _diverged(grid[j - 1] + (i + 1) * h)
+            P = proj(X)
+            drifts[j] = _row_norms(X - P)[0]
+            if drifts[j] > 0.0:
+                X = P
+            states[j] = X[0]
+    return states, drifts
+
+
 def _on_floats(problem: FlowProblem) -> bool:
     """Whether a run of ``problem`` steps a list of floats (_rk4_floats)."""
     return (problem.x0.size <= FLOAT_MAX_DIM and takes_floats(problem.objective.grad_fn)
@@ -304,43 +322,46 @@ def integrate(
     step: float = DEFAULT_STEP,
     sample_every: float = DEFAULT_SAMPLE_EVERY,
 ) -> Trajectory:
-    """Run classic fixed-step RK4 up to ``horizon``.
+    """Run classic fixed-step RK4 up to ``horizon``, or forward Euler on
+    the discrete system.
 
     Samples land on multiples of ``sample_every`` plus t=0 and t=horizon;
     each inter-sample segment is subdivided into equal substeps no larger
-    than ``step``. The numerics must pass check_numerics. Raises
+    than ``step``. The numerics must pass check_numerics, and an Euler
+    step on a set must be at most 1, its convexity bound. Raises
     DivergenceError, carrying the failure time, as soon as the state norm
-    passes 1e12 or stops being finite. A state of at most FLOAT_MAX_DIM
-    coordinates whose kernels take floats steps as a list of floats;
-    any other as a one-row array, with the same floats where both apply.
+    passes 1e12 or stops being finite. A continuous run of at most
+    FLOAT_MAX_DIM coordinates whose kernels take floats steps as a list of
+    floats; any other run as a one-row array, with the same RK4 floats
+    where both apply.
     """
-    if problem.system == "discrete":
-        raise InvalidInputError(_NO_FIELD)
     check_numerics(problem.domain, horizon, step, sample_every)
-    _check_start(problem)
+    if problem.system == "discrete" and step > 1.0 and not isinstance(problem.domain, WholeSpace):
+        raise InvalidInputError(f"an Euler run on a constrained set needs step <= 1, got {step:g}")
+    # every run starts in the set; `pgflow check` reports this as a row instead
+    if problem.domain.residual(problem.x0) > 1e-12:
+        raise InvalidInputError("starting point must lie in the feasible set")
     sample_times = _sample_grid(horizon, sample_every)
     loop = _rk4_floats if _on_floats(problem) else _rk4_rows
+    if problem.system == "discrete":
+        loop = _euler_rows
     states, drifts = loop(problem, sample_times, step)
     return _assemble(problem, sample_times, states, drifts)
 
 
-def _assemble(problem, times, states, drifts, gamma=None, speed=None) -> Trajectory:
+def _assemble(problem, times, states, drifts) -> Trajectory:
     """Build the Trajectory record of a sampled run from its (m, n) states,
     with the row kernels for f, dist_argmin and a continuous run's speed
     |F|, called on blocks of rows (objectives.row_blocks) so that their
-    temporaries stay small whatever n is. discrete_run passes its own gamma
-    and speed."""
+    temporaries stay small whatever n is. A discrete run's speed is the
+    step that reached each sample, |x_k - x_{k-1}|, and 0 at the start."""
     obj, opt = problem.objective, problem.objective.optimum
     xs = np.ascontiguousarray(states, dtype=float)
     fvals = np.empty(len(xs))
     dist_argmin = None if opt is None else np.empty(len(xs))
-    field = None
-    if gamma is None:
-        clock = problem.schedule
-        gamma = clock.gamma(times)
-        lam = clock.value(times)[:, None]
-        field = _field(problem, rows=True)
-        speed = np.empty(len(xs))
+    lam = problem.schedule.value(times)[:, None]
+    field = None if problem.system == "discrete" else _field(problem, rows=True)
+    speed = np.empty(len(xs))
     for b in row_blocks(*xs.shape):
         X = xs[b]
         fvals[b] = obj.fn_rows(X)
@@ -348,6 +369,8 @@ def _assemble(problem, times, states, drifts, gamma=None, speed=None) -> Traject
             dist_argmin[b] = _row_norms(X - opt.argmin._project_rows(X))
         if field is not None:
             speed[b] = _row_norms(field(lam[b], X))
+    if field is None:
+        speed = np.concatenate([[0.0], np.linalg.norm(np.diff(xs, axis=0), axis=1)])
     if opt is not None:
         f_star, source = opt.f_star, ANALYTIC
     else:
@@ -356,50 +379,13 @@ def _assemble(problem, times, states, drifts, gamma=None, speed=None) -> Traject
         t=np.asarray(times, dtype=float),
         x=xs,
         f_gap=fvals - f_star,
-        gamma=np.asarray(gamma, dtype=float),
+        gamma=problem.schedule.gamma(times),
         feas_drift=np.asarray(drifts, dtype=float),
-        speed=np.asarray(speed, dtype=float),
+        speed=speed,
         dist_argmin=dist_argmin,
         problem=problem,
         f_star_source=source,
     )
-
-
-def check_step_sizes(steps) -> np.ndarray:
-    """The step sizes of a discrete run as a float array; raise unless there
-    is at least one and each is finite and >= 0."""
-    a = np.atleast_1d(np.asarray(steps, dtype=float))
-    if a.size == 0 or not np.all(np.isfinite(a)) or np.any(a < 0):
-        raise InvalidInputError("need at least one step size, each finite and >= 0")
-    return a
-
-
-def discrete_run(problem: FlowProblem, steps) -> Trajectory:
-    """Iterate x_{k+1} = P(x_k - a_k grad f(x_k)), one sample per iterate.
-
-    Sample times are the iteration indices and gamma accumulates the step
-    sizes, mirroring the continuous clock. Zero steps are allowed (they
-    leave the iterate in place); negative steps are not.
-    """
-    a = check_step_sizes(steps)
-    _check_start(problem)
-
-    # the iterate as a one-row array, stepped with the row kernels
-    grad = problem.objective.grad_rows
-    proj = problem.domain._project_rows
-    xs = np.empty((a.size + 1, problem.x0.size))
-    xs[0] = problem.x0
-    X = xs[:1]
-    for k, ak in enumerate(a, 1):
-        X = proj(X - ak * grad(X))
-        if not _row_dots(X, X)[0] <= _GUARD_SQ:
-            raise DivergenceError(f"iterate norm left the trust region at k = {k}", time=float(k))
-        xs[k] = X[0]
-
-    times = np.arange(a.size + 1, dtype=float)
-    gamma = np.concatenate([[0.0], np.cumsum(a)])
-    speed = np.concatenate([[0.0], np.linalg.norm(np.diff(xs, axis=0), axis=1)])
-    return _assemble(problem, times, xs, np.zeros(times.size), gamma=gamma, speed=speed)
 
 
 def check_replay(schedule: Schedule, horizon: float, step: float) -> tuple:

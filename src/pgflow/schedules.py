@@ -201,11 +201,10 @@ def PowerGE1(K: float, alpha: float = 1.0) -> Schedule:
     return Schedule(K, alpha)
 
 
-def sublinear_power(schedule: Optional[Schedule]) -> bool:
+def sublinear_power(schedule: Schedule) -> bool:
     """Whether a run has a sub-linear power clock, 0 < alpha < 1: the
-    schedules whose rates the power fits and claim 3 predict. False
-    without a schedule, as on a discrete run."""
-    return schedule is not None and 0.0 < schedule.alpha < 1.0
+    schedules whose rates the power fits and claim 3 predict."""
+    return 0.0 < schedule.alpha < 1.0
 
 
 @dataclass(frozen=True)

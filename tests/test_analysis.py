@@ -476,11 +476,11 @@ class TestReportCsv:
         claims = [ClaimVerdict(CLAIM_NAMES[1], PASS, "cauchy", 5e-7)]
         path = tmp_path / "report.csv"
         write_report_csv(path, fits, claims)
-        text = path.read_text().strip().splitlines()
+        text = path.read_text(encoding="utf-8").strip().splitlines()
         assert text[0] == REPORT_HEADER
-        assert text[1] == "f_gap,power-in-t,-1.125,-1.0,0.9995,pass"
-        assert text[2] == "traj_err,exp-in-Gamma,,,0.0,inapplicable"
-        assert text[3] == "strong_convergence_symmetric_even,claim,5e-07,,,pass"
+        assert text[1] == "f_gap,power-in-t,-1.125,-1.0,0.9995,pass,"
+        assert text[2] == "traj_err,exp-in-Gamma,,,0.0,inapplicable,converged exactly"
+        assert text[3] == "strong_convergence_symmetric_even,claim,5e-07,,,pass,cauchy"
 
     def test_deterministic_bytes(self, tmp_path):
         fits = [RateReport(F_GAP, POWER_MODEL, -1.0, 1.0, -1.0, PASS, (1.0, 2.0))]

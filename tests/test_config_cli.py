@@ -5,6 +5,7 @@ files rather than parsing stdout, except where the output format itself
 is the contract.
 """
 
+import csv
 import json
 import os
 import subprocess
@@ -28,6 +29,7 @@ from pgflow.config import (
 )
 from pgflow.flow import MAX_RK4_STEPS
 from pgflow.geometry import Ball
+from pgflow.schedules import Constant
 
 
 def minimal_pairs(**extra):
@@ -81,7 +83,6 @@ class TestBuildConfig:
         assert cfg.horizon == 50.0
         assert cfg.sample_every == 0.1
         assert cfg.window_fraction == 0.5
-        assert cfg.discrete_alphas is None
         assert cfg.expect == ()
         assert cfg.trajectory_path == "trajectory.csv"
         assert cfg.report_path == "report.csv"
@@ -164,10 +165,11 @@ class TestBuildConfig:
         assert peak < 1_000_000
 
     def test_discrete_alpha_times_steps(self):
+        # seven Euler steps of size 1 on the clock lambda = 0.05
         cfg = build_config(discrete_pairs(
             **{"discrete.alpha": "0.05", "discrete.steps": "7"}))
-        assert cfg.discrete_alphas.shape == (7,)
-        assert np.all(cfg.discrete_alphas == 0.05)
+        assert cfg.problem.schedule == Constant(K=0.05)
+        assert (cfg.horizon, cfg.step, cfg.sample_every) == (7.0, 1.0, 1.0)
 
     def test_window_fraction_bounds(self):
         with pytest.raises(ConfigError, match="window_fraction"):
@@ -421,6 +423,7 @@ REJECTED_CFGS = {
     "discrete-keys-on-projected": CHEAP_SWEEP_CFG + "discrete.alpha = 0.05\ndiscrete.steps = 10\n",
     "numerics-keys-on-discrete": DISCRETE_CFG + "numerics.step = 0.01\n",
     "negative-discrete-step": DISCRETE_CFG.replace("discrete.alpha = 0.05", "discrete.alpha = -0.05"),
+    "zero-discrete-step": DISCRETE_CFG.replace("discrete.alpha = 0.05", "discrete.alpha = 0"),
     "objective-dimension-mismatch": CHEAP_SWEEP_CFG.replace(
         "objective.center = 2,0", "objective.center = 2,0,0"),
 }
@@ -430,7 +433,7 @@ class TestCheckRejectsWhatRunRejects:
     @pytest.mark.parametrize("name", sorted(REJECTED_CFGS))
     def test_check_and_run_exit_2_and_write_nothing(self, tmp_path, capsys, name):
         cfg = tmp_path / f"{name}.cfg"
-        cfg.write_text(REJECTED_CFGS[name])
+        cfg.write_text(REJECTED_CFGS[name], encoding="utf-8")
         out = tmp_path / "out"
         for command in ("check", "run"):
             assert main([command, str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG, command
@@ -446,14 +449,15 @@ class TestCheckRejectsWhatRunRejects:
     ])
     def test_error_names_the_key_and_what_reads_it(self, tmp_path, capsys, name, message):
         cfg = tmp_path / f"{name}.cfg"
-        cfg.write_text(REJECTED_CFGS[name])
+        cfg.write_text(REJECTED_CFGS[name], encoding="utf-8")
         for command in ("check", "run"):
             assert main([command, str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
             assert message in capsys.readouterr().err, command
 
     def test_infeasible_start_fails_check_row_and_run(self, tmp_path, capsys):
         cfg = tmp_path / "outside.cfg"
-        cfg.write_text(CHEAP_SWEEP_CFG.replace("problem.x0 = 0,0", "problem.x0 = 2,0"))
+        cfg.write_text(CHEAP_SWEEP_CFG.replace("problem.x0 = 0,0", "problem.x0 = 2,0"),
+                       encoding="utf-8")
         assert main(["check", str(cfg)]) == EXIT_VERDICT
         assert "check(s) failed: start point feasible" in capsys.readouterr().out
         out = tmp_path / "out"
@@ -472,12 +476,22 @@ class TestCliRun:
         code = main(["run", "discrete_vs_continuous_ball",
                      "--out-dir", str(out)])
         assert code == EXIT_OK
-        header = (out / cfg.trajectory_path).read_text().splitlines()[0]
+        header = (out / cfg.trajectory_path).read_text(encoding="utf-8").splitlines()[0]
         assert header == "t,gamma,f_gap,dist_argmin,feas_drift,speed,x_0,x_1"
-        report = (out / cfg.report_path).read_text().splitlines()
+        report = (out / cfg.report_path).read_text(encoding="utf-8").splitlines()
         assert report[0] == REPORT_HEADER
         stdout = capsys.readouterr().out
         assert "run discrete_vs_continuous_ball" in stdout
+
+    def test_report_rows_carry_their_reason(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "discrete_vs_continuous_ball", "--out-dir", str(out)]) == EXIT_OK
+        cfg = load_config("discrete_vs_continuous_ball")
+        with open(out / cfg.report_path, newline="", encoding="utf-8") as fh:
+            rows = {row["quantity"]: row for row in csv.DictReader(fh)}
+        row = rows["time_rescaling_equivalence"]
+        assert (row["verdict"], row["reason"]) == ("inapplicable", "requires the scaled system")
+        assert rows["f_gap"]["reason"] == "converged exactly"
 
     def test_run_is_byte_deterministic(self, tmp_path):
         cfg = load_config("discrete_vs_continuous_ball")
@@ -494,14 +508,14 @@ class TestCliRun:
 
     def test_strict_flags_unmet_expectation(self, tmp_path):
         cfg = tmp_path / "ge1.cfg"
-        cfg.write_text(GE1_CFG)
+        cfg.write_text(GE1_CFG, encoding="utf-8")
         out = str(tmp_path / "out")
         assert main(["run", str(cfg), "--out-dir", out]) == EXIT_OK
         assert main(["run", str(cfg), "--strict", "--out-dir", out]) == EXIT_VERDICT
 
     def test_divergence_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "diverge.cfg"
-        cfg.write_text(DIVERGE_CFG)
+        cfg.write_text(DIVERGE_CFG, encoding="utf-8")
         code = main(["run", str(cfg), "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_DIVERGED
         assert "divergence" in capsys.readouterr().err
@@ -510,7 +524,7 @@ class TestCliRun:
         # Python's ** raises OverflowError where numpy gives inf; the run
         # must end as a divergence, in a run and in a sweep of the same config
         cfg = tmp_path / "overflow.cfg"
-        cfg.write_text(POWER_OVERFLOW_CFG)
+        cfg.write_text(POWER_OVERFLOW_CFG, encoding="utf-8")
         code = main(["run", str(cfg), "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_DIVERGED
         assert capsys.readouterr().err.startswith("divergence: ")
@@ -528,7 +542,7 @@ class TestCliRun:
     ], ids=["projected-1.3", "projected-1.29", "wholespace-1.3", "unscaled-2"])
     def test_projected_step_bound(self, tmp_path, text, code):
         cfg = tmp_path / "step.cfg"
-        cfg.write_text(text)
+        cfg.write_text(text, encoding="utf-8")
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == code
 
     @pytest.mark.parametrize("numerics, what", [
@@ -539,7 +553,7 @@ class TestCliRun:
         # rejected before the sample grid or any state is allocated
         cfg = tmp_path / "long.cfg"
         cfg.write_text("\n".join(f"{k} = {v}" for k, v in minimal_pairs().items())
-                       + "\n" + numerics + "\n")
+                       + "\n" + numerics + "\n", encoding="utf-8")
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
         assert what in capsys.readouterr().err
@@ -549,7 +563,7 @@ class TestCliRun:
     def test_unscaled_with_schedule_exits_2(self, tmp_path, capsys):
         # the unscaled system runs on the unit clock; a schedule would be ignored
         cfg = tmp_path / "unscaled.cfg"
-        cfg.write_text(UNSCALED_SCHEDULE_CFG)
+        cfg.write_text(UNSCALED_SCHEDULE_CFG, encoding="utf-8")
         out = tmp_path / "out"
         for argv in (["check", str(cfg)], ["run", str(cfg), "--out-dir", str(out)]):
             assert main(argv) == EXIT_CONFIG
@@ -563,7 +577,7 @@ class TestCliRun:
         files = {}
         for name, text in texts.items():
             cfg = tmp_path / f"{name}.cfg"
-            cfg.write_text(text)
+            cfg.write_text(text, encoding="utf-8")
             out = tmp_path / name
             assert main(["run", str(cfg), "--out-dir", str(out)]) == EXIT_OK
             stdout = capsys.readouterr().out
@@ -572,11 +586,12 @@ class TestCliRun:
             files[name] = [(out / f).read_bytes() for f in ("trajectory.csv", "report.csv")]
         assert files["unscaled"] == files["scaled"]
         report = files["scaled"][1].decode().splitlines()
-        assert "time_rescaling_equivalence,claim,,,,inapplicable" in report
+        assert ("time_rescaling_equivalence,claim,,,,inapplicable,"
+                "the unit clock has nothing to rescale") in report
 
     def test_long_rescaling_replay_names_its_clock(self, tmp_path, capsys):
         cfg = tmp_path / "replay.cfg"
-        cfg.write_text(LONG_REPLAY_CFG)
+        cfg.write_text(LONG_REPLAY_CFG, encoding="utf-8")
         for argv in (["check", str(cfg)], ["run", str(cfg), "--out-dir", str(tmp_path / "out")]):
             assert main(argv) == EXIT_CONFIG
             err = capsys.readouterr().err
@@ -594,7 +609,7 @@ class TestCliCheck:
     def test_inflated_kappa_fails(self, tmp_path, capsys):
         cfg = tmp_path / "kap.cfg"
         cfg.write_text(GE1_CFG.replace("analysis.expect = objective_gap_vanishes_in_gamma_time",
-                                       "objective.kappa = 10"))
+                                       "objective.kappa = 10"), encoding="utf-8")
         assert main(["check", str(cfg)]) == EXIT_VERDICT
         assert "error bound sampling" in capsys.readouterr().out
 
@@ -607,7 +622,7 @@ class TestCliCheck:
     ], ids=["ball-1.3", "ball-1.29", "wholespace-1.3", "step-above-sample-every"])
     def test_applies_run_numerics_limits(self, tmp_path, capsys, text, code):
         cfg = tmp_path / "step.cfg"
-        cfg.write_text(text)
+        cfg.write_text(text, encoding="utf-8")
         assert main(["check", str(cfg)]) == code
         if code == EXIT_CONFIG:
             assert "numerics" in capsys.readouterr().err
@@ -636,7 +651,7 @@ class TestCliCheck:
         pairs = {k: v for k, v in load_pairs(preset).items() if k != "objective.dim"}
         pairs.update(override)
         cfg = tmp_path / "premise.cfg"
-        cfg.write_text("\n".join(f"{k} = {v}" for k, v in pairs.items()) + "\n")
+        cfg.write_text("\n".join(f"{k} = {v}" for k, v in pairs.items()) + "\n", encoding="utf-8")
         assert main(["check", str(cfg)]) == EXIT_VERDICT
         assert f"check(s) failed: {row}" in capsys.readouterr().out
         out = str(tmp_path / "out")
@@ -658,12 +673,12 @@ class TestCliSweep:
 
     def test_aggregate_report_rows(self, tmp_path):
         cfg = tmp_path / "cheap.cfg"
-        cfg.write_text(CHEAP_SWEEP_CFG)
+        cfg.write_text(CHEAP_SWEEP_CFG, encoding="utf-8")
         out = tmp_path / "out"
         code = main(["sweep", str(cfg), "--param", "K", "--values", "1 2",
                      "--out-dir", str(out)])
         assert code == EXIT_OK
-        lines = (out / "report.csv").read_text().splitlines()
+        lines = (out / "report.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == REPORT_HEADER
         quantities = [line.split(",")[0] for line in lines[1:]]
         assert quantities == ["f_gap@K=1", "traj_err@K=1",
@@ -685,7 +700,7 @@ class TestCliSweep:
     ], ids=["discrete-step", "second-value-invalid", "repeated", "same-suffix"])
     def test_bad_value_exits_2_before_any_run(self, tmp_path, capsys, text, param, values):
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(text)
+        cfg.write_text(text, encoding="utf-8")
         out = tmp_path / "out"
         assert main(["sweep", str(cfg), "--param", param, "--values", values,
                      "--out-dir", str(out)]) == EXIT_CONFIG
@@ -732,7 +747,7 @@ numerics.sample_every = 0.1
 def sweep_outputs(tmp_path, capsys, name, text, param, values):
     """Exit code, stdout, stderr and {file: bytes} of one sweep."""
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(text)
+    cfg.write_text(text, encoding="utf-8")
     out = tmp_path / name
     code = main(["sweep", str(cfg), "--param", param, "--values", values,
                  "--out-dir", str(out)])
@@ -775,7 +790,7 @@ class TestBatchedSweep:
             value = float(token)
             pairs = {**parse_pairs(text), cli.SWEEP_PARAMS[param]: repr(value)}
             cfg = tmp_path / f"{param}_{value:g}.cfg"
-            cfg.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()))
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()), encoding="utf-8")
             out = tmp_path / f"run_{value:g}"
             assert main(["run", str(cfg), "--out-dir", str(out)]) == EXIT_OK
             capsys.readouterr()
@@ -855,7 +870,8 @@ class TestMemoryStaysInBlocks:
     def test_peak_below_1000_samples(self, tmp_path, capsys, command, kind):
         n = 2000
         cfg = tmp_path / f"{kind}.cfg"
-        cfg.write_text("".join(f"{k} = {v}\n" for k, v in highdim_pairs(kind, n).items()))
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in highdim_pairs(kind, n).items()),
+                       encoding="utf-8")
         tracemalloc.start()
         try:
             code = main([command, str(cfg), "--out-dir", str(tmp_path / "out")])
@@ -873,7 +889,7 @@ class TestMemoryStaysInBlocks:
         pairs.update({"numerics.horizon": "20", "numerics.sample_every": "0.01",
                       "analysis.theta": "0.75"})
         cfg = tmp_path / "ball.cfg"
-        cfg.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()))
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()), encoding="utf-8")
         config = load_config(str(cfg))
         traj = cli.integrate(config.problem, horizon=config.horizon, step=config.step,
                              sample_every=config.sample_every)
@@ -915,7 +931,7 @@ class TestWithoutScipy:
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(argvs)],
                               capture_output=True, text=True, env=env, cwd=tmp_path,
-                              timeout=300)
+                              timeout=300, encoding="utf-8")
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["codes"] == [EXIT_OK] * len(argvs)
@@ -945,7 +961,7 @@ class TestOutputPathOverride:
         cfg = tmp_path / "named.cfg"
         cfg.write_text(CHEAP_SWEEP_CFG
                        + "output.trajectory_path = path.csv\n"
-                       + "output.report_path = rep.csv\n")
+                       + "output.report_path = rep.csv\n", encoding="utf-8")
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out-dir", str(out)]) == EXIT_OK
         assert (out / "path.csv").exists()

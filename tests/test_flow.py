@@ -1,5 +1,5 @@
-"""Integrator against closed-form solutions, discrete iteration oracles,
-and the trajectory record contract."""
+"""Integrator against closed-form solutions, the discrete iteration
+against its written-out loop, and the trajectory record contract."""
 
 import dataclasses
 import importlib.util
@@ -12,13 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pgflow import flow
-from pgflow.config import build_config
+from pgflow.config import build_config, load_config
 from pgflow.errors import DivergenceError, InvalidInputError
 from pgflow.flow import (
     PROJECTED_STEP_MAX,
     FlowProblem,
     _sample_grid,
-    discrete_run,
     integrate,
     reparam_check,
     rhs,
@@ -61,10 +60,9 @@ class TestRhs:
         p = FlowProblem(WholeSpace(2), unit_quadratic(), Power(K=1.0, alpha=0.5), [1.0, 0.0], system="scaled")
         np.testing.assert_allclose(rhs(p, 3.0, [1.0, 0.0]), [-1.0, 0.0])  # lambda(3) = 1/2
 
-    def test_discrete_has_no_rhs(self):
-        p = FlowProblem(WholeSpace(2), unit_quadratic(), None, [1.0, 0.0], system="discrete")
-        with pytest.raises(InvalidInputError):
-            rhs(p, 0.0, [1.0, 0.0])
+    def test_discrete_field_takes_its_step_as_lambda(self):
+        p = FlowProblem(WholeSpace(2), unit_quadratic(), Constant(K=0.25), [1.0, 0.0], system="discrete")
+        np.testing.assert_allclose(rhs(p, 3.0, [1.0, 0.0]), [-0.5, 0.0])
 
 
 class TestProblemValidation:
@@ -74,11 +72,21 @@ class TestProblemValidation:
         with pytest.raises(InvalidInputError, match="feasible set"):
             integrate(FlowProblem(Ball([0.0, 0.0], 1.0), f, Constant(K=1.0), x0))
         with pytest.raises(InvalidInputError, match="feasible set"):
-            discrete_run(FlowProblem(Ball([0.0, 0.0], 1.0), f, None, x0, system="discrete"), [0.1])
+            iterate(Ball([0.0, 0.0], 1.0), f, 0.1, 1, x0)
 
     def test_discrete_takes_no_schedule(self):
+        # its clock is Constant(K=discrete.alpha)
+        pairs = {"problem.set": "wholespace", "set.dim": "2", "problem.objective": "quadratic",
+                 "objective.center": "0,0", "problem.x0": "1,0", "problem.system": "discrete",
+                 "discrete.alpha": "0.1", "discrete.steps": "3"}
+        assert build_config(pairs).problem.schedule == Constant(K=0.1)
         with pytest.raises(InvalidInputError, match="takes no schedule"):
-            FlowProblem(WholeSpace(2), unit_quadratic(), Constant(K=1.0), [1.0, 0.0], system="discrete")
+            build_config({**pairs, "problem.schedule": "constant"})
+
+    @pytest.mark.parametrize("system", flow.SYSTEMS)
+    def test_every_system_needs_a_schedule(self, system):
+        with pytest.raises(InvalidInputError, match="needs a schedule"):
+            FlowProblem(WholeSpace(2), unit_quadratic(), None, [1.0, 0.0], system=system)
 
     def test_constrained_set_rejected_for_unconstrained_system(self):
         with pytest.raises(InvalidInputError):
@@ -100,7 +108,7 @@ class TestProblemValidation:
 
     def test_unknown_system(self):
         with pytest.raises(InvalidInputError):
-            FlowProblem(WholeSpace(2), unit_quadratic(), None, [0.0, 0.0], system="semi")
+            FlowProblem(WholeSpace(2), unit_quadratic(), Constant(K=1.0), [0.0, 0.0], system="semi")
 
 
 class TestAnalyticSolutions:
@@ -504,45 +512,83 @@ class TestIntegrateBatch:
             integrate(inside, horizon=2.6, step=1.3, sample_every=1.3)
 
 
-def iterate(domain, objective, steps, x0):
-    return discrete_run(FlowProblem(domain, objective, None, x0, system="discrete"), steps)
+def iterate(domain, objective, a, steps, x0):
+    """``steps`` iterations of x_{k+1} = P(x_k - a grad f(x_k)), run by integrate."""
+    problem = FlowProblem(domain, objective, Constant(K=a), x0, system="discrete")
+    return integrate(problem, horizon=steps, step=1.0, sample_every=1.0)
+
+
+def reference_iterates(domain, objective, a, steps, x0):
+    """The classical iteration written out with the point kernels."""
+    xs = [np.asarray(x0, dtype=float)]
+    for _ in range(steps):
+        xs.append(domain.project(xs[-1] - a * objective.grad(xs[-1])))
+    return np.array(xs)
 
 
 class TestDiscreteRun:
     def test_single_step_matches_hand_value(self):
-        traj = iterate(WholeSpace(2), unit_quadratic(), [0.25], [1.0, 0.0])
+        traj = iterate(WholeSpace(2), unit_quadratic(), 0.25, 1, [1.0, 0.0])
         np.testing.assert_allclose(traj.x[-1], [0.5, 0.0])
 
     def test_explicit_euler_identity(self):
-        # one unconstrained step is exactly x - a grad f(x)
+        # one step is exactly x + 1 F(x), and F(x) = -a grad f(x) unconstrained
         f = quadratic([1.0, -1.0], diag=[2.0, 3.0])
         x0 = np.array([0.3, 0.4])
-        traj = iterate(WholeSpace(2), f, [0.05], x0)
-        np.testing.assert_array_equal(traj.x[-1], x0 - 0.05 * f.grad(x0))
+        traj = iterate(WholeSpace(2), f, 0.05, 1, x0)
+        np.testing.assert_array_equal(traj.x[-1], x0 + rhs(traj.problem, 0.0, x0))
+        np.testing.assert_allclose(traj.x[-1], x0 - 0.05 * f.grad(x0), rtol=0, atol=1e-16)
 
     def test_ball_constrained_step_hits_minimizer(self):
         f = quadratic([2.0, 0.0])
-        traj = iterate(Ball([0.0, 0.0], 1.0), f, [0.5] * 3, [0.0, 0.0])
+        traj = iterate(Ball([0.0, 0.0], 1.0), f, 0.5, 3, [0.0, 0.0])
         np.testing.assert_allclose(traj.x[1], [1.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(traj.x[-1], [1.0, 0.0], atol=1e-15)
 
-    def test_zero_steps_freeze_iterate(self):
-        f = quadratic([2.0, 0.0])
-        traj = iterate(Ball([0.0, 0.0], 1.0), f, [0.0, 0.0], [0.3, 0.2])
-        assert np.all(traj.x == np.array([0.3, 0.2]))
-
     def test_indexing_and_gamma(self):
-        traj = iterate(WholeSpace(1), quadratic([0.0]), [0.1, 0.2, 0.3], [1.0])
+        traj = iterate(WholeSpace(1), quadratic([0.0]), 0.1, 3, [1.0])
         np.testing.assert_array_equal(traj.t, [0.0, 1.0, 2.0, 3.0])
-        np.testing.assert_allclose(traj.gamma, [0.0, 0.1, 0.3, 0.6])
+        np.testing.assert_allclose(traj.gamma, [0.0, 0.1, 0.2, 0.3])
 
     def test_empty_steps_rejected(self):
         with pytest.raises(InvalidInputError):
-            iterate(WholeSpace(1), quadratic([0.0]), [], [1.0])
+            iterate(WholeSpace(1), quadratic([0.0]), 0.1, 0, [1.0])
 
     def test_negative_step_rejected(self):
         with pytest.raises(InvalidInputError):
-            iterate(WholeSpace(1), quadratic([0.0]), [-0.1], [1.0])
+            iterate(WholeSpace(1), quadratic([0.0]), -0.1, 1, [1.0])
+
+    def test_step_above_one_rejected_on_a_set(self):
+        # x + h (P(y) - x) leaves the set for h > 1; the whole space has none to leave
+        problem = FlowProblem(Ball([0.0, 0.0], 1.0), quadratic([2.0, 0.0]), Constant(K=0.5),
+                              [0.0, 0.0], system="discrete")
+        with pytest.raises(InvalidInputError, match="step <= 1"):
+            integrate(problem, horizon=2.5, step=1.25, sample_every=1.25)
+        free = iterate(WholeSpace(1), quadratic([0.0]), 0.1, 1, [1.0])
+        assert integrate(free.problem, horizon=2.5, step=1.25, sample_every=1.25).t[-1] == 2.5
+
+    @pytest.mark.parametrize("kind", SET_KINDS)
+    def test_matches_the_written_out_iteration(self, kind):
+        rng = np.random.default_rng(SET_KINDS.index(kind))
+        domain = random_set(kind, rng, 3)
+        f = quadratic(rng.uniform(-4.0, 4.0, 3), diag=rng.uniform(0.5, 2.0, 3))
+        x0, a = domain.project(rng.uniform(-3.0, 3.0, 3)), 0.3
+        traj = iterate(domain, f, a, 50, x0)
+        ref = reference_iterates(domain, f, a, 50, x0)
+        ulps = 8 * np.finfo(float).eps * max(1.0, np.max(np.abs(ref)))
+        assert np.max(np.abs(traj.x - ref)) <= ulps
+        step_norms = np.linalg.norm(np.diff(traj.x, axis=0), axis=1)
+        np.testing.assert_array_equal(traj.speed, np.concatenate([[0.0], step_norms]))
+        np.testing.assert_allclose(traj.gamma, a * traj.t, rtol=1e-12, atol=0)
+        # x + (P(y) - x) can round a few ulp off a set; the drift check records that
+        assert np.max(traj.feas_drift) <= (0.0 if kind == "wholespace" else ulps)
+
+    def test_preset_ball_is_bitwise(self):
+        cfg = load_config("discrete_vs_continuous_ball")
+        p = cfg.problem
+        traj = integrate(p, horizon=cfg.horizon, step=cfg.step, sample_every=cfg.sample_every)
+        ref = reference_iterates(p.domain, p.objective, p.schedule.K, int(cfg.horizon), p.x0)
+        np.testing.assert_array_equal(traj.x, ref)
 
 
 def reference_reparam_gaps(objective, schedule, x0, horizon, step):
@@ -600,7 +646,7 @@ class TestCsvExport:
         traj = integrate(p, horizon=1.0, step=0.01)
         out = tmp_path / "traj.csv"
         write_trajectory_csv(traj, out)
-        lines = out.read_text().strip().split("\n")
+        lines = out.read_text(encoding="utf-8").strip().split("\n")
         assert lines[0] == "t,gamma,f_gap,dist_argmin,feas_drift,speed,x_0,x_1"
         assert len(lines) == len(traj) + 1
         first = lines[1].split(",")
@@ -613,7 +659,7 @@ class TestCsvExport:
         traj = integrate(p, horizon=0.5, step=0.01)
         out = tmp_path / "traj.csv"
         write_trajectory_csv(traj, out)
-        row = out.read_text().strip().split("\n")[1].split(",")
+        row = out.read_text(encoding="utf-8").strip().split("\n")[1].split(",")
         assert row[3] == ""
 
     def test_cells_are_the_repr_of_each_float(self, tmp_path):
@@ -622,7 +668,7 @@ class TestCsvExport:
         traj = integrate(p, horizon=1.0, step=0.01)
         out = tmp_path / "traj.csv"
         write_trajectory_csv(traj, out)
-        rows = out.read_text().split("\n")[1:-1]
+        rows = out.read_text(encoding="utf-8").split("\n")[1:-1]
         assert len(rows) == len(traj)
         for k, row in enumerate(rows):
             scalars = [traj.t[k], traj.gamma[k], traj.f_gap[k], traj.dist_argmin[k],
