@@ -16,14 +16,14 @@ claims a run can witness (``analysis.claim_premises``):
                 forward Euler at h = 1 on F with lambda = a, Constant(K=a)
 
 Continuous systems step with fixed-step classic Runge-Kutta, the discrete
-one with forward Euler (_euler_rows). On a set, a whole RK4 step is a
-convex combination of the current state and the four projected stage
-points (see PROJECTED_STEP_MAX), as an Euler step of size at most 1 is of
-the state and its projected point, so in exact arithmetic neither leaves
-the set. Only rounding can, so feasibility is restored once per sample
+one with forward Euler at h = 1 (_euler_rows), whose step x + F(x) is the
+projected point itself. On a set, a whole RK4 step is a convex
+combination of the current state and the four projected stage points
+(see PROJECTED_STEP_MAX), so in exact arithmetic it does not leave the
+set. Only rounding can, so feasibility is restored once per sample
 rather than per substep: the sample's distance from the set is recorded
 as feas_drift and the state is replaced by its projection whenever that
-distance is positive. On WholeSpace it is 0.
+distance is positive. On WholeSpace, and on the discrete system, it is 0.
 
 A continuous run of at most FLOAT_MAX_DIM coordinates, whose ``grad_fn``
 and ``_project`` are marked as taking floats (``geometry.takes_floats``),
@@ -283,31 +283,25 @@ def _rk4_floats(problem: FlowProblem, times: np.ndarray, step: float) -> tuple:
     return states, drifts
 
 
-def _euler_rows(problem: FlowProblem, times: np.ndarray, step: float) -> tuple:
-    """Forward Euler, x + h F(t, x), on one state held as a (1, n) array,
-    with the RK4 loops' substeps, lambda, guard and per-sample drift check.
-    At h = 1 a step is x + (P(x - lambda grad f(x)) - x), the discrete
-    iteration."""
-    G, proj, lam = _field(problem, rows=True), problem.domain._project_rows, problem.schedule.value
+def _euler_rows(problem: FlowProblem, times: np.ndarray) -> tuple:
+    """Forward Euler at h = 1, x + F(t, x), on one state held as a (1, n)
+    array, one step per sample, with the RK4 loops' lambda and guard.
+    x + (P(y) - x) is P(y) in exact arithmetic, and the loop takes P(y)
+    itself: the classical iterate P(x - lambda grad f(x)), bit for bit.
+    A sample is thus already the projection's output, and its feas_drift
+    is 0; projecting it again would only add the projection's rounding."""
+    grad, proj, lam = problem.objective.grad_rows, problem.domain._project_rows, problem.schedule.value
     states = np.empty((times.size, problem.x0.size))
     states[0] = problem.x0
-    drifts = np.zeros(times.size)
-    X = states[:1].copy()
+    X = states[:1]
     grid = times.tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, len(grid)):
-            n_sub = max(1, math.ceil((grid[j] - grid[j - 1]) / step - 1e-12))
-            h = (grid[j] - grid[j - 1]) / n_sub
-            for i in range(n_sub):
-                X = X + h * G(lam(grid[j - 1] + i * h), X)
-                if not _row_dots(X, X)[0] <= _GUARD_SQ:
-                    raise _diverged(grid[j - 1] + (i + 1) * h)
-            P = proj(X)
-            drifts[j] = _row_norms(X - P)[0]
-            if drifts[j] > 0.0:
-                X = P
+            X = proj(X - lam(grid[j - 1]) * grad(X))
+            if not _row_dots(X, X)[0] <= _GUARD_SQ:
+                raise _diverged(grid[j])
             states[j] = X[0]
-    return states, drifts
+    return states, np.zeros(times.size)
 
 
 def _on_floats(problem: FlowProblem) -> bool:
@@ -327,8 +321,9 @@ def integrate(
 
     Samples land on multiples of ``sample_every`` plus t=0 and t=horizon;
     each inter-sample segment is subdivided into equal substeps no larger
-    than ``step``. The numerics must pass check_numerics, and an Euler
-    step on a set must be at most 1, its convexity bound. Raises
+    than ``step``. The numerics must pass check_numerics. The discrete
+    system takes ``horizon`` Euler steps of size 1, one per sample, so it
+    needs a whole horizon and step = sample_every = 1. Raises
     DivergenceError, carrying the failure time, as soon as the state norm
     passes 1e12 or stops being finite. A continuous run of at most
     FLOAT_MAX_DIM coordinates whose kernels take floats steps as a list of
@@ -336,16 +331,19 @@ def integrate(
     where both apply.
     """
     check_numerics(problem.domain, horizon, step, sample_every)
-    if problem.system == "discrete" and step > 1.0 and not isinstance(problem.domain, WholeSpace):
-        raise InvalidInputError(f"an Euler run on a constrained set needs step <= 1, got {step:g}")
+    if problem.system == "discrete" and not (step == sample_every == 1.0 and horizon % 1.0 == 0.0):
+        raise InvalidInputError(
+            "the discrete system takes a whole horizon of Euler steps of size 1, one per sample; "
+            f"got horizon {horizon:g}, step {step:g}, sample_every {sample_every:g}")
     # every run starts in the set; `pgflow check` reports this as a row instead
     if problem.domain.residual(problem.x0) > 1e-12:
         raise InvalidInputError("starting point must lie in the feasible set")
     sample_times = _sample_grid(horizon, sample_every)
     loop = _rk4_floats if _on_floats(problem) else _rk4_rows
     if problem.system == "discrete":
-        loop = _euler_rows
-    states, drifts = loop(problem, sample_times, step)
+        states, drifts = _euler_rows(problem, sample_times)
+    else:
+        states, drifts = loop(problem, sample_times, step)
     return _assemble(problem, sample_times, states, drifts)
 
 
@@ -359,9 +357,11 @@ def _assemble(problem, times, states, drifts) -> Trajectory:
     xs = np.ascontiguousarray(states, dtype=float)
     fvals = np.empty(len(xs))
     dist_argmin = None if opt is None else np.empty(len(xs))
-    lam = problem.schedule.value(times)[:, None]
-    field = None if problem.system == "discrete" else _field(problem, rows=True)
-    speed = np.empty(len(xs))
+    if problem.system == "discrete":
+        field, speed = None, np.concatenate([[0.0], np.linalg.norm(np.diff(xs, axis=0), axis=1)])
+    else:
+        field, speed = _field(problem, rows=True), np.empty(len(xs))
+        lam = problem.schedule.value(times)[:, None]
     for b in row_blocks(*xs.shape):
         X = xs[b]
         fvals[b] = obj.fn_rows(X)
@@ -369,8 +369,6 @@ def _assemble(problem, times, states, drifts) -> Trajectory:
             dist_argmin[b] = _row_norms(X - opt.argmin._project_rows(X))
         if field is not None:
             speed[b] = _row_norms(field(lam[b], X))
-    if field is None:
-        speed = np.concatenate([[0.0], np.linalg.norm(np.diff(xs, axis=0), axis=1)])
     if opt is not None:
         f_star, source = opt.f_star, ANALYTIC
     else:
