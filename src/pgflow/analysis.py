@@ -309,10 +309,11 @@ def _rate_pair_status(fits, model):
     if any(rep is None for rep in pair):
         return INAPPLICABLE, "required fits were not computed"
     if any(rep.verdict == INAPPLICABLE for rep in pair):
-        return INAPPLICABLE, "; ".join(r.reason for r in pair if r.verdict == INAPPLICABLE)
+        return INAPPLICABLE, "; ".join(f"{r.quantity}: {r.reason}" for r in pair
+                                       if r.verdict == INAPPLICABLE)
     if all(rep.passed for rep in pair):
         return PASS, ""
-    return FAIL, "; ".join(r.reason for r in pair if not r.passed)
+    return FAIL, "; ".join(f"{r.quantity}: {r.reason}" for r in pair if not r.passed)
 
 
 def claim_premises(problem: FlowProblem, requested_theta: Optional[float] = None) -> dict:

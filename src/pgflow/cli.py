@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 config error, 3 divergence, 4 verdict failure
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import os
 import sys
@@ -142,6 +143,21 @@ def _with_suffix(path: str, suffix: str) -> str:
     return f"{stem}_{suffix}{ext}"
 
 
+_POOL_CONFIGS: tuple = ()
+
+
+def _pool_init(configs) -> None:
+    global _POOL_CONFIGS
+    _POOL_CONFIGS = configs
+
+
+def _pool_execute(index: int):
+    """Run one config in a worker; the problem's closures stay behind."""
+    res = execute(_POOL_CONFIGS[index])
+    res.trajectory.problem = None
+    return res.trajectory, res.fits, res.claims, res.reparam_gap
+
+
 def cmd_sweep(args) -> int:
     key = SWEEP_PARAMS[args.param]
     tokens = [tok for tok in args.values.replace(",", " ").split() if tok]
@@ -166,21 +182,44 @@ def cmd_sweep(args) -> int:
         cfg.trajectory_path = _with_suffix(cfg.trajectory_path, suffix)
         runs[suffix] = (value, cfg)
 
+    # imported here: at the top they would add to every command's start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     os.makedirs(args.out_dir, exist_ok=True)
     aggregate = []
     all_expected_pass = True
-    for value, cfg in runs.values():
-        res = execute(cfg)
-        write_trajectory_csv(res.trajectory, os.path.join(args.out_dir, cfg.trajectory_path))
-        print(f"sweep {args.param}={value:g}: samples={len(res.trajectory.t)}")
-        for rep in res.fits:
-            print(_fit_line(rep))
-            aggregate.append(dataclasses.replace(
-                rep, quantity=f"{rep.quantity}@{args.param}={value:g}"))
-        for claim in res.claims:
-            if claim.name in set(cfg.expect) and claim.status != PASS:
-                print(_claim_line(claim, True))
-        all_expected_pass = all_expected_pass and _expected_claims_pass(res)
+    # the values run in forked workers, which get the configs by fork, not
+    # by pickle; this process writes every file and line in value order
+    configs = tuple(cfg for _, cfg in runs.values())
+    workers = min(len(configs), len(os.sched_getaffinity(0)))
+    # a worker flushes the stream buffers it inherited as it exits; empty
+    # them here rather than rely on multiprocessing's own flush at fork
+    sys.stdout.flush()
+    sys.stderr.flush()
+    # leaving the block joins every worker, on every path. A worker that
+    # dies breaks the pool, and the wait below raises instead of hanging.
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_pool_init, initargs=(configs,)) as pool:
+        # at most `workers` runs are in flight or waiting to be written
+        pending = collections.deque(pool.submit(_pool_execute, i) for i in range(workers))
+        for i, (value, cfg) in enumerate(runs.values()):
+            # a value that raised re-raises here; the runs after it are discarded
+            traj, fits, claims, gap = pending.popleft().result()
+            if i + workers < len(configs):
+                pending.append(pool.submit(_pool_execute, i + workers))
+            traj.problem = cfg.problem
+            res = ExperimentResult(cfg, traj, fits, claims, gap)
+            write_trajectory_csv(traj, os.path.join(args.out_dir, cfg.trajectory_path))
+            print(f"sweep {args.param}={value:g}: samples={len(traj.t)}")
+            for rep in res.fits:
+                print(_fit_line(rep))
+                aggregate.append(dataclasses.replace(
+                    rep, quantity=f"{rep.quantity}@{args.param}={value:g}"))
+            for claim in res.claims:
+                if claim.name in set(cfg.expect) and claim.status != PASS:
+                    print(_claim_line(claim, True))
+            all_expected_pass = all_expected_pass and _expected_claims_pass(res)
     report_path = os.path.join(args.out_dir, cfg.report_path)
     write_report_csv(report_path, aggregate)
     print(f"wrote {report_path}")

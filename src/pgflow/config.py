@@ -325,7 +325,7 @@ def build_config(pairs: dict, name: str = "experiment") -> ExperimentConfig:
         sample_every = _as_float(
             "numerics.sample_every", bag.take("numerics.sample_every", repr(DEFAULT_SAMPLE_EVERY)))
     try:
-        check_numerics(domain, horizon, step, sample_every)
+        check_numerics(domain, horizon, step, sample_every, system)
         if "time_rescaling_equivalence" not in claim_premises(problem):
             check_replay(problem.schedule, horizon, step)
     except InvalidInputError as exc:

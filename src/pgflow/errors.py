@@ -27,3 +27,7 @@ class DivergenceError(RuntimeError):
     def __init__(self, message: str, time: float):
         super().__init__(message)
         self.time = time
+
+    def __reduce__(self):
+        # the default rebuilds from args = (message,) and loses the time
+        return (type(self), (str(self), self.time))

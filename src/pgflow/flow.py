@@ -162,13 +162,14 @@ def _sample_grid(horizon: float, sample_every: float) -> np.ndarray:
     return np.asarray(times)
 
 
-def check_numerics(domain: ConvexSet, horizon: float, step: float, sample_every: float) -> None:
+def check_numerics(domain: ConvexSet, horizon: float, step: float, sample_every: float,
+                   system: str = "projected") -> None:
     """Raise InvalidInputError unless a run fits the integrator.
 
     It needs a positive finite horizon and ``0 < step <= sample_every``.
     On any set but WholeSpace, ``step <= PROJECTED_STEP_MAX``; the whole
-    space has no set to leave. A run may take at most MAX_RK4_STEPS steps
-    and MAX_SAMPLES samples.
+    space has no set to leave. A run may take at most MAX_RK4_STEPS steps,
+    Euler steps on the discrete system, and MAX_SAMPLES samples.
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise InvalidInputError("horizon must be positive and finite")
@@ -180,7 +181,8 @@ def check_numerics(domain: ConvexSet, horizon: float, step: float, sample_every:
             f"(the RK4 convexity bound), got {step:g}")
     if horizon / step > MAX_RK4_STEPS:
         raise InvalidInputError(
-            f"horizon {horizon:g} / step {step:g} = {horizon / step:.3g} RK4 steps, "
+            f"horizon {horizon:g} / step {step:g} = {horizon / step:.3g} "
+            f"{'Euler' if system == 'discrete' else 'RK4'} steps, "
             f"above the limit of {MAX_RK4_STEPS:.0e}")
     if horizon / sample_every > MAX_SAMPLES:
         raise InvalidInputError(
@@ -330,7 +332,7 @@ def integrate(
     floats; any other run as a one-row array, with the same RK4 floats
     where both apply.
     """
-    check_numerics(problem.domain, horizon, step, sample_every)
+    check_numerics(problem.domain, horizon, step, sample_every, problem.system)
     if problem.system == "discrete" and not (step == sample_every == 1.0 and horizon % 1.0 == 0.0):
         raise InvalidInputError(
             "the discrete system takes a whole horizon of Euler steps of size 1, one per sample; "

@@ -7,10 +7,13 @@ is the contract.
 
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import tracemalloc
+import uuid
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -492,6 +495,9 @@ class TestCliRun:
         row = rows["time_rescaling_equivalence"]
         assert (row["verdict"], row["reason"]) == ("inapplicable", "requires the scaled system")
         assert rows["f_gap"]["reason"] == "converged exactly"
+        # a rate claim joins the reasons of its two fits, each under its quantity
+        assert rows["exponential_decay_rates"]["reason"] == (
+            "f_gap: converged exactly; traj_err: converged exactly")
 
     def test_run_is_byte_deterministic(self, tmp_path):
         cfg = load_config("discrete_vs_continuous_ball")
@@ -545,14 +551,16 @@ class TestCliRun:
         cfg.write_text(text, encoding="utf-8")
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == code
 
-    @pytest.mark.parametrize("numerics, what", [
-        ("numerics.horizon = 1e9", "RK4 steps"),
-        ("numerics.horizon = 2e5\nnumerics.step = 0.1", "samples"),
-    ], ids=["steps", "samples"])
-    def test_absurd_run_length_exits_2(self, tmp_path, capsys, numerics, what):
+    @pytest.mark.parametrize("pairs, numerics, what", [
+        (minimal_pairs(), "numerics.horizon = 1e9", "RK4 steps"),
+        (minimal_pairs(), "numerics.horizon = 2e5\nnumerics.step = 0.1", "samples"),
+        (discrete_pairs(**{"discrete.alpha": "0.1"}), "discrete.steps = 10000001",
+         "discrete.steps: horizon 1e+07 / step 1 = 1e+07 Euler steps"),
+    ], ids=["steps", "samples", "discrete-steps"])
+    def test_absurd_run_length_exits_2(self, tmp_path, capsys, pairs, numerics, what):
         # rejected before the sample grid or any state is allocated
         cfg = tmp_path / "long.cfg"
-        cfg.write_text("\n".join(f"{k} = {v}" for k, v in minimal_pairs().items())
+        cfg.write_text("\n".join(f"{k} = {v}" for k, v in pairs.items())
                        + "\n" + numerics + "\n", encoding="utf-8")
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
@@ -772,7 +780,8 @@ numerics.sample_every = 0.1
 
 
 class TestBatchedSweep:
-    """A sweep runs its values one at a time, each as `run` runs its config."""
+    """A sweep runs each value as `run` runs its config, in a pool of forked
+    workers, and writes every file and line in value order."""
 
     @pytest.mark.parametrize("text, param, values", [
         (POWER_BOX_CFG, "alpha", "0.25,0.5,0.75"),
@@ -812,14 +821,69 @@ class TestBatchedSweep:
     ], ids=["step", "theta", "one-value"])
     def test_other_sweeps_run_one_value_at_a_time(self, tmp_path, capsys, monkeypatch,
                                                   text, param, values):
-        runs = []
+        # the values run in worker processes, so each call of execute leaves
+        # a marker file where the test can count it
+        calls = tmp_path / "calls"
+        calls.mkdir()
         execute = cli.execute
-        monkeypatch.setattr(cli, "execute", lambda cfg: runs.append(cfg) or execute(cfg))
+
+        def counted(cfg):
+            (calls / f"{cfg.name}#{uuid.uuid4().hex}").touch()
+            return execute(cfg)
+
+        monkeypatch.setattr(cli, "execute", counted)
         monkeypatch.setattr(flow, "_rk4_rows", None)  # 2-d catalog runs step floats
         code, _, _, files = sweep_outputs(tmp_path, capsys, "out", text, param, values)
         assert code in (EXIT_OK, EXIT_VERDICT)
-        assert len(runs) == len(values.split(","))
+        names = sorted(f.name.split("#")[0] for f in calls.iterdir())
+        assert names == sorted(f"sweep {param}={float(v):g}" for v in values.split(","))
         assert len(files) == len(values.split(",")) + 1
+
+    @pytest.mark.parametrize("text, param, values, want", [
+        (SCALED_SWEEP_CFG, "K", "1,2", EXIT_OK),
+        (SCALED_SWEEP_CFG, "K", "1,500,2,3", EXIT_DIVERGED),
+        (POWER_BOX_CFG + "analysis.expect = power_decay_rates\n", "alpha", "0.5,0.75",
+         EXIT_VERDICT),
+    ], ids=["exit-0", "exit-3", "exit-4"])
+    def test_no_worker_outlives_the_sweep(self, tmp_path, capsys, text, param, values, want):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["sweep", str(cfg), "--param", param, "--values", values, "--strict",
+                     "--out-dir", str(tmp_path / "out")]) == want
+        assert multiprocessing.active_children() == []
+        # and every worker was reaped: this process has no child left to wait for
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_worker_that_dies_ends_the_sweep(self, tmp_path, capsys, monkeypatch):
+        # a worker killed mid-run (say, out of memory) raises in the sweep
+        # instead of leaving it waiting for a result that never comes
+        execute = cli.execute
+        monkeypatch.setattr(cli, "execute",
+                            lambda cfg: os._exit(1) if cfg.name == "sweep K=2" else execute(cfg))
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SCALED_SWEEP_CFG, encoding="utf-8")
+        out = tmp_path / "out"
+        with pytest.raises(BrokenProcessPool):
+            main(["sweep", str(cfg), "--param", "K", "--values", "1,2,3", "--out-dir", str(out)])
+        # the broken pool fails every run in flight, so K=1 may be lost too
+        assert "K=2" not in capsys.readouterr().out
+        assert set(f.name for f in out.iterdir()) <= {"trajectory_K_1.csv"}
+        assert multiprocessing.active_children() == []
+
+    def test_text_printed_before_a_sweep_shows_once(self, tmp_path):
+        # a forked worker inherits unflushed stdout; it must not print it again
+        script = ("import sys\nfrom pgflow.cli import main\nprint('x')\n"
+                  "raise SystemExit(main(sys.argv[1:]))\n")
+        src = os.path.dirname(os.path.dirname(pgflow.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "sweep", "rate_theta50_alpha50", "--param", "K",
+             "--values", "1,2", "--out-dir", str(tmp_path)],
+            capture_output=True, env=dict(env, PYTHONPATH=src), timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines().count(b"x") == 1
+        assert proc.stdout.startswith(b"x\nsweep K=1: ")
 
 
 class TestCheckGradientNaN:

@@ -4,6 +4,7 @@ against its written-out loop, and the trajectory record contract."""
 import dataclasses
 import importlib.util
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +220,14 @@ class TestTrajectoryRecord:
         with pytest.raises(DivergenceError) as exc:
             integrate(p, horizon=20.0, step=0.01)
         assert 13.0 < exc.value.time < 15.0
+
+    def test_divergence_error_survives_pickle(self):
+        # a sweep's worker sends the error to the parent pickled; a copy that
+        # cannot be rebuilt would stall the pool instead of exiting 3
+        err = DivergenceError("state norm left the trust region near t = 0.05", time=0.05)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is DivergenceError
+        assert (str(back), back.time) == (str(err), 0.05)
 
     def test_columns_of_many_blocks_match_one_call_over_all_rows(self):
         # 101 samples of n = 1000 are two blocks of 65 rows
