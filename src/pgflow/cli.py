@@ -1,7 +1,8 @@
 """Command line experiment runner binding configs to runs, fits, and files.
 
 Exit codes: 0 success, 2 config error, 3 divergence, 4 verdict failure
-(expected claims under --strict, or any failed row in `check`).
+(expected claims under --strict, or any failed row in `check`), 5 a sweep
+worker process died.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ from .analysis import (
     claim_premises,
     fit_exponential,
     fit_power,
+    power_rates_apply,
+    schedule_premises,
     theorem_verdict,
     write_report_csv,
 )
 from .config import ConfigError, ExperimentConfig
 from .errors import DivergenceError, InvalidInputError, UnsupportedObjectiveError
 from .flow import (
-    FlowProblem,
     Trajectory,
     integrate,
     reparam_check,
@@ -40,12 +42,12 @@ from .flow import (
 )
 from .geometry import ConvexSet, _row_norms, variational_gap
 from .objectives import Desingularizer, certificate_checks, grad_check, row_blocks
-from .schedules import sublinear_power, validate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_VERDICT = 4
+EXIT_WORKER = 5
 
 SWEEP_PARAMS = {
     "alpha": "schedule.alpha",
@@ -65,12 +67,10 @@ class ExperimentResult:
 
 
 def _compute_fits(traj: Trajectory, cfg: ExperimentConfig):
-    hol = cfg.problem.objective.holder
-    if hol is None:
-        return ()
-    if hol.theta < 0.5 and sublinear_power(cfg.problem.schedule):
+    if power_rates_apply(cfg.problem):
         return tuple(fit_power(traj, q, cfg.window_fraction) for q in QUANTITIES)
-    if hol.theta == 0.5:
+    hol = cfg.problem.objective.holder
+    if hol is not None and hol.theta == 0.5:
         return tuple(fit_exponential(traj, q, window_fraction=cfg.window_fraction)
                      for q in QUANTITIES)
     return ()
@@ -185,6 +185,7 @@ def cmd_sweep(args) -> int:
     # imported here: at the top they would add to every command's start-up
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     os.makedirs(args.out_dir, exist_ok=True)
     aggregate = []
@@ -197,29 +198,33 @@ def cmd_sweep(args) -> int:
     # them here rather than rely on multiprocessing's own flush at fork
     sys.stdout.flush()
     sys.stderr.flush()
-    # leaving the block joins every worker, on every path. A worker that
-    # dies breaks the pool, and the wait below raises instead of hanging.
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_pool_init, initargs=(configs,)) as pool:
-        # at most `workers` runs are in flight or waiting to be written
-        pending = collections.deque(pool.submit(_pool_execute, i) for i in range(workers))
-        for i, (value, cfg) in enumerate(runs.values()):
-            # a value that raised re-raises here; the runs after it are discarded
-            traj, fits, claims, gap = pending.popleft().result()
-            if i + workers < len(configs):
-                pending.append(pool.submit(_pool_execute, i + workers))
-            traj.problem = cfg.problem
-            res = ExperimentResult(cfg, traj, fits, claims, gap)
-            write_trajectory_csv(traj, os.path.join(args.out_dir, cfg.trajectory_path))
-            print(f"sweep {args.param}={value:g}: samples={len(traj.t)}")
-            for rep in res.fits:
-                print(_fit_line(rep))
-                aggregate.append(dataclasses.replace(
-                    rep, quantity=f"{rep.quantity}@{args.param}={value:g}"))
-            for claim in res.claims:
-                if claim.name in set(cfg.expect) and claim.status != PASS:
-                    print(_claim_line(claim, True))
-            all_expected_pass = all_expected_pass and _expected_claims_pass(res)
+    # leaving the block joins every worker, on every path. A worker that dies
+    # breaks the pool: the wait below raises, and the sweep exits 5, not hangs.
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_pool_init, initargs=(configs,)) as pool:
+            # at most `workers` runs are in flight or waiting to be written
+            pending = collections.deque(pool.submit(_pool_execute, i) for i in range(workers))
+            for i, (value, cfg) in enumerate(runs.values()):
+                # a value that raised re-raises here; the runs after it are discarded
+                traj, fits, claims, gap = pending.popleft().result()
+                if i + workers < len(configs):
+                    pending.append(pool.submit(_pool_execute, i + workers))
+                traj.problem = cfg.problem
+                res = ExperimentResult(cfg, traj, fits, claims, gap)
+                write_trajectory_csv(traj, os.path.join(args.out_dir, cfg.trajectory_path))
+                print(f"sweep {args.param}={value:g}: samples={len(traj.t)}")
+                for rep in res.fits:
+                    print(_fit_line(rep))
+                    aggregate.append(dataclasses.replace(
+                        rep, quantity=f"{rep.quantity}@{args.param}={value:g}"))
+                for claim in res.claims:
+                    if claim.name in set(cfg.expect) and claim.status != PASS:
+                        print(_claim_line(claim, True))
+                all_expected_pass = all_expected_pass and _expected_claims_pass(res)
+    except BrokenProcessPool as exc:
+        print(f"worker error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
     report_path = os.path.join(args.out_dir, cfg.report_path)
     write_report_csv(report_path, aggregate)
     print(f"wrote {report_path}")
@@ -229,23 +234,12 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _schedule_rows(problem: FlowProblem):
-    if problem.system == "discrete":
-        yield ("schedule conditions", "not-applicable", "no schedule configured")
-        return
-    hol = problem.objective.holder
-    report = validate(problem.schedule, theta=hol.theta if hol is not None else None)
-    named = (
-        ("clock unbounded", report.gamma_unbounded),
-        ("variation finite", report.variation_finite),
-        ("power tail integrable", report.power_tail_integrable),
-        ("exp tail integrable", report.exp_tail_integrable),
-    )
-    for label, verdict in named:
-        evidence = ", ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
-                             for k, v in sorted(verdict.evidence.items()))
-        yield (label, verdict.status, evidence)
-    yield ("schedule monotone", "pass" if report.monotone else "fail", "")
+def _evidence_text(evidence) -> str:
+    """A row's evidence as sorted k=v pairs; a sentence stays as it is."""
+    if isinstance(evidence, str):
+        return evidence
+    return ", ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
+                     for k, v in sorted(evidence.items()))
 
 
 def _draws(domain: ConvexSet, rng, count: int):
@@ -286,7 +280,8 @@ def cmd_check(args) -> int:
     feas = domain.residual(problem.x0)
     rows.append(("start point feasible", "pass" if feas <= 1e-12 else "fail",
                  f"residual {feas:.3g}"))
-    rows.extend(_schedule_rows(problem))
+    rows.extend((label, status, _evidence_text(evidence))
+                for label, status, evidence in schedule_premises(problem, cfg.horizon))
 
     # np.max keeps a NaN error wherever it falls; Python's max may drop it
     worst_grad = float(np.max([grad_check(obj, pt)
@@ -328,6 +323,13 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take integers >= 0 only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     out_dir = argparse.ArgumentParser(add_help=False)
     out_dir.add_argument("--out-dir", default=".",
@@ -359,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check_p = sub.add_parser("check", parents=[out_dir],
                              help="validate schedule, gradients, bound certificates, projections")
     check_p.add_argument("config", help="config file path or shipped preset name")
-    check_p.add_argument("--seed", type=int, default=0,
+    check_p.add_argument("--seed", type=_seed, default=0,
                          help="seed for probe sampling")
     check_p.set_defaults(func=cmd_check)
     return parser

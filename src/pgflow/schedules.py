@@ -1,31 +1,26 @@
-"""Step-size schedules, their cumulative clocks, and integrability checks.
+"""Step-size schedules, their cumulative clocks, and a quadrature rule.
 
 Every schedule is lambda(t) = K (1+t)^(-alpha), so the cumulative step
 size Gamma(t) is an exact closed form and contributes no quadrature error
 to rate experiments. The three families, Constant (alpha = 0), Power
 (0 < alpha < 1) and PowerGE1 (alpha >= 1), are ranges of alpha that build
-the one Schedule class. The validator classifies each schedule against
-the integrability conditions that the convergence guarantees need: an
-unbounded cumulative clock, finite total variation, and the
-tail-integrability conditions tied to the error-bound exponent theta.
-Its verdicts are analytic; the tail integrals it reports as evidence come
-from ``quad``, a fixed tanh-sinh rule in numpy.
+the one Schedule class. Whether a schedule meets the paper's hypotheses
+on lambda is decided in ``analysis.schedule_premises``, in closed form;
+the tail integrals it shows as evidence come from ``quad``, a fixed
+tanh-sinh rule in numpy.
 
 A Schedule exposes ``K``, ``alpha``, ``value`` and ``gamma`` (each on a
-time or an array of times), ``gamma_limit`` and ``monotone``.
+time or an array of times) and ``gamma_limit``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidInputError
-
-EXP_TAIL_CS = (0.1, 1.0, 10.0)
 
 
 def _tanh_sinh_rule():
@@ -61,7 +56,7 @@ def quad(f, a: float, b: float) -> float:
     integrand analytic inside the interval the error falls like
     exp(-C/h) as the node step h shrinks, even with an integrable
     singularity or a thin layer at an endpoint; at h = 2^-6 it is near
-    rounding for the validator's tails.
+    rounding for the tails of ``analysis.schedule_premises``.
     """
     half = 0.5 * (b - a)
     # a node's offset from its nearer endpoint, so no node rounds onto the other end
@@ -123,11 +118,6 @@ class Schedule:
         family = "Power" if self.alpha < 1.0 else "PowerGE1"
         return f"{family}(K={self.K!r}, alpha={self.alpha!r})"
 
-    @property
-    def monotone(self) -> bool:
-        """lambda' <= 0 everywhere, for every K and alpha."""
-        return True
-
     def value(self, t):
         """lambda(t); Constant's (1+t) ** -0.0 is exactly 1."""
         # _check_time inlined: the RK4 loop calls this 3 times per step
@@ -180,7 +170,7 @@ def Power(K: float, alpha: float = 0.5) -> Schedule:
     """lambda(t) = K (1+t)^(-alpha) with alpha in (0, 1).
 
     The workhorse family: the clock grows like t^(1-alpha), unbounded,
-    and every integrability condition below holds.
+    and every integrability condition of the paper holds.
     """
     _check_K(K)
     if not (0 < alpha < 1):
@@ -199,120 +189,3 @@ def PowerGE1(K: float, alpha: float = 1.0) -> Schedule:
     if alpha < 1:
         raise InvalidInputError("PowerGE1 needs alpha >= 1")
     return Schedule(K, alpha)
-
-
-def sublinear_power(schedule: Schedule) -> bool:
-    """Whether a run has a sub-linear power clock, 0 < alpha < 1: the
-    schedules whose rates the power fits and claim 3 predict."""
-    return 0.0 < schedule.alpha < 1.0
-
-
-@dataclass(frozen=True)
-class ConditionVerdict:
-    status: str  # "pass" | "fail" | "not-applicable"
-    evidence: dict
-
-    def __post_init__(self):
-        if self.status not in ("pass", "fail", "not-applicable"):
-            raise InvalidInputError(f"unknown verdict status {self.status!r}")
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Outcome of the schedule validators.
-
-    gamma_unbounded: the cumulative clock diverges.
-    variation_finite: lambda has finite total variation.
-    power_tail_integrable: the tail integral of Gamma^(-theta/(1-2 theta))/(1+t)
-        converges; the condition behind the power decay rates, theta < 1/2 only.
-    exp_tail_integrable: the tail integral of exp(-c Gamma)/(1+t) converges for
-        every probed c; the theta = 1/2 counterpart.
-    """
-
-    gamma_unbounded: ConditionVerdict
-    variation_finite: ConditionVerdict
-    power_tail_integrable: ConditionVerdict
-    exp_tail_integrable: ConditionVerdict
-    monotone: bool
-
-
-def validate(schedule: Schedule, theta: Optional[float] = None, horizon: float = 100.0) -> ConditionReport:
-    """Classify a schedule against the integrability conditions.
-
-    Verdicts come from the analytic criteria for K (1+t)^(-alpha);
-    closed forms and tail quadratures up to ``horizon`` ride along as
-    diagnostic evidence.
-    ``theta`` selects which tail condition applies: values below 1/2 engage
-    the power tail, exactly 1/2 engages the exponential tail, None skips
-    both. The power-tail integrand can blow up at t = 0 for theta >= 1/3
-    even when its tail converges, so the quadrature evidence starts at
-    t = 1; the verdict reads the condition as a statement about the tail.
-    """
-    if theta is not None and not (0 < theta <= 0.5):
-        raise InvalidInputError("theta must lie in (0, 1/2] when provided")
-    if not (np.isfinite(horizon) and horizon > 0):
-        raise InvalidInputError("horizon must be positive and finite")
-
-    alpha = schedule.alpha
-    K = schedule.K
-    clock_bounded = math.isfinite(schedule.gamma_limit())
-
-    # Clock divergence.
-    ev = {"alpha": alpha, "K": K, "gamma_at_horizon": schedule.gamma(horizon)}
-    if clock_bounded:
-        ev["gamma_limit"] = schedule.gamma_limit()
-        gamma_unbounded = ConditionVerdict("fail", ev)
-    else:
-        gamma_unbounded = ConditionVerdict("pass", ev)
-
-    # Total variation: lambda is non-increasing with lambda -> 0 (or
-    # constant at alpha = 0), so TV = lambda(0) - lim lambda, always finite, and
-    # the variation up to the horizon is lambda(0) - lambda(horizon).
-    lam_inf = 0.0 if alpha > 0 else K
-    lam0 = schedule.value(0.0)
-    variation_finite = ConditionVerdict(
-        "pass", {"total_variation": lam0 - lam_inf,
-                 "abs_derivative_integral_to_horizon": lam0 - schedule.value(horizon)}
-    )
-
-    # Power tail, theta < 1/2.
-    if theta is None or theta == 0.5:
-        power_tail = ConditionVerdict("not-applicable", {})
-    else:
-        q = theta / (1.0 - 2.0 * theta)
-        if clock_bounded:
-            status = "fail"  # Gamma^-q bottoms out, leaving a divergent 1/(1+t) tail
-        elif alpha == 1.0:
-            # Gamma grows like log t; t^-1 (log t)^-q integrates iff q > 1.
-            status = "pass" if q > 1.0 else "fail"
-        else:
-            status = "pass"  # Gamma grows like a positive power of t
-        tail = quad(lambda s: schedule.gamma(s) ** (-q) / (1.0 + s), 1.0, horizon)
-        power_tail = ConditionVerdict(status, {"exponent": q, "tail_quadrature_from_1": tail})
-
-    # Exponential tail, theta = 1/2, probed over a spread of c values.
-    if theta == 0.5:
-        ev = {}
-        for c in EXP_TAIL_CS:
-            ev[f"quadrature_c_{c:g}"] = quad(
-                lambda s, c=c: np.exp(-c * schedule.gamma(s)) / (1.0 + s), 0.0, horizon)
-        # Bounded clock: integrand ~ const/(1+t), divergent for every c.
-        # Unbounded clock: exp(-c Gamma) eventually beats every power of t
-        # for the polynomial clocks, and for the log clock gives the
-        # integrable exponent 1 + c K.
-        status = "fail" if clock_bounded else "pass"
-        exp_tail = ConditionVerdict(status, ev)
-    else:
-        exp_tail = ConditionVerdict("not-applicable", {})
-
-    return ConditionReport(
-        gamma_unbounded=gamma_unbounded,
-        variation_finite=variation_finite,
-        power_tail_integrable=power_tail,
-        exp_tail_integrable=exp_tail,
-        monotone=schedule.monotone,
-    )

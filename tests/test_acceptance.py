@@ -16,6 +16,7 @@ from pgflow.analysis import (
     diagnostics,
     fit_exponential,
     fit_power,
+    schedule_premises,
 )
 from pgflow.cli import execute
 from pgflow.config import build_config, load_pairs
@@ -29,8 +30,8 @@ from pgflow.geometry import (
     WholeSpace,
     variational_gap,
 )
-from pgflow.objectives import Desingularizer, quadratic
-from pgflow.schedules import Constant, Power, PowerGE1, validate
+from pgflow.objectives import Desingularizer, make_power_objective, quadratic
+from pgflow.schedules import Constant, Power, PowerGE1
 
 CGP_PRESETS = (
     "even_box",
@@ -333,15 +334,19 @@ def test_criterion_7_rescaling_envelope_stationarity(preset_runs):
 # -- criterion 8: schedule conditions and fit recovery ----------------------
 
 def test_criterion_8_schedule_validators_and_fit_recovery():
-    good = validate(Power(K=1.0, alpha=0.5), theta=0.25)
-    assert good.monotone
-    assert good.gamma_unbounded.status == "pass"
-    assert good.variation_finite.status == "pass"
-    assert good.power_tail_integrable.status == "pass"
+    quartic = make_power_objective(quadratic([0.0, 0.0]), 0.25)
+    good = schedule_premises(FlowProblem(WholeSpace(2), quartic, Power(K=1.0, alpha=0.5),
+                                         [1.0, 0.0]), 100.0)
+    assert [(label, status) for label, status, _ in good] == [
+        ("clock unbounded", "pass"), ("variation finite", "pass"),
+        ("power tail integrable", "pass"), ("exp tail integrable", "not-applicable"),
+        ("schedule monotone", "pass")]
 
-    bad = validate(PowerGE1(K=1.0, alpha=2.0), theta=0.5)
-    assert bad.gamma_unbounded.status == "fail"
-    limit = bad.gamma_unbounded.evidence["gamma_limit"]
+    bad = schedule_premises(FlowProblem(WholeSpace(2), quadratic([0.0, 0.0]),
+                                        PowerGE1(K=1.0, alpha=2.0), [1.0, 0.0]), 100.0)
+    label, status, evidence = bad[0]
+    assert (label, status) == ("clock unbounded", "fail")
+    limit = evidence["gamma_limit"]
     assert limit == pytest.approx(1.0, abs=1e-9)  # K / (alpha - 1)
 
     t = np.linspace(1.0, 80.0, 400)

@@ -9,11 +9,11 @@ import csv
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 import uuid
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ import pytest
 import pgflow
 from pgflow import cli, flow
 from pgflow.analysis import REPORT_HEADER, diagnostics
-from pgflow.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERDICT, main
+from pgflow.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERDICT, EXIT_WORKER, main
 from pgflow.config import (
     ConfigError,
     build_config,
@@ -635,6 +635,39 @@ class TestCliCheck:
         if code == EXIT_CONFIG:
             assert "numerics" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_exits_2(self, capsys, seed):
+        assert main(["check", "rate_theta50_alpha50", "--seed", seed]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "argument --seed" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("preset, gamma", [
+        # Gamma(35) = 2 (sqrt(36) - 1) and Gamma(10) = 2 (sqrt(11) - 1), not Gamma(100) = 18.0998
+        ("rate_theta50_alpha50", "gamma_at_horizon=10"),
+        ("reparam_quadratic", "gamma_at_horizon=4.63325"),
+    ])
+    def test_schedule_evidence_is_at_the_runs_horizon(self, capsys, preset, gamma):
+        assert main(["check", preset]) == EXIT_OK
+        (row,) = [line for line in capsys.readouterr().out.splitlines()
+                  if "clock unbounded" in line]
+        assert row.endswith(f", {gamma}")
+
+    def test_no_power_tail_quadrature_before_t_1(self, tmp_path, capsys):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(POWER_BOX_CFG.replace("numerics.horizon = 4", "numerics.horizon = 0.5"),
+                       encoding="utf-8")
+        assert main(["check", str(cfg)]) == EXIT_OK
+        (row,) = [line for line in capsys.readouterr().out.splitlines()
+                  if "power tail integrable" in line]
+        assert row.split()[-2:] == ["pass", "exponent=0.5"]
+
+    def test_discrete_run_has_one_schedule_row(self, capsys):
+        assert main(["check", "discrete_vs_continuous_ball"]) == EXIT_OK
+        rows = [re.split(r"\s{2,}", line.strip()) for line in capsys.readouterr().out.splitlines()
+                if "schedule" in line or "clock" in line]
+        assert rows == [["schedule conditions", "not-applicable",
+                         "the step is the constant discrete.alpha = 0.05"]]
+
     def test_seeded_sampling_is_reproducible(self, capsys):
         assert main(["check", "rate_theta50_alpha50", "--seed", "7"]) == EXIT_OK
         first = capsys.readouterr().out
@@ -856,18 +889,22 @@ class TestBatchedSweep:
             os.waitpid(-1, os.WNOHANG)
 
     def test_a_worker_that_dies_ends_the_sweep(self, tmp_path, capsys, monkeypatch):
-        # a worker killed mid-run (say, out of memory) raises in the sweep
-        # instead of leaving it waiting for a result that never comes
+        # a worker killed mid-run (say, out of memory) ends the sweep with exit
+        # 5 and one stderr line, instead of leaving it waiting for a result
+        # that never comes
         execute = cli.execute
         monkeypatch.setattr(cli, "execute",
                             lambda cfg: os._exit(1) if cfg.name == "sweep K=2" else execute(cfg))
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(SCALED_SWEEP_CFG, encoding="utf-8")
         out = tmp_path / "out"
-        with pytest.raises(BrokenProcessPool):
-            main(["sweep", str(cfg), "--param", "K", "--values", "1,2,3", "--out-dir", str(out)])
+        assert main(["sweep", str(cfg), "--param", "K", "--values", "1,2,3",
+                     "--out-dir", str(out)]) == EXIT_WORKER
+        captured = capsys.readouterr()
+        assert captured.err.startswith("worker error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
         # the broken pool fails every run in flight, so K=1 may be lost too
-        assert "K=2" not in capsys.readouterr().out
+        assert "K=2" not in captured.out
         assert set(f.name for f in out.iterdir()) <= {"trajectory_K_1.csv"}
         assert multiprocessing.active_children() == []
 

@@ -1,6 +1,7 @@
-"""Schedule families against a quadrature oracle, validator verdicts, and
-the tanh-sinh rule behind the validator's evidence. scipy is the test
-oracle only; pgflow itself runs on numpy alone."""
+"""Schedule families against a quadrature oracle, the premise rows that
+``analysis.schedule_premises`` gives ``pgflow check``, and the tanh-sinh
+rule behind their evidence. scipy is the test oracle only; pgflow itself
+runs on numpy alone."""
 
 import dataclasses
 import math
@@ -10,8 +11,12 @@ import pytest
 from scipy.integrate import quad
 
 from pgflow import schedules
+from pgflow.analysis import EXP_TAIL_CS, schedule_premises
 from pgflow.errors import InvalidInputError
-from pgflow.schedules import Constant, Power, PowerGE1, Schedule, validate
+from pgflow.flow import FlowProblem
+from pgflow.geometry import WholeSpace
+from pgflow.objectives import HolderErrorBound, quadratic
+from pgflow.schedules import Constant, Power, PowerGE1, Schedule
 
 FAMILIES = [
     Constant(K=2.0),
@@ -85,7 +90,7 @@ class TestAgainstQuadrature:
             assert slope(s, t) == pytest.approx(fd, rel=1e-5, abs=1e-10)
 
     def test_gamma_concave_when_monotone(self, s):
-        assert s.monotone
+        assert all(slope(s, t) <= 0.0 for t in (0.0, 0.7, 4.0, 50.0))
         ts = np.linspace(0.0, 60.0, 400)
         g = np.array([s.gamma(t) for t in ts])
         assert np.all(np.diff(g, 2) <= 1e-9)
@@ -177,45 +182,73 @@ class TestFamilyConstructors:
             assert eval(repr(s)) == s  # the repr names the constructor that builds it
 
 
+def premises(s, theta=None, horizon=100.0):
+    """schedule_premises of a run of s on an objective certified at theta
+    (None: no certificate), as {label: (status, evidence)}."""
+    holder = None if theta is None else HolderErrorBound(kappa=1.0, theta=theta)
+    obj = dataclasses.replace(quadratic([0.0]), holder=holder)
+    rows = schedule_premises(FlowProblem(WholeSpace(1), obj, s, [1.0]), horizon)
+    return {label: (status, evidence) for label, status, evidence in rows}
+
+
+def statuses(rows):
+    return {label: status for label, (status, _) in rows.items()}
+
+
+P, F, NA = "pass", "fail", "not-applicable"
+# (clock unbounded, power tail integrable, exp tail integrable) as the
+# removed schedules.validate gave them; variation finite and schedule
+# monotone passed in every case
+RECORDED = {
+    (Constant(K=1.0), None): (P, NA, NA),
+    (Constant(K=1.0), 0.25): (P, P, NA),
+    (Constant(K=1.0), 0.4): (P, P, NA),
+    (Constant(K=1.0), 0.5): (P, NA, P),
+    **{(Power(K=1.0, alpha=a), th): row for a in (0.3, 0.5, 0.9) for th, row in (
+        (None, (P, NA, NA)), (0.25, (P, P, NA)), (0.4, (P, P, NA)), (0.5, (P, NA, P)))},
+    (PowerGE1(K=1.0, alpha=1.0), None): (P, NA, NA),
+    (PowerGE1(K=1.0, alpha=1.0), 0.25): (P, F, NA),
+    (PowerGE1(K=1.0, alpha=1.0), 0.4): (P, P, NA),
+    (PowerGE1(K=1.0, alpha=1.0), 0.5): (P, NA, P),
+    **{(PowerGE1(K=1.0, alpha=a), th): row for a in (1.5, 2.0) for th, row in (
+        (None, (F, NA, NA)), (0.25, (F, F, NA)), (0.4, (F, F, NA)), (0.5, (F, NA, F)))},
+}
+
+
 class TestValidator:
     def test_power_all_pass(self):
-        rep = validate(Power(K=1.0, alpha=0.5), theta=0.25)
-        assert rep.gamma_unbounded.passed
-        assert rep.variation_finite.passed
-        assert rep.power_tail_integrable.passed
-        assert rep.exp_tail_integrable.status == "not-applicable"
-        assert rep.monotone
+        assert statuses(premises(Power(K=1.0, alpha=0.5), theta=0.25)) == {
+            "clock unbounded": P, "variation finite": P, "power tail integrable": P,
+            "exp tail integrable": NA, "schedule monotone": P}
 
     def test_saturating_clock_fails_with_evidence(self):
-        rep = validate(PowerGE1(K=1.0, alpha=2.0))
-        assert rep.gamma_unbounded.status == "fail"
-        assert rep.gamma_unbounded.evidence["gamma_limit"] == pytest.approx(1.0, abs=1e-9)
+        status, ev = premises(PowerGE1(K=1.0, alpha=2.0))["clock unbounded"]
+        assert status == "fail"
+        assert ev["gamma_limit"] == pytest.approx(1.0, abs=1e-9)
 
     def test_saturating_clock_evidence_scales_with_K(self):
-        rep = validate(PowerGE1(K=6.0, alpha=4.0))
-        assert rep.gamma_unbounded.evidence["gamma_limit"] == pytest.approx(2.0, abs=1e-9)
+        _, ev = premises(PowerGE1(K=6.0, alpha=4.0))["clock unbounded"]
+        assert ev["gamma_limit"] == pytest.approx(2.0, abs=1e-9)
 
     def test_constant_exponential_tail(self):
-        rep = validate(Constant(K=1.0), theta=0.5)
-        assert rep.gamma_unbounded.passed
-        assert rep.variation_finite.passed
-        assert rep.exp_tail_integrable.passed
-        assert rep.power_tail_integrable.status == "not-applicable"
+        rows = premises(Constant(K=1.0), theta=0.5)
+        assert statuses(rows) == {
+            "clock unbounded": P, "variation finite": P, "power tail integrable": NA,
+            "exp tail integrable": P, "schedule monotone": P}
         # evidence carries one quadrature value per probed c
-        assert len(rep.exp_tail_integrable.evidence) == 3
+        assert len(rows["exp tail integrable"][1]) == 3
 
     def test_log_clock_power_tail_threshold(self):
         # Gamma ~ log t: tail integrable iff theta/(1-2 theta) > 1, i.e. theta > 1/3
-        assert validate(PowerGE1(K=1.0, alpha=1.0), theta=0.4).power_tail_integrable.passed
-        assert not validate(PowerGE1(K=1.0, alpha=1.0), theta=0.3).power_tail_integrable.passed
+        assert premises(PowerGE1(K=1.0, alpha=1.0), theta=0.4)["power tail integrable"][0] == P
+        assert premises(PowerGE1(K=1.0, alpha=1.0), theta=0.3)["power tail integrable"][0] == F
 
     def test_bounded_clock_fails_both_tails(self):
-        assert validate(PowerGE1(K=1.0, alpha=2.0), theta=0.25).power_tail_integrable.status == "fail"
-        assert validate(PowerGE1(K=1.0, alpha=2.0), theta=0.5).exp_tail_integrable.status == "fail"
+        assert premises(PowerGE1(K=1.0, alpha=2.0), theta=0.25)["power tail integrable"][0] == F
+        assert premises(PowerGE1(K=1.0, alpha=2.0), theta=0.5)["exp tail integrable"][0] == F
 
     def test_variation_evidence_matches_quadrature(self):
-        rep = validate(Power(K=2.0, alpha=0.5), horizon=1000.0)
-        ev = rep.variation_finite.evidence
+        _, ev = premises(Power(K=2.0, alpha=0.5), horizon=1000.0)["variation finite"]
         assert ev["total_variation"] == pytest.approx(2.0)
         # partial integral approaches the total variation from below
         assert ev["abs_derivative_integral_to_horizon"] < ev["total_variation"]
@@ -223,9 +256,17 @@ class TestValidator:
 
     def test_theta_out_of_range(self):
         with pytest.raises(InvalidInputError):
-            validate(Power(K=1.0, alpha=0.5), theta=0.75)
+            premises(Power(K=1.0, alpha=0.5), theta=0.75)
         with pytest.raises(InvalidInputError):
-            validate(Power(K=1.0, alpha=0.5), theta=0.0)
+            premises(Power(K=1.0, alpha=0.5), theta=0.0)
+
+    @pytest.mark.parametrize("s, theta", list(RECORDED), ids=repr)
+    def test_statuses_recorded_from_the_validator(self, s, theta):
+        clock, power, exp_tail = RECORDED[s, theta]
+        assert list(statuses(premises(s, theta)).items()) == [
+            ("clock unbounded", clock), ("variation finite", P),
+            ("power tail integrable", power), ("exp tail integrable", exp_tail),
+            ("schedule monotone", P)]
 
     def test_family_parameter_validation(self):
         with pytest.raises(InvalidInputError):
@@ -280,19 +321,17 @@ class TestTanhSinhRule:
         q = theta / (1.0 - 2.0 * theta)
         lo, hi = math.log(2.0), math.log1p(horizon)
         exact = K**-q * (hi ** (1.0 - q) - lo ** (1.0 - q)) / (1.0 - q)
-        ev = validate(PowerGE1(K=K, alpha=1.0), theta=theta, horizon=horizon)
-        assert ev.power_tail_integrable.evidence["tail_quadrature_from_1"] == pytest.approx(
-            exact, rel=1e-10)
+        _, ev = premises(PowerGE1(K=K, alpha=1.0), theta, horizon)["power tail integrable"]
+        assert ev["tail_quadrature_from_1"] == pytest.approx(exact, rel=1e-10)
 
     @pytest.mark.parametrize("s", [Power(K=1.0, alpha=0.3), PowerGE1(K=1.0, alpha=2.0),
                                    Constant(K=1.0)], ids=repr)
     def test_power_tail_scales_as_K_to_the_minus_q(self, s):
         theta = 0.25
         q = theta / (1.0 - 2.0 * theta)
-        base = validate(s, theta=theta).power_tail_integrable.evidence["tail_quadrature_from_1"]
+        base = premises(s, theta)["power tail integrable"][1]["tail_quadrature_from_1"]
         for K in (0.01, 7.0, 300.0):
-            scaled = dataclasses.replace(s, K=K)
-            tail = validate(scaled, theta=theta).power_tail_integrable.evidence
+            _, tail = premises(dataclasses.replace(s, K=K), theta)["power tail integrable"]
             assert tail["tail_quadrature_from_1"] == pytest.approx(K**-q * base, rel=1e-10)
 
     # c K <= 10 for every probed c: no layer at t = 0 that scipy's quad can miss
@@ -303,10 +342,10 @@ class TestTanhSinhRule:
             q = theta / (1.0 - 2.0 * theta)
             ref, _ = quad(lambda t: s.gamma(t) ** -q / (1.0 + t), 1.0, horizon,
                           epsabs=0.0, epsrel=1e-13, limit=200)
-            ev = validate(s, theta=theta, horizon=horizon).power_tail_integrable.evidence
+            _, ev = premises(s, theta, horizon)["power tail integrable"]
             assert ev["tail_quadrature_from_1"] == pytest.approx(ref, rel=1e-10)
-        ev = validate(s, theta=0.5).exp_tail_integrable.evidence
-        for c in schedules.EXP_TAIL_CS:
+        _, ev = premises(s, theta=0.5)["exp tail integrable"]
+        for c in EXP_TAIL_CS:
             ref, _ = quad(lambda t: math.exp(-c * s.gamma(t)) / (1.0 + t), 0.0, 100.0,
                           epsabs=0.0, epsrel=1e-13, limit=200)
             assert ev[f"quadrature_c_{c:g}"] == pytest.approx(ref, rel=1e-10), c
@@ -314,7 +353,7 @@ class TestTanhSinhRule:
     @pytest.mark.parametrize("K, true_value", [(20.0, 4.98756e-3), (100.0, 9.99500e-4)])
     def test_resolves_the_layer_at_t_0(self, K, true_value):
         s = Power(K=K, alpha=0.5)
-        got = validate(s, theta=0.5).exp_tail_integrable.evidence["quadrature_c_10"]
+        got = premises(s, theta=0.5)["exp tail integrable"][1]["quadrature_c_10"]
         ref = exp_tail_by_clock(s, 10.0)
         assert ref == pytest.approx(true_value, rel=1e-5)
         assert got == pytest.approx(ref, rel=1e-10)
@@ -322,7 +361,7 @@ class TestTanhSinhRule:
     @pytest.mark.parametrize("s", FAMILIES, ids=repr)
     def test_variation_to_horizon_is_the_closed_form(self, s):
         for horizon in (1.0, 100.0, 1000.0):
-            ev = validate(s, horizon=horizon).variation_finite.evidence
+            _, ev = premises(s, horizon=horizon)["variation finite"]
             assert ev["abs_derivative_integral_to_horizon"] == s.value(0.0) - s.value(horizon)
             ref, _ = quad(lambda t: abs(slope(s, t)), 0.0, horizon,
                           epsabs=1e-14, epsrel=1e-12, limit=200)
