@@ -27,8 +27,7 @@ def run(argv=None) -> int:
     args = ap.parse_args(argv)
 
     x0 = np.array([1.0, -0.5])
-    prob = FlowProblem(WholeSpace(2), quadratic([0.0, 0.0]), Constant(K=1.0), x0,
-                       system="scaled")
+    prob = FlowProblem(WholeSpace(2), quadratic([0.0, 0.0]), Constant(K=1.0), x0)
     exact = math.exp(-2.0) * x0
 
     print(f"{'step':>10} {'error':>12} {'ratio':>8} {'order':>7}")

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import config as config_mod
 from .analysis import (
+    CLAIM_NAMES,
     PASS,
     POWER_MODEL,
     QUANTITIES,
@@ -79,14 +80,13 @@ def _compute_fits(traj: Trajectory, cfg: ExperimentConfig):
 def execute(cfg: ExperimentConfig) -> ExperimentResult:
     """Integrate the configured problem and evaluate fits and claims."""
     problem = cfg.problem
-    traj = integrate(problem, horizon=cfg.horizon, step=cfg.step, sample_every=cfg.sample_every)
+    traj = integrate(problem, cfg.horizon, cfg.step, cfg.sample_every, cfg.method)
     reparam_gap = None
-    if "time_rescaling_equivalence" not in claim_premises(problem):
+    if "time_rescaling_equivalence" not in claim_premises(problem, cfg.method):
         reparam_gap = reparam_check(problem.objective, problem.schedule, problem.x0,
                                     horizon=cfg.horizon, step=cfg.step)
     fits = _compute_fits(traj, cfg)
-    claims = theorem_verdict(traj, fits, requested_theta=cfg.requested_theta,
-                             reparam_gap=reparam_gap)
+    claims = theorem_verdict(traj, fits, reparam_gap=reparam_gap)
     return ExperimentResult(cfg, traj, fits, claims, reparam_gap)
 
 
@@ -281,7 +281,7 @@ def cmd_check(args) -> int:
     rows.append(("start point feasible", "pass" if feas <= 1e-12 else "fail",
                  f"residual {feas:.3g}"))
     rows.extend((label, status, _evidence_text(evidence))
-                for label, status, evidence in schedule_premises(problem, cfg.horizon))
+                for label, status, evidence in schedule_premises(problem, cfg.horizon, cfg.method))
 
     # np.max keeps a NaN error wherever it falls; Python's max may drop it
     worst_grad = float(np.max([grad_check(obj, pt)
@@ -303,13 +303,16 @@ def cmd_check(args) -> int:
 
     rows.extend(_projection_rows(domain, rng))
 
-    # an expected claim whose premise fails would exit 4 under run --strict
-    premises = claim_premises(problem, cfg.requested_theta)
-    for label, claim in (("symmetric-set assertion", "strong_convergence_symmetric_even"),
-                         ("interior-argmin assertion", "strong_convergence_interior_argmin")):
-        if claim in cfg.expect:
-            reason = premises.get(claim)
-            rows.append((label, "fail" if reason else "pass", reason or ""))
+    # an expected claim whose premise fails would exit 4 under run --strict.
+    # Claims 1 and 2 keep their assertion rows, pass or fail; any other
+    # expected claim gets a row only when its premise fails.
+    premises = claim_premises(problem, cfg.method)
+    labels = dict(zip(CLAIM_NAMES[1:3], ("symmetric-set assertion", "interior-argmin assertion")))
+    for claim in (c for c in CLAIM_NAMES if c in cfg.expect):
+        reason = premises.get(claim)
+        if reason or claim in labels:
+            rows.append((labels.get(claim, f"{claim} premise"), "fail" if reason else "pass",
+                         reason or ""))
 
     print(f"check {cfg.name}")
     width = max(len(label) for label, _, _ in rows)

@@ -3,7 +3,7 @@
 The format is one `section.key = value` pair per line, `#` comments, no
 nesting.  Catalog pieces are named by `problem.set`, `problem.objective`,
 and `problem.schedule`; their parameters live under `set.*`, `objective.*`,
-and `schedule.*`.
+and `schedule.*`. `problem.system` spells the clock and the method.
 """
 
 from __future__ import annotations
@@ -17,12 +17,14 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import CLAIM_NAMES, claim_premises
+from .analysis import CLAIM_NAMES, STATIONARY_REASON, claim_premises
 from .errors import InvalidInputError
 from .flow import (
     DEFAULT_HORIZON,
     DEFAULT_SAMPLE_EVERY,
     DEFAULT_STEP,
+    EULER,
+    RK4,
     FlowProblem,
     check_numerics,
     check_replay,
@@ -53,6 +55,7 @@ from .schedules import Constant, Power, PowerGE1, Schedule
 SET_KINDS = ("wholespace", "box", "ball", "halfspace", "hyperplane", "simplex")
 OBJECTIVE_KINDS = ("quadratic", "even_quartic", "flat_bottom", "power")
 SCHEDULE_FAMILIES = ("constant", "power", "power_ge1")
+SYSTEMS = ("projected", "scaled", "unscaled", "discrete")
 # Keys that only one kind of system reads.
 NUMERICS_KEYS = ("numerics.step", "numerics.horizon", "numerics.sample_every")
 DISCRETE_KEYS = ("discrete.alpha", "discrete.steps")
@@ -137,25 +140,28 @@ def _as_names(raw) -> tuple:
 
 @dataclass(eq=False)
 class ExperimentConfig:
-    """A built run: its problem, its numerics, what to check, and where to
-    write. A discrete run takes ``discrete.steps`` Euler steps of size 1,
-    one per sample."""
+    """A built run: its problem, the method that integrates it (flow.RK4, or
+    flow.EULER for ``discrete.steps`` steps of size 1), its numerics, what
+    to check, and where to write."""
 
     name: str
     problem: FlowProblem
+    method: str
     step: float
     horizon: float
     sample_every: float
     window_fraction: float
     reference_z: Optional[np.ndarray]
     expect: tuple
-    requested_theta: Optional[float]
     trajectory_path: str
     report_path: str
 
     @property
     def system(self) -> str:
-        return self.problem.system
+        """The run's label, from its method and its set."""
+        if self.method == EULER:
+            return "discrete"
+        return "scaled" if isinstance(self.problem.domain, WholeSpace) else "projected"
 
 
 def _build_set(bag: _KeyBag, kind: str) -> ConvexSet:
@@ -284,13 +290,13 @@ def _build_discrete(bag: _KeyBag) -> tuple:
 def build_config(pairs: dict, name: str = "experiment") -> ExperimentConfig:
     """Validate raw pairs and build the run they describe.
 
-    FlowProblem alone rules which set, objective, schedule, start and system
-    make a run; ``problem.system = unscaled`` spells the scaled system on
-    the unit clock, Constant(K=1), and ``problem.system = discrete`` the
-    clock Constant(K=discrete.alpha) stepped discrete.steps times at
-    step 1; neither takes a schedule. numerics.* keys are read for
-    continuous systems only, discrete.* keys for the discrete one; any
-    other key is an error.
+    ``problem.system`` picks the method and the clock: ``projected`` and
+    ``scaled`` run RK4 on the configured schedule, ``scaled`` only on
+    WholeSpace; ``unscaled`` runs RK4 on WholeSpace on the unit clock,
+    Constant(K=1); ``discrete`` runs Euler on the clock
+    Constant(K=discrete.alpha) for discrete.steps steps of size 1. The last
+    two take no schedule. numerics.* keys are read for RK4 runs only,
+    discrete.* keys for the discrete one; any other key is an error.
     """
     bag = _KeyBag(pairs)
     name = bag.take("name", name)
@@ -300,36 +306,40 @@ def build_config(pairs: dict, name: str = "experiment") -> ExperimentConfig:
     objective = _build_objective(bag, domain, set_kind)
     schedule = _build_schedule(bag)
     system = bag.take("problem.system", "projected").lower()
+    if system not in SYSTEMS:
+        raise ConfigError(f"problem: unknown system {system!r}, expected one of {SYSTEMS}")
+    method = EULER if system == "discrete" else RK4
+    own_clock = {"unscaled": "runs on the unit clock",
+                 "discrete": "takes its step from discrete.alpha"}.get(system)
+    if own_clock and schedule is not None:
+        raise ConfigError(f"problem: the {system} system {own_clock}; it takes no schedule")
+    if system in ("scaled", "unscaled") and set_kind != "wholespace":
+        raise ConfigError("problem: the scaled system is unconstrained; use WholeSpace")
     if system == "unscaled":
-        if schedule is not None:
-            raise ConfigError("problem: the unscaled system runs on the unit clock; "
-                              "it takes no schedule")
         schedule = Constant(K=1.0)
     elif system == "discrete":
-        if schedule is not None:
-            raise ConfigError("problem: the discrete system takes its step from discrete.alpha; "
-                              "it takes no schedule")
         schedule, horizon = _build_discrete(bag)
         step = sample_every = 1.0
+    elif schedule is None:
+        raise ConfigError(f"problem: the {system} system needs a schedule")
     x0 = _as_vector("problem.x0", bag.take("problem.x0"))
     try:
-        problem = FlowProblem(domain, objective, schedule, x0,
-                              "scaled" if system == "unscaled" else system)
+        problem = FlowProblem(domain, objective, schedule, x0)
     except InvalidInputError as exc:
         raise ConfigError(f"problem: {exc}") from None
 
-    if system != "discrete":
+    if method == RK4:
         step = _as_float("numerics.step", bag.take("numerics.step", repr(DEFAULT_STEP)))
         horizon = _as_float(
             "numerics.horizon", bag.take("numerics.horizon", repr(DEFAULT_HORIZON)))
         sample_every = _as_float(
             "numerics.sample_every", bag.take("numerics.sample_every", repr(DEFAULT_SAMPLE_EVERY)))
     try:
-        check_numerics(domain, horizon, step, sample_every, system)
-        if "time_rescaling_equivalence" not in claim_premises(problem):
+        check_numerics(domain, horizon, step, sample_every, method)
+        if "time_rescaling_equivalence" not in claim_premises(problem, method):
             check_replay(problem.schedule, horizon, step)
     except InvalidInputError as exc:
-        key = "discrete.steps" if system == "discrete" else "numerics"
+        key = "discrete.steps" if method == EULER else "numerics"
         raise ConfigError(f"{key}: {exc}") from None
 
     window_fraction = _as_float(
@@ -346,17 +356,16 @@ def build_config(pairs: dict, name: str = "experiment") -> ExperimentConfig:
         if claim not in CLAIM_NAMES:
             raise ConfigError(
                 f"analysis.expect: unknown claim {claim!r} (choose from {CLAIM_NAMES})")
-    requested_theta = None
-    if bag.has("analysis.theta"):
-        requested_theta = _as_float("analysis.theta", bag.take("analysis.theta"))
-        if not 0.0 < requested_theta <= 1.0:
-            raise ConfigError("analysis.theta must lie in (0, 1]")
+        if claim == CLAIM_NAMES[5]:
+            # run --strict would always exit 4 on it
+            raise ConfigError(f"analysis.expect: {claim} can no longer be witnessed: "
+                              f"{STATIONARY_REASON}")
 
     trajectory_path = bag.take("output.trajectory_path", "trajectory.csv")
     report_path = bag.take("output.report_path", "report.csv")
 
     foreign, reader = ((NUMERICS_KEYS, "a continuous problem.system (projected, scaled, unscaled)")
-                       if system == "discrete" else (DISCRETE_KEYS, "problem.system = discrete"))
+                       if method == EULER else (DISCRETE_KEYS, "problem.system = discrete"))
     misplaced = [key for key in foreign if bag.has(key)]
     if misplaced:
         raise ConfigError(f"{', '.join(misplaced)}: read only by {reader}, "
@@ -365,13 +374,13 @@ def build_config(pairs: dict, name: str = "experiment") -> ExperimentConfig:
     return ExperimentConfig(
         name=name,
         problem=problem,
+        method=method,
         step=step,
         horizon=horizon,
         sample_every=sample_every,
         window_fraction=window_fraction,
         reference_z=reference_z,
         expect=expect,
-        requested_theta=requested_theta,
         trajectory_path=trajectory_path,
         report_path=report_path,
     )

@@ -1,31 +1,26 @@
 """Integration of the projected gradient flow and of its discrete iteration.
 
-Every run integrates the one vector field
+A problem is a set, an objective, a schedule and a start; every run
+integrates its one vector field
 
     F(t, x) = P(x - lambda(t) grad f(x)) - x
 
-The system label does not change the field; it fixes the set and the
-method, and with the rest of the problem it decides which of the paper's
-claims a run can witness (``analysis.claim_premises``):
+which on WholeSpace is -lambda(t) grad f(x), and -grad f(x) on the unit
+clock Constant(K=1). The method belongs to the numerics: ``integrate``
+steps F with "rk4", fixed-step classic Runge-Kutta, for the flow
+x' + x = P(x - lambda(t) grad f(x)), or with "euler", forward Euler at
+h = 1 (_euler_rows), whose step x + F(x) is the projected point itself:
+on the clock Constant(K=a), the iteration x_{k+1} = P(x_k - a grad f(x_k)).
+The method and the set decide which of the paper's claims a run can
+witness (``analysis.claim_premises``). On a set, a whole RK4 step is a
+convex combination of the current state and the four projected stage
+points (see PROJECTED_STEP_MAX), so in exact arithmetic it does not
+leave the set. Only rounding can, so feasibility is restored once per
+sample rather than per substep: the sample's distance from the set is
+recorded as feas_drift and the state is replaced by its projection
+whenever that distance is positive. On WholeSpace, and for Euler, it is 0.
 
-- "projected":  x' + x = P(x - lambda(t) grad f(x)), the constrained flow
-- "scaled":     the same flow on WholeSpace, where P is the identity and
-                F = -lambda(t) grad f(x); on the unit clock, Constant(K=1),
-                it is the unscaled flow y' = -grad f(y)
-- "discrete":   x_{k+1} = P(x_k - a grad f(x_k)), the classical iteration:
-                forward Euler at h = 1 on F with lambda = a, Constant(K=a)
-
-Continuous systems step with fixed-step classic Runge-Kutta, the discrete
-one with forward Euler at h = 1 (_euler_rows), whose step x + F(x) is the
-projected point itself. On a set, a whole RK4 step is a convex
-combination of the current state and the four projected stage points
-(see PROJECTED_STEP_MAX), so in exact arithmetic it does not leave the
-set. Only rounding can, so feasibility is restored once per sample
-rather than per substep: the sample's distance from the set is recorded
-as feas_drift and the state is replaced by its projection whenever that
-distance is positive. On WholeSpace, and on the discrete system, it is 0.
-
-A continuous run of at most FLOAT_MAX_DIM coordinates, whose ``grad_fn``
+An RK4 run of at most FLOAT_MAX_DIM coordinates, whose ``grad_fn``
 and ``_project`` are marked as taking floats (``geometry.takes_floats``),
 steps a list of Python floats through those point kernels (_rk4_floats):
 on a 2-d state numpy spends more on dispatching its about 45 calls per
@@ -60,7 +55,9 @@ from .geometry import (
 from .objectives import Objective, row_blocks
 from .schedules import Constant, Schedule
 
-SYSTEMS = ("projected", "scaled", "discrete")
+RK4 = "rk4"
+EULER = "euler"
+METHODS = (RK4, EULER)
 
 DIVERGENCE_NORM = 1e12
 _GUARD_SQ = DIVERGENCE_NORM * DIVERGENCE_NORM
@@ -94,18 +91,11 @@ class FlowProblem:
     objective: Objective
     schedule: Schedule
     x0: np.ndarray
-    system: str = "projected"
 
     def __post_init__(self):
-        if self.system not in SYSTEMS:
-            raise InvalidInputError(f"unknown system {self.system!r}, expected one of {SYSTEMS}")
         self.x0 = as_point(self.x0, self.objective.dim)
         if self.domain.dim is not None and self.domain.dim != self.x0.size:
             raise InvalidInputError("domain and starting point dimensions differ")
-        if self.system == "scaled" and not isinstance(self.domain, WholeSpace):
-            raise InvalidInputError("the scaled system is unconstrained; use WholeSpace")
-        if self.schedule is None:
-            raise InvalidInputError(f"the {self.system} system needs a schedule")
 
 
 @dataclass(eq=False)
@@ -121,6 +111,7 @@ class Trajectory:
     dist_argmin: Optional[np.ndarray]
     problem: FlowProblem
     f_star_source: str = ANALYTIC
+    method: str = RK4
 
     @property
     def horizon(self) -> float:
@@ -163,13 +154,13 @@ def _sample_grid(horizon: float, sample_every: float) -> np.ndarray:
 
 
 def check_numerics(domain: ConvexSet, horizon: float, step: float, sample_every: float,
-                   system: str = "projected") -> None:
+                   method: str = RK4) -> None:
     """Raise InvalidInputError unless a run fits the integrator.
 
     It needs a positive finite horizon and ``0 < step <= sample_every``.
     On any set but WholeSpace, ``step <= PROJECTED_STEP_MAX``; the whole
     space has no set to leave. A run may take at most MAX_RK4_STEPS steps,
-    Euler steps on the discrete system, and MAX_SAMPLES samples.
+    RK4 or Euler, and MAX_SAMPLES samples.
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise InvalidInputError("horizon must be positive and finite")
@@ -182,7 +173,7 @@ def check_numerics(domain: ConvexSet, horizon: float, step: float, sample_every:
     if horizon / step > MAX_RK4_STEPS:
         raise InvalidInputError(
             f"horizon {horizon:g} / step {step:g} = {horizon / step:.3g} "
-            f"{'Euler' if system == 'discrete' else 'RK4'} steps, "
+            f"{'Euler' if method == EULER else 'RK4'} steps, "
             f"above the limit of {MAX_RK4_STEPS:.0e}")
     if horizon / sample_every > MAX_SAMPLES:
         raise InvalidInputError(
@@ -317,49 +308,52 @@ def integrate(
     horizon: float = DEFAULT_HORIZON,
     step: float = DEFAULT_STEP,
     sample_every: float = DEFAULT_SAMPLE_EVERY,
+    method: str = RK4,
 ) -> Trajectory:
-    """Run classic fixed-step RK4 up to ``horizon``, or forward Euler on
-    the discrete system.
+    """Run ``method`` up to ``horizon``: classic fixed-step RK4, or forward
+    Euler at h = 1, the discrete iteration.
 
     Samples land on multiples of ``sample_every`` plus t=0 and t=horizon;
     each inter-sample segment is subdivided into equal substeps no larger
-    than ``step``. The numerics must pass check_numerics. The discrete
-    system takes ``horizon`` Euler steps of size 1, one per sample, so it
-    needs a whole horizon and step = sample_every = 1. Raises
-    DivergenceError, carrying the failure time, as soon as the state norm
-    passes 1e12 or stops being finite. A continuous run of at most
-    FLOAT_MAX_DIM coordinates whose kernels take floats steps as a list of
-    floats; any other run as a one-row array, with the same RK4 floats
-    where both apply.
+    than ``step``. The numerics must pass check_numerics. Euler takes
+    ``horizon`` steps of size 1, one per sample, so it needs a whole
+    horizon and step = sample_every = 1. Raises DivergenceError, carrying
+    the failure time, as soon as the state norm passes 1e12 or stops being
+    finite. An RK4 run of at most FLOAT_MAX_DIM coordinates whose kernels
+    take floats steps as a list of floats; any other run as a one-row
+    array, with the same RK4 floats where both apply. The trajectory
+    records its method.
     """
-    check_numerics(problem.domain, horizon, step, sample_every, problem.system)
-    if problem.system == "discrete" and not (step == sample_every == 1.0 and horizon % 1.0 == 0.0):
+    if method not in METHODS:
+        raise InvalidInputError(f"unknown method {method!r}, expected one of {METHODS}")
+    check_numerics(problem.domain, horizon, step, sample_every, method)
+    if method == EULER and not (step == sample_every == 1.0 and horizon % 1.0 == 0.0):
         raise InvalidInputError(
-            "the discrete system takes a whole horizon of Euler steps of size 1, one per sample; "
-            f"got horizon {horizon:g}, step {step:g}, sample_every {sample_every:g}")
+            "the discrete iteration takes a whole horizon of Euler steps of size 1, one per "
+            f"sample; got horizon {horizon:g}, step {step:g}, sample_every {sample_every:g}")
     # every run starts in the set; `pgflow check` reports this as a row instead
     if problem.domain.residual(problem.x0) > 1e-12:
         raise InvalidInputError("starting point must lie in the feasible set")
     sample_times = _sample_grid(horizon, sample_every)
-    loop = _rk4_floats if _on_floats(problem) else _rk4_rows
-    if problem.system == "discrete":
+    if method == EULER:
         states, drifts = _euler_rows(problem, sample_times)
     else:
+        loop = _rk4_floats if _on_floats(problem) else _rk4_rows
         states, drifts = loop(problem, sample_times, step)
-    return _assemble(problem, sample_times, states, drifts)
+    return _assemble(problem, sample_times, states, drifts, method)
 
 
-def _assemble(problem, times, states, drifts) -> Trajectory:
+def _assemble(problem, times, states, drifts, method) -> Trajectory:
     """Build the Trajectory record of a sampled run from its (m, n) states,
-    with the row kernels for f, dist_argmin and a continuous run's speed
-    |F|, called on blocks of rows (objectives.row_blocks) so that their
-    temporaries stay small whatever n is. A discrete run's speed is the
+    with the row kernels for f, dist_argmin and an RK4 run's speed |F|,
+    called on blocks of rows (objectives.row_blocks) so that their
+    temporaries stay small whatever n is. An Euler run's speed is the
     step that reached each sample, |x_k - x_{k-1}|, and 0 at the start."""
     obj, opt = problem.objective, problem.objective.optimum
     xs = np.ascontiguousarray(states, dtype=float)
     fvals = np.empty(len(xs))
     dist_argmin = None if opt is None else np.empty(len(xs))
-    if problem.system == "discrete":
+    if method == EULER:
         field, speed = None, np.concatenate([[0.0], np.linalg.norm(np.diff(xs, axis=0), axis=1)])
     else:
         field, speed = _field(problem, rows=True), np.empty(len(xs))
@@ -385,6 +379,7 @@ def _assemble(problem, times, states, drifts) -> Trajectory:
         dist_argmin=dist_argmin,
         problem=problem,
         f_star_source=source,
+        method=method,
     )
 
 
@@ -426,12 +421,12 @@ def reparam_check(
     space = WholeSpace(as_point(x0).size)
     g_end, h = check_replay(schedule, horizon, step)
     scaled = integrate(
-        FlowProblem(space, objective, schedule, x0, system="scaled"),
+        FlowProblem(space, objective, schedule, x0),
         horizon=horizon,
         step=step,
         sample_every=max(step, horizon / 500.0),
     )
-    unscaled = integrate(FlowProblem(space, objective, Constant(K=1.0), x0, system="scaled"),
+    unscaled = integrate(FlowProblem(space, objective, Constant(K=1.0), x0),
                          horizon=g_end, step=h, sample_every=h)
     # np.interp's formula on every coordinate of a block of samples at
     # once; g = gamma(horizon) is the replay's last sample and takes it exactly.

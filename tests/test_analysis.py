@@ -16,6 +16,7 @@ from pgflow.analysis import (
     PASS,
     POWER_MODEL,
     REPORT_HEADER,
+    STATIONARY_REASON,
     TRAJ_ERR,
     ClaimVerdict,
     RateReport,
@@ -29,7 +30,7 @@ from pgflow.analysis import (
     write_report_csv,
 )
 from pgflow.errors import InvalidInputError
-from pgflow.flow import ANALYTIC, FlowProblem, Trajectory, integrate
+from pgflow.flow import ANALYTIC, EULER, RK4, FlowProblem, Trajectory, integrate
 from pgflow.geometry import Ball, Box, WholeSpace
 from pgflow.objectives import (
     Desingularizer,
@@ -65,8 +66,8 @@ def synth_traj(t, f_gap, problem, x=None, gamma=None):
     )
 
 
-def wholespace_problem(schedule=Power(K=1.0, alpha=0.5), x0=(1.0, 0.0), system="projected"):
-    return FlowProblem(WholeSpace(2), quadratic([0.0, 0.0]), schedule, list(x0), system=system)
+def wholespace_problem(schedule=Power(K=1.0, alpha=0.5), x0=(1.0, 0.0)):
+    return FlowProblem(WholeSpace(2), quadratic([0.0, 0.0]), schedule, list(x0))
 
 
 class TestDiagnostics:
@@ -354,39 +355,32 @@ class TestTheoremVerdict:
         assert v.status == INAPPLICABLE
         assert "bounded" in v.detail
 
-    def test_stationary_claim_exact_zero_displacement(self):
+    def test_stationary_claim_is_never_witnessed(self):
+        # an argmin start stays put, yet the claim tests no theorem of the
+        # paper, which assumes theta in (0, 1/2]
         prob = FlowProblem(WholeSpace(2), quadratic([1.0, -1.0]),
                            Power(K=1.0, alpha=0.5), [1.0, -1.0])
         traj = integrate(prob, horizon=2.0, step=1e-2, sample_every=0.1)
-        v = self.claim(theorem_verdict(traj, requested_theta=0.75), CLAIM_NAMES[5])
-        assert v.status == PASS
-        assert v.value == 0.0
-
-    def test_stationary_claim_fails_off_argmin(self):
-        prob = FlowProblem(WholeSpace(2), quadratic([1.0, -1.0]),
-                           Power(K=1.0, alpha=0.5), [0.0, 0.0])
-        traj = integrate(prob, horizon=2.0, step=1e-2, sample_every=0.1)
-        v = self.claim(theorem_verdict(traj, requested_theta=0.75), CLAIM_NAMES[5])
-        assert v.status == FAIL
-
-    def test_stationary_claim_needs_high_theta(self):
-        prob = wholespace_problem()
-        traj = integrate(prob, horizon=1.0, step=1e-2, sample_every=0.1)
-        v = self.claim(theorem_verdict(traj, requested_theta=0.4), CLAIM_NAMES[5])
-        assert v.status == INAPPLICABLE
+        assert np.all(traj.x == traj.x[0])
+        v = self.claim(theorem_verdict(traj), CLAIM_NAMES[5])
+        assert (v.status, v.detail, v.value) == (INAPPLICABLE, STATIONARY_REASON, None)
 
     def test_rescaling_claim_thresholds(self):
-        prob = wholespace_problem(system="scaled")
+        prob = wholespace_problem()
         traj = integrate(prob, horizon=1.0, step=1e-2, sample_every=0.1)
         assert self.claim(theorem_verdict(traj, reparam_gap=1e-6), CLAIM_NAMES[6]).status == PASS
         assert self.claim(theorem_verdict(traj, reparam_gap=1e-3), CLAIM_NAMES[6]).status == FAIL
         assert self.claim(theorem_verdict(traj), CLAIM_NAMES[6]).status == INAPPLICABLE
 
-    def test_rescaling_claim_requires_scaled_system(self):
-        prob = wholespace_problem()
-        traj = integrate(prob, horizon=1.0, step=1e-2, sample_every=0.1)
-        v = self.claim(theorem_verdict(traj, reparam_gap=1e-6), CLAIM_NAMES[6])
-        assert v.status == INAPPLICABLE
+    def test_rescaling_claim_requires_an_rk4_run_on_wholespace(self):
+        on_ball = FlowProblem(Ball([0.0, 0.0], 2.0), quadratic([0.0, 0.0]),
+                              Power(K=1.0, alpha=0.5), [1.0, 0.0])
+        runs = (integrate(on_ball, horizon=1.0, step=1e-2, sample_every=0.1),
+                integrate(wholespace_problem(), horizon=2.0, step=1.0, sample_every=1.0,
+                          method=EULER))
+        for traj in runs:
+            v = self.claim(theorem_verdict(traj, reparam_gap=1e-6), CLAIM_NAMES[6])
+            assert (v.status, v.detail) == (INAPPLICABLE, "requires an RK4 run on WholeSpace")
 
     def test_every_claim_reported_once(self):
         prob = wholespace_problem()
@@ -398,16 +392,19 @@ class TestTheoremVerdict:
 SYM_BOX = Box([-1.0, -1.0], [1.0, 1.0])
 QUARTER = make_power_objective(quadratic([0.0, 0.0]), theta=0.25)
 
-# claim index, reason, then the changes to a base problem (projected, SYM_BOX,
-# quadratic centred at 0, Power(1, 1/2), no requested theta) that make the
-# run lack that one premise, and the changes that give a run that has it
+ON_SET = "requires an RK4 run on a set other than WholeSpace"
+ON_WHOLESPACE = "requires an RK4 run on WholeSpace"
+
+# claim index, reason, then the changes to a base run (RK4 on SYM_BOX,
+# quadratic centred at 0, Power(1, 1/2)) that make the run lack that one
+# premise, and the changes that give a run that has it
 PREMISE_CASES = {
-    "system": (0, "requires the projected system",
-               {"system": "scaled", "domain": WholeSpace(2)}, {"domain": WholeSpace(2)}),
-    "system-symmetric": (1, "requires the projected system",
-                         {"system": "scaled", "domain": WholeSpace(2)}, {"domain": WholeSpace(2)}),
-    "system-interior": (2, "requires the projected system",
-                        {"system": "scaled", "domain": WholeSpace(2)}, {"domain": WholeSpace(2)}),
+    "wholespace": (0, ON_SET, {"domain": WholeSpace(2)}, {}),
+    "wholespace-symmetric": (1, ON_SET, {"domain": WholeSpace(2)}, {}),
+    "wholespace-interior": (2, ON_SET, {"domain": WholeSpace(2)}, {}),
+    "euler": (0, ON_SET, {"method": EULER}, {}),
+    "euler-symmetric": (1, ON_SET, {"method": EULER}, {}),
+    "euler-interior": (2, ON_SET, {"method": EULER}, {}),
     "gap-clock": (0, "schedule clock is bounded", {"schedule": PowerGE1(K=1.0, alpha=2.0)}, {}),
     "symmetric": (1, "needs an origin-symmetric set and an even objective",
                   {"domain": Box([-1.0, -1.0], [2.0, 2.0])}, {}),
@@ -423,19 +420,22 @@ PREMISE_CASES = {
                        {"objective": QUARTER, "schedule": Constant(K=1.0)}, {"objective": QUARTER}),
     "half-theta": (4, "needs a certified theta of exactly one half", {"objective": QUARTER}, {}),
     "exp-clock": (4, "schedule clock is bounded", {"schedule": PowerGE1(K=1.0, alpha=2.0)}, {}),
-    "requested-theta": (5, "no theta above one half was requested",
-                        {"theta": 0.4}, {"theta": 0.75}),
-    "scaled": (6, "requires the scaled system",
-               {"domain": WholeSpace(2)}, {"system": "scaled", "domain": WholeSpace(2)}),
+    "rescaling-set": (6, ON_WHOLESPACE, {}, {"domain": WholeSpace(2)}),
+    "rescaling-euler": (6, ON_WHOLESPACE, {"domain": WholeSpace(2), "method": EULER},
+                        {"domain": WholeSpace(2)}),
     "unit-clock": (6, "the unit clock has nothing to rescale",
-                   {"system": "scaled", "domain": WholeSpace(2), "schedule": Constant(K=1.0)},
-                   {"system": "scaled", "domain": WholeSpace(2), "schedule": Constant(K=2.0)}),
+                   {"domain": WholeSpace(2), "schedule": Constant(K=1.0)},
+                   {"domain": WholeSpace(2), "schedule": Constant(K=2.0)}),
 }
 
 
-def premise_problem(system="projected", domain=SYM_BOX, objective=quadratic([0.0, 0.0]),
-                    schedule=Power(K=1.0, alpha=0.5), theta=None):
-    return FlowProblem(domain, objective, schedule, [0.5, 0.0], system=system), theta
+def premise_run(method=RK4, domain=SYM_BOX, objective=quadratic([0.0, 0.0]),
+                schedule=Power(K=1.0, alpha=0.5)):
+    """The problem, the method and a short run of it."""
+    problem = FlowProblem(domain, objective, schedule, [0.5, 0.0])
+    grid = (dict(horizon=1.0, step=1.0, sample_every=1.0) if method == EULER
+            else dict(horizon=1.0, step=0.05, sample_every=0.1))
+    return problem, method, integrate(problem, method=method, **grid)
 
 
 class TestClaimPremises:
@@ -444,22 +444,25 @@ class TestClaimPremises:
     def test_each_premise_is_the_reported_reason(self, index, reason, lacking, control):
         claim = CLAIM_NAMES[index]
         for changes, lacks in ((lacking, True), (control, False)):
-            problem, theta = premise_problem(**changes)
-            assert claim_premises(problem, theta).get(claim) == (reason if lacks else None)
-            traj = integrate(problem, horizon=1.0, step=0.05, sample_every=0.1)
-            verdict = theorem_verdict(traj, requested_theta=theta)[index]
+            problem, method, traj = premise_run(**changes)
+            assert claim_premises(problem, method).get(claim) == (reason if lacks else None)
+            verdict = theorem_verdict(traj)[index]
             assert verdict.name == claim
             if lacks:
                 assert (verdict.status, verdict.detail) == (INAPPLICABLE, reason)
             else:
                 assert verdict.detail != reason
 
+    @pytest.mark.parametrize("method", [RK4, EULER])
+    def test_the_stationary_claim_is_always_listed(self, method):
+        problem, _, _ = premise_run(method=method, domain=WholeSpace(2))
+        assert claim_premises(problem, method)[CLAIM_NAMES[5]] == STATIONARY_REASON
+
 
 class TestLojasiewiczEnvelope:
     def test_unscaled_quadratic_respects_closed_form_bound(self):
         # kappa = 1, theta = 1/2: h(t) must stay under h(0) e^{-2t} + 1e-6
-        prob = FlowProblem(WholeSpace(2), quadratic([0.0, 0.0]), Constant(K=1.0), [1.0, 0.0],
-                           system="scaled")
+        prob = FlowProblem(WholeSpace(2), quadratic([0.0, 0.0]), Constant(K=1.0), [1.0, 0.0])
         traj = integrate(prob, horizon=5.0, step=1e-3, sample_every=0.05)
         series = diagnostics(traj, [0.0, 0.0], desing=Desingularizer(1.0, 0.5))
         bound = series.lojasiewicz_h[0] * np.exp(-2.0 * traj.t) + 1e-6

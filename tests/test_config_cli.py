@@ -20,7 +20,7 @@ import pytest
 
 import pgflow
 from pgflow import cli, flow
-from pgflow.analysis import REPORT_HEADER, diagnostics
+from pgflow.analysis import CLAIM_NAMES, REPORT_HEADER, diagnostics
 from pgflow.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VERDICT, EXIT_WORKER, main
 from pgflow.config import (
     ConfigError,
@@ -53,6 +53,12 @@ def discrete_pairs(**extra):
     pairs = minimal_pairs(**{"problem.system": "discrete"}, **extra)
     del pairs["problem.schedule"]
     return pairs
+
+
+def on_wholespace(pairs):
+    """pairs with the ball of minimal_pairs replaced by the plane."""
+    pairs = {k: v for k, v in pairs.items() if k not in ("set.center", "set.radius")}
+    return {**pairs, "problem.set": "wholespace", "set.dim": "2"}
 
 
 class TestParsePairs:
@@ -184,11 +190,36 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="unknown claim 'nonsense'"):
             build_config(minimal_pairs(**{"analysis.expect": "nonsense"}))
 
-    def test_requested_theta_bounds(self):
-        with pytest.raises(ConfigError, match="analysis.theta"):
-            build_config(minimal_pairs(**{"analysis.theta": "0"}))
-        cfg = build_config(minimal_pairs(**{"analysis.theta": "0.8"}))
-        assert cfg.requested_theta == 0.8
+    def test_analysis_theta_is_an_unknown_key(self):
+        with pytest.raises(ConfigError, match="unknown config keys: analysis.theta"):
+            build_config(minimal_pairs(**{"analysis.theta": "0.8"}))
+
+    def test_expecting_the_stationary_claim_is_rejected(self):
+        # run --strict could never pass on it: no run witnesses theta above 1/2
+        with pytest.raises(ConfigError, match="stationary_above_half_theta can no longer "
+                                              "be witnessed: the paper assumes 0 < theta <= 1/2"):
+            build_config(minimal_pairs(**{"analysis.expect": "stationary_above_half_theta"}))
+
+    @pytest.mark.parametrize("system", ["scaled", "unscaled"])
+    def test_scaled_spellings_need_wholespace(self, system):
+        pairs = minimal_pairs(**{"problem.system": system})
+        if system == "unscaled":
+            del pairs["problem.schedule"]
+        with pytest.raises(ConfigError, match="problem: the scaled system is unconstrained; "
+                                              "use WholeSpace"):
+            build_config(pairs)
+
+    @pytest.mark.parametrize("pairs, method, label", [
+        (minimal_pairs(), "rk4", "projected"),
+        # projected on WholeSpace is the scaled run, and is labelled so
+        (on_wholespace(minimal_pairs()), "rk4", "scaled"),
+        (discrete_pairs(**{"discrete.alpha": "0.1", "discrete.steps": "3"}), "euler", "discrete"),
+        (on_wholespace(discrete_pairs(**{"discrete.alpha": "0.1", "discrete.steps": "3"})),
+         "euler", "discrete"),
+    ], ids=["projected", "projected-wholespace", "discrete", "discrete-wholespace"])
+    def test_system_spells_the_method(self, pairs, method, label):
+        cfg = build_config(pairs)
+        assert (cfg.method, cfg.system) == (method, label)
 
     def test_schedule_defaults(self):
         cfg = build_config(minimal_pairs(**{"problem.schedule": "power"}))
@@ -429,6 +460,12 @@ REJECTED_CFGS = {
     "zero-discrete-step": DISCRETE_CFG.replace("discrete.alpha = 0.05", "discrete.alpha = 0"),
     "objective-dimension-mismatch": CHEAP_SWEEP_CFG.replace(
         "objective.center = 2,0", "objective.center = 2,0,0"),
+    "unscaled-on-box": CHEAP_SWEEP_CFG.replace(
+        "problem.set = ball\nset.center = 0,0\nset.radius = 1",
+        "problem.set = box\nset.lo = -1,-1\nset.hi = 1,1").replace(
+        "problem.schedule = power\n", "") + "problem.system = unscaled\n",
+    "analysis-theta": CHEAP_SWEEP_CFG + "analysis.theta = 0.8\n",
+    "expect-stationary": CHEAP_SWEEP_CFG + "analysis.expect = stationary_above_half_theta\n",
 }
 
 
@@ -449,6 +486,9 @@ class TestCheckRejectsWhatRunRejects:
         ("discrete-keys-on-projected", "discrete.alpha, discrete.steps: read only by "
                                        "problem.system = discrete, not by problem.system = projected"),
         ("numerics-keys-on-discrete", "numerics.step: read only by a continuous problem.system"),
+        ("unscaled-on-box", "problem: the scaled system is unconstrained; use WholeSpace"),
+        ("analysis-theta", "unknown config keys: analysis.theta"),
+        ("expect-stationary", "stationary_above_half_theta can no longer be witnessed"),
     ])
     def test_error_names_the_key_and_what_reads_it(self, tmp_path, capsys, name, message):
         cfg = tmp_path / f"{name}.cfg"
@@ -493,7 +533,8 @@ class TestCliRun:
         with open(out / cfg.report_path, newline="", encoding="utf-8") as fh:
             rows = {row["quantity"]: row for row in csv.DictReader(fh)}
         row = rows["time_rescaling_equivalence"]
-        assert (row["verdict"], row["reason"]) == ("inapplicable", "requires the scaled system")
+        assert (row["verdict"], row["reason"]) == ("inapplicable",
+                                                   "requires an RK4 run on WholeSpace")
         assert rows["f_gap"]["reason"] == "converged exactly"
         # a rate claim joins the reasons of its two fits, each under its quantity
         assert rows["exponential_decay_rates"]["reason"] == (
@@ -682,7 +723,7 @@ class TestCliCheck:
         ("rate_theta50_alpha50",
          {"analysis.expect": "objective_gap_vanishes_in_gamma_time, "
                              "strong_convergence_interior_argmin"}, "interior-argmin assertion"),
-        # a symmetric set and an even objective, but the claim needs the projected system
+        # a symmetric set and an even objective, but the claim needs an RK4 run on a set
         ("reparam_quadratic", {"objective.center": "0,0", "numerics.horizon": "2",
                                "analysis.expect": "strong_convergence_symmetric_even"},
          "symmetric-set assertion"),
@@ -698,9 +739,85 @@ class TestCliCheck:
         out = str(tmp_path / "out")
         assert main(["run", str(cfg), "--strict", "--out-dir", out]) == EXIT_VERDICT
 
+    @pytest.mark.parametrize("text, row", [
+        # the unit clock has nothing to rescale
+        (UNIT_CLOCK_CFG + "problem.system = unscaled\n",
+         ["time_rescaling_equivalence premise", "fail", "the unit clock has nothing to rescale"]),
+        # a quadratic certifies theta = 1/2 only
+        (CHEAP_SWEEP_CFG + "analysis.expect = power_decay_rates\n",
+         ["power_decay_rates premise", "fail",
+          "needs a sub-linear power schedule and theta below one half"]),
+    ], ids=["unit-clock-rescaling", "ball-quadratic-power-rates"])
+    def test_expected_claim_premise_row(self, tmp_path, capsys, text, row):
+        cfg = tmp_path / "premise.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["check", str(cfg)]) == EXIT_VERDICT
+        out = capsys.readouterr().out
+        rows = [re.split(r"\s{2,}", line.strip()) for line in out.splitlines()
+                if "premise" in line and line.startswith("  ")]
+        assert rows == [row]
+        assert f"check(s) failed: {row[0]}" in out
+        out = str(tmp_path / "out")
+        assert main(["run", str(cfg), "--strict", "--out-dir", out]) == EXIT_VERDICT
+
     @pytest.mark.parametrize("preset", list_presets())
     def test_every_preset_passes(self, capsys, preset):
         assert main(["check", preset]) == EXIT_OK, capsys.readouterr().out
+
+
+CLAIM_SETS = {
+    "wholespace": ({"set.dim": "2"}, "1, 0"),
+    "box": ({"set.lo": "-1, -1", "set.hi": "1, 1"}, "0.5, 0"),
+    "ball": ({"set.center": "0, 0", "set.radius": "1"}, "0.5, 0"),
+    "halfspace": ({"set.normal": "1, 0", "set.offset": "1"}, "0.5, 0"),
+    "hyperplane": ({"set.normal": "1, 1", "set.offset": "1"}, "0.5, 0.5"),
+    "simplex": ({"set.dim": "2"}, "0.5, 0.5"),
+}
+
+I, P, F = "inapplicable", "pass", "fail"
+# (problem.system, problem.set) -> the status of each claim in CLAIM_NAMES'
+# order, recorded when FlowProblem still carried the system label
+RECORDED_CLAIM_STATUSES = {
+    ("projected", "box"): (P, P, P, I, P, I, I),
+    ("projected", "ball"): (P, P, P, I, P, I, I),
+    ("projected", "halfspace"): (P, I, P, I, P, I, I),
+    ("projected", "hyperplane"): (F, I, I, I, I, I, I),
+    ("projected", "simplex"): (P, I, I, I, I, I, I),
+    ("scaled", "wholespace"): (I, I, I, I, P, I, F),
+    ("unscaled", "wholespace"): (I, I, I, I, P, I, I),
+    ("discrete", "ball"): (I, I, I, I, P, I, I),
+    ("discrete", "wholespace"): (I, I, I, I, P, I, I),
+}
+
+
+def claim_statuses(system, kind):
+    """The claim statuses of a short run of an even quadratic on a set."""
+    set_pairs, x0 = CLAIM_SETS[kind]
+    pairs = {"problem.set": kind, **set_pairs, "problem.objective": "quadratic",
+             "objective.center": "0, 0", "problem.x0": x0, "problem.system": system,
+             "analysis.window_fraction": "0.6"}
+    if system == "discrete":
+        pairs.update({"discrete.alpha": "0.1", "discrete.steps": "50"})
+    else:
+        pairs.update({"numerics.horizon": "20", "numerics.step": "0.05"})
+        if system != "unscaled":
+            pairs.update({"problem.schedule": "power", "schedule.K": "4"})
+    res = cli.execute(build_config(pairs))
+    assert tuple(c.name for c in res.claims) == CLAIM_NAMES
+    return tuple(c.status for c in res.claims)
+
+
+class TestRecordedClaimStatuses:
+    @pytest.mark.parametrize("system, kind", sorted(RECORDED_CLAIM_STATUSES))
+    def test_statuses_unchanged(self, system, kind):
+        assert claim_statuses(system, kind) == RECORDED_CLAIM_STATUSES[system, kind]
+
+    def test_projected_on_wholespace_is_the_scaled_system(self):
+        # recorded as (P, P, P, I, P, I, I): claims 0-2 were witnessed and claim
+        # 6 was not. The run is the scaled run, so now its claims are too.
+        got = claim_statuses("projected", "wholespace")
+        assert got[:3] == (I, I, I) and got[6] != I
+        assert got == RECORDED_CLAIM_STATUSES["scaled", "wholespace"]
 
 
 class TestCliSweep:
@@ -983,12 +1100,11 @@ class TestMemoryStaysInBlocks:
         assert peak < 1000 * n * 8
 
     def test_execute_of_a_long_trajectory_stays_in_blocks(self, tmp_path, monkeypatch):
-        # 2001 samples of n = 1000 are 16 MB; the traj_err fits, the claim
-        # 5 displacement and the Lyapunov series each once built one more
+        # 2001 samples of n = 1000 are 16 MB; the traj_err fits and the
+        # Lyapunov series each once built one more
         n = 1000
         pairs = highdim_pairs("ball", n)
-        pairs.update({"numerics.horizon": "20", "numerics.sample_every": "0.01",
-                      "analysis.theta": "0.75"})
+        pairs.update({"numerics.horizon": "20", "numerics.sample_every": "0.01"})
         cfg = tmp_path / "ball.cfg"
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()), encoding="utf-8")
         config = load_config(str(cfg))
@@ -1003,8 +1119,6 @@ class TestMemoryStaysInBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert {c.name for c in res.claims if c.status != "inapplicable"} >= {
-            "stationary_above_half_theta"}
         assert any(rep.quantity == "traj_err" for rep in res.fits)
         assert peak < 1000 * n * 8
 

@@ -144,7 +144,8 @@ class TestRunsAgree:
             got = exc
         try:
             times = _sample_grid(grid["horizon"], grid["sample_every"])
-            want = flow._assemble(problem, times, *flow._rk4_rows(problem, times, grid["step"]))
+            want = flow._assemble(problem, times, *flow._rk4_rows(problem, times, grid["step"]),
+                                  flow.RK4)
         except DivergenceError as exc:
             want = exc
         if isinstance(want, DivergenceError):
@@ -250,7 +251,7 @@ class TestOverflow:
     def test_overflow_in_a_step_is_that_steps_divergence(self):
         # ||x||^10 from (3, 0): Python's ** overflows inside the first steps
         f = make_power_objective(quadratic([0.0, 0.0]), theta=0.1)
-        problem = FlowProblem(WholeSpace(2), f, Constant(K=1.0), [3.0, 0.0], system="scaled")
+        problem = FlowProblem(WholeSpace(2), f, Constant(K=1.0), [3.0, 0.0])
         with pytest.raises(DivergenceError) as exc:
             integrate(problem, horizon=5.0, step=0.5, sample_every=0.5)
         assert exc.value.time == 0.5

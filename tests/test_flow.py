@@ -2,10 +2,8 @@
 against its written-out loop, and the trajectory record contract."""
 
 import dataclasses
-import importlib.util
 import math
 import pickle
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,15 +52,15 @@ class TestRhs:
         np.testing.assert_allclose(rhs(p, 0.0, [1.5]), [-0.5])
 
     def test_unscaled(self):
-        p = FlowProblem(WholeSpace(2), unit_quadratic(), Constant(K=1.0), [1.0, 1.0], system="scaled")
+        p = FlowProblem(WholeSpace(2), unit_quadratic(), Constant(K=1.0), [1.0, 1.0])
         np.testing.assert_allclose(rhs(p, 3.0, [1.0, 1.0]), [-2.0, -2.0])
 
     def test_scaled_uses_schedule(self):
-        p = FlowProblem(WholeSpace(2), unit_quadratic(), Power(K=1.0, alpha=0.5), [1.0, 0.0], system="scaled")
+        p = FlowProblem(WholeSpace(2), unit_quadratic(), Power(K=1.0, alpha=0.5), [1.0, 0.0])
         np.testing.assert_allclose(rhs(p, 3.0, [1.0, 0.0]), [-1.0, 0.0])  # lambda(3) = 1/2
 
     def test_discrete_field_takes_its_step_as_lambda(self):
-        p = FlowProblem(WholeSpace(2), unit_quadratic(), Constant(K=0.25), [1.0, 0.0], system="discrete")
+        p = FlowProblem(WholeSpace(2), unit_quadratic(), Constant(K=0.25), [1.0, 0.0])
         np.testing.assert_allclose(rhs(p, 3.0, [1.0, 0.0]), [-0.5, 0.0])
 
 
@@ -84,15 +82,6 @@ class TestProblemValidation:
         with pytest.raises(InvalidInputError, match="takes no schedule"):
             build_config({**pairs, "problem.schedule": "constant"})
 
-    @pytest.mark.parametrize("system", flow.SYSTEMS)
-    def test_every_system_needs_a_schedule(self, system):
-        with pytest.raises(InvalidInputError, match="needs a schedule"):
-            FlowProblem(WholeSpace(2), unit_quadratic(), None, [1.0, 0.0], system=system)
-
-    def test_constrained_set_rejected_for_unconstrained_system(self):
-        with pytest.raises(InvalidInputError):
-            FlowProblem(Ball([0.0, 0.0], 2.0), unit_quadratic(), Constant(K=1.0), [1.0, 0.0], system="scaled")
-
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             FlowProblem(Box([-1.0], [1.0]), unit_quadratic(2), Constant(K=1.0), [0.5])
@@ -104,12 +93,19 @@ class TestProblemValidation:
         assert build_config(pairs).problem.schedule == Constant(K=1.0)
         with pytest.raises(InvalidInputError, match="unit clock"):
             build_config({**pairs, "problem.schedule": "constant"})
-        with pytest.raises(InvalidInputError, match="unknown system"):
-            FlowProblem(WholeSpace(2), unit_quadratic(), Constant(K=1.0), [1.0, 0.0], system="unscaled")
 
-    def test_unknown_system(self):
-        with pytest.raises(InvalidInputError):
-            FlowProblem(WholeSpace(2), unit_quadratic(), Constant(K=1.0), [0.0, 0.0], system="semi")
+    def test_unknown_method(self):
+        p = FlowProblem(WholeSpace(2), unit_quadratic(), Constant(K=1.0), [0.0, 0.0])
+        with pytest.raises(InvalidInputError, match="unknown method 'leapfrog'"):
+            integrate(p, method="leapfrog")
+
+    def test_a_trajectory_records_its_method(self):
+        # the same problem runs either way; only the numerics name the method
+        p = FlowProblem(Ball([0.0, 0.0], 1.0), unit_quadratic(), Constant(K=0.1), [0.5, 0.0])
+        assert integrate(p, horizon=2.0, step=0.5, sample_every=1.0).method == flow.RK4
+        euler = integrate(p, horizon=2.0, step=1.0, sample_every=1.0, method=flow.EULER)
+        assert euler.method == flow.EULER
+        np.testing.assert_array_equal(euler.x[1], p.domain.project(p.x0 - 0.1 * 2.0 * p.x0))
 
 
 class TestAnalyticSolutions:
@@ -136,17 +132,6 @@ class TestAnalyticSolutions:
             traj = integrate(p, horizon=1.0, step=step, sample_every=0.5)
             errs.append(np.linalg.norm(traj.x[-1] - expected))
         assert errs[0] / errs[1] >= 12.0
-
-    def test_step_order_study_script(self, capsys):
-        # the script checks the unscaled flow against its closed form by step halving
-        spec = importlib.util.spec_from_file_location(
-            "step_order_study", Path(__file__).resolve().parents[1] / "scripts" / "step_order_study.py")
-        study = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(study)
-        assert study.run(["--levels", "3"]) == 0
-        orders = [float(line.split()[-1]) for line in capsys.readouterr().out.splitlines()[2:]]
-        assert len(orders) == 2
-        assert min(orders) >= 3.9
 
     def test_stationary_start_is_exactly_fixed(self):
         f = quadratic([0.25, -0.5])
@@ -216,7 +201,7 @@ class TestTrajectoryRecord:
     def test_divergence_guard_names_time(self):
         # gradient ascent in disguise: y' = +2y blows past 1e12 near t = 13.9
         runaway = Objective(fn=lambda x: -float(x @ x), grad_fn=lambda x: -2.0 * x, dim=1, name="runaway")
-        p = FlowProblem(WholeSpace(1), runaway, Constant(K=1.0), [1.0], system="scaled")
+        p = FlowProblem(WholeSpace(1), runaway, Constant(K=1.0), [1.0])
         with pytest.raises(DivergenceError) as exc:
             integrate(p, horizon=20.0, step=0.01)
         assert 13.0 < exc.value.time < 15.0
@@ -321,9 +306,9 @@ def unconstrained_field(problem):
 class TestOneVectorField:
     @pytest.mark.parametrize("problem", [
         FlowProblem(WholeSpace(2), quadratic([1.0, -0.5], diag=[1.0, 3.0]), Power(K=1.0, alpha=0.5),
-                    [2.0, 1.0], system="scaled"),
+                    [2.0, 1.0]),
         FlowProblem(WholeSpace(2), quadratic([1.0, -0.5], diag=[1.0, 3.0]), Constant(K=1.0),
-                    [2.0, 1.0], system="scaled"),
+                    [2.0, 1.0]),
     ], ids=["scaled", "unscaled"])
     def test_matches_the_unconstrained_fields(self, problem):
         traj = integrate(problem, horizon=3.0, step=0.01, sample_every=0.1)
@@ -332,7 +317,7 @@ class TestOneVectorField:
         assert np.all(traj.feas_drift == 0.0) and np.all(drifts == 0.0)
 
     def test_unscaled_clock_is_time(self):
-        p = FlowProblem(WholeSpace(2), unit_quadratic(), Constant(K=1.0), [1.0, 0.0], system="scaled")
+        p = FlowProblem(WholeSpace(2), unit_quadratic(), Constant(K=1.0), [1.0, 0.0])
         traj = integrate(p, horizon=1.05, step=0.01, sample_every=0.1)
         assert np.array_equal(traj.gamma, traj.t)
 
@@ -413,7 +398,7 @@ def with_schedules(problem, schedules):
 def rows_run(problem, horizon, step, sample_every=0.1):
     """integrate's run of ``problem`` stepped on the row kernels, whatever its width."""
     times = _sample_grid(horizon, sample_every)
-    return flow._assemble(problem, times, *flow._rk4_rows(problem, times, step))
+    return flow._assemble(problem, times, *flow._rk4_rows(problem, times, step), flow.RK4)
 
 
 class TestIntegrateBatch:
@@ -458,8 +443,7 @@ class TestIntegrateBatch:
     def test_a_diverging_row_leaves_the_rest_running(self):
         # K = 500 makes RK4 unstable (2 K step = 10); run after run, the others
         # finish, and the rows raise the list run's error at the same time
-        problem = FlowProblem(WholeSpace(2), unit_quadratic(), Constant(K=1.0), [1.0, 0.5],
-                              system="scaled")
+        problem = FlowProblem(WholeSpace(2), unit_quadratic(), Constant(K=1.0), [1.0, 0.5])
         grid = dict(horizon=2.0, step=0.01, sample_every=0.1)
         fine = with_schedules(problem, [Constant(K=1.0), Constant(K=2.0)])
         diverging = dataclasses.replace(problem, schedule=Constant(K=500.0))
@@ -523,8 +507,8 @@ class TestIntegrateBatch:
 
 def iterate(domain, objective, a, steps, x0):
     """``steps`` iterations of x_{k+1} = P(x_k - a grad f(x_k)), run by integrate."""
-    problem = FlowProblem(domain, objective, Constant(K=a), x0, system="discrete")
-    return integrate(problem, horizon=steps, step=1.0, sample_every=1.0)
+    problem = FlowProblem(domain, objective, Constant(K=a), x0)
+    return integrate(problem, horizon=steps, step=1.0, sample_every=1.0, method=flow.EULER)
 
 
 def reference_iterates(domain, objective, a, steps, x0):
@@ -569,9 +553,10 @@ class TestDiscreteRun:
     @pytest.mark.parametrize("horizon, step, sample_every", [
         (2.0, 0.5, 1.0), (2.0, 1.0, 2.0), (2.5, 1.0, 1.0)], ids=["step", "sample_every", "horizon"])
     def test_only_whole_unit_steps(self, horizon, step, sample_every):
-        problem = FlowProblem(WholeSpace(1), quadratic([0.0]), Constant(K=0.1), [1.0], system="discrete")
+        problem = FlowProblem(WholeSpace(1), quadratic([0.0]), Constant(K=0.1), [1.0])
         with pytest.raises(InvalidInputError, match="Euler steps of size 1"):
-            integrate(problem, horizon=horizon, step=step, sample_every=sample_every)
+            integrate(problem, horizon=horizon, step=step, sample_every=sample_every,
+                      method=flow.EULER)
 
     @pytest.mark.parametrize("kind", SET_KINDS)
     def test_matches_the_written_out_iteration(self, kind):
@@ -590,7 +575,8 @@ class TestDiscreteRun:
     def test_preset_ball_is_bitwise(self):
         cfg = load_config("discrete_vs_continuous_ball")
         p = cfg.problem
-        traj = integrate(p, horizon=cfg.horizon, step=cfg.step, sample_every=cfg.sample_every)
+        traj = integrate(p, horizon=cfg.horizon, step=cfg.step, sample_every=cfg.sample_every,
+                         method=cfg.method)
         ref = reference_iterates(p.domain, p.objective, p.schedule.K, int(cfg.horizon), p.x0)
         np.testing.assert_array_equal(traj.x, ref)
 
@@ -599,11 +585,11 @@ def reference_reparam_gaps(objective, schedule, x0, horizon, step):
     """Per-sample gaps of reparam_check, interpolating the replay one
     coordinate at a time with np.interp."""
     space = WholeSpace(len(x0))
-    scaled = integrate(FlowProblem(space, objective, schedule, x0, system="scaled"),
+    scaled = integrate(FlowProblem(space, objective, schedule, x0),
                        horizon=horizon, step=step, sample_every=max(step, horizon / 500.0))
     g_end = schedule.gamma(horizon)
     h = min(step, g_end / 10.0)
-    unscaled = integrate(FlowProblem(space, objective, Constant(K=1.0), x0, system="scaled"),
+    unscaled = integrate(FlowProblem(space, objective, Constant(K=1.0), x0),
                          horizon=g_end, step=h, sample_every=h)
     gaps = []
     for k, t in enumerate(scaled.t):

@@ -13,7 +13,7 @@ from scipy.integrate import quad
 from pgflow import schedules
 from pgflow.analysis import EXP_TAIL_CS, schedule_premises
 from pgflow.errors import InvalidInputError
-from pgflow.flow import FlowProblem
+from pgflow.flow import RK4, FlowProblem
 from pgflow.geometry import WholeSpace
 from pgflow.objectives import HolderErrorBound, quadratic
 from pgflow.schedules import Constant, Power, PowerGE1, Schedule
@@ -187,7 +187,7 @@ def premises(s, theta=None, horizon=100.0):
     (None: no certificate), as {label: (status, evidence)}."""
     holder = None if theta is None else HolderErrorBound(kappa=1.0, theta=theta)
     obj = dataclasses.replace(quadratic([0.0]), holder=holder)
-    rows = schedule_premises(FlowProblem(WholeSpace(1), obj, s, [1.0]), horizon)
+    rows = schedule_premises(FlowProblem(WholeSpace(1), obj, s, [1.0]), horizon, RK4)
     return {label: (status, evidence) for label, status, evidence in rows}
 
 
