@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 config error, 3 divergence, 4 verdict failure
 (expected claims under --strict, or any failed row in `check`), 5 a sweep
-worker process died.
+or check worker process died.
 """
 
 from __future__ import annotations
@@ -42,7 +42,14 @@ from .flow import (
     write_trajectory_csv,
 )
 from .geometry import ConvexSet, _row_norms, variational_gap
-from .objectives import Desingularizer, certificate_checks, grad_check, row_blocks
+from .objectives import (
+    GRAD_CHECK_BLOCK_FLOATS,
+    GRAD_CHECK_TOL,
+    Desingularizer,
+    certificate_checks,
+    grad_check,
+    row_blocks,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -56,6 +63,18 @@ SWEEP_PARAMS = {
     "K": "schedule.K",
     "step": "numerics.step",
 }
+
+
+class WorkerDied(Exception):
+    """A forked worker process ended without returning its work."""
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (Linux), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(eq=False)
@@ -193,7 +212,7 @@ def cmd_sweep(args) -> int:
     # the values run in forked workers, which get the configs by fork, not
     # by pickle; this process writes every file and line in value order
     configs = tuple(cfg for _, cfg in runs.values())
-    workers = min(len(configs), len(os.sched_getaffinity(0)))
+    workers = min(len(configs), _usable_cpus())
     # a worker flushes the stream buffers it inherited as it exits; empty
     # them here rather than rely on multiprocessing's own flush at fork
     sys.stdout.flush()
@@ -223,8 +242,7 @@ def cmd_sweep(args) -> int:
                         print(_claim_line(claim, True))
                 all_expected_pass = all_expected_pass and _expected_claims_pass(res)
     except BrokenProcessPool as exc:
-        print(f"worker error: {exc}", file=sys.stderr)
-        return EXIT_WORKER
+        raise WorkerDied(exc) from None
     report_path = os.path.join(args.out_dir, cfg.report_path)
     write_report_csv(report_path, aggregate)
     print(f"wrote {report_path}")
@@ -246,6 +264,73 @@ def _draws(domain: ConvexSet, rng, count: int):
     """``count`` points of the set, drawn one block of rows at a time."""
     for b in row_blocks(count, domain.dim):
         yield domain.sample(rng, b.stop - b.start)
+
+
+def _grad_errors(obj, points, workers: int) -> np.ndarray:
+    """``grad_check`` of every row of ``points``, in row order, the rows
+    split into ``workers`` contiguous shares (fewer if there are fewer
+    rows). This process checks the first share; a forked child checks each
+    of the others, writes its errors to a pipe as raw float64 bytes (a NaN
+    stays a NaN) and leaves by ``os._exit``. A child that ends without its
+    full share raises WorkerDied. Every child is reaped before this returns
+    or raises; on an error the others are killed first.
+    """
+    def errors_of(rows):
+        return np.array([grad_check(obj, pt) for pt in rows], dtype=float)
+
+    shares = np.array_split(points, min(workers, len(points)))
+    children = []
+    try:
+        for share in shares[1:]:
+            # a child inherits unflushed stream buffers: empty them first
+            sys.stdout.flush()
+            sys.stderr.flush()
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read_fd)
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(errors_of(share).tobytes())
+                    code = 0
+                finally:
+                    # no traceback, no atexit handler, no flush: the parent reports
+                    os._exit(code)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb"), len(share)))
+        errors = [errors_of(shares[0])]
+        for pid, pipe, rows in children:
+            data = pipe.read()
+            if len(data) != 8 * rows:
+                raise WorkerDied(f"gradient probe worker {pid} ended after "
+                                 f"{len(data) // 8} of its {rows} points")
+            errors.append(np.frombuffer(data))
+        return np.concatenate(errors)
+    except BaseException:
+        import signal  # only here: at the top it would add to every command's start-up
+
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
+def _gradient_row(obj, blocks):
+    """The gradient check over every point of ``blocks``. Where a point's
+    2n probe rows overflow one row block (n >= 182) the probes are worth a
+    fork: there each block's points are shared among the usable CPUs."""
+    workers = 1
+    if hasattr(os, "fork") and 2 * obj.dim ** 2 > GRAD_CHECK_BLOCK_FLOATS:
+        workers = _usable_cpus()
+    errors = np.concatenate([_grad_errors(obj, X, workers) for X in blocks])
+    # np.max keeps a NaN error wherever it falls; Python's max may drop it
+    worst = float(np.max(errors))
+    return ("gradient check", "pass" if worst <= GRAD_CHECK_TOL else "fail",
+            f"max rel err {worst:.3g} over {len(errors)} points")
 
 
 def _projection_rows(domain: ConvexSet, rng):
@@ -283,11 +368,7 @@ def cmd_check(args) -> int:
     rows.extend((label, status, _evidence_text(evidence))
                 for label, status, evidence in schedule_premises(problem, cfg.horizon, cfg.method))
 
-    # np.max keeps a NaN error wherever it falls; Python's max may drop it
-    worst_grad = float(np.max([grad_check(obj, pt)
-                               for X in _draws(domain, rng, 100) for pt in X]))
-    rows.append(("gradient check", "pass" if worst_grad <= 1e-4 else "fail",
-                 f"max rel err {worst_grad:.3g} over 100 points"))
+    rows.append(_gradient_row(obj, _draws(domain, rng, 100)))
 
     if obj.holder is not None and obj.optimum is not None:
         phi = Desingularizer(obj.holder.kappa, obj.holder.theta)
@@ -381,6 +462,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except WorkerDied as exc:
+        print(f"worker error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
     except (InvalidInputError, UnsupportedObjectiveError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

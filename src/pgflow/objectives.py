@@ -185,6 +185,7 @@ class Objective:
 
 
 GRAD_CHECK_BLOCK_FLOATS = 2**16  # ceiling of the row blocks that check and run evaluate at once
+GRAD_CHECK_TOL = 1e-4  # the gradient check's bar on grad_check's error
 
 
 def row_blocks(count: int, dim: int) -> list:
@@ -197,6 +198,16 @@ def row_blocks(count: int, dim: int) -> list:
 def grad_check(obj: Objective, x, h: float = 1e-5) -> float:
     """Worst safeguarded relative error of the analytic gradient against
     central finite differences, componentwise.
+
+    Coordinate i's error |g_i - d_i| is divided by the largest of 1,
+    |g_i|, |d_i| and r_i / GRAD_CHECK_TOL, where r_i = 2 eps max|f(p +-
+    h e_i)| / h bounds the rounding error of the difference d_i when each
+    f value is off by up to 2 eps |f|, a few units in the last place, as
+    a rounded sum of many terms can be (Nocedal & Wright, Numerical
+    Optimization, section 8.1). So a coordinate reads at most
+    GRAD_CHECK_TOL when it agrees to that relative bar or to within the
+    difference's own rounding, which exceeds the bar where |f| is large:
+    an exact gradient passes at any scale of p.
 
     The points p + h e_i and p - h e_i of a block of k coordinates are
     the first 2k rows of a buffer that holds p in every row, evaluated by
@@ -215,7 +226,7 @@ def grad_check(obj: Objective, x, h: float = 1e-5) -> float:
     buf = np.empty((2 * block, n))
     buf[:] = p
     flat = buf.reshape(-1)
-    worst = 0.0
+    f_plus, f_minus = np.empty(n), np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, block):
             k = min(block, n - start)
@@ -225,12 +236,15 @@ def grad_check(obj: Objective, x, h: float = 1e-5) -> float:
             minus -= h
             f = obj.fn_rows(buf[:2 * k])
             plus[:] = minus[:] = p[start:start + k]
-            fd = (f[:k] - f[k:]) / (2.0 * h)
-            gi = g[start:start + k]
-            err = np.abs(gi - fd) / np.maximum(np.maximum(1.0, np.abs(gi)), np.abs(fd))
-            # maximum propagates a NaN error; fmax would drop it
-            worst = float(np.maximum.reduce(err, initial=worst))
-    return worst
+            f_plus[start:start + k], f_minus[start:start + k] = f[:k], f[k:]
+        fd = (f_plus - f_minus) / (2.0 * h)
+        scale = np.maximum(np.maximum(1.0, np.abs(g)), np.abs(fd))
+        # r_i / GRAD_CHECK_TOL, the difference's rounding error in units of the bar
+        floor = 2.0 * np.finfo(float).eps / (h * GRAD_CHECK_TOL)
+        scale = np.maximum(scale, floor * np.maximum(np.abs(f_plus), np.abs(f_minus)))
+        err = np.abs(g - fd) / scale
+    # maximum propagates a NaN error; fmax would drop it
+    return float(np.maximum.reduce(err, initial=0.0))
 
 
 def singleton(point) -> Box:

@@ -1,0 +1,284 @@
+"""`pgflow check`: every row it prints can fail, and the gradient probes of
+a wide objective run in forked processes with the serial output."""
+
+import dataclasses
+import os
+import re
+import signal
+import time
+
+import numpy as np
+import pytest
+
+from pgflow import cli, config
+from pgflow.cli import EXIT_OK, EXIT_VERDICT, EXIT_WORKER, main
+from pgflow.config import list_presets, load_pairs
+from pgflow.geometry import Ball
+
+from test_config_cli import (
+    CHEAP_SWEEP_CFG,
+    DISCRETE_CFG,
+    GE1_CFG,
+    SCALED_SWEEP_CFG,
+    UNIT_CLOCK_CFG,
+    highdim_pairs,
+)
+
+
+def check_rows(tmp_path, capsys, text, argv=()):
+    """Exit code, printed rows as [label, status, detail] and stdout of
+    `check` on the config ``text``."""
+    cfg = tmp_path / "check.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    code = main(["check", str(cfg), *argv])
+    out = capsys.readouterr().out
+    rows = [re.split(r"\s{2,}", line.strip(), maxsplit=2) for line in out.splitlines()
+            if line.startswith("  ")]
+    return code, rows, out
+
+
+def load_text(preset: str) -> str:
+    return "".join(f"{k} = {v}\n" for k, v in load_pairs(preset).items())
+
+
+def highdim_text(kind: str, n: int) -> str:
+    return "".join(f"{k} = {v}\n" for k, v in highdim_pairs(kind, n).items())
+
+
+def wrong_gradient(monkeypatch):
+    """Build every quadratic with a gradient off by one in its last coordinate."""
+    make = config.quadratic
+
+    def build(*args, **kwargs):
+        obj = make(*args, **kwargs)
+        good = obj.grad_fn
+
+        def bad(x):
+            g = np.array(good(x), dtype=float)
+            g[-1] += 1.0
+            return g
+
+        return dataclasses.replace(obj, grad_fn=bad, grad_rows=None)
+
+    monkeypatch.setattr(config, "quadratic", build)
+
+
+def broken_projection(move):
+    """A patch that makes the unit disk's projection the identity inside
+    and ``move`` on the rows outside, so the disk's own samples stay put.
+    It takes effect once the config, whose argmin is a projection, is built."""
+    def project_rows(self, X):
+        return np.where(np.linalg.norm(X, axis=1, keepdims=True) > 1.0, move(X), X)
+
+    def patch(monkeypatch):
+        load = config.load_config
+
+        def load_then_break(path):
+            cfg = load(path)
+            monkeypatch.setattr(Ball, "_project_rows", project_rows)
+            return cfg
+
+        monkeypatch.setattr(config, "load_config", load_then_break)
+
+    return patch
+
+
+# row label -> (config text, a patch that breaks the input, or None); each
+# config makes that row fail, whatever the other rows say
+FAILING_ROW_CASES = {
+    # (2, 0) lies outside the unit disk
+    "start point feasible": (CHEAP_SWEEP_CFG.replace("problem.x0 = 0,0", "problem.x0 = 2,0"),
+                             None),
+    # alpha = 2: Gamma tends to 1
+    "clock unbounded": (GE1_CFG, None),
+    # theta = 1/4 on the log clock: q = 1/2 is not above 1
+    "power tail integrable": (
+        CHEAP_SWEEP_CFG.replace("problem.objective = quadratic",
+                                "problem.objective = power\nobjective.theta = 0.25")
+        .replace("problem.schedule = power", "problem.schedule = power_ge1\nschedule.alpha = 1"),
+        None),
+    # theta = 1/2 on a bounded clock
+    "exp tail integrable": (GE1_CFG, None),
+    "gradient check": (CHEAP_SWEEP_CFG, wrong_gradient),
+    # a quadratic of modulus 2 certifies kappa = 1, not 10
+    "error bound sampling": (CHEAP_SWEEP_CFG + "objective.kappa = 10\n", None),
+    "lojasiewicz sampling": (CHEAP_SWEEP_CFG + "objective.kappa = 10\n", None),
+    # the antipode of the nearest point: x at 1.01 and y at 0.99 end 2 apart
+    "projection nonexpansive": (CHEAP_SWEEP_CFG, broken_projection(
+        lambda X: -X / np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1.0))),
+    # x / 2 is still outside the disk where |x| > 2
+    "projection idempotent": (CHEAP_SWEEP_CFG, broken_projection(lambda X: 0.5 * X)),
+    # the centre is a point of the disk, but not the nearest one
+    "projection variational": (CHEAP_SWEEP_CFG, broken_projection(np.zeros_like)),
+    # a quadratic centred off the origin is not even
+    "symmetric-set assertion": (
+        CHEAP_SWEEP_CFG + "analysis.expect = strong_convergence_symmetric_even\n", None),
+    # the argmin (1, 0) lies on the unit circle
+    "interior-argmin assertion": (
+        CHEAP_SWEEP_CFG + "analysis.expect = strong_convergence_interior_argmin\n", None),
+    # the clock tends to 1, so Gamma * gap has no time to vanish
+    "objective_gap_vanishes_in_gamma_time premise": (GE1_CFG, None),
+    # a quartic certifies theta = 1/4 only
+    "exponential_decay_rates premise": (
+        CHEAP_SWEEP_CFG.replace("problem.objective = quadratic",
+                                "problem.objective = power\nobjective.theta = 0.25")
+        + "analysis.expect = exponential_decay_rates\n", None),
+    # the unit clock has nothing to rescale
+    "time_rescaling_equivalence premise": (UNIT_CLOCK_CFG + "problem.system = unscaled\n", None),
+    # a quadratic certifies theta = 1/2 only
+    "power_decay_rates premise": (CHEAP_SWEEP_CFG + "analysis.expect = power_decay_rates\n",
+                                  None),
+}
+
+# rows that pass or are not applicable for every input: `variation finite`
+# and `schedule monotone` hold for every shipped schedule, and a discrete
+# run's one schedule row is not applicable by design. The first two stay
+# only while the benchmark's check references pin them.
+ROWS_THAT_CANNOT_FAIL = ("variation finite", "schedule monotone", "schedule conditions")
+
+
+class TestEveryCheckRowCanFail:
+    @pytest.mark.parametrize("label", sorted(FAILING_ROW_CASES))
+    def test_row_fails(self, tmp_path, capsys, monkeypatch, label):
+        text, patch = FAILING_ROW_CASES[label]
+        if patch is not None:
+            patch(monkeypatch)
+        code, rows, out = check_rows(tmp_path, capsys, text)
+        assert code == EXIT_VERDICT, out
+        assert [status for row_label, status, *_ in rows if row_label == label] == ["fail"], out
+        assert label in out.splitlines()[-1]
+
+    def test_every_row_is_listed(self, tmp_path, capsys):
+        # the labels of every preset, every failing case and a discrete run
+        texts = [load_text(preset) for preset in list_presets()] + [DISCRETE_CFG]
+        seen = set()
+        for text in texts + [text for text, _ in FAILING_ROW_CASES.values()]:
+            seen.update(row[0] for row in check_rows(tmp_path, capsys, text)[1])
+        assert seen == set(FAILING_ROW_CASES) | set(ROWS_THAT_CANNOT_FAIL)
+
+    @pytest.mark.parametrize("label", ROWS_THAT_CANNOT_FAIL[:2])
+    def test_rows_that_cannot_fail_pass_on_a_bounded_clock(self, tmp_path, capsys, label):
+        _, rows, _ = check_rows(tmp_path, capsys, GE1_CFG)
+        assert [status for row_label, status, *_ in rows if row_label == label] == ["pass"]
+
+
+SET_KINDS = ("wholespace", "box", "ball", "halfspace", "hyperplane", "simplex")
+WIDE = 200  # 2 n^2 rows of probes overflow one block of 2^16 floats from n = 182
+
+
+def counted_forks(monkeypatch):
+    """Patch os.fork to record the pid of every child it starts."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+class TestForkedGradientProbes:
+    @pytest.mark.parametrize("kind", SET_KINDS)
+    def test_stdout_equals_the_serial_path(self, tmp_path, capsys, monkeypatch, kind):
+        text = highdim_text(kind, WIDE)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        serial = check_rows(tmp_path, capsys, text, ("--seed", "3"))
+        pids = counted_forks(monkeypatch)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        forked = check_rows(tmp_path, capsys, text, ("--seed", "3"))
+        assert len(pids) == 2  # one block of 100 points, two children
+        assert serial[0] == forked[0] == EXIT_OK, serial[2]
+        assert forked[2] == serial[2]
+        assert_reaped(pids)
+
+    def test_two_dimensional_presets_stay_serial(self, capsys, monkeypatch):
+        pids = counted_forks(monkeypatch)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
+        assert main(["check", "rate_theta50_alpha50"]) == EXIT_OK
+        assert pids == []
+
+    def test_one_usable_cpu_never_forks(self, tmp_path, capsys, monkeypatch):
+        def no_fork():
+            raise AssertionError("os.fork called with one usable CPU")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        assert check_rows(tmp_path, capsys, highdim_text("ball", WIDE))[0] == EXIT_OK
+
+    def test_without_fork_the_probes_run_serially(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        serial = check_rows(tmp_path, capsys, highdim_text("box", WIDE))
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+        assert check_rows(tmp_path, capsys, highdim_text("box", WIDE)) == serial
+
+    def test_nan_in_a_childs_share_fails_the_row(self, tmp_path, capsys, monkeypatch):
+        # the parent's own share reads 1e-9; each child's NaN crosses the pipe
+        parent = os.getpid()
+        monkeypatch.setattr(cli, "grad_check",
+                            lambda obj, pt: 1e-9 if os.getpid() == parent else float("nan"))
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        pids = counted_forks(monkeypatch)
+        code, rows, out = check_rows(tmp_path, capsys, highdim_text("ball", WIDE))
+        assert code == EXIT_VERDICT
+        assert ["gradient check", "fail", "max rel err nan over 100 points"] in rows
+        assert out.endswith("result: 1 check(s) failed: gradient check\n")
+        assert len(pids) == 1
+        assert_reaped(pids)
+
+    def test_a_killed_child_exits_5_and_leaves_no_process(self, tmp_path, capsys, monkeypatch):
+        # the first child is killed; the second would run for a minute, so
+        # the parent must kill it rather than wait for it
+        parent = os.getpid()
+        grad_check = cli.grad_check
+        pids = counted_forks(monkeypatch)
+
+        def probe(obj, pt):
+            if os.getpid() == parent:
+                return grad_check(obj, pt)
+            if not pids:  # a child's copy holds the pids forked before it
+                os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(60)
+
+        monkeypatch.setattr(cli, "grad_check", probe)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        cfg = tmp_path / "ball.cfg"
+        cfg.write_text(highdim_text("ball", WIDE), encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["check", str(cfg)]) == EXIT_WORKER
+        assert time.perf_counter() - start < 30
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("worker error: gradient probe worker ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert len(pids) == 2
+        assert_reaped(pids)
+
+
+class TestUsableCpus:
+    def test_without_an_affinity_mask_the_machine_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._usable_cpus() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert cli._usable_cpus() == 6
+
+    def test_a_sweep_runs_without_an_affinity_mask(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SCALED_SWEEP_CFG, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["sweep", str(cfg), "--param", "K", "--values", "1,2",
+                     "--out-dir", str(out)]) == EXIT_OK
+        assert sorted(f.name for f in out.iterdir()) == [
+            "report.csv", "trajectory_K_1.csv", "trajectory_K_2.csv"]

@@ -1069,10 +1069,20 @@ def highdim_pairs(kind: str, n: int) -> dict:
         "numerics.sample_every": "0.1",
         "problem.x0": _vector(np.zeros(n)),
     }
+    rng = np.random.default_rng(6)
+    normal = rng.normal(size=n)
     if kind == "ball":
         pairs.update({"set.center": _vector(np.zeros(n)), "set.radius": repr(0.5 * n**0.5)})
     elif kind == "simplex":
         pairs.update({"set.dim": str(n), "problem.x0": _vector(np.full(n, 1.0 / n))})
+    elif kind == "box":
+        pairs.update({"set.lo": _vector(-rng.uniform(0.5, 1.5, n)),
+                      "set.hi": _vector(rng.uniform(0.5, 1.5, n))})
+    elif kind == "halfspace":
+        pairs.update({"set.normal": _vector(normal), "set.offset": "1.0"})
+    elif kind == "hyperplane":
+        pairs.update({"set.normal": _vector(normal), "set.offset": "1.0",
+                      "problem.x0": _vector(normal / (normal @ normal))})
     else:
         pairs.update({"set.dim": str(n), "problem.system": "scaled"})
     return pairs

@@ -13,6 +13,7 @@ from pgflow.geometry import Ball, Box, WholeSpace
 from pgflow.objectives import (
     GAP_FLOOR,
     GRAD_CHECK_BLOCK_FLOATS,
+    GRAD_CHECK_TOL,
     Desingularizer,
     HolderErrorBound,
     Objective,
@@ -166,6 +167,33 @@ class TestBatchedGradCheck:
         x = np.full(n, 0.3)
         assert grad_check(obj, x) < 1e-8
         assert grad_check(wrong, x) > 1e-4
+
+    @pytest.mark.parametrize("scale", (6.0, 8.0))
+    def test_exact_gradients_pass_at_large_scale(self, scale):
+        # at n = 1000 and scale 8, |f| of a quartic is about 1e7 and the
+        # difference's rounding error alone exceeds the 1e-4 bar: exact
+        # gradients read up to 3.1e-4 before the bar allowed for it
+        rng = np.random.default_rng(int(scale))
+        for obj in catalog(1000):
+            for _ in range(3):
+                x = rng.normal(size=1000, scale=scale)
+                assert grad_check(obj, x) <= GRAD_CHECK_TOL, obj.name
+
+    def test_one_wrong_coordinate_fails_at_large_scale(self):
+        # the rounding allowance is a few units in |f|'s last place, not a
+        # relative one: a 1% error in the last coordinate still fails
+        obj = even_quartic(1000)
+        x = np.random.default_rng(8).normal(size=1000, scale=8.0)
+        x[-1] = 8.0
+        good = obj.grad_fn
+
+        def bad(x):
+            g = good(x)
+            g[-1] *= 1.01
+            return g
+
+        assert grad_check(obj, x) <= GRAD_CHECK_TOL
+        assert grad_check(dataclasses.replace(obj, grad_fn=bad), x) > GRAD_CHECK_TOL
 
     def test_last_block_of_1000_is_partial(self):
         block = GRAD_CHECK_BLOCK_FLOATS // (2 * 1000)
