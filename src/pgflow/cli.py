@@ -1,16 +1,17 @@
 """Command line experiment runner binding configs to runs, fits, and files.
 
 Exit codes: 0 success, 2 config error, 3 divergence, 4 verdict failure
-(expected claims under --strict, or any failed row in `check`), 5 a sweep
-or check worker process died.
+(expected claims under --strict, or any failed row in `check`), 5 a forked
+sweep or check child died before it sent its work. Both commands fork
+through one helper, ``_forked``.
 """
 
 from __future__ import annotations
 
 import argparse
-import collections
 import dataclasses
 import os
+import pickle
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -41,7 +42,7 @@ from .flow import (
     reparam_check,
     write_trajectory_csv,
 )
-from .geometry import ConvexSet, _row_norms, variational_gap
+from .geometry import ConvexSet, _rounding, _row_norms, variational_gap
 from .objectives import (
     GRAD_CHECK_BLOCK_FLOATS,
     GRAD_CHECK_TOL,
@@ -66,7 +67,7 @@ SWEEP_PARAMS = {
 
 
 class WorkerDied(Exception):
-    """A forked worker process ended without returning its work."""
+    """A forked child ended without sending its work."""
 
 
 def _usable_cpus() -> int:
@@ -157,24 +158,75 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _with_suffix(path: str, suffix: str) -> str:
-    stem, ext = os.path.splitext(path)
-    return f"{stem}_{suffix}{ext}"
+def _forked(work, names, workers: int, take) -> None:
+    """Call ``take(j, work(j))`` for each job j, one per entry of ``names``,
+    in job order. Job 0 runs here and every other job in a forked child, at
+    most ``workers`` jobs computing at once. A child pickles its result, or
+    the exception it raised, to a pipe and leaves by ``os._exit``; the
+    exception is raised again at its job's turn, and a child that sends
+    nothing raises WorkerDied. On any error the other children are killed;
+    every child is reaped before this returns or raises."""
+    if workers <= 1 or not hasattr(os, "fork"):
+        for j in range(len(names)):
+            take(j, work(j))
+        return
+    children = {}  # job -> (pid, read end of its pipe)
 
+    def start(j):
+        # a child inherits unflushed stream buffers: empty them first
+        sys.stdout.flush()
+        sys.stderr.flush()
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read_fd)
+                try:
+                    sent = (True, work(j))
+                except Exception as exc:
+                    sent = (False, exc)
+                with open(write_fd, "wb") as pipe:
+                    pickle.dump(sent, pipe, pickle.HIGHEST_PROTOCOL)
+                code = 0
+            finally:
+                # no traceback, no atexit handler, no flush: the parent reports
+                os._exit(code)
+        os.close(write_fd)
+        children[j] = (pid, open(read_fd, "rb"))
 
-_POOL_CONFIGS: tuple = ()
+    try:
+        for j in range(1, min(workers, len(names))):
+            start(j)
+        for j in range(len(names)):
+            if j == 0:
+                result = work(0)
+            else:
+                pid, pipe = children[j]
+                with pipe:
+                    data = pipe.read()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[j]
+                if code:
+                    how = (f"was killed by signal {-code}" if code < 0
+                           else f"ended with exit status {code}")
+                    raise WorkerDied(f"{names[j]} (process {pid}) {how}")
+                ok, result = pickle.loads(data)
+                if not ok:
+                    raise result
+            if j + workers < len(names):
+                start(j + workers)
+            take(j, result)
+    except BaseException:
+        import signal  # only here: at the top it would add to every command's start-up
 
-
-def _pool_init(configs) -> None:
-    global _POOL_CONFIGS
-    _POOL_CONFIGS = configs
-
-
-def _pool_execute(index: int):
-    """Run one config in a worker; the problem's closures stay behind."""
-    res = execute(_POOL_CONFIGS[index])
-    res.trajectory.problem = None
-    return res.trajectory, res.fits, res.claims, res.reparam_gap
+        for pid, _ in children.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.waitpid(pid, 0)
 
 
 def cmd_sweep(args) -> int:
@@ -198,55 +250,41 @@ def cmd_sweep(args) -> int:
         override = dict(pairs)
         override[key] = repr(value)
         cfg = config_mod.build_config(override, name=f"sweep {args.param}={value:g}")
-        cfg.trajectory_path = _with_suffix(cfg.trajectory_path, suffix)
+        stem, ext = os.path.splitext(cfg.trajectory_path)
+        cfg.trajectory_path = f"{stem}_{suffix}{ext}"
         runs[suffix] = (value, cfg)
 
-    # imported here: at the top they would add to every command's start-up
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
     os.makedirs(args.out_dir, exist_ok=True)
-    aggregate = []
-    all_expected_pass = True
-    # the values run in forked workers, which get the configs by fork, not
-    # by pickle; this process writes every file and line in value order
-    configs = tuple(cfg for _, cfg in runs.values())
-    workers = min(len(configs), _usable_cpus())
-    # a worker flushes the stream buffers it inherited as it exits; empty
-    # them here rather than rely on multiprocessing's own flush at fork
-    sys.stdout.flush()
-    sys.stderr.flush()
-    # leaving the block joins every worker, on every path. A worker that dies
-    # breaks the pool: the wait below raises, and the sweep exits 5, not hangs.
-    try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_pool_init, initargs=(configs,)) as pool:
-            # at most `workers` runs are in flight or waiting to be written
-            pending = collections.deque(pool.submit(_pool_execute, i) for i in range(workers))
-            for i, (value, cfg) in enumerate(runs.values()):
-                # a value that raised re-raises here; the runs after it are discarded
-                traj, fits, claims, gap = pending.popleft().result()
-                if i + workers < len(configs):
-                    pending.append(pool.submit(_pool_execute, i + workers))
-                traj.problem = cfg.problem
-                res = ExperimentResult(cfg, traj, fits, claims, gap)
-                write_trajectory_csv(traj, os.path.join(args.out_dir, cfg.trajectory_path))
-                print(f"sweep {args.param}={value:g}: samples={len(traj.t)}")
-                for rep in res.fits:
-                    print(_fit_line(rep))
-                    aggregate.append(dataclasses.replace(
-                        rep, quantity=f"{rep.quantity}@{args.param}={value:g}"))
-                for claim in res.claims:
-                    if claim.name in set(cfg.expect) and claim.status != PASS:
-                        print(_claim_line(claim, True))
-                all_expected_pass = all_expected_pass and _expected_claims_pass(res)
-    except BrokenProcessPool as exc:
-        raise WorkerDied(exc) from None
+    items = list(runs.values())
+    aggregate, passes = [], []
+
+    def run_job(j):
+        # a child pickles its result: the config's closures stay behind
+        res = execute(items[j][1])
+        res.config = res.trajectory.problem = None
+        return res
+
+    def write(j, res):
+        value, cfg = items[j]
+        res.config, res.trajectory.problem = cfg, cfg.problem
+        write_trajectory_csv(res.trajectory, os.path.join(args.out_dir, cfg.trajectory_path))
+        print(f"sweep {args.param}={value:g}: samples={len(res.trajectory.t)}")
+        for rep in res.fits:
+            print(_fit_line(rep))
+            aggregate.append(dataclasses.replace(
+                rep, quantity=f"{rep.quantity}@{args.param}={value:g}"))
+        for claim in res.claims:
+            if claim.name in set(cfg.expect) and claim.status != PASS:
+                print(_claim_line(claim, True))
+        passes.append(_expected_claims_pass(res))
+
+    # forked children get the configs by fork, not by pickle; this process
+    # writes every file and line in value order
+    _forked(run_job, [cfg.name for _, cfg in items], min(len(items), _usable_cpus()), write)
     report_path = os.path.join(args.out_dir, cfg.report_path)
     write_report_csv(report_path, aggregate)
     print(f"wrote {report_path}")
-    if args.strict and not all_expected_pass:
+    if args.strict and not all(passes):
         print("strict mode: an expected claim did not pass", file=sys.stderr)
         return EXIT_VERDICT
     return EXIT_OK
@@ -266,67 +304,18 @@ def _draws(domain: ConvexSet, rng, count: int):
         yield domain.sample(rng, b.stop - b.start)
 
 
-def _grad_errors(obj, points, workers: int) -> np.ndarray:
-    """``grad_check`` of every row of ``points``, in row order, the rows
-    split into ``workers`` contiguous shares (fewer if there are fewer
-    rows). This process checks the first share; a forked child checks each
-    of the others, writes its errors to a pipe as raw float64 bytes (a NaN
-    stays a NaN) and leaves by ``os._exit``. A child that ends without its
-    full share raises WorkerDied. Every child is reaped before this returns
-    or raises; on an error the others are killed first.
-    """
-    def errors_of(rows):
-        return np.array([grad_check(obj, pt) for pt in rows], dtype=float)
-
-    shares = np.array_split(points, min(workers, len(points)))
-    children = []
-    try:
-        for share in shares[1:]:
-            # a child inherits unflushed stream buffers: empty them first
-            sys.stdout.flush()
-            sys.stderr.flush()
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    os.close(read_fd)
-                    with open(write_fd, "wb") as pipe:
-                        pipe.write(errors_of(share).tobytes())
-                    code = 0
-                finally:
-                    # no traceback, no atexit handler, no flush: the parent reports
-                    os._exit(code)
-            os.close(write_fd)
-            children.append((pid, open(read_fd, "rb"), len(share)))
-        errors = [errors_of(shares[0])]
-        for pid, pipe, rows in children:
-            data = pipe.read()
-            if len(data) != 8 * rows:
-                raise WorkerDied(f"gradient probe worker {pid} ended after "
-                                 f"{len(data) // 8} of its {rows} points")
-            errors.append(np.frombuffer(data))
-        return np.concatenate(errors)
-    except BaseException:
-        import signal  # only here: at the top it would add to every command's start-up
-
-        for pid, _, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, pipe, _ in children:
-            pipe.close()
-            os.waitpid(pid, 0)
-
-
 def _gradient_row(obj, blocks):
     """The gradient check over every point of ``blocks``. Where a point's
     2n probe rows overflow one row block (n >= 182) the probes are worth a
-    fork: there each block's points are shared among the usable CPUs."""
-    workers = 1
-    if hasattr(os, "fork") and 2 * obj.dim ** 2 > GRAD_CHECK_BLOCK_FLOATS:
-        workers = _usable_cpus()
-    errors = np.concatenate([_grad_errors(obj, X, workers) for X in blocks])
+    fork: there each block's points are split into one contiguous share per
+    usable CPU, and the shares are checked by ``_forked``."""
+    workers = _usable_cpus() if 2 * obj.dim ** 2 > GRAD_CHECK_BLOCK_FLOATS else 1
+    errors = []
+    for X in blocks:
+        shares = np.array_split(X, min(workers, len(X)))
+        names = [f"gradient probe share {j + 1} of {len(shares)}" for j in range(len(shares))]
+        _forked(lambda j: [grad_check(obj, pt) for pt in shares[j]], names, len(shares),
+                lambda j, share_errors: errors.extend(share_errors))
     # np.max keeps a NaN error wherever it falls; Python's max may drop it
     worst = float(np.max(errors))
     return ("gradient check", "pass" if worst <= GRAD_CHECK_TOL else "fail",
@@ -337,21 +326,27 @@ def _projection_rows(domain: ConvexSet, rng):
     probes = domain.sample(rng, 32)
     # np.max and np.maximum keep a NaN wherever it falls; Python's max may drop it
     worst_nonexp = worst_idem = worst_gap = 0.0
+    # the largest norm of a point and of a residual x - P(x): each bound
+    # allows for the rounding of coordinates that far from the origin
+    size, reach = float(np.max(_row_norms(probes))), 1.0
     for b in row_blocks(200, domain.dim):
         k = b.stop - b.start
         xs, ys = (domain.sample(rng, k) + rng.normal(size=(k, domain.dim)) * 2.0
                   for _ in range(2))
         px, py = domain._project_rows(xs), domain._project_rows(ys)
+        size = float(np.max(_row_norms(np.vstack((xs, ys))), initial=size))
+        reach = float(np.max(_row_norms(xs - px), initial=reach))
         excess = _row_norms(px - py) - _row_norms(xs - ys)
         worst_nonexp = float(np.max(excess, initial=worst_nonexp))
         worst_idem = float(np.max(_row_norms(domain._project_rows(px) - px),
                                   initial=worst_idem))
         worst_gap = float(np.maximum(variational_gap(domain, xs, probes), worst_gap))
-    yield ("projection nonexpansive", "pass" if worst_nonexp <= 1e-12 else "fail",
+    slack = _rounding(domain.dim, size)
+    yield ("projection nonexpansive", "pass" if worst_nonexp <= 1e-12 + slack else "fail",
            f"max excess {worst_nonexp:.3g}")
-    yield ("projection idempotent", "pass" if worst_idem <= 1e-9 else "fail",
+    yield ("projection idempotent", "pass" if worst_idem <= 1e-9 + slack else "fail",
            f"max drift {worst_idem:.3g}")
-    yield ("projection variational", "pass" if worst_gap <= 1e-9 else "fail",
+    yield ("projection variational", "pass" if worst_gap <= 1e-9 + slack * reach else "fail",
            f"max gap {worst_gap:.3g}")
 
 

@@ -406,6 +406,15 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_dots(X, X))
 
 
+def _rounding(n: int, size):
+    """Room for the rounding of a quantity computed from n coordinates of a
+    point of norm ``size``: 16 n eps max(1, size). A sum of n terms rounds
+    by up to n eps of their magnitudes; 16 leaves room for the operations
+    around it. At unit scale and n <= 1000 this is below 4e-12 per unit of
+    ``size``, so only far from the origin does it loosen a fixed bound."""
+    return 16 * n * np.finfo(float).eps * np.maximum(1.0, size)
+
+
 def variational_gap(cs: ConvexSet, x, probes) -> float:
     """Largest value of <x - P(x), w - P(x)> over probe points ``w``.
 
@@ -413,12 +422,14 @@ def variational_gap(cs: ConvexSet, x, probes) -> float:
     largest value over every point and probe is returned. For an exact
     projection this is <= 0 for every w in the set, so a positive return
     flags a broken nearest-point map. Probes must lie in the set, within
-    a Euclidean distance of 1e-9; infeasible probes are rejected rather
-    than silently skewing the check.
+    a Euclidean distance of 1e-9 plus the rounding of their coordinates
+    (see _rounding); infeasible probes are rejected rather than silently
+    skewing the check.
     """
     X = as_rows(x, cs.dim)
     W = as_rows(probes, X.shape[1], "probe point")
-    if np.any(_row_norms(W - cs._project_rows(W)) > 1e-9):
+    slack = _rounding(W.shape[1], _row_norms(W))
+    if np.any(_row_norms(W - cs._project_rows(W)) > 1e-9 + slack):
         raise InvalidInputError("probe point lies outside the set")
     PX = cs._project_rows(X)
     R = X - PX

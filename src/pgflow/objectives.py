@@ -57,6 +57,7 @@ from .geometry import (
     Ball,
     Box,
     ConvexSet,
+    _rounding,
     _row_dots,
     _row_norms,
     _RowTiles,
@@ -503,7 +504,8 @@ def certificate_checks(obj: Objective, domain: Optional[ConvexSet],
         gap = f - obj.optimum.f_star
         keep = gap > GAP_FLOOR
         if domain is not None:
-            if np.any(_row_norms(rows - domain._project_rows(rows)) > 1e-9):
+            slack = _rounding(obj.dim, _row_norms(rows))
+            if np.any(_row_norms(rows - domain._project_rows(rows)) > 1e-9 + slack):
                 raise InvalidInputError("sample lies outside the domain")
             dist = _row_norms(rows - obj.optimum.argmin._project_rows(rows))
             ok = keep & (dist != 0.0)
@@ -513,7 +515,14 @@ def certificate_checks(obj: Objective, domain: Optional[ConvexSet],
             G = np.asarray(obj.grad_rows(kept), dtype=float)
             if G.shape != kept.shape or not np.all(np.isfinite(G)):
                 raise InvalidInputError(f"gradient rows must be finite, of shape {kept.shape}")
-            product = min(product, np.min(phi.derivative(gap[keep]) * _row_norms(G)))
+            with np.errstate(over="ignore"):
+                norms = _row_norms(G)
+            # a row whose squares overflow: scale by its largest |component| first
+            big = np.isinf(norms)
+            if big.any():
+                m = np.max(np.abs(G[big]), axis=1, keepdims=True)
+                norms[big] = m[:, 0] * _row_norms(G[big] / m)
+            product = min(product, np.min(phi.derivative(gap[keep]) * norms))
     if (domain is not None and ratio == np.inf) or (phi is not None and product == np.inf):
         raise InvalidInputError("no sample had a positive objective gap")
     return float(ratio), float(product)
@@ -533,7 +542,8 @@ def gheb_check(obj: Objective, domain: ConvexSet, samples) -> float:
     the inequality says nothing on the argmin set itself. A sample more
     than 1e-9 from the set, by the Euclidean distance of each row from its
     projection (on the simplex too, whose ``residual`` is a surrogate),
-    raises InvalidInputError.
+    raises InvalidInputError; far from the origin the bound grows by the
+    rounding of the sample's coordinates (see geometry._rounding).
     """
     return certificate_checks(obj, domain, None, _blocks_of(samples, obj.dim))[0]
 

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from pgflow import cli, config
-from pgflow.cli import EXIT_OK, EXIT_VERDICT, EXIT_WORKER, main
+from pgflow.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERDICT, EXIT_WORKER, main
+from pgflow.errors import InvalidInputError
 from pgflow.config import list_presets, load_pairs
 from pgflow.geometry import Ball
 
@@ -64,11 +65,13 @@ def wrong_gradient(monkeypatch):
 
 
 def broken_projection(move):
-    """A patch that makes the unit disk's projection the identity inside
-    and ``move`` on the rows outside, so the disk's own samples stay put.
-    It takes effect once the config, whose argmin is a projection, is built."""
+    """A patch that makes a unit disk's projection the identity inside and
+    ``move``, taken about the centre, on the rows outside, so the disk's own
+    samples stay put. It takes effect once the config, whose argmin is a
+    projection, is built."""
     def project_rows(self, X):
-        return np.where(np.linalg.norm(X, axis=1, keepdims=True) > 1.0, move(X), X)
+        D = X - self.center
+        return np.where(np.linalg.norm(D, axis=1, keepdims=True) > 1.0, move(D) + self.center, X)
 
     def patch(monkeypatch):
         load = config.load_config
@@ -162,6 +165,59 @@ class TestEveryCheckRowCanFail:
         assert [status for row_label, status, *_ in rows if row_label == label] == ["pass"]
 
 
+def far_hyperplane_text(offset: float) -> str:
+    """The line x + y = offset, with a quadratic centred on it."""
+    mid = f"{offset / 2!r}, {offset / 2!r}"
+    return (f"problem.set = hyperplane\nset.normal = 1, 1\nset.offset = {offset!r}\n"
+            f"problem.objective = quadratic\nobjective.center = {mid}\n"
+            f"problem.schedule = power\nproblem.x0 = {mid}\n")
+
+
+def far_disk_text(offset: float) -> str:
+    """The unit disk centred at (offset, 0), with a quadratic centred there."""
+    centre = f"{offset!r}, 0"
+    return (f"problem.set = ball\nset.center = {centre}\nset.radius = 1\n"
+            f"problem.objective = quadratic\nobjective.center = {centre}\n"
+            f"problem.schedule = power\nproblem.x0 = {centre}\n")
+
+
+PROJECTION_ROWS = ("projection nonexpansive", "projection idempotent", "projection variational")
+
+
+class TestFarFromTheOrigin:
+    """The projection and membership bounds allow for the rounding of
+    coordinates far from the origin, and a wrong projection still fails."""
+
+    @pytest.mark.parametrize("text", [far_hyperplane_text(1e6), far_hyperplane_text(1e8),
+                                      far_disk_text(1e8)], ids=["line-1e6", "line-1e8", "disk-1e8"])
+    def test_exact_projections_pass(self, tmp_path, capsys, text):
+        code, rows, out = check_rows(tmp_path, capsys, text)
+        assert code in (EXIT_OK, EXIT_VERDICT), out
+        statuses = {label: status for label, status, *_ in rows}
+        for label in PROJECTION_ROWS + ("error bound sampling", "lojasiewicz sampling"):
+            assert statuses[label] == "pass", out
+
+    @pytest.mark.parametrize("offset", [0.0, 1e8])
+    @pytest.mark.parametrize("label", PROJECTION_ROWS)
+    def test_a_wrong_projection_fails(self, tmp_path, capsys, monkeypatch, label, offset):
+        FAILING_ROW_CASES[label][1](monkeypatch)
+        code, rows, out = check_rows(tmp_path, capsys, far_disk_text(offset))
+        assert code == EXIT_VERDICT, out
+        assert [status for row_label, status, *_ in rows if row_label == label] == ["fail"], out
+
+
+class TestCertificateOverflow:
+    def test_an_overflowing_gradient_norm_keeps_its_sample(self, tmp_path, capsys):
+        # f is about 1e180 at every sample, and |grad f|^2 overflows a float
+        zeros = ", ".join(["0"] * 200)
+        text = (f"problem.set = wholespace\nset.dim = 200\nproblem.objective = power\n"
+                f"objective.center = {zeros}\nobjective.theta = 0.006\n"
+                f"problem.schedule = power\nproblem.x0 = {zeros}\n")
+        code, rows, out = check_rows(tmp_path, capsys, text)
+        assert code == EXIT_OK, out
+        assert ["lojasiewicz sampling", "pass", "min product 166.667"] in rows
+
+
 SET_KINDS = ("wholespace", "box", "ball", "halfspace", "hyperplane", "simplex")
 WIDE = 200  # 2 n^2 rows of probes overflow one block of 2^16 floats from n = 182
 
@@ -236,6 +292,29 @@ class TestForkedGradientProbes:
         assert len(pids) == 1
         assert_reaped(pids)
 
+    def test_an_error_in_a_child_ends_check_as_in_one_process(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # the child's exception is raised again here, at its share's turn
+        def failing(obj, pt):
+            raise InvalidInputError("gradient rows must be finite")
+
+        monkeypatch.setattr(cli, "grad_check", failing)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        cfg = tmp_path / "ball.cfg"
+        cfg.write_text(highdim_text("ball", WIDE), encoding="utf-8")
+        assert main(["check", str(cfg)]) == EXIT_CONFIG
+        serial = capsys.readouterr()
+        parent = os.getpid()
+        monkeypatch.setattr(cli, "grad_check", lambda obj, pt: 1e-9 if os.getpid() == parent
+                            else failing(obj, pt))
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        pids = counted_forks(monkeypatch)
+        assert main(["check", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr() == serial
+        assert serial.err == "config error: gradient rows must be finite\n"
+        assert len(pids) == 1
+        assert_reaped(pids)
+
     def test_a_killed_child_exits_5_and_leaves_no_process(self, tmp_path, capsys, monkeypatch):
         # the first child is killed; the second would run for a minute, so
         # the parent must kill it rather than wait for it
@@ -259,8 +338,10 @@ class TestForkedGradientProbes:
         assert time.perf_counter() - start < 30
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("worker error: gradient probe worker ")
-        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        # the dead child is named, with how waitpid says it ended
+        assert captured.err.startswith("worker error: gradient probe share 2 of 3 (process ")
+        assert captured.err.endswith(") was killed by signal 9\n")
+        assert captured.err.count("\n") == 1
         assert len(pids) == 2
         assert_reaped(pids)
 

@@ -7,11 +7,11 @@ is the contract.
 
 import csv
 import json
-import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import uuid
 
@@ -902,6 +902,12 @@ numerics.sample_every = 0.1
 """
 
 
+def assert_no_child_left():
+    """Every child was reaped: this process has none left to wait for."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def sweep_outputs(tmp_path, capsys, name, text, param, values):
     """Exit code, stdout, stderr and {file: bytes} of one sweep."""
     cfg = tmp_path / "sweep.cfg"
@@ -930,8 +936,9 @@ numerics.sample_every = 0.1
 
 
 class TestBatchedSweep:
-    """A sweep runs each value as `run` runs its config, in a pool of forked
-    workers, and writes every file and line in value order."""
+    """A sweep runs each value as `run` runs its config, the first in this
+    process and the others in forked children, and writes every file and
+    line in value order."""
 
     @pytest.mark.parametrize("text, param, values", [
         (POWER_BOX_CFG, "alpha", "0.25,0.5,0.75"),
@@ -971,8 +978,8 @@ class TestBatchedSweep:
     ], ids=["step", "theta", "one-value"])
     def test_other_sweeps_run_one_value_at_a_time(self, tmp_path, capsys, monkeypatch,
                                                   text, param, values):
-        # the values run in worker processes, so each call of execute leaves
-        # a marker file where the test can count it
+        # the values after the first run in forked children, so each call of
+        # execute leaves a marker file where the test can count it
         calls = tmp_path / "calls"
         calls.mkdir()
         execute = cli.execute
@@ -1000,33 +1007,68 @@ class TestBatchedSweep:
         cfg.write_text(text, encoding="utf-8")
         assert main(["sweep", str(cfg), "--param", param, "--values", values, "--strict",
                      "--out-dir", str(tmp_path / "out")]) == want
-        assert multiprocessing.active_children() == []
-        # and every worker was reaped: this process has no child left to wait for
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert_no_child_left()
 
     def test_a_worker_that_dies_ends_the_sweep(self, tmp_path, capsys, monkeypatch):
-        # a worker killed mid-run (say, out of memory) ends the sweep with exit
+        # a child killed mid-run (say, out of memory) ends the sweep with exit
         # 5 and one stderr line, instead of leaving it waiting for a result
-        # that never comes
+        # that never comes; every value before the dead one is written
         execute = cli.execute
         monkeypatch.setattr(cli, "execute",
                             lambda cfg: os._exit(1) if cfg.name == "sweep K=2" else execute(cfg))
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(SCALED_SWEEP_CFG, encoding="utf-8")
-        out = tmp_path / "out"
-        assert main(["sweep", str(cfg), "--param", "K", "--values", "1,2,3",
-                     "--out-dir", str(out)]) == EXIT_WORKER
-        captured = capsys.readouterr()
-        assert captured.err.startswith("worker error: ") and captured.err.count("\n") == 1
-        assert "Traceback" not in captured.err
-        # the broken pool fails every run in flight, so K=1 may be lost too
-        assert "K=2" not in captured.out
-        assert set(f.name for f in out.iterdir()) <= {"trajectory_K_1.csv"}
-        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        code, out, err, files = sweep_outputs(tmp_path, capsys, "out", SCALED_SWEEP_CFG,
+                                              "K", "1,2,3")
+        assert code == EXIT_WORKER
+        assert re.fullmatch(r"worker error: sweep K=2 \(process \d+\) ended with exit status 1\n",
+                            err), err
+        assert out.startswith("sweep K=1: samples=21\n") and "K=2" not in out
+        assert sorted(files) == ["trajectory_K_1.csv"]
+        assert_no_child_left()
+
+    def test_without_fork_the_values_run_serially(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        forked = sweep_outputs(tmp_path, capsys, "forked", SCALED_SWEEP_CFG, "K", "1,2,3")
+        monkeypatch.delattr(os, "fork")
+        assert sweep_outputs(tmp_path, capsys, "serial", SCALED_SWEEP_CFG, "K", "1,2,3") == forked
+        assert forked[0] == EXIT_OK and len(forked[3]) == 4
+
+    def test_a_failed_write_exits_2_and_leaves_no_child(self, tmp_path, capsys, monkeypatch):
+        # the write of K=2 raises while the child of K=3 may still be running
+        write = cli.write_trajectory_csv
+
+        def failing_write(traj, path):
+            if path.endswith("_K_2.csv"):
+                raise OSError(28, "No space left on device")
+            write(traj, path)
+
+        monkeypatch.setattr(cli, "write_trajectory_csv", failing_write)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        code, _, err, files = sweep_outputs(tmp_path, capsys, "out", SCALED_SWEEP_CFG,
+                                            "K", "1,2,3")
+        assert code == EXIT_CONFIG
+        assert err == "io error: [Errno 28] No space left on device\n"
+        assert sorted(files) == ["trajectory_K_1.csv"]
+        assert_no_child_left()
+
+    def test_divergence_does_not_wait_for_a_later_value(self, tmp_path, capsys, monkeypatch):
+        # K=500 diverges while the child of K=3 would run for a minute: the
+        # sweep kills that child rather than wait for it
+        execute = cli.execute
+        monkeypatch.setattr(cli, "execute", lambda cfg: time.sleep(60)
+                            if cfg.name == "sweep K=3" else execute(cfg))
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        start = time.perf_counter()
+        code, _, err, files = sweep_outputs(tmp_path, capsys, "out", SCALED_SWEEP_CFG,
+                                            "K", "1,500,3")
+        assert time.perf_counter() - start < 30
+        assert code == EXIT_DIVERGED
+        assert err == "divergence: state norm left the trust region near t = 0.05\n"
+        assert sorted(files) == ["trajectory_K_1.csv"]
+        assert_no_child_left()
 
     def test_text_printed_before_a_sweep_shows_once(self, tmp_path):
-        # a forked worker inherits unflushed stdout; it must not print it again
+        # a forked child inherits unflushed stdout; it must not print it again
         script = ("import sys\nfrom pgflow.cli import main\nprint('x')\n"
                   "raise SystemExit(main(sys.argv[1:]))\n")
         src = os.path.dirname(os.path.dirname(pgflow.__file__))

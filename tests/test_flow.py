@@ -207,8 +207,8 @@ class TestTrajectoryRecord:
         assert 13.0 < exc.value.time < 15.0
 
     def test_divergence_error_survives_pickle(self):
-        # a sweep's worker sends the error to the parent pickled; a copy that
-        # cannot be rebuilt would stall the pool instead of exiting 3
+        # a sweep's forked child sends the error to the parent pickled; a
+        # copy that cannot be rebuilt would crash the sweep instead of exiting 3
         err = DivergenceError("state norm left the trust region near t = 0.05", time=0.05)
         back = pickle.loads(pickle.dumps(err))
         assert type(back) is DivergenceError
