@@ -2,17 +2,27 @@
 
 Exercises the same code paths as the CLI because it goes through cli.main.
 Presets run in sorted name order so logs diff cleanly between machines.
-Exits with the first nonzero code encountered.
+After each command it prints that command's wall time, the end-to-end
+time of each preset. Exits with the first nonzero code encountered.
 """
 
 import argparse
 import os
 import sys
+import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from pgflow.cli import main as cli_main
 from pgflow.config import list_presets
+
+
+def timed(argv) -> int:
+    """cli.main(argv), followed by a line with its wall time and exit code."""
+    start = time.perf_counter()
+    code = cli_main(argv)
+    print(f"--- {argv[0]} {argv[1]}: {time.perf_counter() - start:.2f} s wall, exit {code}")
+    return code
 
 
 def run(argv=None) -> int:
@@ -25,13 +35,13 @@ def run(argv=None) -> int:
     worst = 0
     for name in list_presets():
         print(f"=== check {name} ===")
-        code = cli_main(["check", name, "--out-dir", args.out_dir])
+        code = timed(["check", name, "--out-dir", args.out_dir])
         worst = worst or code
         print(f"=== run {name} ===")
         run_args = ["run", name, "--out-dir", args.out_dir]
         if args.strict:
             run_args.append("--strict")
-        code = cli_main(run_args)
+        code = timed(run_args)
         worst = worst or code
     print(f"done: outputs in {args.out_dir}/, exit {worst}")
     return worst

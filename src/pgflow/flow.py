@@ -20,6 +20,11 @@ sample rather than per substep: the sample's distance from the set is
 recorded as feas_drift and the state is replaced by its projection
 whenever that distance is positive. On WholeSpace, and for Euler, it is 0.
 
+A run at a floating-point equilibrium x stops stepping and fills its
+remaining samples with x and feas_drift 0, the bytes stepping writes: RK4
+once a segment's last step returns x and _settles holds, Euler on a
+constant clock once an iterate repeats its predecessor bit for bit.
+
 An RK4 run of at most FLOAT_MAX_DIM coordinates, whose ``grad_fn``
 and ``_project`` are marked as taking floats (``geometry.takes_floats``),
 steps a list of Python floats through those point kernels (_rk4_floats):
@@ -44,12 +49,15 @@ import numpy as np
 from .errors import DivergenceError, InvalidInputError
 from .geometry import (
     FLOAT_MAX_DIM,
+    MEMBERSHIP_TOL,
     ConvexSet,
     WholeSpace,
+    _rounding,
     _row_dots,
     _row_norms,
     _sum_sq,
     as_point,
+    contains_ball,
     takes_floats,
 )
 from .objectives import Objective, row_blocks
@@ -185,6 +193,38 @@ def _diverged(t: float) -> DivergenceError:
     return DivergenceError(f"state norm left the trust region near t = {t:.6g}", time=t)
 
 
+# _settles's margin for a later lambda or substep a few ulp above this step's
+_WIDEN = 1.0 + 2.0**-20
+
+
+def _settles(domain: ConvexSet, x, g, lam_t: float, step: float) -> bool:
+    """Whether every later RK4 step from x returns x, bit for bit, once (a)
+    a step at time t from x, with g = grad f(x), returned x's values.
+
+    Every Schedule is K (1+t)^-alpha, alpha >= 0, so a later lambda is at
+    most lam = lambda(t) _WIDEN and a later substep at most h = step _WIDEN.
+    It holds when (c) the ball about x of radius 2 lambda(t) |g| plus x's
+    rounding (geometry._rounding) lies in the set, asked of contains_ball
+    with its MEMBERSHIP_TOL added, so P returns each later stage point
+    x - lambda' g as it is (never on a hyperplane or simplex, always on
+    WholeSpace); and (b) k = (x - lam g) - x moves x neither as a stage
+    input x + h k nor as a step x + (h/6)(k + 2(k + k) + k), and x has no
+    -0.0, which x + 0.0 turns to 0.0. As x stays, so does g; rounding is
+    monotone, so each later stage vector lies between 0 and k, coordinate
+    by coordinate, and each later stage input and step between x + 0.0 and
+    the moves tested: all are x, and each sample's feas_drift is 0.
+    """
+    radius = 2.0 * lam_t * math.sqrt(_sum_sq(g)) + _rounding(len(x), math.sqrt(_sum_sq(x)))
+    if not (radius < math.inf and contains_ball(domain, x, radius + MEMBERSHIP_TOL)):
+        return False
+    lam, h = lam_t * _WIDEN, step * _WIDEN
+    k = [(v - lam * d) - v for v, d in zip(x, g)]
+    sixth_h = h / 6.0
+    return ([v + h * a for v, a in zip(x, k)] == x
+            and [v + sixth_h * (a + 2.0 * (a + a) + a) for v, a in zip(x, k)] == x
+            and not any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in x))
+
+
 def _rk4_rows(problem: FlowProblem, times: np.ndarray, step: float) -> tuple:
     """Classic fixed-step RK4 on one state held as a (1, n) array, stepped
     with the row field from times[0] through every later sample time.
@@ -193,11 +233,13 @@ def _rk4_rows(problem: FlowProblem, times: np.ndarray, step: float) -> tuple:
     ``step``, and lambda comes from ``Schedule.value``, 3 times per step.
     Per sample the state's distance from the set is its feas_drift, and
     the state is replaced by its projection whenever that distance is
-    positive. Returns the (m, n) samples and their drifts. A step whose
-    state's squared norm passes the guard or is not a number raises its
-    DivergenceError.
+    positive. A run that _settles stops stepping and fills the remaining
+    samples with its state. Returns the (m, n) samples and their drifts. A
+    step whose state's squared norm passes the guard or is not a number
+    raises its DivergenceError.
     """
     G, proj, lam = _field(problem, rows=True), problem.domain._project_rows, problem.schedule.value
+    grad = problem.objective.grad_rows
     states = np.empty((times.size, problem.x0.size))
     states[0] = problem.x0
     drifts = np.zeros(times.size)
@@ -214,7 +256,8 @@ def _rk4_rows(problem: FlowProblem, times: np.ndarray, step: float) -> tuple:
             for i in range(n_sub):
                 t = t0 + i * h
                 lam_mid = lam(t + 0.5 * h)
-                k1 = G(lam(t), X)
+                lam_t, X_in, g = lam(t), X, grad(X)
+                k1 = proj(X - lam_t * g) - X
                 k2 = G(lam_mid, X + half_h * k1)
                 k3 = G(lam_mid, X + half_h * k2)
                 k4 = G(lam(t + h), X + full_h * k3)
@@ -228,6 +271,10 @@ def _rk4_rows(problem: FlowProblem, times: np.ndarray, step: float) -> tuple:
             states[j] = X[0]
             drifts[j] = drift
             t0 = grid[j]
+            if np.array_equal(X, X_in) and _settles(problem.domain, X_in[0].tolist(),
+                                                    g[0].tolist(), lam_t, step):
+                states[j + 1:] = X[0]
+                break
     return states, drifts
 
 
@@ -259,7 +306,8 @@ def _rk4_floats(problem: FlowProblem, times: np.ndarray, step: float) -> tuple:
         for i in range(n_sub):
             t = t0 + i * h
             lam_mid = lam(t + 0.5 * h)
-            k1 = G(lam(t), x)
+            lam_t, x_in, g = lam(t), x, grad(x)
+            k1 = [p - v for p, v in zip(proj([v - lam_t * d for v, d in zip(x, g)]), x)]
             k2 = G(lam_mid, [v + half_h * k for v, k in zip(x, k1)])
             k3 = G(lam_mid, [v + half_h * k for v, k in zip(x, k2)])
             k4 = G(lam(t + h), [v + h * k for v, k in zip(x, k3)])
@@ -273,6 +321,9 @@ def _rk4_floats(problem: FlowProblem, times: np.ndarray, step: float) -> tuple:
         states[j] = x
         drifts[j] = drift
         t0 = grid[j]
+        if x == x_in and _settles(problem.domain, x_in, g, lam_t, step):
+            states[j + 1:] = x
+            break
     return states, drifts
 
 
@@ -282,7 +333,9 @@ def _euler_rows(problem: FlowProblem, times: np.ndarray) -> tuple:
     x + (P(y) - x) is P(y) in exact arithmetic, and the loop takes P(y)
     itself: the classical iterate P(x - lambda grad f(x)), bit for bit.
     A sample is thus already the projection's output, and its feas_drift
-    is 0; projecting it again would only add the projection's rounding."""
+    is 0; projecting it again would only add the projection's rounding.
+    On a constant clock the map depends on x alone, so once an iterate
+    repeats its predecessor bit for bit it fills the remaining samples."""
     grad, proj, lam = problem.objective.grad_rows, problem.domain._project_rows, problem.schedule.value
     states = np.empty((times.size, problem.x0.size))
     states[0] = problem.x0
@@ -290,10 +343,13 @@ def _euler_rows(problem: FlowProblem, times: np.ndarray) -> tuple:
     grid = times.tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, len(grid)):
-            X = proj(X - lam(grid[j - 1]) * grad(X))
+            X, X_prev = proj(X - lam(grid[j - 1]) * grad(X)), X
             if not _row_dots(X, X)[0] <= _GUARD_SQ:
                 raise _diverged(grid[j])
             states[j] = X[0]
+            if problem.schedule.alpha == 0.0 and X.tobytes() == X_prev.tobytes():
+                states[j + 1:] = X[0]
+                break
     return states, np.zeros(times.size)
 
 
@@ -321,8 +377,9 @@ def integrate(
     the failure time, as soon as the state norm passes 1e12 or stops being
     finite. An RK4 run of at most FLOAT_MAX_DIM coordinates whose kernels
     take floats steps as a list of floats; any other run as a one-row
-    array, with the same RK4 floats where both apply. The trajectory
-    records its method.
+    array, with the same RK4 floats where both apply. A run at a
+    floating-point equilibrium stops stepping and fills its remaining
+    samples as stepping would (_settles). The trajectory records its method.
     """
     if method not in METHODS:
         raise InvalidInputError(f"unknown method {method!r}, expected one of {METHODS}")

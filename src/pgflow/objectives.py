@@ -200,11 +200,12 @@ def grad_check(obj: Objective, x, h: float = 1e-5) -> float:
     """Worst safeguarded relative error of the analytic gradient against
     central finite differences, componentwise.
 
-    Coordinate i's error |g_i - d_i| is divided by the largest of 1,
-    |g_i|, |d_i| and r_i / GRAD_CHECK_TOL, where r_i = 2 eps max|f(p +-
-    h e_i)| / h bounds the rounding error of the difference d_i when each
-    f value is off by up to 2 eps |f|, a few units in the last place, as
-    a rounded sum of many terms can be (Nocedal & Wright, Numerical
+    The difference d_i divides by the realised step s_i = (p_i + h) -
+    (p_i - h), not by 2h. Coordinate i's error |g_i - d_i| is divided by
+    the largest of 1, |g_i|, |d_i| and r_i / GRAD_CHECK_TOL, where r_i =
+    4 eps max|f(p +- h e_i)| / s_i bounds d_i's rounding error when each f
+    value is off by up to 2 eps |f|, a few units in the last place, as a
+    rounded sum of many terms can be (Nocedal & Wright, Numerical
     Optimization, section 8.1). So a coordinate reads at most
     GRAD_CHECK_TOL when it agrees to that relative bar or to within the
     difference's own rounding, which exceeds the bar where |f| is large:
@@ -238,10 +239,12 @@ def grad_check(obj: Objective, x, h: float = 1e-5) -> float:
             f = obj.fn_rows(buf[:2 * k])
             plus[:] = minus[:] = p[start:start + k]
             f_plus[start:start + k], f_minus[start:start + k] = f[:k], f[k:]
-        fd = (f_plus - f_minus) / (2.0 * h)
+        span = (p + h) - (p - h)
+        span[span == 0.0] = 2.0 * h  # p_i +- h both round to p_i: d_i is 0 over 2h
+        fd = (f_plus - f_minus) / span
         scale = np.maximum(np.maximum(1.0, np.abs(g)), np.abs(fd))
         # r_i / GRAD_CHECK_TOL, the difference's rounding error in units of the bar
-        floor = 2.0 * np.finfo(float).eps / (h * GRAD_CHECK_TOL)
+        floor = 4.0 * np.finfo(float).eps / (span * GRAD_CHECK_TOL)
         scale = np.maximum(scale, floor * np.maximum(np.abs(f_plus), np.abs(f_minus)))
         err = np.abs(g - fd) / scale
     # maximum propagates a NaN error; fmax would drop it

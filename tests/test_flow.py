@@ -2,8 +2,10 @@
 against its written-out loop, and the trajectory record contract."""
 
 import dataclasses
+import functools
 import math
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,8 +34,14 @@ from pgflow.geometry import (
     WholeSpace,
     _row_norms,
 )
-from pgflow.objectives import Objective, even_quartic, make_power_objective, quadratic
-from pgflow.schedules import Constant, Power, PowerGE1
+from pgflow.objectives import (
+    Objective,
+    even_quartic,
+    flat_bottom,
+    make_power_objective,
+    quadratic,
+)
+from pgflow.schedules import Constant, Power, PowerGE1, Schedule
 
 
 def unit_quadratic(dim=2):
@@ -672,3 +680,151 @@ class TestCsvExport:
         write_trajectory_csv(integrate(p, horizon=2.0, step=0.01), a)
         write_trajectory_csv(integrate(p, horizon=2.0, step=0.01), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def settle_problem(kind, objective, alpha, K, seed):
+    """A 2-d problem of the settle rule's grammar, started from the projection
+    of a point near the objective's centre, which may lie outside the set."""
+    rng = np.random.default_rng(seed)
+    domain = random_set(kind, rng, 2)
+    center = rng.uniform(-2.0, 2.0, 2)
+    f = {"flat_bottom": lambda: flat_bottom(center, rng.uniform(0.2, 1.0)),
+         "quadratic": lambda: quadratic(center, diag=rng.uniform(0.5, 2.0, 2)),
+         "power": lambda: make_power_objective(quadratic(center), theta=0.4)}[objective]()
+    x0 = domain._project(center + rng.uniform(-1.0, 1.0, 2))
+    return FlowProblem(domain, f, Schedule(K, alpha), x0)
+
+
+def spied_settles():
+    """A patch of flow._settles that records each of its answers, and the
+    lambda(t) of the step each was asked about."""
+    answers, lams, settles = [], [], flow._settles
+
+    def spy(domain, x, g, lam_t, step):
+        answers.append(settles(domain, x, g, lam_t, step))
+        lams.append(lam_t)
+        return answers[-1]
+
+    return mock.patch.object(flow, "_settles", spy), answers, lams
+
+
+def float_and_row_runs(problem, **grid):
+    return integrate(problem, **grid), rows_run(problem, **grid)
+
+
+def counting(problem, field):
+    """``problem`` with its objective's ``field`` kernel counting its calls."""
+    calls, kernel = [], getattr(problem.objective, field)
+
+    @functools.wraps(kernel)
+    def counted(x):
+        calls.append(1)
+        return kernel(x)
+
+    objective = dataclasses.replace(problem.objective, **{field: counted})
+    return dataclasses.replace(problem, objective=objective), calls
+
+
+class TestSettledRuns:
+    """A run whose step leaves the state where it is, with room to spare,
+    stops stepping (flow._settles) and writes what stepping would have."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(("wholespace", "box", "ball", "halfspace")),
+           objective=st.sampled_from(("flat_bottom", "quadratic", "power")),
+           alpha=st.sampled_from((0.0, 0.25, 0.5, 0.75)), K=st.floats(0.5, 20.0),
+           seed=st.integers(0, 2**32 - 1))
+    # runs that settle; stepped, their states last move at t = 3.4, 4.8, 4.4 and 1.8
+    @example(kind="wholespace", objective="quadratic", alpha=0.0, K=10.0, seed=0)
+    @example(kind="box", objective="quadratic", alpha=0.5, K=10.0, seed=3)
+    @example(kind="ball", objective="quadratic", alpha=0.5, K=10.0, seed=2)
+    @example(kind="halfspace", objective="quadratic", alpha=0.0, K=10.0, seed=1)
+    def test_settled_runs_are_the_stepped_runs(self, kind, objective, alpha, K, seed):
+        problem = settle_problem(kind, objective, alpha, K, seed)
+        grid = dict(horizon=6.0, step=0.02, sample_every=0.1)
+        settled = float_and_row_runs(problem, **grid)
+        with mock.patch.object(flow, "_settles", lambda *args: False):
+            stepped = float_and_row_runs(problem, **grid)
+        for got, want in zip(settled, stepped):
+            assert got.x.tobytes() == want.x.tobytes()
+            assert got.feas_drift.tobytes() == want.feas_drift.tobytes()
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["floats", "rows"])
+    def test_a_run_at_rest_stops_at_its_first_sample(self, rows):
+        # inside the flat bottom the gradient is 0: the first step returns x
+        problem = FlowProblem(Ball([0.0, 0.0], 2.0), flat_bottom([0.0, 0.0], 0.5),
+                              Power(K=1.0, alpha=0.5), [0.1, 0.2])
+        field, loop = ("grad_rows", flow._rk4_rows) if rows else ("grad_fn", flow._rk4_floats)
+        problem, calls = counting(problem, field)
+        patch, answers, _ = spied_settles()
+        with patch:
+            states, drifts = loop(problem, _sample_grid(2.0, 0.1), 0.01)
+        assert answers == [True]
+        assert len(calls) == 4 * 10  # one segment of 10 RK4 steps
+        assert np.all(states == [0.1, 0.2]) and np.all(drifts == 0.0)
+
+    @pytest.mark.parametrize("loop", ["floats", "rows"])
+    def test_the_rule_is_asked_once_per_sample_from_the_last_move_on(self, loop):
+        cfg = load_config("interior_flatbottom")
+        patch, answers, lams = spied_settles()
+        with patch:
+            run = integrate if loop == "floats" else rows_run
+            traj = run(cfg.problem, horizon=cfg.horizon, step=cfg.step,
+                       sample_every=cfg.sample_every)
+        # the state last moves at t = 77.0, and only from there do segments
+        # end on a step that returned x; the rule's margin holds from t = 78.2 on
+        asked = np.asarray(lams) ** -2.0 - 1.0  # lambda(t) = (1 + t)^-1/2
+        assert np.all(asked > 76.9) and np.all(np.diff(asked) > 0.09)
+        assert answers[-1] is True and not any(answers[:-1])
+        assert 78.1 < asked[-1] < 78.3
+        assert np.all(traj.x[traj.t >= 77.0] == traj.x[-1])
+
+    def test_a_run_parked_on_the_boundary_never_settles(self):
+        # P clips every step of the last 30 samples: the step returns x, but
+        # no ball about x fits in the disk
+        cfg = load_config("rate_theta50_alpha50")
+        patch, answers, _ = spied_settles()
+        with patch:
+            integrate(cfg.problem, horizon=cfg.horizon, step=cfg.step,
+                      sample_every=cfg.sample_every)
+        assert len(answers) >= 30 and not any(answers)
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["floats", "rows"])
+    def test_a_fixed_point_on_a_box_face_never_settles(self, rows):
+        problem = FlowProblem(Box([-1.0, -1.0], [1.0, 1.0]), quadratic([2.0, 0.0]),
+                              Constant(K=1.0), [1.0, 0.0])
+        patch, answers, _ = spied_settles()
+        with patch:
+            traj = (rows_run if rows else integrate)(problem, horizon=2.0, step=0.01)
+        assert len(answers) == len(traj) - 1 and not any(answers)
+        assert np.all(traj.x == [1.0, 0.0])
+
+    def test_hyperplane_and_simplex_never_qualify(self):
+        # a state at rest on a set without interior
+        for domain, x in ((AffineHyperplane([1.0, 1.0], 1.0), [0.5, 0.5]),
+                          (Simplex(2), [0.5, 0.5])):
+            assert not flow._settles(domain, x, [0.0, 0.0], 1.0, 0.01)
+        assert flow._settles(WholeSpace(2), [0.5, 0.5], [0.0, 0.0], 1.0, 0.01)
+
+    def test_a_negative_zero_coordinate_never_settles(self):
+        # x + 0.0 turns -0.0 into 0.0, so a later step would move it
+        assert flow._settles(WholeSpace(2), [0.0, 0.5], [0.0, 0.0], 1.0, 0.01)
+        assert not flow._settles(WholeSpace(2), [-0.0, 0.5], [0.0, 0.0], 1.0, 0.01)
+
+    def test_euler_stops_at_an_exact_fixed_point(self):
+        # the preset's iterates reach (1, 0) at iterate 7 of 400
+        cfg = load_config("discrete_vs_continuous_ball")
+        p = cfg.problem
+        counted, calls = counting(p, "grad_rows")
+        traj = integrate(counted, horizon=cfg.horizon, step=cfg.step,
+                         sample_every=cfg.sample_every, method=cfg.method)
+        assert len(calls) == 8
+        ref = reference_iterates(p.domain, p.objective, p.schedule.K, int(cfg.horizon), p.x0)
+        assert traj.x.tobytes() == ref.tobytes()
+
+    def test_euler_on_a_decaying_clock_keeps_stepping(self):
+        p = load_config("discrete_vs_continuous_ball").problem
+        decaying, calls = counting(dataclasses.replace(p, schedule=Power(K=0.05, alpha=0.5)),
+                                   "grad_rows")
+        integrate(decaying, horizon=40.0, step=1.0, sample_every=1.0, method=flow.EULER)
+        assert len(calls) == 40

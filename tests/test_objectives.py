@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pgflow.errors import InvalidInputError, UnsupportedObjectiveError
-from pgflow.geometry import Ball, Box, WholeSpace
+from pgflow.geometry import AffineHyperplane, Ball, Box, WholeSpace
 from pgflow.objectives import (
     GAP_FLOOR,
     GRAD_CHECK_BLOCK_FLOATS,
@@ -100,14 +100,15 @@ class TestGradCheck:
 
 
 def grad_check_reference(obj, x, h=1e-5):
-    """The per-coordinate loop grad_check replaced: 2n scalar fn calls."""
+    """The per-coordinate loop grad_check replaced: 2n scalar fn calls,
+    each difference divided by its realised step."""
     p = np.asarray(x, dtype=float)
     g = obj.grad(p)
     worst = 0.0
     for i in range(obj.dim):
         e = np.zeros(obj.dim)
         e[i] = h
-        fd = (obj.fn(p + e) - obj.fn(p - e)) / (2.0 * h)
+        fd = (obj.fn(p + e) - obj.fn(p - e)) / ((p + e) - (p - e))[i]
         err = abs(g[i] - fd) / max(1.0, abs(g[i]), abs(fd))
         worst = max(worst, err)
     return worst
@@ -194,6 +195,30 @@ class TestBatchedGradCheck:
 
         assert grad_check(obj, x) <= GRAD_CHECK_TOL
         assert grad_check(dataclasses.replace(obj, grad_fn=bad), x) > GRAD_CHECK_TOL
+
+    @pytest.mark.parametrize("domain, center", [
+        (Ball([1e8, 0.0], 1.0), [1e8, 0.0]),
+        (AffineHyperplane([1.0, 1.0], 1e8), [5e7, 5e7]),
+    ], ids=["disk", "line"])
+    def test_far_from_the_origin_the_step_is_the_realised_one(self, domain, center):
+        # p_i +- h round to multiples of ulp(1e8) = 1.5e-8: divided by 2h, an
+        # exact gradient read 1.3e-4 here
+        obj = quadratic(center)
+        for x in domain.sample(np.random.default_rng(1), 20):
+            assert grad_check(obj, x) <= 1e-10
+
+    def test_a_step_lost_to_rounding_reads_as_before(self):
+        # at 1e12, p_0 +- 1e-5 round to p_0: the difference is 0 over 2h, and
+        # the rounding allowance of f = 1e24 covers the exact gradient
+        assert grad_check(quadratic([0.0, 0.0]), [1e12, 1.0]) <= GRAD_CHECK_TOL
+
+    @pytest.mark.parametrize("center", [[1e8, 0.0], [0.3, -0.2]], ids=["far", "unit"])
+    def test_a_gradient_off_by_a_thousandth_fails_at_any_scale(self, center):
+        obj = quadratic(center)
+        scaled = dataclasses.replace(obj, grad_fn=lambda x: obj.grad_fn(x) * (1.0 + 1e-3))
+        for x in Ball(center, 1.0).sample(np.random.default_rng(2), 20):
+            if np.linalg.norm(x - center) > 0.2:  # |g| > 0.4, so some |g_i| * 1e-3 > 2.8e-4
+                assert grad_check(scaled, x) > GRAD_CHECK_TOL
 
     def test_last_block_of_1000_is_partial(self):
         block = GRAD_CHECK_BLOCK_FLOATS // (2 * 1000)
