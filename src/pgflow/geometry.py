@@ -38,11 +38,11 @@ MEMBERSHIP_TOL = 1e-12
 # Up to this many floats a row kernel tiles its constant vectors (see _RowTiles).
 TILE_MAX_FLOATS = 4096
 
-# The widest state a single run steps as a list of Python floats. Per RK4
-# step, lists beat a one-row numpy run up to n = 16 on box + quadratic
-# (11 against 27 us at n = 2, 25 against 27 at n = 16) and by more where
-# the kernels reduce; a row kernel sums up to this many columns one at a
-# time, each a numpy call, where wider rows take one np.vecdot.
+# The widest state a single run steps as Python floats. Per RK4 step on
+# box + quadratic, the float loop takes 6 against a one-row numpy run's
+# 25 us at n = 2 and 10 against 28 at n = 7 (2-core Xeon VM, Python 3.11,
+# numpy 2.4); a row kernel sums up to this many columns one at a time,
+# each a numpy call, where wider rows take one np.vecdot.
 FLOAT_MAX_DIM = 7
 
 

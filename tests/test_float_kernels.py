@@ -5,12 +5,19 @@ Up to FLOAT_MAX_DIM coordinates a run steps a list of floats through the
 catalog's point kernels, and a wider run, or one with a caller's kernels,
 steps a numpy row. The two must give the same floats wherever both apply, for
 every set and objective kind, and the run must take the float path
-exactly when its kernels are marked as taking floats.
+exactly when its kernels are marked as taking floats. The float run
+steps a loop generated once per width, which calls the kernels as the
+one-row run does: 4 gradients, 4 projections and 3 lambdas per RK4 step.
 """
 
+import collections
 import dataclasses
 import functools
 import math
+import os
+import subprocess
+import sys
+import traceback
 
 import numpy as np
 import pytest
@@ -222,6 +229,66 @@ class TestWhichPath:
         assert taken == ["floats"]
         assert calls == [list] * (4 * 50)  # 4 stages per step, 50 steps
         assert np.array_equal(traj.x, integrate(box_problem(2, objective=q), **self.GRID).x)
+
+
+def counted(calls, key, kernel):
+    """``kernel`` counting its calls in calls[key]."""
+
+    @functools.wraps(kernel)
+    def wrapper(*args):
+        calls[key] += 1
+        return kernel(*args)
+
+    return wrapper
+
+
+class TestGeneratedLoop:
+    """_rk4_floats steps the loop generated for its width, compiled on first use."""
+
+    @pytest.mark.parametrize("dim", [1, 2, FLOAT_MAX_DIM])
+    def test_kernel_calls_per_step_and_per_sample(self, dim, monkeypatch):
+        # the counts a traced run derives its RK4 steps from
+        calls = collections.Counter()
+        monkeypatch.setattr(Box, "_project", counted(calls, "project", Box._project))
+        monkeypatch.setattr(Schedule, "value", counted(calls, "lambda", Schedule.value))
+        problem = box_problem(dim)
+        problem = dataclasses.replace(problem, objective=dataclasses.replace(
+            problem.objective, grad_fn=counted(calls, "grad", problem.objective.grad_fn)))
+        assert flow._on_floats(problem)
+        flow._rk4_floats(problem, _sample_grid(0.5, 0.1), 0.01)  # 5 samples of 10 steps
+        assert calls == {"grad": 4 * 50, "lambda": 3 * 50, "project": 4 * 50 + 5}
+
+    def test_each_width_compiles_once(self, monkeypatch):
+        names = []
+        monkeypatch.setattr(flow, "compile", lambda source, name, mode:
+                            names.append(name) or compile(source, name, mode), raising=False)
+        flow._float_loop.cache_clear()
+        for dim in (2, 3, 2, 3, 2):
+            integrate(box_problem(dim), horizon=0.2, step=0.01, sample_every=0.1)
+        assert names == ["<pgflow rk4 floats n=2>", "<pgflow rk4 floats n=3>"]
+
+    def test_importing_the_cli_compiles_no_loop(self):
+        code = ("import pgflow.cli\nfrom pgflow import flow\n"
+                "print(flow._float_loop.cache_info().currsize)")
+        src = os.path.dirname(os.path.dirname(flow.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, encoding="utf-8",
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout == "0\n"
+
+    def test_the_source_reads_back_and_tracebacks_name_it(self):
+        assert "            a0, a1 = a0 - x0, a1 - x1\n" in flow._float_loop_source(2)
+        assert "            a0, = a0 - x0,\n" in flow._float_loop_source(1)
+
+        def broken(x):
+            raise ZeroDivisionError
+
+        q = quadratic([0.0, 0.0])
+        problem = box_problem(2, objective=dataclasses.replace(q, grad_fn=functools.wraps(
+            q.grad_fn)(broken)))
+        with pytest.raises(ZeroDivisionError) as exc:
+            integrate(problem, horizon=0.2, step=0.01, sample_every=0.1)
+        frames = [(f.filename, f.line) for f in traceback.extract_tb(exc.value.__traceback__)]
+        assert ("<pgflow rk4 floats n=2>", "g = grad(x_in)") in frames
 
 
 class TestReductionOrder:

@@ -21,7 +21,6 @@ from pgflow.flow import (
     _sample_grid,
     integrate,
     reparam_check,
-    rhs,
     write_trajectory_csv,
 )
 from pgflow.geometry import (
@@ -46,6 +45,11 @@ from pgflow.schedules import Constant, Power, PowerGE1, Schedule
 
 def unit_quadratic(dim=2):
     return quadratic(np.zeros(dim))
+
+
+def rhs(problem, t, x):
+    """The vector field F(t, x) at one state x, from the row field flow._field."""
+    return flow._field(problem)(problem.schedule.value(t), np.asarray(x, dtype=float)[None])[0]
 
 
 class TestRhs:
@@ -235,7 +239,7 @@ class TestTrajectoryRecord:
         assert np.array_equal(traj.f_gap, f.fn_rows(X) - f.optimum.f_star)
         assert np.array_equal(traj.dist_argmin, _row_norms(X - f.optimum.argmin._project_rows(X)))
         lam = p.schedule.value(traj.t)[:, None]
-        assert np.array_equal(traj.speed, _row_norms(flow._field(p, rows=True)(lam, X)))
+        assert np.array_equal(traj.speed, _row_norms(flow._field(p)(lam, X)))
 
     def test_step_larger_than_sample_every_rejected(self):
         f = unit_quadratic()
