@@ -27,16 +27,22 @@ constant clock once an iterate repeats its predecessor bit for bit.
 
 An RK4 run of at most FLOAT_MAX_DIM coordinates, whose ``grad_fn``
 and ``_project`` are marked as taking floats (``geometry.takes_floats``),
-steps Python floats through those point kernels in a loop generated for
-its width (_rk4_floats): per RK4 step on box + quadratic it takes 6 us
-against the row loop's 25 at n = 2, and 10 against 28 at n = 7 (2-core
-Xeon VM, Python 3.11, numpy 2.4). A wider run, or one whose kernels a
-caller passed in, steps a one-row array through the row kernels
-``grad_rows`` and ``_project_rows`` (_rk4_rows). Both loops take lambda from
-``Schedule.value``. Up to FLOAT_MAX_DIM columns a row kernel sums in the
-order of its point kernel (see ``geometry``), so where both loops apply
-they yield the same floats, bit for bit. A run's record evaluates the
-clock and lambda at all its sample times in one array call each.
+steps Python floats in a loop generated for its width and kernels
+(_rk4_floats). Those of the catalog's own ``grad_fn``, ``_project`` and
+``Schedule.value`` that carry a source fragment (``fragments.Fragment``)
+are spliced into it, with the kernel's float operations in the kernel's
+order; any other point kernel, and any wrapper, such as a traced run's,
+is called there on a list. Per RK4 step on box + quadratic at n = 2 the
+spliced loop takes 1.6 us, the loop that calls the kernels 8.7 and the
+row loop 32; at n = 7, 5.5, 14 and 39 (2-core Xeon VM, Python 3.11.7,
+numpy 2.4.6).
+A wider run, or one whose kernels a caller passed in, steps a one-row
+array through the row kernels ``grad_rows`` and ``_project_rows``
+(_rk4_rows), which takes lambda from ``Schedule.value``. Up to
+FLOAT_MAX_DIM columns a row kernel sums in the order of its point kernel
+(see ``geometry``), so where both loops apply they yield the same
+floats, bit for bit. A run's record evaluates the clock and lambda at
+all its sample times in one array call each.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from __future__ import annotations
 import functools
 import linecache
 import math
+import textwrap
 from dataclasses import dataclass
 from typing import Optional
 
@@ -63,6 +70,7 @@ from .geometry import (
     contains_ball,
     takes_floats,
 )
+from .fragments import Fragment, inline, source
 from .objectives import Objective, row_blocks
 from .schedules import Constant, Schedule
 
@@ -271,32 +279,23 @@ def _rk4_rows(problem: FlowProblem, times: np.ndarray, step: float) -> tuple:
     return states, drifts
 
 
-def _float_loop_source(n: int) -> str:
-    """Source of _rk4_floats's loop for n <= FLOAT_MAX_DIM coordinates: each
-    vector is n scalar locals (state x.., stages a.. to d.., stage input y..,
-    gradient g.., drift e..) and each vector statement one tuple assignment;
-    the guard and drift sums add from -0.0 left to right, as _sum_sq adds."""
+# The Fragments of _rk4_floats's roles (grad_fn, _project, Schedule.value)
+# that call a kernel that does not inline: the kernel is bound to the role's
+# local, and called on a list of the locals x.., or on the time x
+_CALL_POINT = Fragment("call", "", "{vec:{out}@} = {k}([{vec:{x}@}])")
+_CALLS = (_CALL_POINT, _CALL_POINT, Fragment("call", "", "{out} = {k}({x})"))
 
-    def vec(term):  # vec("x@ - y@") is "x0 - y0, x1 - y1" at n = 2, "x0 - y0," at n = 1
-        return ", ".join([term.replace("@", str(i)) for i in range(n)]) + "," * (n == 1)
 
-    def sum_sq(v):
-        return " + ".join(["-0.0", *(f"{v}{i} * {v}{i}" for i in range(n))])
-
-    def stage(k, prev, size, lam_k):  # k = P(y - lam_k grad f(y)) - y at y = x + size prev
-        return f"""\
-            {vec("y@")} = {vec(f"x@ + {size} * {prev}@")}
-            {vec("g@")} = grad([{vec("y@")}])
-            {vec(f"{k}@")} = proj([{vec(f"y@ - {lam_k} * g@")}])
-            {vec(f"{k}@")} = {vec(f"{k}@ - y@")}"""
-
-    return f"""\
-def rk4_floats(problem, times, step):
-    grad, proj, lam = problem.objective.grad_fn, problem.domain._project, problem.schedule.value
+# _rk4_floats's loop: a template of fragments.source, whose slots hold the
+# Fragments' source (_float_loop_source)
+_FLOAT_LOOP = """\
+def rk4_floats(problem, times, step, grad, proj, lam):
+{setup}
+    project = problem.domain._project
     states = np.empty((times.size, {n}))
     states[0] = problem.x0
     drifts = np.zeros(times.size)
-    {vec("x@")} = problem.x0.tolist()
+    {vec:x@} = problem.x0.tolist()
     grid = times.tolist()
     t0 = grid[0]
     for j in range(1, len(grid)):
@@ -306,53 +305,97 @@ def rk4_floats(problem, times, step):
         half_h, sixth_h = 0.5 * h, h / 6.0
         for i in range(n_sub):
             t = t0 + i * h
-            lam_mid = lam(t + 0.5 * h)
-            lam_t, x_in = lam(t), [{vec("x@")}]
-            g = grad(x_in)
-            {vec("g@")} = g
-            {vec("a@")} = proj([{vec("x@ - lam_t * g@")}])
-            {vec("a@")} = {vec("a@ - x@")}
-{stage("b", "a", "half_h", "lam_mid")}
-{stage("c", "b", "half_h", "lam_mid")}
-            lam_end = lam(t + h)
-{stage("d", "c", "h", "lam_end")}
-            {vec("x@")} = {vec("x@ + sixth_h * (a@ + 2.0 * (b@ + c@) + d@)")}
-            if not {sum_sq("x")} <= _GUARD_SQ:
+{lam_mid}
+{lam_t}
+            {vec:s@} = {vec:x@}
+{stage_a}
+            {vec:y@} = {vec:x@ + half_h * a@}
+{stage_b}
+            {vec:y@} = {vec:x@ + half_h * b@}
+{stage_c}
+{lam_end}
+            {vec:y@} = {vec:x@ + h * c@}
+{stage_d}
+            {vec:x@} = {vec:x@ + sixth_h * (a@ + 2.0 * (b@ + c@) + d@)}
+            if not {sum:x@ * x@} <= _GUARD_SQ:
                 raise _diverged(t + h)
-        x = [{vec("x@")}]
-        p = proj(x)
-        {vec("e@")} = {vec("x@ - p[@]")}
-        drift = math.sqrt({sum_sq("e")})
+        x = [{vec:x@}]
+        p = project(x)
+        {vec:e@} = {vec:x@ - p[@]}
+        drift = math.sqrt({sum:e@ * e@})
         if drift > 0.0:
-            x, {vec("x@")} = p, *p
+            x = p
+            {vec:x@} = p
         states[j] = x
         drifts[j] = drift
         t0 = grid[j]
-        if x == x_in and _settles(problem.domain, x_in, g, lam_t, step):
+        if x == [{vec:s@}] and _settles(problem.domain, [{vec:s@}], [{vec:g@}], lam_t, step):
             states[j + 1:] = x
             break
-    return states, drifts
-"""
+    return states, drifts"""
+
+
+# A stage of _FLOAT_LOOP, out = P(x - lam grad f(x)) - x, whose slots grad
+# and proj hold the gradient's and the projection's source
+_STAGE = """\
+{grad}
+            {vec:z@} = {vec:{x}@ - {lam} * {g}@}
+{proj}
+            {vec:{out}@} = {vec:{out}@ - {x}@}"""
+
+
+def _float_loop_source(n: int, grad: Fragment, proj: Fragment, lam: Fragment) -> str:
+    """Source of _rk4_floats's loop for n <= FLOAT_MAX_DIM coordinates with
+    the Fragments of a problem's grad_fn, _project and Schedule.value
+    spliced in: each vector is n scalar locals (state x.., its value s.. at
+    the step's start, stages a.. to d.., stage input y.., projection input
+    z.., gradient g.. at x and u.. at y, drift e..) and each vector
+    statement one tuple assignment; the guard and drift sums add from -0.0
+    left to right, as _sum_sq adds. The loop binds each fragment's consts
+    to the local named after its role (grad, proj, lam)."""
+
+    def put(frag, role, x, out):  # frag's body from x to out, at the inner loop's depth
+        return textwrap.indent(source(n, frag.body, k=role, x=x, out=out), " " * 12)
+
+    def stage(out, x, g, lam):
+        return source(n, _STAGE, grad=put(grad, "grad", x, g), proj=put(proj, "proj", "z", out),
+                      out=out, x=x, g=g, lam=lam)
+
+    return source(
+        n, _FLOAT_LOOP,
+        setup="\n".join(textwrap.indent(source(n, frag.setup, k=role), "    ")
+                        for frag, role in ((grad, "grad"), (proj, "proj"), (lam, "lam"))
+                        if frag.setup),
+        lam_mid=put(lam, "lam", "t + 0.5 * h", "lam_mid"), lam_t=put(lam, "lam", "t", "lam_t"),
+        lam_end=put(lam, "lam", "t + h", "lam_end"), stage_a=stage("a", "x", "g", "lam_t"),
+        stage_b=stage("b", "y", "u", "lam_mid"), stage_c=stage("c", "y", "u", "lam_mid"),
+        stage_d=stage("d", "y", "u", "lam_end"))
 
 
 @functools.cache
-def _float_loop(n: int):
-    """_rk4_floats's loop for n coordinates, compiled on its first run."""
-    name, source = f"<pgflow rk4 floats n={n}>", _float_loop_source(n)
-    linecache.cache[name] = (len(source), None, source.splitlines(True), name)  # for tracebacks
+def _float_loop(n: int, grad: Fragment, proj: Fragment, lam: Fragment):
+    """_rk4_floats's loop for n coordinates with these Fragments, compiled
+    on its first run; its file name names n and the fragments' kinds."""
+    name = f"<pgflow rk4 floats n={n} grad={grad.kind} proj={proj.kind} lam={lam.kind}>"
+    text = _float_loop_source(n, grad, proj, lam)
+    linecache.cache[name] = (len(text), None, text.splitlines(True), name)  # for tracebacks
     scope = {}
-    exec(compile(source, name, "exec"), globals(), scope)
+    exec(compile(text, name, "exec"), globals(), scope)
     return scope["rk4_floats"]
 
 
 def _rk4_floats(problem: FlowProblem, times: np.ndarray, step: float) -> tuple:
     """_rk4_rows's arithmetic on at most FLOAT_MAX_DIM Python floats, in the
-    loop generated for that width (_float_loop_source). It calls the
-    problem's ``grad_fn``, ``_project`` and ``Schedule.value`` as it finds
-    them, wrappers included, and returns and raises as _rk4_rows does; the
-    float kernels let an overflow become inf, as numpy does, and carry a
-    NaN through to the guard."""
-    return _float_loop(problem.x0.size)(problem, times, step)
+    loop generated for that width and the problem's kernels
+    (_float_loop_source). The kernels that carry a Fragment are spliced in
+    (fragments.inline); any other kernel, and any wrapper, is called as
+    found, so a wrapper sees every call that _rk4_rows makes. It returns
+    and raises as _rk4_rows does; the float kernels let an overflow become inf, as numpy
+    does, and carry a NaN through to the guard."""
+    kernels = (problem.objective.grad_fn, problem.domain._project, problem.schedule.value)
+    parts = [inline(kernel) or (call, kernel) for kernel, call in zip(kernels, _CALLS)]
+    loop = _float_loop(problem.x0.size, *(frag for frag, _ in parts))
+    return loop(problem, times, step, *(consts for _, consts in parts))
 
 
 def _euler_rows(problem: FlowProblem, times: np.ndarray) -> tuple:
@@ -382,7 +425,7 @@ def _euler_rows(problem: FlowProblem, times: np.ndarray) -> tuple:
 
 
 def _on_floats(problem: FlowProblem) -> bool:
-    """Whether a run of ``problem`` steps a list of floats (_rk4_floats)."""
+    """Whether a run of ``problem`` steps Python floats (_rk4_floats)."""
     return (problem.x0.size <= FLOAT_MAX_DIM and takes_floats(problem.objective.grad_fn)
             and takes_floats(problem.domain._project))
 
@@ -404,7 +447,7 @@ def integrate(
     horizon and step = sample_every = 1. Raises DivergenceError, carrying
     the failure time, as soon as the state norm passes 1e12 or stops being
     finite. An RK4 run of at most FLOAT_MAX_DIM coordinates whose kernels
-    take floats steps as a list of floats; any other run as a one-row
+    take floats steps as Python floats; any other run as a one-row
     array, with the same RK4 floats where both apply. A run at a
     floating-point equilibrium stops stepping and fills its remaining
     samples as stepping would (_settles). The trajectory records its method.

@@ -22,6 +22,10 @@ is ``math.fsum`` in a point kernel, correctly rounded, and ``np.vecdot``
 in a row kernel, within a few ulp of it. ``on_floats`` marks a point
 kernel that computes in floats, and ``takes_floats`` reads the mark
 through any ``functools.wraps`` wrapper.
+
+The point kernels of the whole space, a box and a ball also carry their
+arithmetic as a ``fragments.Fragment``, which ``flow``'s generated RK4
+loop splices in where it would call the kernel.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import math
 import numpy as np
 
 from .errors import InvalidInputError
+from .fragments import Fragment, inlined
 
 MEMBERSHIP_TOL = 1e-12
 
@@ -39,10 +44,11 @@ MEMBERSHIP_TOL = 1e-12
 TILE_MAX_FLOATS = 4096
 
 # The widest state a single run steps as Python floats. Per RK4 step on
-# box + quadratic, the float loop takes 6 against a one-row numpy run's
-# 25 us at n = 2 and 10 against 28 at n = 7 (2-core Xeon VM, Python 3.11,
-# numpy 2.4); a row kernel sums up to this many columns one at a time,
-# each a numpy call, where wider rows take one np.vecdot.
+# box + quadratic, the float loop with the kernels spliced in takes 1.6,
+# with them called 8.7, against a one-row numpy run's 32 us at n = 2, and
+# 5.5 and 14 against 39 at n = 7 (2-core Xeon VM, Python 3.11.7, numpy
+# 2.4.6); a row kernel sums up to this many columns one at a time, each a
+# numpy call, where wider rows take one np.vecdot.
 FLOAT_MAX_DIM = 7
 
 
@@ -202,6 +208,7 @@ class WholeSpace(ConvexSet):
         return rng.standard_normal((n, self.dim))
 
     @on_floats
+    @inlined(Fragment("wholespace", "", "{vec:{out}@} = {vec:{x}@}"), lambda space: ())
     def _project(self, x):
         return x
 
@@ -228,6 +235,9 @@ class Box(ConvexSet):
         return rng.uniform(self.lo, self.hi, size=(n, self.dim))
 
     @on_floats
+    @inlined(Fragment("box", "{vec:({k}_lo@, {k}_hi@)} = {k}", "{vec:{out}@} = "
+                      "{vec:{k}_lo@ if {x}@ < {k}_lo@ else {k}_hi@ if {x}@ > {k}_hi@ else {x}@}"),
+             lambda box: box._bounds)
     def _project(self, x):
         # np.minimum(np.maximum(x, lo), hi) on floats; a NaN fails both tests and stays
         return [lo if v < lo else hi if v > hi else v for v, (lo, hi) in zip(x, self._bounds)]
@@ -261,6 +271,14 @@ class Ball(ConvexSet):
         return g
 
     @on_floats
+    @inlined(Fragment("ball", "{vec:{k}_c@} = {k}[0]\n{k}_radius = {k}[1]", """\
+{vec:{k}_e@} = {vec:{x}@ - {k}_c@}
+{k}_r = math.sqrt({sum:{k}_e@ * {k}_e@})
+if {k}_r <= {k}_radius:
+    {vec:{out}@} = {vec:{x}@}
+else:
+    {k}_s = {k}_radius / {k}_r
+    {vec:{out}@} = {vec:{k}_c@ + {k}_s * {k}_e@}"""), lambda ball: (ball._c, ball.radius))
     def _project(self, x):
         d = [v - c for v, c in zip(x, self._c)]
         r = math.sqrt(_sum_sq(d))

@@ -34,8 +34,11 @@ them keeps the old rows too, and the rows then differ from the points;
 pass its row kernel, or ``None`` to have one derived, with it.
 
 A run of at most ``FLOAT_MAX_DIM`` coordinates whose gradient and
-projection take floats steps a list through the point kernels (see
-``flow.integrate``). Everything else that evaluates many points uses the
+projection take floats steps floats through the point kernels (see
+``flow.integrate``). The catalog's ``grad_fn`` carry their arithmetic as
+source (``fragments.inlined``), which that run's loop splices in; so does
+a power objective's, when its base's ``fn`` and ``grad_fn`` do, as a
+quadratic's do. Everything else that evaluates many points uses the
 row kernels: a wider or unmarked run, a run's samples, ``Objective.grad``
 and the checks below. The samples
 and the checks work in blocks of at most ``GRAD_CHECK_BLOCK_FLOATS``
@@ -53,6 +56,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedObjectiveError
+from .fragments import Fragment, inline, inlined, nested
 from .geometry import (
     Ball,
     Box,
@@ -274,6 +278,10 @@ def quadratic(center, diag=None, shift: float = 0.0, name: str | None = None) ->
     a_floats, d_floats, d2_floats = a.tolist(), d.tolist(), (2.0 * d).tolist()
 
     @on_floats
+    @inlined(Fragment("quadratic",
+                      "{vec:{k}_a@} = {k}[0]\n{vec:{k}_d@} = {k}[1]\n{k}_shift = {k}[2]",
+                      "{out} = {sum:({x}@ - {k}_a@) * ({x}@ - {k}_a@) * {k}_d@} + {k}_shift"),
+             lambda _: (a_floats, d_floats, shift))
     def fn(x, a=a_floats, d=d_floats, shift=shift):
         return _dot([(v - c) * (v - c) for v, c in zip(x, a)], d) + shift
 
@@ -286,6 +294,9 @@ def quadratic(center, diag=None, shift: float = 0.0, name: str | None = None) ->
         return _row_dots(R, d_rows(X)) + shift
 
     @on_floats
+    @inlined(Fragment("quadratic", "{vec:{k}_a@} = {k}[0]\n{vec:{k}_w@} = {k}[1]",
+                      "{vec:{out}@} = {vec:{k}_w@ * ({x}@ - {k}_a@)}"),
+             lambda _: (a_floats, d2_floats))
     def grad_fn(x, a=a_floats, d2=d2_floats):
         g = [w * (v - c) for v, c, w in zip(x, a, d2)]
         return g if x.__class__ is list else np.array(g)
@@ -325,6 +336,9 @@ def even_quartic(dim: int) -> Objective:
         return s * s + s
 
     @on_floats
+    @inlined(Fragment("even_quartic", "",
+                      "{k}_c = 4.0 * {sum:{x}@ * {x}@} + 2.0\n{vec:{out}@} = {vec:{k}_c * {x}@}"),
+             lambda _: ())
     def grad_fn(x):
         c = 4.0 * _sum_sq(x) + 2.0
         g = [c * v for v in x]
@@ -376,6 +390,14 @@ def flat_bottom(center, rho: float) -> Objective:
         return excess * excess
 
     @on_floats
+    @inlined(Fragment("flat_bottom", "{vec:{k}_a@} = {k}[0]\n{k}_rho = {k}[1]", """\
+{vec:{k}_d@} = {vec:{x}@ - {k}_a@}
+{k}_r = math.sqrt({sum:{k}_d@ * {k}_d@})
+if {k}_r <= {k}_rho:
+    {vec:{out}@} = (0.0,) * {n}
+else:
+    {k}_s = 2.0 * ({k}_r - {k}_rho) / {k}_r
+    {vec:{out}@} = {vec:{k}_s * {k}_d@}"""), lambda _: (a_floats, rho))
     def grad_fn(x, a=a_floats, rho=rho):
         d = [v - c for v, c in zip(x, a)]
         r = math.sqrt(_sum_sq(d))
@@ -417,6 +439,24 @@ def _pow(v: float, e: float) -> float:
         return math.inf
 
 
+def _power_of(base: tuple, base_grad: tuple, p: float):
+    """inlined for make_power_objective's grad_fn, whose base kernels
+    inline as ``base`` and ``base_grad`` (fragments.inline): it computes
+    them, and calls _pow, in the order that grad_fn does."""
+    (f, f_consts), (g, g_consts) = base, base_grad
+    setup = "\n".join(["{k}_p, {k}_e, {k}_pow, {k}_f, {k}_g = {k}",
+                       *(nested(part.setup, k) for part, k in ((f, "f"), (g, "g")) if part.setup)])
+    body = "\n".join([nested(f.body, "f", out="{k}_v"),
+                      "if {k}_v == 0.0:",
+                      "    {vec:{out}@} = (0.0,) * {n}",
+                      "else:",
+                      "    {k}_c = {k}_p * {k}_pow({k}_v, {k}_e)",
+                      *("    " + line for line in nested(g.body, "g", out="{k}_b").splitlines()),
+                      "    {vec:{out}@} = {vec:{k}_c * {k}_b@}"])
+    return inlined(Fragment(f"power({f.kind}, {g.kind})", setup, body),
+                   lambda _: (p, p - 1.0, _pow, f_consts, g_consts))
+
+
 def make_power_objective(g: Objective, theta: float) -> Objective:
     """Raise a nonnegative strongly convex objective to the power 1/(2*theta).
 
@@ -453,6 +493,9 @@ def make_power_objective(g: Objective, theta: float) -> Objective:
 
     if takes_floats(g.fn) and takes_floats(g.grad_fn):
         fn, grad_fn = on_floats(fn), on_floats(grad_fn)
+    base, base_grad = inline(g.fn), inline(g.grad_fn)
+    if base is not None and base_grad is not None:
+        grad_fn = _power_of(base, base_grad, p)(grad_fn)
 
     @_rows_of(grad_fn)
     def grad_rows(X, base_rows=g.fn_rows, base_grad_rows=g.grad_rows,

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
+from .fragments import Fragment, inlined
 
 
 def _tanh_sinh_rule():
@@ -118,9 +119,14 @@ class Schedule:
         family = "Power" if self.alpha < 1.0 else "PowerGE1"
         return f"{family}(K={self.K!r}, alpha={self.alpha!r})"
 
+    # The Fragment skips the time check: flow's loop takes its times from a
+    # validated sample grid. (1+t) >= 1 to a power <= 0 cannot overflow.
+    @inlined(Fragment("clock", "{k}_K, {k}_power = {k}",
+                      "{out} = {k}_K * (1.0 + ({x})) ** {k}_power"),
+             lambda schedule: (schedule.K, -schedule.alpha))
     def value(self, t):
         """lambda(t); Constant's (1+t) ** -0.0 is exactly 1."""
-        # _check_time inlined: the RK4 loop calls this 3 times per step
+        # _check_time inlined: an RK4 loop that calls this calls it 3 times per step
         try:
             t = float(t)
         except TypeError:

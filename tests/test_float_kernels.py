@@ -6,11 +6,14 @@ catalog's point kernels, and a wider run, or one with a caller's kernels,
 steps a numpy row. The two must give the same floats wherever both apply, for
 every set and objective kind, and the run must take the float path
 exactly when its kernels are marked as taking floats. The float run
-steps a loop generated once per width, which calls the kernels as the
+steps a loop generated once per width and kinds of kernel. It splices in
+the catalog's own kernels and calls any other, or any wrapper, as the
 one-row run does: 4 gradients, 4 projections and 3 lambdas per RK4 step.
+Spliced in or called, a kernel gives the same bytes.
 """
 
 import collections
+import contextlib
 import dataclasses
 import functools
 import math
@@ -18,6 +21,7 @@ import os
 import subprocess
 import sys
 import traceback
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from pgflow.errors import DivergenceError
 from pgflow.flow import FlowProblem, _sample_grid, integrate
 from pgflow.geometry import (
     FLOAT_MAX_DIM,
+    Ball,
     Box,
     WholeSpace,
     _dot,
@@ -36,6 +41,7 @@ from pgflow.geometry import (
     _sum_sq,
     takes_floats,
 )
+from pgflow.fragments import inline, nested, source
 from pgflow.objectives import (
     Objective,
     even_quartic,
@@ -43,7 +49,7 @@ from pgflow.objectives import (
     make_power_objective,
     quadratic,
 )
-from pgflow.schedules import Constant, Power, Schedule
+from pgflow.schedules import Constant, Power, PowerGE1, Schedule
 
 from test_flow import SET_KINDS, TRAJECTORY_FIELDS, random_set
 
@@ -258,14 +264,22 @@ class TestGeneratedLoop:
         flow._rk4_floats(problem, _sample_grid(0.5, 0.1), 0.01)  # 5 samples of 10 steps
         assert calls == {"grad": 4 * 50, "lambda": 3 * 50, "project": 4 * 50 + 5}
 
-    def test_each_width_compiles_once(self, monkeypatch):
+    def test_each_width_and_kinds_compile_once(self, monkeypatch):
         names = []
         monkeypatch.setattr(flow, "compile", lambda source, name, mode:
                             names.append(name) or compile(source, name, mode), raising=False)
         flow._float_loop.cache_clear()
-        for dim in (2, 3, 2, 3, 2):
-            integrate(box_problem(dim), horizon=0.2, step=0.01, sample_every=0.1)
-        assert names == ["<pgflow rk4 floats n=2>", "<pgflow rk4 floats n=3>"]
+        q = quadratic([0.3, -0.2])
+        wrapped = dataclasses.replace(q, grad_fn=passthrough(q.grad_fn))
+        ball = FlowProblem(Ball([0.0, 0.0], 1.0), q, Constant(K=1.0), [0.5, 0.5])
+        # other constants of one kind share a loop; another kind, or a wrapper, gets its own
+        for problem in (box_problem(2), box_problem(3), box_problem(2, objective=q),
+                        box_problem(2, objective=wrapped), ball, box_problem(3)):
+            integrate(problem, horizon=0.2, step=0.01, sample_every=0.1)
+        assert names == ["<pgflow rk4 floats n=2 grad=quadratic proj=box lam=clock>",
+                         "<pgflow rk4 floats n=3 grad=quadratic proj=box lam=clock>",
+                         "<pgflow rk4 floats n=2 grad=call proj=box lam=clock>",
+                         "<pgflow rk4 floats n=2 grad=quadratic proj=ball lam=clock>"]
 
     def test_importing_the_cli_compiles_no_loop(self):
         code = ("import pgflow.cli\nfrom pgflow import flow\n"
@@ -276,8 +290,12 @@ class TestGeneratedLoop:
         assert out.stdout == "0\n"
 
     def test_the_source_reads_back_and_tracebacks_name_it(self):
-        assert "            a0, a1 = a0 - x0, a1 - x1\n" in flow._float_loop_source(2)
-        assert "            a0, = a0 - x0,\n" in flow._float_loop_source(1)
+        grad, proj, lam = (inline(kernel)[0] for kernel in kernels(box_problem(2)))
+        inlined = flow._float_loop_source(2, grad, proj, lam)
+        assert "            u0, u1 = grad_w0 * (y0 - grad_a0), grad_w1 * (y1 - grad_a1)\n" in inlined
+        called = flow._float_loop_source(1, flow._CALLS[0], proj, lam)
+        assert "            g0, = grad([x0,])\n" in called
+        assert "            a0, = a0 - x0,\n" in called
 
         def broken(x):
             raise ZeroDivisionError
@@ -288,7 +306,142 @@ class TestGeneratedLoop:
         with pytest.raises(ZeroDivisionError) as exc:
             integrate(problem, horizon=0.2, step=0.01, sample_every=0.1)
         frames = [(f.filename, f.line) for f in traceback.extract_tb(exc.value.__traceback__)]
-        assert ("<pgflow rk4 floats n=2>", "g = grad(x_in)") in frames
+        assert ("<pgflow rk4 floats n=2 grad=call proj=box lam=clock>",
+                "g0, g1 = grad([x0, x1])") in frames
+
+
+def passthrough(kernel):
+    """``kernel`` behind a functools.wraps wrapper, which the float loop calls."""
+
+    @functools.wraps(kernel)
+    def wrapper(*args):
+        return kernel(*args)
+
+    return wrapper
+
+
+def kernels(problem):
+    return problem.objective.grad_fn, problem.domain._project, problem.schedule.value
+
+
+@contextlib.contextmanager
+def all_called(problem):
+    """``problem`` with its gradient, projection and clock each wrapped by passthrough."""
+    objective = dataclasses.replace(problem.objective,
+                                    grad_fn=passthrough(problem.objective.grad_fn))
+    cls = type(problem.domain)
+    with mock.patch.object(cls, "_project", passthrough(cls._project)), \
+            mock.patch.object(Schedule, "value", passthrough(Schedule.value)):
+        yield dataclasses.replace(problem, objective=objective)
+
+
+def run_or_divergence(problem, **grid):
+    try:
+        return integrate(problem, **grid)
+    except DivergenceError as exc:
+        return exc
+
+
+def assert_same_bytes(inlined, called):
+    """Two runs of one problem, the one spliced in and the one called, wrote the same bytes."""
+    if isinstance(inlined, DivergenceError):
+        assert isinstance(called, DivergenceError) and called.time == inlined.time
+        assert str(called) == str(inlined)
+        return
+    assert inlined.x.tobytes() == called.x.tobytes()
+    assert inlined.feas_drift.tobytes() == called.feas_drift.tobytes()
+
+
+SPLICED_SETS = ("wholespace", "box", "ball")
+CLOCKS = {"constant": Constant(K=0.5), "power": Power(K=1.0, alpha=0.5),
+          "power_ge1": PowerGE1(K=2.0, alpha=1.5)}
+
+
+class TestInlinedEqualsCalled:
+    """A run whose kernels are spliced into the float loop writes the bytes
+    of the run that calls each of them through a wrapper."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(SET_KINDS),
+           objective=st.sampled_from(OBJECTIVE_KINDS + ("power_quartic",)),
+           dim=st.sampled_from([1, 2, 3, FLOAT_MAX_DIM]), clock=st.sampled_from(sorted(CLOCKS)),
+           start=st.sampled_from(["inside", "boundary"]), seed=st.integers(0, 2**32 - 1))
+    def test_same_bytes(self, kind, objective, dim, clock, start, seed):
+        rng = np.random.default_rng(seed)
+        domain = random_set(kind, rng, dim)
+        if objective == "power_quartic":
+            obj = make_power_objective(even_quartic(dim), theta=float(rng.choice([0.1, 0.3, 0.5])))
+        else:
+            obj = random_objective(objective, rng, dim, thetas=(0.1, 0.25, 0.3, 0.5))
+        # a far point projects onto the boundary of every set but the whole space
+        x0 = domain._project(rng.uniform(-1.5, 1.5, dim) * (10.0 if start == "boundary" else 1.0))
+        problem = FlowProblem(domain, obj, CLOCKS[clock], x0)
+        # the catalog's kernels are spliced in, but the projections onto a simplex, which
+        # sorts, and the planes, and the gradient of a power of even_quartic, whose fn is
+        # not: those are called on either path
+        assert [part is not None for part in map(inline, kernels(problem))] == [
+            objective != "power_quartic", kind in SPLICED_SETS, True]
+        grid = dict(horizon=0.6, step=0.01, sample_every=0.1)
+        inlined = run_or_divergence(problem, **grid)
+        with all_called(problem) as called_problem:
+            assert [inline(kernel) for kernel in kernels(called_problem)] == [None] * 3
+            assert flow._on_floats(called_problem)
+            called = run_or_divergence(called_problem, **grid)
+        assert_same_bytes(inlined, called)
+
+    @pytest.mark.parametrize("dim", [1, 2, FLOAT_MAX_DIM])
+    def test_a_settled_start(self, dim):
+        # the gradient is 0 on the flat bottom: the first segment's last step returns
+        # x0, _settles holds, and no later step is taken
+        center = np.linspace(-0.2, 0.2, dim)
+        problem = FlowProblem(Ball(np.zeros(dim), 2.0), flat_bottom(center, 0.5),
+                              Power(K=1.0, alpha=0.5), center)
+        grid = dict(horizon=5.0, step=0.01, sample_every=0.1)
+        answers, settles = [], flow._settles
+
+        def spy(*args):
+            answers.append(settles(*args))
+            return answers[-1]
+
+        with mock.patch.object(flow, "_settles", spy):
+            inlined = integrate(problem, **grid)
+            with all_called(problem) as called_problem:
+                called = integrate(called_problem, **grid)
+        assert answers == [True, True]
+        assert_same_bytes(inlined, called)
+        assert np.all(inlined.x == center)
+
+    @pytest.mark.parametrize("dim", [1, 2, FLOAT_MAX_DIM])
+    def test_an_overflow_raises_at_the_same_time(self, dim):
+        # ||x||^10 from 3 e_1: _pow overflows to inf inside the first steps
+        f = make_power_objective(quadratic(np.zeros(dim)), theta=0.1)
+        x0 = np.zeros(dim)
+        x0[0] = 3.0
+        problem = FlowProblem(WholeSpace(dim), f, Constant(K=1.0), x0)
+        grid = dict(horizon=5.0, step=0.5, sample_every=0.5)
+        inlined = run_or_divergence(problem, **grid)
+        with all_called(problem) as called_problem:
+            called = run_or_divergence(called_problem, **grid)
+        assert isinstance(inlined, DivergenceError) and inlined.time == 0.5
+        assert_same_bytes(inlined, called)
+
+
+class TestFragmentSource:
+    """The vec and sum fields of a template spell a vector over n coordinates."""
+
+    def test_vec_and_sum_expand(self):
+        assert source(2, "{vec:a@} = {vec:x@ - c@}") == "a0, a1 = x0 - c0, x1 - c1"
+        assert source(1, "{vec:a@} = [{vec:x@}]") == "a0, = [x0,]"
+        # a term's parentheses, at any depth, stay in the term
+        assert source(2, "r = {sum:((x@ - a@) * (x@ - a@))}") == (
+            "r = (-0.0 + ((x0 - a0) * (x0 - a0)) + ((x1 - a1) * (x1 - a1)))")
+
+    def test_a_nested_template_expands_in_the_outer(self):
+        inner = "{vec:{out}@} = {vec:{k}_w@ * {x}@}\n{k}_s = {sum:{x}@} * {n}"
+        outer = nested(inner, "g", out="{k}_b")
+        assert outer == "{vec:{k}_b@} = {vec:{k}_g_w@ * {x}@}\n{k}_g_s = {sum:{x}@} * {n}"
+        assert source(2, outer, k="grad", x="y") == (
+            "grad_b0, grad_b1 = grad_g_w0 * y0, grad_g_w1 * y1\ngrad_g_s = (-0.0 + y0 + y1) * 2")
 
 
 class TestReductionOrder:
