@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 2 config error, 3 divergence, 4 verdict failure
 (expected claims under --strict, or any failed row in `check`), 5 a forked
-sweep or check child died before it sent its work. Both commands fork
-through one helper, ``_forked``.
+sweep child died before it sent its work (``_forked``).
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from .flow import (
 )
 from .geometry import ConvexSet, _rounding, _row_norms, variational_gap
 from .objectives import (
-    GRAD_CHECK_BLOCK_FLOATS,
     GRAD_CHECK_TOL,
     Desingularizer,
     certificate_checks,
@@ -305,21 +303,16 @@ def _draws(domain: ConvexSet, rng, count: int):
 
 
 def _gradient_row(obj, blocks):
-    """The gradient check over every point of ``blocks``. Where a point's
-    2n probe rows overflow one row block (n >= 182) the probes are worth a
-    fork: there each block's points are split into one contiguous share per
-    usable CPU, and the shares are checked by ``_forked``."""
-    workers = _usable_cpus() if 2 * obj.dim ** 2 > GRAD_CHECK_BLOCK_FLOATS else 1
-    errors = []
+    """The gradient check over every point of ``blocks``, one grad_check
+    call per block of points."""
+    errors, count = [], 0
     for X in blocks:
-        shares = np.array_split(X, min(workers, len(X)))
-        names = [f"gradient probe share {j + 1} of {len(shares)}" for j in range(len(shares))]
-        _forked(lambda j: [grad_check(obj, pt) for pt in shares[j]], names, len(shares),
-                lambda j, share_errors: errors.extend(share_errors))
+        errors.append(grad_check(obj, X))
+        count += len(X)
     # np.max keeps a NaN error wherever it falls; Python's max may drop it
     worst = float(np.max(errors))
     return ("gradient check", "pass" if worst <= GRAD_CHECK_TOL else "fail",
-            f"max rel err {worst:.3g} over {len(errors)} points")
+            f"max rel err {worst:.3g} over {count} points")
 
 
 def _projection_rows(domain: ConvexSet, rng):

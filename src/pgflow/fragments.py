@@ -26,9 +26,9 @@ class Fragment(NamedTuple):
     Each statement does the kernel's float operations in the kernel's
     order, so the loop's floats are the kernel's, bit for bit. A fragment
     divides only by a divisor its kernel holds or tests as positive, and
-    raises to a power only through the kernel's own ``pow``: Python's
-    ``/`` and ``**`` raise where numpy gives inf or NaN. ``kind`` names
-    the source in the loop's file name.
+    raises to a power through the kernel's own ``pow``, or with ``**`` only
+    where that cannot overflow: Python's ``/`` and ``**`` raise where numpy
+    gives inf or NaN. ``kind`` names the source in the loop's file name.
     """
 
     kind: str

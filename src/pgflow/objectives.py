@@ -43,6 +43,15 @@ row kernels: a wider or unmarked run, a run's samples, ``Objective.grad``
 and the checks below. The samples
 and the checks work in blocks of at most ``GRAD_CHECK_BLOCK_FLOATS``
 floats (512 KiB) whatever n is (``row_blocks``).
+
+A catalog ``fn_rows`` other than ``even_quartic``'s, which is already
+just the row reduction, is ``finish(terms(X))`` and carries the pair as
+``split`` (``_split_rows``): ``terms`` is its elementwise part, ``(X -
+a)^2`` for a quadratic, ``X - a`` for flat_bottom and the base's for a
+power, and ``finish`` the rest, from ``_row_dots`` on. ``grad_check``
+uses the split to pay for the terms of a probe row's one changed
+coordinate only. Any other row kernel, and any wrapper, counts as the
+terms ``X`` itself and the finish ``fn_rows`` (``_split``).
 """
 
 from __future__ import annotations
@@ -138,6 +147,33 @@ def _rows_of(point):
     return mark
 
 
+def _split_rows(point, terms, finish):
+    """The fn_rows ``finish(terms(X))`` that mirrors ``point`` and carries
+    the pair as ``split``. ``terms`` is the elementwise part: its entry
+    (k, j) depends on X[k, j] alone. ``finish`` is the rest, from the row
+    reduction on."""
+
+    @_rows_of(point)
+    def fn_rows(X):
+        return finish(terms(X))
+
+    fn_rows.split = (terms, finish)
+    return fn_rows
+
+
+def _no_terms(X):
+    return X
+
+
+def _split(fn_rows) -> tuple:
+    """(terms, finish) of a row kernel: the split it carries, or, for one
+    without a split or any wrapper (whose every call must happen), X
+    itself and the kernel."""
+    if hasattr(fn_rows, "__wrapped__") or not hasattr(fn_rows, "split"):
+        return _no_terms, fn_rows
+    return fn_rows.split
+
+
 @dataclass(frozen=True)
 class Objective:
     fn: Callable[[np.ndarray], float]
@@ -179,14 +215,16 @@ class Objective:
         catalog's equals ``grad_fn`` (bit for bit up to FLOAT_MAX_DIM
         coordinates, see above) at numpy's speed, and a caller's
         ``grad_fn`` alone is called through its row loop."""
-        p = as_point(x, self.dim)
-        G = np.asarray(self.grad_rows(p[None, :]), dtype=float)
-        if G.shape != (1, self.dim):
+        return self._grads(as_point(x, self.dim)[None, :])[0]
+
+    def _grads(self, X: np.ndarray) -> np.ndarray:
+        """``grad_rows(X)``, which must be finite and of X's shape."""
+        G = np.asarray(self.grad_rows(X), dtype=float)
+        if G.shape != X.shape:
             raise InvalidInputError(f"gradient has shape {G.shape[1:]}, expected ({self.dim},)")
-        g = G[0]
-        if not np.all(np.isfinite(g)):
+        if not np.all(np.isfinite(G)):
             raise InvalidInputError("gradient has non-finite components")
-        return g
+        return G
 
 
 GRAD_CHECK_BLOCK_FLOATS = 2**16  # ceiling of the row blocks that check and run evaluate at once
@@ -202,7 +240,8 @@ def row_blocks(count: int, dim: int) -> list:
 
 def grad_check(obj: Objective, x, h: float = 1e-5) -> float:
     """Worst safeguarded relative error of the analytic gradient against
-    central finite differences, componentwise.
+    central finite differences, componentwise, over one point or the rows
+    of an (m, n) array.
 
     The difference d_i divides by the realised step s_i = (p_i + h) -
     (p_i - h), not by 2h. Coordinate i's error |g_i - d_i| is divided by
@@ -215,44 +254,61 @@ def grad_check(obj: Objective, x, h: float = 1e-5) -> float:
     difference's own rounding, which exceeds the bar where |f| is large:
     an exact gradient passes at any scale of p.
 
-    The points p + h e_i and p - h e_i of a block of k coordinates are
-    the first 2k rows of a buffer that holds p in every row, evaluated by
-    one ``obj.fn_rows`` call. Row r gets +h and row k + r gets -h on
-    coordinate start + r: two diagonals, strided views of the flat
-    buffer, which are restored to p after the call. A coordinate whose
-    difference is not a number (f overflowed at p +- h e_i) makes the
-    result NaN, which fails every threshold.
+    The gradients of all points come from one ``grad_rows`` call. The f
+    values come from ``obj.fn_rows`` split into its elementwise ``terms``
+    and the ``finish`` that reduces their rows (``_split``): the probe row
+    p + h e_i has p's terms except in column i, which holds those of p_i +
+    h. So ``terms`` runs once on p, p + h and p - h of a block of points,
+    O(n) floats a point, and a probe buffer holds p's terms in every row.
+    Row r gets the +h term and row k + r the -h term of coordinate start
+    + r: two diagonals, strided views of each point's rows, restored to
+    p's terms after ``finish`` has evaluated them. Where the 2n probe rows
+    of several points fit one buffer, those points share it and one
+    ``finish`` call. Each f value is the float that ``fn_rows`` gives on
+    the probe row itself, since the terms and the row reduction treat
+    each row and column alone. A coordinate whose difference is not a
+    number (f overflowed at p +- h e_i) makes the result NaN, which fails
+    every threshold.
     """
     if h <= 0:
         raise InvalidInputError("step h must be positive")
-    p = as_point(x, obj.dim)
-    g = obj.grad(p)
+    P = as_rows(x, obj.dim)
+    G = obj._grads(P)
+    terms, finish = _split(obj.fn_rows)
     n = obj.dim
-    block = max(1, min(n, GRAD_CHECK_BLOCK_FLOATS // (2 * n)))
-    buf = np.empty((2 * block, n))
-    buf[:] = p
-    flat = buf.reshape(-1)
-    f_plus, f_minus = np.empty(n), np.empty(n)
+    # the points of one buffer: several where 2n^2 floats fit one block,
+    # else one, whose coordinates then come a block of rows at a time
+    buf = np.empty((min(len(P), max(1, GRAD_CHECK_BLOCK_FLOATS // (2 * n * n))),
+                    2 * min(n, max(1, GRAD_CHECK_BLOCK_FLOATS // (2 * n))), n))
+    worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, block):
-            k = min(block, n - start)
-            plus = flat[start:start + k * (n + 1):n + 1]
-            minus = flat[start + k * n:start + k * (2 * n + 1):n + 1]
-            plus += h
-            minus -= h
-            f = obj.fn_rows(buf[:2 * k])
-            plus[:] = minus[:] = p[start:start + k]
-            f_plus[start:start + k], f_minus[start:start + k] = f[:k], f[k:]
-        span = (p + h) - (p - h)
-        span[span == 0.0] = 2.0 * h  # p_i +- h both round to p_i: d_i is 0 over 2h
-        fd = (f_plus - f_minus) / span
-        scale = np.maximum(np.maximum(1.0, np.abs(g)), np.abs(fd))
-        # r_i / GRAD_CHECK_TOL, the difference's rounding error in units of the bar
-        floor = 4.0 * np.finfo(float).eps / (span * GRAD_CHECK_TOL)
-        scale = np.maximum(scale, floor * np.maximum(np.abs(f_plus), np.abs(f_minus)))
-        err = np.abs(g - fd) / scale
-    # maximum propagates a NaN error; fmax would drop it
-    return float(np.maximum.reduce(err, initial=0.0))
+        for b in row_blocks(len(P), 3 * n):
+            Q, g = P[b], G[b]
+            T, T_plus, T_minus = np.split(terms(np.concatenate((Q, Q + h, Q - h))), 3)
+            f_plus, f_minus = np.empty_like(Q), np.empty_like(Q)
+            for s in row_blocks(len(Q), 2 * n * n):
+                rows = buf[:s.stop - s.start]
+                rows[:] = T[s, None, :]
+                flat = rows.reshape(len(rows), -1)
+                for c in row_blocks(n, 2 * n):
+                    k = c.stop - c.start
+                    plus = flat[:, c.start:c.start + k * (n + 1):n + 1]
+                    minus = flat[:, c.start + k * n:c.start + k * (2 * n + 1):n + 1]
+                    plus[:], minus[:] = T_plus[s, c], T_minus[s, c]
+                    # one contiguous block: one point, or several with every coordinate
+                    f = finish(rows[:, :2 * k].reshape(-1, n)).reshape(len(rows), 2 * k)
+                    plus[:] = minus[:] = T[s, c]
+                    f_plus[s, c], f_minus[s, c] = f[:, :k], f[:, k:]
+            span = (Q + h) - (Q - h)
+            span[span == 0.0] = 2.0 * h  # p_i +- h both round to p_i: d_i is 0 over 2h
+            fd = (f_plus - f_minus) / span
+            scale = np.maximum(np.maximum(1.0, np.abs(g)), np.abs(fd))
+            # r_i / GRAD_CHECK_TOL, the difference's rounding error in units of the bar
+            floor = 4.0 * np.finfo(float).eps / (span * GRAD_CHECK_TOL)
+            scale = np.maximum(scale, floor * np.maximum(np.abs(f_plus), np.abs(f_minus)))
+            # maximum propagates a NaN error; fmax would drop it
+            worst = np.maximum.reduce(np.abs(g - fd) / scale, axis=None, initial=worst)
+    return float(worst)
 
 
 def singleton(point) -> Box:
@@ -287,11 +343,15 @@ def quadratic(center, diag=None, shift: float = 0.0, name: str | None = None) ->
 
     a_rows, d_rows, d2_rows = _RowTiles(a), _RowTiles(d), _RowTiles(2.0 * d)
 
-    @_rows_of(fn)
-    def fn_rows(X, shift=np.array(shift)):  # 0-d array, a faster scalar for numpy
+    def terms(X):
         R = X - a_rows(X)
         R *= R
-        return _row_dots(R, d_rows(X)) + shift
+        return R
+
+    def finish(R, shift=np.array(shift)):  # 0-d array, a faster scalar for numpy
+        return _row_dots(R, d_rows(R)) + shift
+
+    fn_rows = _split_rows(fn, terms, finish)
 
     @on_floats
     @inlined(Fragment("quadratic", "{vec:{k}_a@} = {k}[0]\n{vec:{k}_w@} = {k}[1]",
@@ -383,11 +443,14 @@ def flat_bottom(center, rho: float) -> Objective:
         # np.maximum(excess, 0.0): a NaN fails the test and stays
         return 0.0 if excess < 0.0 else excess * excess
 
-    @_rows_of(fn)
-    def fn_rows(X, rho=rho):
-        D = X - a_rows(X)
+    def terms(X):
+        return X - a_rows(X)
+
+    def finish(D, rho=rho):
         excess = np.maximum(np.sqrt(_row_dots(D, D)) - rho, 0.0)
         return excess * excess
+
+    fn_rows = _split_rows(fn, terms, finish)
 
     @on_floats
     @inlined(Fragment("flat_bottom", "{vec:{k}_a@} = {k}[0]\n{k}_rho = {k}[1]", """\
@@ -442,19 +505,23 @@ def _pow(v: float, e: float) -> float:
 def _power_of(base: tuple, base_grad: tuple, p: float):
     """inlined for make_power_objective's grad_fn, whose base kernels
     inline as ``base`` and ``base_grad`` (fragments.inline): it computes
-    them, and calls _pow, in the order that grad_fn does."""
+    them, and raises to the power, in the order that grad_fn does. The
+    exponent e = p - 1 is Python's ``**`` where it lies in [0, 1], which
+    cannot overflow there (|v ** e| <= max(1, |v|)): every theta >= 1/4.
+    A larger one calls _pow, as grad_fn does, and its kind says so."""
     (f, f_consts), (g, g_consts) = base, base_grad
+    plain = 0.0 <= p - 1.0 <= 1.0
     setup = "\n".join(["{k}_p, {k}_e, {k}_pow, {k}_f, {k}_g = {k}",
                        *(nested(part.setup, k) for part, k in ((f, "f"), (g, "g")) if part.setup)])
     body = "\n".join([nested(f.body, "f", out="{k}_v"),
                       "if {k}_v == 0.0:",
                       "    {vec:{out}@} = (0.0,) * {n}",
                       "else:",
-                      "    {k}_c = {k}_p * {k}_pow({k}_v, {k}_e)",
+                      "    {k}_c = {k}_p * " + ("{k}_v ** {k}_e" if plain else "{k}_pow({k}_v, {k}_e)"),
                       *("    " + line for line in nested(g.body, "g", out="{k}_b").splitlines()),
                       "    {vec:{out}@} = {vec:{k}_c * {k}_b@}"])
-    return inlined(Fragment(f"power({f.kind}, {g.kind})", setup, body),
-                   lambda _: (p, p - 1.0, _pow, f_consts, g_consts))
+    kind = f"power({f.kind}, {g.kind}{'' if plain else ', _pow'})"
+    return inlined(Fragment(kind, setup, body), lambda _: (p, p - 1.0, _pow, f_consts, g_consts))
 
 
 def make_power_objective(g: Objective, theta: float) -> Objective:
@@ -478,9 +545,12 @@ def make_power_objective(g: Objective, theta: float) -> Objective:
     def fn(x, base=g.fn, p=p):
         return _pow(float(base(x)), p)
 
-    @_rows_of(fn)
-    def fn_rows(X, base_rows=g.fn_rows, p=p):
-        return base_rows(X) ** p
+    base_terms, base_finish = _split(g.fn_rows)
+
+    def finish(T, p=p):
+        return base_finish(T) ** p
+
+    fn_rows = _split_rows(fn, base_terms, finish)
 
     def grad_fn(x, base=g.fn, base_grad=g.grad_fn, p=p, e=p - 1.0):
         gv = float(base(x))

@@ -1,17 +1,15 @@
-"""`pgflow check`: every row it prints can fail, and the gradient probes of
-a wide objective run in forked processes with the serial output."""
+"""`pgflow check`: every row it prints can fail, and the gradient probes
+of each drawn block of points are checked by one call in this process."""
 
 import dataclasses
 import os
 import re
-import signal
-import time
 
 import numpy as np
 import pytest
 
 from pgflow import cli, config
-from pgflow.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERDICT, EXIT_WORKER, main
+from pgflow.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERDICT, main
 from pgflow.errors import InvalidInputError
 from pgflow.config import list_presets, load_pairs
 from pgflow.geometry import Ball
@@ -219,131 +217,57 @@ class TestCertificateOverflow:
 
 
 SET_KINDS = ("wholespace", "box", "ball", "halfspace", "hyperplane", "simplex")
-WIDE = 200  # 2 n^2 rows of probes overflow one block of 2^16 floats from n = 182
+WIDE = 200  # the 2n probe rows of one point overflow one block of 2^16 floats from n = 182
 
 
-def counted_forks(monkeypatch):
-    """Patch os.fork to record the pid of every child it starts."""
-    pids = []
-    fork = os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return pids
+def point_by_point(grad_check):
+    """grad_check of a block of points as the worst of its points' own checks."""
+    return lambda obj, X: float(np.max([grad_check(obj, x) for x in X]))
 
 
-def assert_reaped(pids):
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
+class TestSerialGradientProbes:
+    """check calls grad_check once per drawn block of points, in its own process."""
 
-
-class TestForkedGradientProbes:
     @pytest.mark.parametrize("kind", SET_KINDS)
-    def test_stdout_equals_the_serial_path(self, tmp_path, capsys, monkeypatch, kind):
+    def test_stdout_equals_the_point_by_point_check(self, tmp_path, capsys, monkeypatch, kind):
         text = highdim_text(kind, WIDE)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-        serial = check_rows(tmp_path, capsys, text, ("--seed", "3"))
-        pids = counted_forks(monkeypatch)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-        forked = check_rows(tmp_path, capsys, text, ("--seed", "3"))
-        assert len(pids) == 2  # one block of 100 points, two children
-        assert serial[0] == forked[0] == EXIT_OK, serial[2]
-        assert forked[2] == serial[2]
-        assert_reaped(pids)
+        blocks = check_rows(tmp_path, capsys, text, ("--seed", "3"))
+        monkeypatch.setattr(cli, "grad_check", point_by_point(cli.grad_check))
+        points = check_rows(tmp_path, capsys, text, ("--seed", "3"))
+        assert blocks[0] == EXIT_OK, blocks[2]
+        assert blocks == points
 
-    def test_two_dimensional_presets_stay_serial(self, capsys, monkeypatch):
-        pids = counted_forks(monkeypatch)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
-        assert main(["check", "rate_theta50_alpha50"]) == EXIT_OK
-        assert pids == []
-
-    def test_one_usable_cpu_never_forks(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("n, sizes", [(2, [100]), (WIDE, [100]), (1000, [65, 35])])
+    def test_one_call_per_block_and_no_fork(self, tmp_path, capsys, monkeypatch, n, sizes):
         def no_fork():
-            raise AssertionError("os.fork called with one usable CPU")
+            raise AssertionError("os.fork called by check")
+
+        calls, grad_check = [], cli.grad_check
+
+        def counted(obj, X):
+            calls.append(len(X))
+            return grad_check(obj, X)
 
         monkeypatch.setattr(os, "fork", no_fork)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-        assert check_rows(tmp_path, capsys, highdim_text("ball", WIDE))[0] == EXIT_OK
-
-    def test_without_fork_the_probes_run_serially(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-        serial = check_rows(tmp_path, capsys, highdim_text("box", WIDE))
-        monkeypatch.delattr(os, "fork")
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
-        assert check_rows(tmp_path, capsys, highdim_text("box", WIDE)) == serial
+        monkeypatch.setattr(cli, "grad_check", counted)
+        code, rows, out = check_rows(tmp_path, capsys, highdim_text("ball", n))
+        assert code == EXIT_OK, out
+        assert calls == sizes
+        assert [row[2] for row in rows if row[0] == "gradient check"][0].endswith(
+            " over 100 points")
 
-    def test_nan_in_a_childs_share_fails_the_row(self, tmp_path, capsys, monkeypatch):
-        # the parent's own share reads 1e-9; each child's NaN crosses the pipe
-        parent = os.getpid()
-        monkeypatch.setattr(cli, "grad_check",
-                            lambda obj, pt: 1e-9 if os.getpid() == parent else float("nan"))
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        pids = counted_forks(monkeypatch)
-        code, rows, out = check_rows(tmp_path, capsys, highdim_text("ball", WIDE))
-        assert code == EXIT_VERDICT
-        assert ["gradient check", "fail", "max rel err nan over 100 points"] in rows
-        assert out.endswith("result: 1 check(s) failed: gradient check\n")
-        assert len(pids) == 1
-        assert_reaped(pids)
-
-    def test_an_error_in_a_child_ends_check_as_in_one_process(self, tmp_path, capsys,
-                                                              monkeypatch):
-        # the child's exception is raised again here, at its share's turn
-        def failing(obj, pt):
+    def test_an_error_in_the_check_exits_2(self, tmp_path, capsys, monkeypatch):
+        def failing(obj, X):
             raise InvalidInputError("gradient rows must be finite")
 
         monkeypatch.setattr(cli, "grad_check", failing)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
         cfg = tmp_path / "ball.cfg"
         cfg.write_text(highdim_text("ball", WIDE), encoding="utf-8")
         assert main(["check", str(cfg)]) == EXIT_CONFIG
-        serial = capsys.readouterr()
-        parent = os.getpid()
-        monkeypatch.setattr(cli, "grad_check", lambda obj, pt: 1e-9 if os.getpid() == parent
-                            else failing(obj, pt))
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        pids = counted_forks(monkeypatch)
-        assert main(["check", str(cfg)]) == EXIT_CONFIG
-        assert capsys.readouterr() == serial
-        assert serial.err == "config error: gradient rows must be finite\n"
-        assert len(pids) == 1
-        assert_reaped(pids)
-
-    def test_a_killed_child_exits_5_and_leaves_no_process(self, tmp_path, capsys, monkeypatch):
-        # the first child is killed; the second would run for a minute, so
-        # the parent must kill it rather than wait for it
-        parent = os.getpid()
-        grad_check = cli.grad_check
-        pids = counted_forks(monkeypatch)
-
-        def probe(obj, pt):
-            if os.getpid() == parent:
-                return grad_check(obj, pt)
-            if not pids:  # a child's copy holds the pids forked before it
-                os.kill(os.getpid(), signal.SIGKILL)
-            time.sleep(60)
-
-        monkeypatch.setattr(cli, "grad_check", probe)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-        cfg = tmp_path / "ball.cfg"
-        cfg.write_text(highdim_text("ball", WIDE), encoding="utf-8")
-        start = time.perf_counter()
-        assert main(["check", str(cfg)]) == EXIT_WORKER
-        assert time.perf_counter() - start < 30
         captured = capsys.readouterr()
         assert captured.out == ""
-        # the dead child is named, with how waitpid says it ended
-        assert captured.err.startswith("worker error: gradient probe share 2 of 3 (process ")
-        assert captured.err.endswith(") was killed by signal 9\n")
-        assert captured.err.count("\n") == 1
-        assert len(pids) == 2
-        assert_reaped(pids)
+        assert captured.err == "config error: gradient rows must be finite\n"
 
 
 class TestUsableCpus:

@@ -1083,14 +1083,20 @@ class TestBatchedSweep:
 
 
 class TestCheckGradientNaN:
-    def test_nan_error_anywhere_fails_the_row(self, capsys, monkeypatch):
-        # Python's max([0.5, nan]) is 0.5: the NaN must not be dropped
-        errors = iter([1e-9, float("nan")] + [1e-9] * 98)
-        monkeypatch.setattr(cli, "grad_check", lambda obj, pt: next(errors))
-        assert main(["check", "rate_theta50_alpha50"]) == EXIT_VERDICT
+    @pytest.mark.parametrize("errors", [[float("nan"), 1e-9], [1e-9, float("nan")]],
+                             ids=["first-block", "last-block"])
+    def test_nan_error_anywhere_fails_the_row(self, tmp_path, capsys, monkeypatch, errors):
+        # Python's max([0.5, nan]) is 0.5: the NaN must not be dropped. At
+        # n = 1000 the 100 points come in two blocks, of 65 and 35 points.
+        blocks = iter(errors)
+        monkeypatch.setattr(cli, "grad_check", lambda obj, X: next(blocks))
+        cfg = tmp_path / "ball.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in highdim_pairs("ball", 1000).items()),
+                       encoding="utf-8")
+        assert main(["check", str(cfg)]) == EXIT_VERDICT
         out = capsys.readouterr().out
-        assert "gradient check" in out and "max rel err nan" in out
-        assert "result: 1 check(s) failed: gradient check" in out
+        assert "  gradient check" in out and "max rel err nan over 100 points" in out
+        assert out.endswith("result: 1 check(s) failed: gradient check\n")
 
 
 def _vector(values) -> str:

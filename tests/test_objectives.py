@@ -4,9 +4,12 @@ certificate checks with known pass/fail outcomes."""
 import dataclasses
 import functools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgflow.errors import InvalidInputError, UnsupportedObjectiveError
 from pgflow.geometry import AffineHyperplane, Ball, Box, WholeSpace
@@ -169,6 +172,26 @@ class TestBatchedGradCheck:
         assert grad_check(obj, x) < 1e-8
         assert grad_check(wrong, x) > 1e-4
 
+    @pytest.mark.parametrize("n", (3, 65, 1000))
+    def test_wrong_last_coordinate_fails_through_the_split(self, n):
+        # a new grad_fn keeps fn_rows, and with it the split, of every
+        # catalog family but even_quartic, which has none
+        x = np.full(n, 0.3)
+        for obj in catalog(n):
+            good = obj.grad_fn
+
+            def bad(x):
+                g = good(x)
+                g[-1] += 1.0
+                return g
+
+            wrong = dataclasses.replace(obj, grad_fn=bad)
+            assert wrong.fn_rows is obj.fn_rows
+            assert hasattr(obj.fn_rows, "split") == (obj.name != "even_quartic")
+            assert grad_check(obj, x) <= GRAD_CHECK_TOL, obj.name
+            assert grad_check(wrong, x) > GRAD_CHECK_TOL, obj.name
+            assert grad_check(wrong, np.stack([x, -x])) > GRAD_CHECK_TOL, obj.name
+
     @pytest.mark.parametrize("scale", (6.0, 8.0))
     def test_exact_gradients_pass_at_large_scale(self, scale):
         # at n = 1000 and scale 8, |f| of a quartic is about 1e7 and the
@@ -249,6 +272,66 @@ class TestBatchedGradCheck:
         assert grad_check(obj, [1.0, 1.0]) < 1e-6
 
 
+def called_rows(obj):
+    """``obj`` with its fn_rows behind a functools.wraps pass-through, which
+    hides the kernel's split: grad_check then evaluates whole probe rows."""
+    rows = obj.fn_rows
+
+    @functools.wraps(rows)
+    def called(X):
+        return rows(X)
+
+    return dataclasses.replace(obj, fn_rows=called)
+
+
+SPLIT_DIMS = (1, 2, 3, 7, 8, 65, 182, 1000)
+
+
+def split_case(kind, theta, n, rng, count, scale):
+    """A catalog objective of one family and ``count`` points at ``scale``;
+    flat_bottom's alternate inside and outside its ball."""
+    center = rng.normal(size=n) * scale
+    if kind == "quadratic":
+        obj = quadratic(center, diag=rng.uniform(0.5, 2.0, n), shift=0.5)
+    elif kind == "even_quartic":
+        obj, center = even_quartic(n), np.zeros(n)
+    elif kind == "flat_bottom":
+        obj = flat_bottom(center, scale * np.sqrt(n))
+    else:
+        obj = make_power_objective(quadratic(center, diag=rng.uniform(0.5, 2.0, n)), theta)
+    U = rng.normal(size=(count, n))
+    radius = scale * np.sqrt(n) * np.where(np.arange(count) % 2 == 0, 0.5, 1.5)
+    return obj, center + U * (radius / np.linalg.norm(U, axis=1))[:, None]
+
+
+class TestSplitGradCheck:
+    """grad_check through a catalog fn_rows' split (terms, finish) gives the
+    float bits of the generic path, which evaluates every whole probe row."""
+
+    @pytest.mark.parametrize("n", SPLIT_DIMS)
+    @given(kind=st.sampled_from(("quadratic", "even_quartic", "flat_bottom", "power")),
+           theta=st.sampled_from((0.25, 0.4)), count=st.integers(1, 3),
+           scale=st.sampled_from((0.1, 1.0, 1e3, 1e8)), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=12, deadline=None)
+    def test_same_bits_as_the_generic_path(self, kind, theta, n, count, scale, seed):
+        obj, X = split_case(kind, theta, n, np.random.default_rng(seed), count, scale)
+        got = grad_check(obj, X)
+        assert repr(got) == repr(grad_check(called_rows(obj), X))
+        # one call over the rows is the worst of the points' own checks
+        assert repr(got) == repr(max(grad_check(obj, x) for x in X))
+
+    @pytest.mark.parametrize("n", (2, 1000))
+    def test_overflow_is_nan_and_silent(self, n):
+        # (1e200)^2 overflows in terms, not only in the row reduction
+        obj = quadratic(np.zeros(n))
+        X = np.full((2, n), 0.5)
+        X[1, -1] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert grad_check(obj, X[0]) < 1e-8
+            assert np.isnan(grad_check(obj, X))
+
+
 class TestGradRows:
     @pytest.mark.parametrize("n", BLOCK_DIMS)
     def test_grad_rows_matches_grad_fn_and_leaves_input_alone(self, n):
@@ -307,6 +390,7 @@ class TestReplacedPointKernels:
         for obj in catalog(n):
             moved = dataclasses.replace(obj, fn=lambda x: float(x.sum()) + 7.0,
                                         grad_fn=lambda x: x + 1.0)
+            assert not hasattr(moved.fn_rows, "split"), obj.name  # a new fn: no split
             assert np.array_equal(moved.fn_rows(X), [moved.fn(x) for x in X]), obj.name
             assert np.array_equal(moved.grad_rows(X), [moved.grad_fn(x) for x in X]), obj.name
 
