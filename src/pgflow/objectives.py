@@ -44,14 +44,14 @@ and the checks below. The samples
 and the checks work in blocks of at most ``GRAD_CHECK_BLOCK_FLOATS``
 floats (512 KiB) whatever n is (``row_blocks``).
 
-A catalog ``fn_rows`` other than ``even_quartic``'s, which is already
-just the row reduction, is ``finish(terms(X))`` and carries the pair as
-``split`` (``_split_rows``): ``terms`` is its elementwise part, ``(X -
-a)^2`` for a quadratic, ``X - a`` for flat_bottom and the base's for a
-power, and ``finish`` the rest, from ``_row_dots`` on. ``grad_check``
-uses the split to pay for the terms of a probe row's one changed
-coordinate only. Any other row kernel, and any wrapper, counts as the
-terms ``X`` itself and the finish ``fn_rows`` (``_split``).
+A catalog ``fn_rows`` is ``phi(_row_dots(U, V))``, ``(U, V) = uv(X)``
+elementwise in X, and carries ``(uv, phi)`` as ``form`` (``_formed``):
+``((X - a)^2, d)`` and ``S + shift`` for a quadratic, ``(X - a, X - a)``
+and ``max(sqrt(S) - rho, 0)^2`` for flat_bottom, ``(X, X)`` and ``S^2 +
+S`` for even_quartic, the base's pair and ``phi_base(S)^p`` for a power.
+``grad_check`` updates a point's row sum S by a probe's one changed term;
+S's rounding, shared by both values of a difference, cancels in it. Any
+other row kernel, and any wrapper, has no form (``_form``).
 """
 
 from __future__ import annotations
@@ -147,31 +147,24 @@ def _rows_of(point):
     return mark
 
 
-def _split_rows(point, terms, finish):
-    """The fn_rows ``finish(terms(X))`` that mirrors ``point`` and carries
-    the pair as ``split``. ``terms`` is the elementwise part: its entry
-    (k, j) depends on X[k, j] alone. ``finish`` is the rest, from the row
-    reduction on."""
+def _formed(point, uv, phi):
+    """The fn_rows ``phi(_row_dots(*uv(X)))`` that mirrors ``point`` and
+    carries ``(uv, phi)`` as ``form``. Entry (k, j) of each of uv's pair
+    depends on X[k, j] alone (V may be one constant row), and phi maps the
+    row sums elementwise."""
 
     @_rows_of(point)
     def fn_rows(X):
-        return finish(terms(X))
+        return phi(_row_dots(*uv(X)))
 
-    fn_rows.split = (terms, finish)
+    fn_rows.form = (uv, phi)
     return fn_rows
 
 
-def _no_terms(X):
-    return X
-
-
-def _split(fn_rows) -> tuple:
-    """(terms, finish) of a row kernel: the split it carries, or, for one
-    without a split or any wrapper (whose every call must happen), X
-    itself and the kernel."""
-    if hasattr(fn_rows, "__wrapped__") or not hasattr(fn_rows, "split"):
-        return _no_terms, fn_rows
-    return fn_rows.split
+def _form(fn_rows):
+    """The (uv, phi) a row kernel carries, or None for one without, or for
+    any wrapper, whose every call must happen."""
+    return None if hasattr(fn_rows, "__wrapped__") else getattr(fn_rows, "form", None)
 
 
 @dataclass(frozen=True)
@@ -254,52 +247,38 @@ def grad_check(obj: Objective, x, h: float = 1e-5) -> float:
     difference's own rounding, which exceeds the bar where |f| is large:
     an exact gradient passes at any scale of p.
 
-    The gradients of all points come from one ``grad_rows`` call. The f
-    values come from ``obj.fn_rows`` split into its elementwise ``terms``
-    and the ``finish`` that reduces their rows (``_split``): the probe row
-    p + h e_i has p's terms except in column i, which holds those of p_i +
-    h. So ``terms`` runs once on p, p + h and p - h of a block of points,
-    O(n) floats a point, and a probe buffer holds p's terms in every row.
-    Row r gets the +h term and row k + r the -h term of coordinate start
-    + r: two diagonals, strided views of each point's rows, restored to
-    p's terms after ``finish`` has evaluated them. Where the 2n probe rows
-    of several points fit one buffer, those points share it and one
-    ``finish`` call. Each f value is the float that ``fn_rows`` gives on
-    the probe row itself, since the terms and the row reduction treat
-    each row and column alone. A coordinate whose difference is not a
-    number (f overflowed at p +- h e_i) makes the result NaN, which fails
-    every threshold.
+    The gradients of all points come from one ``grad_rows`` call. A probe
+    row p + h e_i differs from p in column i alone. So where ``obj.fn_rows``
+    is phi(_row_dots(U, V)) (``_form``), f(p + h e_i) is phi(S + (U_i'
+    V_i' - U_i V_i)), S being p's row sum and (U', V') the pair at p + h:
+    ``uv`` runs once on p, p + h and p - h of a block of points, O(n)
+    floats a point. That is not the float fn_rows gives on the probe row,
+    but the rounding of S, the part that grows with n, is shared by f(p +
+    h e_i) and f(p - h e_i) and cancels in their difference; what is left,
+    a few eps |f|, is within r_i. Any other fn_rows evaluates the probe
+    rows themselves (``_probed``). A coordinate whose difference is not a
+    number (f overflowed at p or at p +- h e_i) makes the result NaN, which
+    fails every threshold.
     """
     if h <= 0:
         raise InvalidInputError("step h must be positive")
     P = as_rows(x, obj.dim)
     G = obj._grads(P)
-    terms, finish = _split(obj.fn_rows)
-    n = obj.dim
-    # the points of one buffer: several where 2n^2 floats fit one block,
-    # else one, whose coordinates then come a block of rows at a time
-    buf = np.empty((min(len(P), max(1, GRAD_CHECK_BLOCK_FLOATS // (2 * n * n))),
-                    2 * min(n, max(1, GRAD_CHECK_BLOCK_FLOATS // (2 * n))), n))
+    form = _form(obj.fn_rows)
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for b in row_blocks(len(P), 3 * n):
-            Q, g = P[b], G[b]
-            T, T_plus, T_minus = np.split(terms(np.concatenate((Q, Q + h, Q - h))), 3)
-            f_plus, f_minus = np.empty_like(Q), np.empty_like(Q)
-            for s in row_blocks(len(Q), 2 * n * n):
-                rows = buf[:s.stop - s.start]
-                rows[:] = T[s, None, :]
-                flat = rows.reshape(len(rows), -1)
-                for c in row_blocks(n, 2 * n):
-                    k = c.stop - c.start
-                    plus = flat[:, c.start:c.start + k * (n + 1):n + 1]
-                    minus = flat[:, c.start + k * n:c.start + k * (2 * n + 1):n + 1]
-                    plus[:], minus[:] = T_plus[s, c], T_minus[s, c]
-                    # one contiguous block: one point, or several with every coordinate
-                    f = finish(rows[:, :2 * k].reshape(-1, n)).reshape(len(rows), 2 * k)
-                    plus[:] = minus[:] = T[s, c]
-                    f_plus[s, c], f_minus[s, c] = f[:, :k], f[:, k:]
-            span = (Q + h) - (Q - h)
+        for b in row_blocks(len(P), 3 * obj.dim):
+            Q, g, m = P[b], G[b], b.stop - b.start
+            Q3 = np.concatenate((Q, Q + h, Q - h))  # p, p + h and p - h
+            if form:
+                uv, phi = form
+                U, V = uv(Q3)
+                V = np.broadcast_to(V, U.shape)  # V may be one row for all
+                S, W = _row_dots(U[:m], V[:m])[:, None], U * V
+                f_plus, f_minus = phi(S + (W[m:2 * m] - W[:m])), phi(S + (W[2 * m:] - W[:m]))
+            else:
+                f_plus, f_minus = _probed(obj.fn_rows, Q3)
+            span = Q3[m:2 * m] - Q3[2 * m:]
             span[span == 0.0] = 2.0 * h  # p_i +- h both round to p_i: d_i is 0 over 2h
             fd = (f_plus - f_minus) / span
             scale = np.maximum(np.maximum(1.0, np.abs(g)), np.abs(fd))
@@ -309,6 +288,32 @@ def grad_check(obj: Objective, x, h: float = 1e-5) -> float:
             # maximum propagates a NaN error; fmax would drop it
             worst = np.maximum.reduce(np.abs(g - fd) / scale, axis=None, initial=worst)
     return float(worst)
+
+
+def _probed(fn_rows, Q3):
+    """f(p + h e_i) and f(p - h e_i), (m, n) each, of each p of Q3 (rows p,
+    p + h, p - h) by fn_rows on probe rows: rows r and k + r of a block of
+    k coordinates are p with p_i + h and p_i - h at i = start + r, set back
+    to p after the call. Points whose 2n probe rows fit a block share it."""
+    Q, Q_plus, Q_minus = np.split(Q3, 3)
+    m, n = Q.shape
+    f_plus, f_minus = np.empty_like(Q), np.empty_like(Q)
+    buf = np.empty((min(m, max(1, GRAD_CHECK_BLOCK_FLOATS // (2 * n * n))),
+                    2 * min(n, max(1, GRAD_CHECK_BLOCK_FLOATS // (2 * n))), n))
+    for s in row_blocks(m, 2 * n * n):
+        rows = buf[:s.stop - s.start]
+        rows[:] = Q[s, None, :]
+        flat = rows.reshape(len(rows), -1)
+        for c in row_blocks(n, 2 * n):
+            k = c.stop - c.start
+            plus = flat[:, c.start:c.start + k * (n + 1):n + 1]
+            minus = flat[:, c.start + k * n:c.start + k * (2 * n + 1):n + 1]
+            plus[:], minus[:] = Q_plus[s, c], Q_minus[s, c]
+            # one contiguous block: one point, or several with every coordinate
+            f = fn_rows(rows[:, :2 * k].reshape(-1, n)).reshape(len(rows), 2 * k)
+            plus[:] = minus[:] = Q[s, c]
+            f_plus[s, c], f_minus[s, c] = f[:, :k], f[:, k:]
+    return f_plus, f_minus
 
 
 def singleton(point) -> Box:
@@ -343,15 +348,13 @@ def quadratic(center, diag=None, shift: float = 0.0, name: str | None = None) ->
 
     a_rows, d_rows, d2_rows = _RowTiles(a), _RowTiles(d), _RowTiles(2.0 * d)
 
-    def terms(X):
+    def uv(X):
         R = X - a_rows(X)
         R *= R
-        return R
+        return R, d_rows(R)
 
-    def finish(R, shift=np.array(shift)):  # 0-d array, a faster scalar for numpy
-        return _row_dots(R, d_rows(R)) + shift
-
-    fn_rows = _split_rows(fn, terms, finish)
+    # shift as a 0-d array, a faster scalar for numpy
+    fn_rows = _formed(fn, uv, lambda S, shift=np.array(shift): S + shift)
 
     @on_floats
     @inlined(Fragment("quadratic", "{vec:{k}_a@} = {k}[0]\n{vec:{k}_w@} = {k}[1]",
@@ -390,10 +393,7 @@ def even_quartic(dim: int) -> Objective:
         s = _sum_sq(x)
         return s * s + s
 
-    @_rows_of(fn)
-    def fn_rows(X):
-        s = _row_dots(X, X)
-        return s * s + s
+    fn_rows = _formed(fn, lambda X: (X, X), lambda s: s * s + s)
 
     @on_floats
     @inlined(Fragment("even_quartic", "",
@@ -443,14 +443,15 @@ def flat_bottom(center, rho: float) -> Objective:
         # np.maximum(excess, 0.0): a NaN fails the test and stays
         return 0.0 if excess < 0.0 else excess * excess
 
-    def terms(X):
-        return X - a_rows(X)
+    def uv(X):
+        D = X - a_rows(X)
+        return D, D
 
-    def finish(D, rho=rho):
-        excess = np.maximum(np.sqrt(_row_dots(D, D)) - rho, 0.0)
+    def phi(S, rho=rho):
+        excess = np.maximum(np.sqrt(S) - rho, 0.0)
         return excess * excess
 
-    fn_rows = _split_rows(fn, terms, finish)
+    fn_rows = _formed(fn, uv, phi)
 
     @on_floats
     @inlined(Fragment("flat_bottom", "{vec:{k}_a@} = {k}[0]\n{k}_rho = {k}[1]", """\
@@ -545,12 +546,11 @@ def make_power_objective(g: Objective, theta: float) -> Objective:
     def fn(x, base=g.fn, p=p):
         return _pow(float(base(x)), p)
 
-    base_terms, base_finish = _split(g.fn_rows)
-
-    def finish(T, p=p):
-        return base_finish(T) ** p
-
-    fn_rows = _split_rows(fn, base_terms, finish)
+    form = _form(g.fn_rows)
+    if form is None:  # a base without a form: the power has none either
+        fn_rows = _rows_of(fn)(lambda X, base=g.fn_rows, p=p: base(X) ** p)
+    else:
+        fn_rows = _formed(fn, form[0], lambda S, phi=form[1], p=p: phi(S) ** p)
 
     def grad_fn(x, base=g.fn, base_grad=g.grad_fn, p=p, e=p - 1.0):
         gv = float(base(x))

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgflow.errors import InvalidInputError, UnsupportedObjectiveError
-from pgflow.geometry import AffineHyperplane, Ball, Box, WholeSpace
+from pgflow.geometry import AffineHyperplane, Ball, Box, WholeSpace, _row_dots
 from pgflow.objectives import (
     GAP_FLOOR,
     GRAD_CHECK_BLOCK_FLOATS,
@@ -173,9 +173,9 @@ class TestBatchedGradCheck:
         assert grad_check(wrong, x) > 1e-4
 
     @pytest.mark.parametrize("n", (3, 65, 1000))
-    def test_wrong_last_coordinate_fails_through_the_split(self, n):
-        # a new grad_fn keeps fn_rows, and with it the split, of every
-        # catalog family but even_quartic, which has none
+    def test_wrong_last_coordinate_fails_through_the_form(self, n):
+        # a new grad_fn keeps fn_rows, and with it the row-sum form, of
+        # every catalog family
         x = np.full(n, 0.3)
         for obj in catalog(n):
             good = obj.grad_fn
@@ -187,7 +187,7 @@ class TestBatchedGradCheck:
 
             wrong = dataclasses.replace(obj, grad_fn=bad)
             assert wrong.fn_rows is obj.fn_rows
-            assert hasattr(obj.fn_rows, "split") == (obj.name != "even_quartic")
+            assert hasattr(obj.fn_rows, "form"), obj.name
             assert grad_check(obj, x) <= GRAD_CHECK_TOL, obj.name
             assert grad_check(wrong, x) > GRAD_CHECK_TOL, obj.name
             assert grad_check(wrong, np.stack([x, -x])) > GRAD_CHECK_TOL, obj.name
@@ -272,63 +272,209 @@ class TestBatchedGradCheck:
         assert grad_check(obj, [1.0, 1.0]) < 1e-6
 
 
-def called_rows(obj):
+def called_rows(obj, received):
     """``obj`` with its fn_rows behind a functools.wraps pass-through, which
-    hides the kernel's split: grad_check then evaluates whole probe rows."""
+    hides the kernel's row-sum form: grad_check then evaluates whole probe
+    rows. The pass-through appends the count of each call's rows to
+    ``received``."""
     rows = obj.fn_rows
 
     @functools.wraps(rows)
     def called(X):
+        received.append(len(X))
         return rows(X)
 
     return dataclasses.replace(obj, fn_rows=called)
 
 
-SPLIT_DIMS = (1, 2, 3, 7, 8, 65, 182, 1000)
+FORM_DIMS = (1, 2, 3, 7, 8, 65, 182, 1000)
+FAMILIES = ("quadratic", "even_quartic", "flat_bottom", "power")
 
 
-def split_case(kind, theta, n, rng, count, scale):
-    """A catalog objective of one family and ``count`` points at ``scale``;
-    flat_bottom's alternate inside and outside its ball."""
+def form_case(kind, theta, n, rng, count, scale, shift=0.5):
+    """A catalog objective of one family, its row-sum form (uv, phi) written
+    out from the family's formula, its centre, and ``count`` points at
+    ``scale``; flat_bottom's alternate inside and outside its ball. A
+    power's base takes |shift|, since it must be nonnegative."""
     center = rng.normal(size=n) * scale
     if kind == "quadratic":
-        obj = quadratic(center, diag=rng.uniform(0.5, 2.0, n), shift=0.5)
+        d = rng.uniform(0.5, 2.0, n)
+        obj = quadratic(center, diag=d, shift=shift)
+        form = (lambda X: ((X - center) * (X - center), d), lambda S: S + shift)
     elif kind == "even_quartic":
         obj, center = even_quartic(n), np.zeros(n)
+        form = (lambda X: (X, X), lambda S: S * S + S)
     elif kind == "flat_bottom":
-        obj = flat_bottom(center, scale * np.sqrt(n))
+        rho = scale * np.sqrt(n)
+        obj = flat_bottom(center, rho)
+        form = (lambda X: (X - center, X - center),
+                lambda S: np.maximum(np.sqrt(S) - rho, 0.0) * np.maximum(np.sqrt(S) - rho, 0.0))
     else:
-        obj = make_power_objective(quadratic(center, diag=rng.uniform(0.5, 2.0, n)), theta)
+        d, p = rng.uniform(0.5, 2.0, n), 1.0 / (2.0 * theta)
+        obj = make_power_objective(quadratic(center, diag=d, shift=abs(shift)), theta)
+        form = (lambda X: ((X - center) * (X - center), d), lambda S: (S + abs(shift)) ** p)
     U = rng.normal(size=(count, n))
     radius = scale * np.sqrt(n) * np.where(np.arange(count) % 2 == 0, 0.5, 1.5)
-    return obj, center + U * (radius / np.linalg.norm(U, axis=1))[:, None]
+    return obj, form, center, center + U * (radius / np.linalg.norm(U, axis=1))[:, None]
 
 
-class TestSplitGradCheck:
-    """grad_check through a catalog fn_rows' split (terms, finish) gives the
-    float bits of the generic path, which evaluates every whole probe row."""
+def written_out_check(obj, X, values, h=1e-5):
+    """grad_check written out one point at a time, with (f(p + h e_i),
+    f(p - h e_i)) from ``values(p, h)``, and grad_check's safeguarded error."""
+    worst = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in X:
+            g = obj.grad(p)
+            f_plus, f_minus = values(p, h)
+            span = (p + h) - (p - h)
+            span[span == 0.0] = 2.0 * h
+            fd = (f_plus - f_minus) / span
+            floor = 4.0 * np.finfo(float).eps / (span * GRAD_CHECK_TOL)
+            scale = np.max([np.ones_like(g), np.abs(g), np.abs(fd),
+                            floor * np.maximum(np.abs(f_plus), np.abs(f_minus))], axis=0)
+            worst = np.maximum(worst, np.max(np.abs(g - fd) / scale))
+    return float(worst)
 
-    @pytest.mark.parametrize("n", SPLIT_DIMS)
-    @given(kind=st.sampled_from(("quadratic", "even_quartic", "flat_bottom", "power")),
-           theta=st.sampled_from((0.25, 0.4)), count=st.integers(1, 3),
-           scale=st.sampled_from((0.1, 1.0, 1e3, 1e8)), seed=st.integers(0, 2**32 - 1))
+
+def row_sum_values(obj, form):
+    """f(p +- h e_i) as phi(S + (U_i^+- V_i^+- - U_i V_i)), S being p's row sum."""
+    uv, phi = form
+
+    def values(p, h):
+        U, V = uv(p[None])
+        S = _row_dots(U, V)[:, None]
+        # phi(S) is f(p) bit for bit: the form is fn_rows' own arithmetic
+        assert phi(S)[0].tobytes() == obj.fn_rows(p[None]).tobytes()
+        (U_plus, V_plus), (U_minus, V_minus) = uv(p[None] + h), uv(p[None] - h)
+        return (phi(S + (U_plus * V_plus - U * V))[0], phi(S + (U_minus * V_minus - U * V))[0])
+
+    return values
+
+
+def probe_row_values(obj):
+    """f(p +- h e_i) as fn_rows of the whole probe rows p +- h e_i."""
+
+    def values(p, h):
+        E = h * np.eye(len(p))
+        return obj.fn_rows(p + E), obj.fn_rows(p - E)
+
+    return values
+
+
+class TestRowSumUpdate:
+    """grad_check through a catalog fn_rows' form phi(_row_dots(U, V))
+    updates each point's row sum by the probe's one changed term."""
+
+    @pytest.mark.parametrize("n", FORM_DIMS)
+    @given(kind=st.sampled_from(FAMILIES), theta=st.sampled_from((0.25, 0.4)),
+           count=st.integers(1, 3), scale=st.sampled_from((0.1, 1.0, 1e3, 1e8)),
+           seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=12, deadline=None)
-    def test_same_bits_as_the_generic_path(self, kind, theta, n, count, scale, seed):
-        obj, X = split_case(kind, theta, n, np.random.default_rng(seed), count, scale)
+    def test_same_bits_as_the_written_out_update(self, kind, theta, n, count, scale, seed):
+        obj, form, _, X = form_case(kind, theta, n, np.random.default_rng(seed), count, scale)
         got = grad_check(obj, X)
-        assert repr(got) == repr(grad_check(called_rows(obj), X))
+        assert repr(got) == repr(written_out_check(obj, X, row_sum_values(obj, form)))
         # one call over the rows is the worst of the points' own checks
         assert repr(got) == repr(max(grad_check(obj, x) for x in X))
 
     @pytest.mark.parametrize("n", (2, 1000))
+    @pytest.mark.parametrize("scale", (1.0, 1e4, 1e8))
+    @pytest.mark.parametrize("shift", (0.0, 1e8, -1e8, 1e15))
+    def test_exact_gradients_pass_at_every_shift(self, n, scale, shift):
+        # even_quartic and flat_bottom have no shift; beyond scale 1,
+        # flat_bottom meets the case below
+        rng = np.random.default_rng(int(n + scale))
+        cases = [("quadratic", 0.25), ("even_quartic", 0.25), ("power", 0.25), ("power", 0.4)]
+        for kind, theta in cases + [("flat_bottom", 0.25)] * (scale == 1.0):
+            obj, _, _, X = form_case(kind, theta, n, rng, 3, scale, shift)
+            assert grad_check(obj, X) <= GRAD_CHECK_TOL, (kind, theta)
+
+    @pytest.mark.xfail(strict=True, reason="flat_bottom's sqrt(S) - rho cancels: its values "
+                       "round by eps r / (r - rho) relative, beyond the 2 eps the floor allows")
+    @pytest.mark.parametrize("n, scale", [(2, 1e8), (1000, 1e4)])
+    def test_exact_flat_bottom_gradient_just_outside_a_far_ball(self, n, scale):
+        rng = np.random.default_rng(0)
+        center, rho = rng.normal(size=n) * scale, scale * np.sqrt(n)
+        U = rng.normal(size=(20, n))
+        X = center + U * (1.1 * rho / np.linalg.norm(U, axis=1))[:, None]
+        assert grad_check(flat_bottom(center, rho), X) <= GRAD_CHECK_TOL
+
+    @pytest.mark.parametrize("n", (3, 1000))
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_a_thousandth_off_in_a_middle_coordinate_fails(self, n, kind):
+        # the points of the first block of rows grad_check takes have a zero
+        # gradient in the middle coordinate, so only the second block can fail
+        obj, _, center, X = form_case(kind, 0.25, n, np.random.default_rng(n), 2, 1.0)
+        first, mid = GRAD_CHECK_BLOCK_FLOATS // (3 * n), n // 2
+        X = np.repeat(X[1:], first + 5, axis=0)  # outside flat_bottom's ball
+        X[:first, mid] = center[mid]
+        X[first:, mid] = center[mid] + 1.0
+        good = obj.grad_fn
+
+        def bad(x):
+            g = good(x)
+            g[mid] *= 1.0 + 1e-3
+            return g
+
+        wrong = dataclasses.replace(obj, grad_fn=bad)
+        assert wrong.fn_rows is obj.fn_rows and hasattr(obj.fn_rows, "form")
+        assert grad_check(obj, X) <= GRAD_CHECK_TOL
+        assert grad_check(wrong, X[:first]) <= GRAD_CHECK_TOL
+        assert grad_check(wrong, X) > GRAD_CHECK_TOL
+        assert grad_check(wrong, X[-1]) > GRAD_CHECK_TOL
+
+    @pytest.mark.parametrize("n", (2, 1000))
+    def test_black_box_rows_get_every_probe_row(self, n):
+        # a functools.wraps wrapper, a caller's fn_rows and a replaced fn
+        # have no form: fn_rows gets the 2n whole probe rows of each point
+        obj, _, _, X = form_case("quadratic", 0.25, n, np.random.default_rng(n), 3, 1.0)
+        received = []
+        wrapped = called_rows(obj, received)
+        assert repr(grad_check(wrapped, X)) == repr(written_out_check(obj, X, probe_row_values(obj)))
+        assert sum(received) == 2 * n * len(X)
+        received.clear()
+
+        def rows(X):  # a caller's fn_rows
+            received.append(len(X))
+            return obj.fn_rows(X)
+
+        assert grad_check(dataclasses.replace(obj, fn_rows=rows), X) <= GRAD_CHECK_TOL
+        assert sum(received) == 2 * n * len(X)
+        points = []
+
+        def counted(x):
+            points.append(1)
+            return obj.fn(x)
+
+        replaced = dataclasses.replace(obj, fn=counted)
+        assert not hasattr(replaced.fn_rows, "form")
+        assert grad_check(replaced, X) <= GRAD_CHECK_TOL
+        assert len(points) == 2 * n * len(X)
+
+    @pytest.mark.parametrize("n", (2, 1000))
     def test_overflow_is_nan_and_silent(self, n):
-        # (1e200)^2 overflows in terms, not only in the row reduction
+        # (1e200)^2 overflows in a term, not only in the row sum
         obj = quadratic(np.zeros(n))
         X = np.full((2, n), 0.5)
         X[1, -1] = 1e200
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert grad_check(obj, X[0]) < 1e-8
+            assert np.isnan(grad_check(obj, X))
+
+    @pytest.mark.parametrize("n", (2, 1000))
+    def test_an_infinite_row_sum_is_nan_and_silent(self, n):
+        # p's row sum S is inf: one term overflows, or every term is 1e308
+        # and their sum does; every probe value is then inf, and inf - inf NaN
+        obj = quadratic(np.zeros(n))
+        X = np.full((3, n), 0.5)
+        X[1, 0] = 1e200
+        X[2] = 1e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert grad_check(obj, X[0]) < 1e-8
+            assert np.isnan(grad_check(obj, X[1]))
+            assert np.isnan(grad_check(obj, X[2]))
             assert np.isnan(grad_check(obj, X))
 
 
@@ -390,7 +536,7 @@ class TestReplacedPointKernels:
         for obj in catalog(n):
             moved = dataclasses.replace(obj, fn=lambda x: float(x.sum()) + 7.0,
                                         grad_fn=lambda x: x + 1.0)
-            assert not hasattr(moved.fn_rows, "split"), obj.name  # a new fn: no split
+            assert not hasattr(moved.fn_rows, "form"), obj.name  # a new fn: no form
             assert np.array_equal(moved.fn_rows(X), [moved.fn(x) for x in X]), obj.name
             assert np.array_equal(moved.grad_rows(X), [moved.grad_fn(x) for x in X]), obj.name
 
