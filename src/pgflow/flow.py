@@ -25,22 +25,21 @@ remaining samples with x and feas_drift 0, the bytes stepping writes: RK4
 once a segment's last step returns x and _settles holds, Euler on a
 constant clock once an iterate repeats its predecessor bit for bit.
 
-An RK4 run of at most FLOAT_MAX_DIM coordinates, whose ``grad_fn``
-and ``_project`` are marked as taking floats (``geometry.takes_floats``),
-steps Python floats in a loop generated for its width and kernels
-(_rk4_floats). Those of the catalog's own ``grad_fn``, ``_project`` and
-``Schedule.value`` that carry a source fragment (``fragments.Fragment``)
-are spliced into it, with the kernel's float operations in the kernel's
-order; any other point kernel, and any wrapper, such as a traced run's,
-is called there on a list. Per RK4 step on box + quadratic at n = 2 the
-spliced loop takes 1.6 us, the loop that calls the kernels 8.7 and the
-row loop 32; at n = 7, 5.5, 14 and 39 (2-core Xeon VM, Python 3.11.7,
-numpy 2.4.6).
-A wider run, or one whose kernels a caller passed in, steps a one-row
-array through the row kernels ``grad_rows`` and ``_project_rows``
-(_rk4_rows), which takes lambda from ``Schedule.value``. Up to
-FLOAT_MAX_DIM columns a row kernel sums in the order of its point kernel
-(see ``geometry``), so where both loops apply they yield the same
+RK4 steps one loop text (_rk4_source), rendered on Python floats for a
+run of at most FLOAT_MAX_DIM coordinates whose ``grad_fn`` and
+``_project`` are marked as taking floats (``geometry.takes_floats``),
+each vector that many scalar locals, and otherwise on one (1, n) row
+through the row kernels ``grad_rows`` and ``_project_rows``. The
+catalog's own ``grad_fn``, ``_project`` and ``Schedule.value`` that
+carry a source fragment (``fragments.Fragment``) are spliced into the
+float rendering, with the kernel's float operations in the kernel's
+order, and the clock into the row one too; any other kernel, and any
+wrapper, such as a traced run's, is called. Per RK4 step on box +
+quadratic at n = 2 the spliced float loop takes 1.2 us, the float loop
+that calls the kernels 6.8 and the row loop 24; at n = 7, 4.2, 11 and 27
+(2-core Xeon VM, Python 3.11.7, numpy 2.4.6). Up to FLOAT_MAX_DIM
+columns a row kernel sums in the order of its point kernel (see
+``geometry``), so where both renderings apply they yield the same
 floats, bit for bit. A run's record evaluates the clock and lambda at
 all its sample times in one array call each.
 """
@@ -80,7 +79,6 @@ METHODS = (RK4, EULER)
 
 DIVERGENCE_NORM = 1e12
 _GUARD_SQ = DIVERGENCE_NORM * DIVERGENCE_NORM
-_TWO = np.array(2.0)  # RK4's weight on k2 + k3, a 0-d array like the step sizes in _rk4_rows
 DEFAULT_STEP = 1e-3
 DEFAULT_HORIZON = 50.0
 DEFAULT_SAMPLE_EVERY = 0.1
@@ -226,83 +224,30 @@ def _settles(domain: ConvexSet, x, g, lam_t: float, step: float) -> bool:
             and not any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in x))
 
 
-def _rk4_rows(problem: FlowProblem, times: np.ndarray, step: float) -> tuple:
-    """Classic fixed-step RK4 on one state held as a (1, n) array, stepped
-    with the row field from times[0] through every later sample time.
+# The Fragments of the loop's roles (grad, proj, lam) that call a kernel
+# that does not inline: the kernel is bound to the role's local, and called
+# on a list of the float locals x.., or on the one name x: a row, or the time
+_CALL_POINT = Fragment("call", "", "{vec:{out}@} = {k}([{vec:{x}@}])")
+_CALL = Fragment("call", "", "{out} = {k}({x})")
 
-    Each inter-sample segment is split into equal substeps no larger than
-    ``step``, and lambda comes from ``Schedule.value``, 3 times per step.
-    Per sample the state's distance from the set is its feas_drift, and
-    the state is replaced by its projection whenever that distance is
-    positive. A run that _settles stops stepping and fills the remaining
-    samples with its state. Returns the (m, n) samples and their drifts. A
-    step whose state's squared norm passes the guard or is not a number
-    raises its DivergenceError.
-    """
-    G, proj, lam = _field(problem), problem.domain._project_rows, problem.schedule.value
-    grad = problem.objective.grad_rows
+
+# The RK4 loop: a template of fragments.source, rendered on n scalar locals
+# or on one (1, n) row, whose slots hold the Fragments' source and the lines
+# where the two renderings differ (_rk4_source)
+_RK4_LOOP = """\
+def rk4(problem, times, step, project, grad, proj, lam):
+{setup}
     states = np.empty((times.size, problem.x0.size))
     states[0] = problem.x0
     drifts = np.zeros(times.size)
-    X = states[:1].copy()
-    grid = times.tolist()
-    t0 = grid[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, len(grid)):
-            span = grid[j] - t0
-            n_sub = max(1, math.ceil(span / step - 1e-12))
-            h = span / n_sub
-            # 0-d arrays: numpy multiplies by them faster than by Python floats
-            half_h, full_h, sixth_h = np.array(0.5 * h), np.array(h), np.array(h / 6.0)
-            for i in range(n_sub):
-                t = t0 + i * h
-                lam_mid = lam(t + 0.5 * h)
-                lam_t, X_in, g = lam(t), X, grad(X)
-                k1 = proj(X - lam_t * g) - X
-                k2 = G(lam_mid, X + half_h * k1)
-                k3 = G(lam_mid, X + half_h * k2)
-                k4 = G(lam(t + h), X + full_h * k3)
-                X = X + sixth_h * (k1 + _TWO * (k2 + k3) + k4)
-                if not _row_dots(X, X)[0] <= _GUARD_SQ:
-                    raise _diverged(t + h)
-            P = proj(X)
-            drift = _row_norms(X - P)[0]
-            if drift > 0.0:
-                X = P
-            states[j] = X[0]
-            drifts[j] = drift
-            t0 = grid[j]
-            if np.array_equal(X, X_in) and _settles(problem.domain, X_in[0].tolist(),
-                                                    g[0].tolist(), lam_t, step):
-                states[j + 1:] = X[0]
-                break
-    return states, drifts
-
-
-# The Fragments of _rk4_floats's roles (grad_fn, _project, Schedule.value)
-# that call a kernel that does not inline: the kernel is bound to the role's
-# local, and called on a list of the locals x.., or on the time x
-_CALL_POINT = Fragment("call", "", "{vec:{out}@} = {k}([{vec:{x}@}])")
-_CALLS = (_CALL_POINT, _CALL_POINT, Fragment("call", "", "{out} = {k}({x})"))
-
-
-# _rk4_floats's loop: a template of fragments.source, whose slots hold the
-# Fragments' source (_float_loop_source)
-_FLOAT_LOOP = """\
-def rk4_floats(problem, times, step, grad, proj, lam):
-{setup}
-    project = problem.domain._project
-    states = np.empty((times.size, {n}))
-    states[0] = problem.x0
-    drifts = np.zeros(times.size)
-    {vec:x@} = problem.x0.tolist()
+{start}
     grid = times.tolist()
     t0 = grid[0]
     for j in range(1, len(grid)):
         span = grid[j] - t0
         n_sub = max(1, math.ceil(span / step - 1e-12))
         h = span / n_sub
-        half_h, sixth_h = 0.5 * h, h / 6.0
+{steps}
         for i in range(n_sub):
             t = t0 + i * h
 {lam_mid}
@@ -314,28 +259,26 @@ def rk4_floats(problem, times, step, grad, proj, lam):
             {vec:y@} = {vec:x@ + half_h * b@}
 {stage_c}
 {lam_end}
-            {vec:y@} = {vec:x@ + h * c@}
+            {vec:y@} = {vec:x@ + full_h * c@}
 {stage_d}
             {vec:x@} = {vec:x@ + sixth_h * (a@ + 2.0 * (b@ + c@) + d@)}
             if not {sum:x@ * x@} <= _GUARD_SQ:
                 raise _diverged(t + h)
-        x = [{vec:x@}]
-        p = project(x)
+{project}
         {vec:e@} = {vec:x@ - p[@]}
         drift = math.sqrt({sum:e@ * e@})
         if drift > 0.0:
-            x = p
-            {vec:x@} = p
+{adopt}
         states[j] = x
         drifts[j] = drift
         t0 = grid[j]
-        if x == [{vec:s@}] and _settles(problem.domain, [{vec:s@}], [{vec:g@}], lam_t, step):
+        if {settled}:
             states[j + 1:] = x
             break
     return states, drifts"""
 
 
-# A stage of _FLOAT_LOOP, out = P(x - lam grad f(x)) - x, whose slots grad
+# A stage of _RK4_LOOP, out = P(x - lam grad f(x)) - x, whose slots grad
 # and proj hold the gradient's and the projection's source
 _STAGE = """\
 {grad}
@@ -344,15 +287,35 @@ _STAGE = """\
             {vec:{out}@} = {vec:{out}@ - {x}@}"""
 
 
-def _float_loop_source(n: int, grad: Fragment, proj: Fragment, lam: Fragment) -> str:
-    """Source of _rk4_floats's loop for n <= FLOAT_MAX_DIM coordinates with
-    the Fragments of a problem's grad_fn, _project and Schedule.value
-    spliced in: each vector is n scalar locals (state x.., its value s.. at
-    the step's start, stages a.. to d.., stage input y.., projection input
-    z.., gradient g.. at x and u.. at y, drift e..) and each vector
-    statement one tuple assignment; the guard and drift sums add from -0.0
-    left to right, as _sum_sq adds. The loop binds each fragment's consts
-    to the local named after its role (grad, proj, lam)."""
+# The lines of _RK4_LOOP where its renderings differ. On floats the state
+# is n locals, listed for the per-sample projection and the settle test; on
+# rows one (1, n) array, and the step sizes 0-d arrays, faster numpy operands.
+_ON_FLOATS = dict(
+    start="    {vec:x@} = problem.x0.tolist()",
+    steps="        half_h, full_h, sixth_h = 0.5 * h, h, h / 6.0",
+    project="        x = [{vec:x@}]\n        p = project(x)",
+    adopt="            x = p\n            {vec:x@} = p",
+    settled="x == [{vec:s@}] and _settles(problem.domain, [{vec:s@}], [{vec:g@}], lam_t, step)")
+_ON_ROWS = dict(
+    start="    x = states[:1].copy()",
+    steps="        half_h, full_h, sixth_h = np.array(0.5 * h), np.array(h), np.array(h / 6.0)",
+    project="        p = project(x)",
+    adopt="            x = p",
+    settled="np.array_equal(x, s) and _settles(problem.domain, s[0].tolist(), g[0].tolist(), "
+            "lam_t, step)")
+
+
+def _rk4_source(n: Optional[int], grad: Fragment, proj: Fragment, lam: Fragment) -> str:
+    """Source of the RK4 loop for n <= FLOAT_MAX_DIM coordinates, or for one
+    row if n is None, with the Fragments of a problem's gradient, projection
+    and clock spliced in. On floats each vector is n scalar locals (state
+    x.., its value s.. at the step's start, stages a.. to d.., stage input
+    y.., projection input z.., gradient g.. at x and u.. at y, drift e..)
+    and each vector statement one tuple assignment; on rows each is one
+    (1, n) array and one numpy expression. The guard and drift sums add
+    left to right, as _sum_sq and _row_dots add. The loop binds
+    each fragment's consts to the local named after its role (grad, proj,
+    lam)."""
 
     def put(frag, role, x, out):  # frag's body from x to out, at the inner loop's depth
         return textwrap.indent(source(n, frag.body, k=role, x=x, out=out), " " * 12)
@@ -361,8 +324,9 @@ def _float_loop_source(n: int, grad: Fragment, proj: Fragment, lam: Fragment) ->
         return source(n, _STAGE, grad=put(grad, "grad", x, g), proj=put(proj, "proj", "z", out),
                       out=out, x=x, g=g, lam=lam)
 
+    lines = _ON_FLOATS if n is not None else _ON_ROWS
     return source(
-        n, _FLOAT_LOOP,
+        n, _RK4_LOOP, **{slot: source(n, text) for slot, text in lines.items()},
         setup="\n".join(textwrap.indent(source(n, frag.setup, k=role), "    ")
                         for frag, role in ((grad, "grad"), (proj, "proj"), (lam, "lam"))
                         if frag.setup),
@@ -373,29 +337,44 @@ def _float_loop_source(n: int, grad: Fragment, proj: Fragment, lam: Fragment) ->
 
 
 @functools.cache
-def _float_loop(n: int, grad: Fragment, proj: Fragment, lam: Fragment):
-    """_rk4_floats's loop for n coordinates with these Fragments, compiled
-    on its first run; its file name names n and the fragments' kinds."""
-    name = f"<pgflow rk4 floats n={n} grad={grad.kind} proj={proj.kind} lam={lam.kind}>"
-    text = _float_loop_source(n, grad, proj, lam)
+def _rk4_loop(n: Optional[int], grad: Fragment, proj: Fragment, lam: Fragment):
+    """The RK4 loop for n coordinates, or for rows, with these Fragments,
+    compiled on its first run; its file name names the rendering and the
+    fragments' kinds."""
+    shape = "rows" if n is None else f"floats n={n}"
+    name = f"<pgflow rk4 {shape} grad={grad.kind} proj={proj.kind} lam={lam.kind}>"
+    text = _rk4_source(n, grad, proj, lam)
     linecache.cache[name] = (len(text), None, text.splitlines(True), name)  # for tracebacks
     scope = {}
     exec(compile(text, name, "exec"), globals(), scope)
-    return scope["rk4_floats"]
+    return scope["rk4"]
 
 
-def _rk4_floats(problem: FlowProblem, times: np.ndarray, step: float) -> tuple:
-    """_rk4_rows's arithmetic on at most FLOAT_MAX_DIM Python floats, in the
-    loop generated for that width and the problem's kernels
-    (_float_loop_source). The kernels that carry a Fragment are spliced in
-    (fragments.inline); any other kernel, and any wrapper, is called as
-    found, so a wrapper sees every call that _rk4_rows makes. It returns
-    and raises as _rk4_rows does; the float kernels let an overflow become inf, as numpy
-    does, and carry a NaN through to the guard."""
-    kernels = (problem.objective.grad_fn, problem.domain._project, problem.schedule.value)
-    parts = [inline(kernel) or (call, kernel) for kernel, call in zip(kernels, _CALLS)]
-    loop = _float_loop(problem.x0.size, *(frag for frag, _ in parts))
-    return loop(problem, times, step, *(consts for _, consts in parts))
+def _rk4(problem: FlowProblem, times: np.ndarray, step: float, floats: bool) -> tuple:
+    """Classic fixed-step RK4 from times[0] through every later sample
+    time, in the loop rendered (_rk4_source) on Python floats if ``floats``
+    (see _on_floats), else on one (1, n) row.
+
+    Each inter-sample segment is split into equal substeps no larger than
+    ``step``. Per sample the state's distance from the set is its
+    feas_drift, and the state is replaced by its projection whenever that
+    distance is positive. A run that _settles stops stepping and fills the
+    remaining samples with its state. Returns the (m, n) samples and their
+    drifts. A step whose state's squared norm passes the guard or is not a
+    number, an overflow's inf included, raises its DivergenceError. A
+    kernel that carries a Fragment is spliced in (fragments.inline), on
+    rows only the clock; any other, and any wrapper, is called.
+    """
+    objective, domain = problem.objective, problem.domain
+    if floats:
+        n, kernels, call = problem.x0.size, (objective.grad_fn, domain._project), _CALL_POINT
+    else:  # no row kernel carries a Fragment
+        n, kernels, call = None, (objective.grad_rows, domain._project_rows), _CALL
+    parts = [inline(kernel) or (frag, kernel)
+             for kernel, frag in zip((*kernels, problem.schedule.value), (call, call, _CALL))]
+    loop = _rk4_loop(n, *(frag for frag, _ in parts))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return loop(problem, times, step, kernels[1], *(consts for _, consts in parts))
 
 
 def _euler_rows(problem: FlowProblem, times: np.ndarray) -> tuple:
@@ -425,7 +404,7 @@ def _euler_rows(problem: FlowProblem, times: np.ndarray) -> tuple:
 
 
 def _on_floats(problem: FlowProblem) -> bool:
-    """Whether a run of ``problem`` steps Python floats (_rk4_floats)."""
+    """Whether a run of ``problem`` steps Python floats (_rk4)."""
     return (problem.x0.size <= FLOAT_MAX_DIM and takes_floats(problem.objective.grad_fn)
             and takes_floats(problem.domain._project))
 
@@ -446,9 +425,10 @@ def integrate(
     ``horizon`` steps of size 1, one per sample, so it needs a whole
     horizon and step = sample_every = 1. Raises DivergenceError, carrying
     the failure time, as soon as the state norm passes 1e12 or stops being
-    finite. An RK4 run of at most FLOAT_MAX_DIM coordinates whose kernels
-    take floats steps as Python floats; any other run as a one-row
-    array, with the same RK4 floats where both apply. A run at a
+    finite. An RK4 run steps one loop, rendered on Python floats for a run
+    of at most FLOAT_MAX_DIM coordinates whose kernels take floats
+    (_on_floats) and on a one-row array for any other, with the same
+    floats where both apply (_rk4). A run at a
     floating-point equilibrium stops stepping and fills its remaining
     samples as stepping would (_settles). The trajectory records its method.
     """
@@ -466,8 +446,7 @@ def integrate(
     if method == EULER:
         states, drifts = _euler_rows(problem, sample_times)
     else:
-        loop = _rk4_floats if _on_floats(problem) else _rk4_rows
-        states, drifts = loop(problem, sample_times, step)
+        states, drifts = _rk4(problem, sample_times, step, _on_floats(problem))
     return _assemble(problem, sample_times, states, drifts, method)
 
 

@@ -1,12 +1,12 @@
-"""Point kernels as source, for flow's generated RK4 float loop.
+"""Point kernels as source, for flow's generated RK4 loop.
 
 A point kernel marked ``inlined`` carries its arithmetic as a
-``Fragment`` beside it, which ``flow._float_loop_source`` splices in
-where its loop would call the kernel (``inline``). Fragments and the
-loop are str.format templates. Two format fields spell a vector over
-n coordinates explicitly, with ``@`` standing for the coordinate:
-``{vec:t@}`` is the tuple of t at each coordinate and ``{sum:t@}`` their
-sum. Any other field is a name, filled in by ``source``.
+``Fragment`` beside it, which ``flow._rk4_source`` splices in where its
+loop would call the kernel (``inline``). Fragments and the loop are
+str.format templates. Two format fields spell a vector, ``@`` standing
+for the coordinate: over n coordinates ``{vec:t@}`` is the tuple of t at
+each and ``{sum:t@}`` their sum; on one numpy row (n None) each is one
+expression. Any other field is a name, filled in by ``source``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ class Fragment(NamedTuple):
     to the local k at its entry and runs ``setup`` there, which unpacks
     them into locals named k_...; ``body`` computes the kernel from the
     locals x0..x{n-1} into out0..out{n-1}, with temporaries named k_...
-    too. The clock's body reads the expression x and writes the local out.
+    too. The clock's body reads the expression x and writes the local out;
+    it is the one fragment the loop also splices in on rows.
     Each statement does the kernel's float operations in the kernel's
     order, so the loop's floats are the kernel's, bit for bit. A fragment
     divides only by a divisor its kernel holds or tests as positive, and
@@ -62,21 +63,27 @@ class _Coords:
     """The value of the fields vec and sum: formatting it with the spec t
     writes t at each of n coordinates, ``@`` replaced by the coordinate."""
 
-    def __init__(self, n: int, total: bool):
+    def __init__(self, n: int | None, total: bool):
         self.n, self.total = n, total
 
     def __format__(self, term: str) -> str:
+        if self.n is None:  # one row: numpy on (1, n) arrays
+            if self.total:
+                u, v = term.replace("@", "").split(" * ")
+                return f"_row_dots({u}, {v})[0]"
+            return term.replace("[@]", "").replace("@", "")
         terms = [term.replace("@", str(i)) for i in range(self.n)]
         if self.total:  # added from -0.0 left to right, as geometry._dot adds
             return "(" + " + ".join(["-0.0", *terms]) + ")"
         return ", ".join(terms) + "," * (self.n == 1)  # a tuple at n = 1 too
 
 
-def source(n: int, template: str, **names) -> str:
-    """Source for n coordinates from a template: str.format with ``names``,
-    n, and the fields vec and sum. At n = 2, ``{vec:a@} = {vec:x@ - c@}``
-    is ``a0, a1 = x0 - c0, x1 - c1`` and ``{sum:x@ * x@}`` is
-    ``(-0.0 + x0 * x0 + x1 * x1)``; at n = 1, ``{vec:x@}`` is ``x0,``."""
+def source(n: int | None, template: str, **names) -> str:
+    """Source for n coordinates, or one row if n is None, from a template:
+    str.format with ``names``, n, and the fields vec and sum. At n = 2,
+    ``{vec:a@} = {vec:x@ - c@}`` is ``a0, a1 = x0 - c0, x1 - c1`` and
+    ``{sum:x@ * x@}`` is ``(-0.0 + x0 * x0 + x1 * x1)``; at n = 1,
+    ``{vec:x@}`` is ``x0,``; on a row, ``a = x - c`` and ``_row_dots(x, x)[0]``."""
     return template.format(n=n, vec=_Coords(n, False), sum=_Coords(n, True), **names)
 
 

@@ -43,10 +43,11 @@ MEMBERSHIP_TOL = 1e-12
 # Up to this many floats a row kernel tiles its constant vectors (see _RowTiles).
 TILE_MAX_FLOATS = 4096
 
-# The widest state a single run steps as Python floats. Per RK4 step on
-# box + quadratic, the float loop with the kernels spliced in takes 1.6,
-# with them called 8.7, against a one-row numpy run's 32 us at n = 2, and
-# 5.5 and 14 against 39 at n = 7 (2-core Xeon VM, Python 3.11.7, numpy
+# The widest state a single run steps as Python floats: flow's RK4 loop
+# has two renderings, on floats and on one numpy row. Per RK4 step on box
+# + quadratic, the float rendering with the kernels spliced in takes 1.2,
+# with them called 6.8, against the row rendering's 24 us at n = 2, and
+# 4.2 and 11 against 27 at n = 7 (2-core Xeon VM, Python 3.11.7, numpy
 # 2.4.6); a row kernel sums up to this many columns one at a time, each a
 # numpy call, where wider rows take one np.vecdot.
 FLOAT_MAX_DIM = 7

@@ -211,8 +211,10 @@ class Objective:
         return self._grads(as_point(x, self.dim)[None, :])[0]
 
     def _grads(self, X: np.ndarray) -> np.ndarray:
-        """``grad_rows(X)``, which must be finite and of X's shape."""
-        G = np.asarray(self.grad_rows(X), dtype=float)
+        """``grad_rows(X)``, which must be finite and of X's shape. Its
+        intermediates may overflow where it does not, as a power's base may."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = np.asarray(self.grad_rows(X), dtype=float)
         if G.shape != X.shape:
             raise InvalidInputError(f"gradient has shape {G.shape[1:]}, expected ({self.dim},)")
         if not np.all(np.isfinite(G)):

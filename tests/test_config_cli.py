@@ -988,8 +988,14 @@ class TestBatchedSweep:
             (calls / f"{cfg.name}#{uuid.uuid4().hex}").touch()
             return execute(cfg)
 
+        rk4 = flow._rk4
+
+        def on_floats(problem, times, step, floats):
+            assert floats, "2-d catalog runs step floats"
+            return rk4(problem, times, step, floats)
+
         monkeypatch.setattr(cli, "execute", counted)
-        monkeypatch.setattr(flow, "_rk4_rows", None)  # 2-d catalog runs step floats
+        monkeypatch.setattr(flow, "_rk4", on_floats)
         code, _, _, files = sweep_outputs(tmp_path, capsys, "out", text, param, values)
         assert code in (EXIT_OK, EXIT_VERDICT)
         names = sorted(f.name.split("#")[0] for f in calls.iterdir())

@@ -5,11 +5,12 @@ Up to FLOAT_MAX_DIM coordinates a run steps a list of floats through the
 catalog's point kernels, and a wider run, or one with a caller's kernels,
 steps a numpy row. The two must give the same floats wherever both apply, for
 every set and objective kind, and the run must take the float path
-exactly when its kernels are marked as taking floats. The float run
-steps a loop generated once per width and kinds of kernel. It splices in
-the catalog's own kernels and calls any other, or any wrapper, as the
-one-row run does: 4 gradients, 4 projections and 3 lambdas per RK4 step.
-Spliced in or called, a kernel gives the same bytes.
+exactly when its kernels are marked as taking floats. Both runs step one
+RK4 loop template, rendered on floats once per width and kinds of kernel,
+and on rows once per kinds of kernel. The float rendering splices in the
+catalog's own kernels and calls any other, or any wrapper; each rendering
+makes 4 gradients, 4 projections and 3 lambdas per RK4 step. Spliced in
+or called, a kernel gives the same bytes.
 """
 
 import collections
@@ -157,8 +158,8 @@ class TestRunsAgree:
             got = exc
         try:
             times = _sample_grid(grid["horizon"], grid["sample_every"])
-            want = flow._assemble(problem, times, *flow._rk4_rows(problem, times, grid["step"]),
-                                  flow.RK4)
+            want = flow._assemble(problem, times,
+                                  *flow._rk4(problem, times, grid["step"], floats=False), flow.RK4)
         except DivergenceError as exc:
             want = exc
         if isinstance(want, DivergenceError):
@@ -170,13 +171,14 @@ class TestRunsAgree:
 
 
 def count_paths(monkeypatch):
-    """Record which loop each integrate call takes."""
-    taken = []
-    floats, rows = flow._rk4_floats, flow._rk4_rows
-    monkeypatch.setattr(flow, "_rk4_floats",
-                        lambda *a: taken.append("floats") or floats(*a))
-    monkeypatch.setattr(flow, "_rk4_rows",
-                        lambda *a: taken.append("rows") or rows(*a))
+    """Record which rendering of the RK4 loop each integrate call takes."""
+    taken, rk4 = [], flow._rk4
+
+    def spy(problem, times, step, floats):
+        taken.append("floats" if floats else "rows")
+        return rk4(problem, times, step, floats)
+
+    monkeypatch.setattr(flow, "_rk4", spy)
     return taken
 
 
@@ -249,26 +251,34 @@ def counted(calls, key, kernel):
 
 
 class TestGeneratedLoop:
-    """_rk4_floats steps the loop generated for its width, compiled on first use."""
+    """_rk4 steps the RK4 loop rendered on floats for its width, or on rows,
+    and for its kinds of kernel, compiled on first use."""
 
+    @pytest.mark.parametrize("floats", [True, False], ids=["floats", "rows"])
     @pytest.mark.parametrize("dim", [1, 2, FLOAT_MAX_DIM])
-    def test_kernel_calls_per_step_and_per_sample(self, dim, monkeypatch):
+    def test_kernel_calls_per_step_and_per_sample(self, dim, floats, monkeypatch):
         # the counts a traced run derives its RK4 steps from
         calls = collections.Counter()
-        monkeypatch.setattr(Box, "_project", counted(calls, "project", Box._project))
+        project, grad = ("_project", "grad_fn") if floats else ("_project_rows", "grad_rows")
+        monkeypatch.setattr(Box, project, counted(calls, "project", getattr(Box, project)))
         monkeypatch.setattr(Schedule, "value", counted(calls, "lambda", Schedule.value))
         problem = box_problem(dim)
         problem = dataclasses.replace(problem, objective=dataclasses.replace(
-            problem.objective, grad_fn=counted(calls, "grad", problem.objective.grad_fn)))
+            problem.objective, **{grad: counted(calls, "grad", getattr(problem.objective, grad))}))
         assert flow._on_floats(problem)
-        flow._rk4_floats(problem, _sample_grid(0.5, 0.1), 0.01)  # 5 samples of 10 steps
+        flow._rk4(problem, _sample_grid(0.5, 0.1), 0.01, floats)  # 5 samples of 10 steps
         assert calls == {"grad": 4 * 50, "lambda": 3 * 50, "project": 4 * 50 + 5}
 
-    def test_each_width_and_kinds_compile_once(self, monkeypatch):
+    def compiled(self, monkeypatch):
+        """The file names of the loops compiled from here on."""
         names = []
         monkeypatch.setattr(flow, "compile", lambda source, name, mode:
                             names.append(name) or compile(source, name, mode), raising=False)
-        flow._float_loop.cache_clear()
+        flow._rk4_loop.cache_clear()
+        return names
+
+    def test_each_width_and_kinds_compile_once(self, monkeypatch):
+        names = self.compiled(monkeypatch)
         q = quadratic([0.3, -0.2])
         wrapped = dataclasses.replace(q, grad_fn=passthrough(q.grad_fn))
         ball = FlowProblem(Ball([0.0, 0.0], 1.0), q, Constant(K=1.0), [0.5, 0.5])
@@ -281,9 +291,24 @@ class TestGeneratedLoop:
                          "<pgflow rk4 floats n=2 grad=call proj=box lam=clock>",
                          "<pgflow rk4 floats n=2 grad=quadratic proj=ball lam=clock>"]
 
+    def test_rows_compile_once_per_kinds(self, monkeypatch):
+        names = self.compiled(monkeypatch)
+        n = FLOAT_MAX_DIM + 1
+        bare = Objective(fn=lambda x: float(x @ x), grad_fn=lambda x: 2 * x, dim=2)
+        ball = FlowProblem(Ball(np.zeros(n), 1.0), quadratic(np.ones(n)), Constant(K=1.0),
+                           np.zeros(n))
+        # every width, set and objective on rows shares one loop; a wrapped clock gets its own
+        for problem in (box_problem(n), box_problem(n + 1), ball, box_problem(2, objective=bare)):
+            integrate(problem, horizon=0.2, step=0.01, sample_every=0.1)
+        with mock.patch.object(Schedule, "value", passthrough(Schedule.value)):
+            for problem in (box_problem(n), ball):
+                integrate(problem, horizon=0.2, step=0.01, sample_every=0.1)
+        assert names == ["<pgflow rk4 rows grad=call proj=call lam=clock>",
+                         "<pgflow rk4 rows grad=call proj=call lam=call>"]
+
     def test_importing_the_cli_compiles_no_loop(self):
         code = ("import pgflow.cli\nfrom pgflow import flow\n"
-                "print(flow._float_loop.cache_info().currsize)")
+                "print(flow._rk4_loop.cache_info().currsize)")
         src = os.path.dirname(os.path.dirname(flow.__file__))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, encoding="utf-8",
                              check=True, env={**os.environ, "PYTHONPATH": src})
@@ -291,9 +316,9 @@ class TestGeneratedLoop:
 
     def test_the_source_reads_back_and_tracebacks_name_it(self):
         grad, proj, lam = (inline(kernel)[0] for kernel in kernels(box_problem(2)))
-        inlined = flow._float_loop_source(2, grad, proj, lam)
+        inlined = flow._rk4_source(2, grad, proj, lam)
         assert "            u0, u1 = grad_w0 * (y0 - grad_a0), grad_w1 * (y1 - grad_a1)\n" in inlined
-        called = flow._float_loop_source(1, flow._CALLS[0], proj, lam)
+        called = flow._rk4_source(1, flow._CALL_POINT, proj, lam)
         assert "            g0, = grad([x0,])\n" in called
         assert "            a0, = a0 - x0,\n" in called
 
@@ -308,6 +333,24 @@ class TestGeneratedLoop:
         frames = [(f.filename, f.line) for f in traceback.extract_tb(exc.value.__traceback__)]
         assert ("<pgflow rk4 floats n=2 grad=call proj=box lam=clock>",
                 "g0, g1 = grad([x0, x1])") in frames
+
+    def test_the_row_source_reads_back_and_tracebacks_name_it(self):
+        lam = inline(box_problem(2).schedule.value)[0]
+        rows = flow._rk4_source(None, flow._CALL, flow._CALL, lam)
+        assert "            y = x + half_h * a\n" in rows
+        assert "            if not _row_dots(x, x)[0] <= _GUARD_SQ:\n" in rows
+        assert "        drift = math.sqrt(_row_dots(e, e)[0])\n" in rows
+
+        def broken(X):
+            raise ZeroDivisionError
+
+        problem = box_problem(FLOAT_MAX_DIM + 1)
+        problem = dataclasses.replace(problem, objective=dataclasses.replace(
+            problem.objective, grad_rows=broken))
+        with pytest.raises(ZeroDivisionError) as exc:
+            integrate(problem, horizon=0.2, step=0.01, sample_every=0.1)
+        frames = [(f.filename, f.line) for f in traceback.extract_tb(exc.value.__traceback__)]
+        assert ("<pgflow rk4 rows grad=call proj=call lam=clock>", "g = grad(x)") in frames
 
 
 def passthrough(kernel):

@@ -410,13 +410,14 @@ def with_schedules(problem, schedules):
 def rows_run(problem, horizon, step, sample_every=0.1):
     """integrate's run of ``problem`` stepped on the row kernels, whatever its width."""
     times = _sample_grid(horizon, sample_every)
-    return flow._assemble(problem, times, *flow._rk4_rows(problem, times, step), flow.RK4)
+    return flow._assemble(problem, times, *flow._rk4(problem, times, step, floats=False),
+                          flow.RK4)
 
 
-class TestIntegrateBatch:
+class TestRowRunsEqualFloatRuns:
     """The runs of an alpha or K sweep differ only in their schedules, and
-    integrate runs each on its own: on the row kernels (_rk4_rows) every
-    schedule family gives the run of the float lists, bit for bit."""
+    integrate runs each on its own: the RK4 loop rendered on rows gives, for
+    every schedule family, the run of the loop rendered on floats, bit for bit."""
 
     @pytest.mark.parametrize("schedules", [ALPHA_SWEEP, K_SWEEP], ids=["alpha", "K"])
     @pytest.mark.parametrize("kind", SET_KINDS)
@@ -436,7 +437,7 @@ class TestIntegrateBatch:
         assert_same_runs([rows_run(p, **grid) for p in problems],
                          [integrate(p, **grid) for p in problems])
 
-    def test_bare_objective_batches_on_rows(self, monkeypatch):
+    def test_bare_objective_batches_on_rows(self):
         # an Objective given only fn and grad_fn steps its per-row loops and
         # gives the catalog objective's list runs
         problem = sweep_problem("box", seed=2)
@@ -444,8 +445,8 @@ class TestIntegrateBatch:
         bare = Objective(fn=problem.objective.fn, grad_fn=lambda x: g(x), dim=3)
         grid = dict(horizon=0.5, step=0.01, sample_every=0.1)
         catalog = [integrate(p, **grid) for p in with_schedules(problem, K_SWEEP)]
-        monkeypatch.setattr(flow, "_rk4_floats", None)  # a list run would raise TypeError
         bare_problem = FlowProblem(problem.domain, bare, Constant(K=1.0), problem.x0)
+        assert not flow._on_floats(bare_problem)  # its kernels are not marked as taking floats
         got = [integrate(p, **grid) for p in with_schedules(bare_problem, K_SWEEP)]
         # the bare objective has no optimum metadata, so only its gaps and dist_argmin differ
         for a, b in zip(got, catalog):
@@ -470,17 +471,19 @@ class TestIntegrateBatch:
 
     def test_every_row_diverging_stops_the_loop(self, monkeypatch):
         # a run on the rows that diverges in its first sample stops there, not
-        # after the 100000 samples of its horizon
-        samples = []
-        norms = flow._row_norms
-        monkeypatch.setattr(flow, "_row_norms", lambda X: samples.append(len(X)) or norms(X))
+        # after the 100000 samples of its horizon: past the start's residual,
+        # every projection is a stage's, 4 per step, and none a sample's
+        projections = []
+        project = WholeSpace._project_rows
+        monkeypatch.setattr(WholeSpace, "_project_rows",
+                            lambda self, X: projections.append(len(X)) or project(self, X))
         n = FLOAT_MAX_DIM + 1
         problem = FlowProblem(WholeSpace(n), quadratic(np.zeros(n)), Constant(K=500.0),
                               np.full(n, 0.5))
         assert not flow._on_floats(problem)
-        with pytest.raises(DivergenceError, match="near t = 0.0"):
+        with pytest.raises(DivergenceError, match="near t = 0.0") as exc:
             integrate(problem, horizon=1e4, step=0.01, sample_every=0.1)
-        assert samples == []
+        assert len(projections) == 1 + 4 * round(exc.value.time / 0.01)
 
     def test_replaced_gradient_batches_with_the_new_gradient(self):
         # the catalog grad_rows mirrors the old grad_fn, so a run on the rows must
@@ -758,11 +761,10 @@ class TestSettledRuns:
         # inside the flat bottom the gradient is 0: the first step returns x
         problem = FlowProblem(Ball([0.0, 0.0], 2.0), flat_bottom([0.0, 0.0], 0.5),
                               Power(K=1.0, alpha=0.5), [0.1, 0.2])
-        field, loop = ("grad_rows", flow._rk4_rows) if rows else ("grad_fn", flow._rk4_floats)
-        problem, calls = counting(problem, field)
+        problem, calls = counting(problem, "grad_rows" if rows else "grad_fn")
         patch, answers, _ = spied_settles()
         with patch:
-            states, drifts = loop(problem, _sample_grid(2.0, 0.1), 0.01)
+            states, drifts = flow._rk4(problem, _sample_grid(2.0, 0.1), 0.01, floats=not rows)
         assert answers == [True]
         assert len(calls) == 4 * 10  # one segment of 10 RK4 steps
         assert np.all(states == [0.1, 0.2]) and np.all(drifts == 0.0)

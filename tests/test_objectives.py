@@ -593,6 +593,15 @@ class TestGradCheckNaN:
         p[0] = 1e160
         assert np.isnan(grad_check(quadratic(np.zeros(n)), p))
 
+    def test_a_power_whose_base_overflows_is_silent(self):
+        # at theta = 1/2 the exponent on the base is 0: the base overflows at
+        # (1e200, 0.5) and the gradient does not, while f does at every probe
+        f = make_power_objective(quadratic(np.zeros(2)), 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert f.grad([1e200, 0.5]).tolist() == [2e200, 1.0]
+            assert np.isnan(grad_check(f, [1e200, 0.5]))
+
 
 class TestPowerConstruction:
     def test_theta_quarter_gives_norm4(self):
