@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import pickle
 import sys
@@ -102,7 +103,7 @@ def execute(cfg: ExperimentConfig) -> ExperimentResult:
     reparam_gap = None
     if "time_rescaling_equivalence" not in claim_premises(problem, cfg.method):
         reparam_gap = reparam_check(problem.objective, problem.schedule, problem.x0,
-                                    horizon=cfg.horizon, step=cfg.step)
+                                    horizon=cfg.horizon, step=cfg.step, run=traj)
     fits = _compute_fits(traj, cfg)
     claims = theorem_verdict(traj, fits, reparam_gap=reparam_gap)
     return ExperimentResult(cfg, traj, fits, claims, reparam_gap)
@@ -402,6 +403,7 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+@functools.cache  # built once per process: main may run many commands
 def _build_parser() -> argparse.ArgumentParser:
     out_dir = argparse.ArgumentParser(add_help=False)
     out_dir.add_argument("--out-dir", default=".",

@@ -34,7 +34,10 @@ catalog's own ``grad_fn``, ``_project`` and ``Schedule.value`` that
 carry a source fragment (``fragments.Fragment``) are spliced into the
 float rendering, with the kernel's float operations in the kernel's
 order, and the clock into the row one too; any other kernel, and any
-wrapper, such as a traced run's, is called. Per RK4 step on box +
+wrapper, such as a traced run's, is called. The per-sample projection
+goes through the same projection as the stages, spliced in or called.
+The renderings differ in three lines only: the start state, the step
+sizes and the settle test. Per RK4 step on box +
 quadratic at n = 2 the spliced float loop takes 1.2 us, the float loop
 that calls the kernels 6.8 and the row loop 24; at n = 7, 4.2, 11 and 27
 (2-core Xeon VM, Python 3.11.7, numpy 2.4.6). Up to FLOAT_MAX_DIM
@@ -235,7 +238,7 @@ _CALL = Fragment("call", "", "{out} = {k}({x})")
 # or on one (1, n) row, whose slots hold the Fragments' source and the lines
 # where the two renderings differ (_rk4_source)
 _RK4_LOOP = """\
-def rk4(problem, times, step, project, grad, proj, lam):
+def rk4(problem, times, step, grad, proj, lam):
 {setup}
     states = np.empty((times.size, problem.x0.size))
     states[0] = problem.x0
@@ -265,15 +268,15 @@ def rk4(problem, times, step, project, grad, proj, lam):
             if not {sum:x@ * x@} <= _GUARD_SQ:
                 raise _diverged(t + h)
 {project}
-        {vec:e@} = {vec:x@ - p[@]}
+        {vec:e@} = {vec:x@ - p@}
         drift = math.sqrt({sum:e@ * e@})
         if drift > 0.0:
-{adopt}
-        states[j] = x
+            {vec:x@} = {vec:p@}
+        states[j] = {vec:x@}
         drifts[j] = drift
         t0 = grid[j]
         if {settled}:
-            states[j + 1:] = x
+            states[j + 1:] = {vec:x@}
             break
     return states, drifts"""
 
@@ -288,19 +291,16 @@ _STAGE = """\
 
 
 # The lines of _RK4_LOOP where its renderings differ. On floats the state
-# is n locals, listed for the per-sample projection and the settle test; on
-# rows one (1, n) array, and the step sizes 0-d arrays, faster numpy operands.
+# is n locals, listed for the settle test; on rows one (1, n) array, and
+# the step sizes 0-d arrays, faster numpy operands.
 _ON_FLOATS = dict(
     start="    {vec:x@} = problem.x0.tolist()",
     steps="        half_h, full_h, sixth_h = 0.5 * h, h, h / 6.0",
-    project="        x = [{vec:x@}]\n        p = project(x)",
-    adopt="            x = p\n            {vec:x@} = p",
-    settled="x == [{vec:s@}] and _settles(problem.domain, [{vec:s@}], [{vec:g@}], lam_t, step)")
+    settled="({vec:x@}) == ({vec:s@}) and _settles(problem.domain, [{vec:s@}], [{vec:g@}], "
+            "lam_t, step)")
 _ON_ROWS = dict(
     start="    x = states[:1].copy()",
     steps="        half_h, full_h, sixth_h = np.array(0.5 * h), np.array(h), np.array(h / 6.0)",
-    project="        p = project(x)",
-    adopt="            x = p",
     settled="np.array_equal(x, s) and _settles(problem.domain, s[0].tolist(), g[0].tolist(), "
             "lam_t, step)")
 
@@ -313,12 +313,15 @@ def _rk4_source(n: Optional[int], grad: Fragment, proj: Fragment, lam: Fragment)
     y.., projection input z.., gradient g.. at x and u.. at y, drift e..)
     and each vector statement one tuple assignment; on rows each is one
     (1, n) array and one numpy expression. The guard and drift sums add
-    left to right, as _sum_sq and _row_dots add. The loop binds
-    each fragment's consts to the local named after its role (grad, proj,
+    left to right, as _sum_sq and _row_dots add. The per-sample projection
+    goes through the proj role, from x to p.., as the stages' do. Three
+    slots differ between the renderings (_ON_FLOATS, _ON_ROWS): the start
+    state, the step sizes and the settle test. The loop binds each
+    fragment's consts to the local named after its role (grad, proj,
     lam)."""
 
-    def put(frag, role, x, out):  # frag's body from x to out, at the inner loop's depth
-        return textwrap.indent(source(n, frag.body, k=role, x=x, out=out), " " * 12)
+    def put(frag, role, x, out, depth=12):  # frag's body from x to out, by default in the steps
+        return textwrap.indent(source(n, frag.body, k=role, x=x, out=out), " " * depth)
 
     def stage(out, x, g, lam):
         return source(n, _STAGE, grad=put(grad, "grad", x, g), proj=put(proj, "proj", "z", out),
@@ -333,7 +336,7 @@ def _rk4_source(n: Optional[int], grad: Fragment, proj: Fragment, lam: Fragment)
         lam_mid=put(lam, "lam", "t + 0.5 * h", "lam_mid"), lam_t=put(lam, "lam", "t", "lam_t"),
         lam_end=put(lam, "lam", "t + h", "lam_end"), stage_a=stage("a", "x", "g", "lam_t"),
         stage_b=stage("b", "y", "u", "lam_mid"), stage_c=stage("c", "y", "u", "lam_mid"),
-        stage_d=stage("d", "y", "u", "lam_end"))
+        stage_d=stage("d", "y", "u", "lam_end"), project=put(proj, "proj", "x", "p", depth=8))
 
 
 @functools.cache
@@ -374,7 +377,7 @@ def _rk4(problem: FlowProblem, times: np.ndarray, step: float, floats: bool) -> 
              for kernel, frag in zip((*kernels, problem.schedule.value), (call, call, _CALL))]
     loop = _rk4_loop(n, *(frag for frag, _ in parts))
     with np.errstate(over="ignore", invalid="ignore"):
-        return loop(problem, times, step, kernels[1], *(consts for _, consts in parts))
+        return loop(problem, times, step, *(consts for _, consts in parts))
 
 
 def _euler_rows(problem: FlowProblem, times: np.ndarray) -> tuple:
@@ -515,24 +518,28 @@ def reparam_check(
     x0,
     horizon: float = 10.0,
     step: float = DEFAULT_STEP,
+    run: Optional[Trajectory] = None,
 ) -> float:
     """Largest gap between the scaled flow and the unscaled flow on the
     rescaled clock.
 
-    Integrates x' = -lambda(t) grad f(x) up to ``horizon`` and replays
-    y' = -grad f(y) up to gamma(horizon), sampled at every step, then
-    compares x(t) with y(gamma(t)) at every sample of the scaled run,
-    interpolating the replay linearly. The two are the same curve up to
-    integrator and interpolation error.
+    Integrates x' = -lambda(t) grad f(x) up to ``horizon``, sampled every
+    max(step, horizon / 500), and replays y' = -grad f(y) up to
+    gamma(horizon), sampled at every step, then compares x(t) with
+    y(gamma(t)) at every sample of the scaled run, interpolating the replay
+    linearly. The two are the same curve up to integrator and
+    interpolation error. ``run``, an RK4 run of this objective, clock and
+    start on the whole space at this step, is the scaled run when its
+    samples are those times; otherwise the scaled flow is integrated here.
     """
     space = WholeSpace(as_point(x0).size)
     g_end, h = check_replay(schedule, horizon, step)
-    scaled = integrate(
-        FlowProblem(space, objective, schedule, x0),
-        horizon=horizon,
-        step=step,
-        sample_every=max(step, horizon / 500.0),
-    )
+    sample_every = max(step, horizon / 500.0)
+    if run is not None and np.array_equal(run.t, _sample_grid(horizon, sample_every)):
+        scaled = run
+    else:
+        scaled = integrate(FlowProblem(space, objective, schedule, x0),
+                           horizon=horizon, step=step, sample_every=sample_every)
     unscaled = integrate(FlowProblem(space, objective, Constant(K=1.0), x0),
                          horizon=g_end, step=h, sample_every=h)
     # np.interp's formula on every coordinate of a block of samples at
@@ -550,18 +557,36 @@ def reparam_check(
     return worst
 
 
+# write_trajectory_csv formats and writes at most this many floats at a
+# time, about 0.2 MB of text
+CSV_BLOCK_FLOATS = 8192
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Trajectory CSV: t,gamma,f_gap,dist_argmin,feas_drift,speed,x_0..x_{n-1}.
 
     Floats are written with repr so identical runs produce byte-identical
     files. dist_argmin is left empty when the objective has no argmin
-    metadata.
+    metadata. Rows are formatted and written a block at a time, one
+    ``tolist`` and one ``write`` per block: as many rows as fit in
+    CSV_BLOCK_FLOATS floats, and at least one.
     """
+    n = traj.x.shape[1]
     header = ["t", "gamma", "f_gap", "dist_argmin", "feas_drift", "speed"]
-    header += [f"x_{j}" for j in range(traj.x.shape[1])]
-    scalars = (traj.t, traj.gamma, traj.f_gap, traj.dist_argmin, traj.feas_drift, traj.speed)
-    columns = [[""] * len(traj) if c is None else list(map(repr, c.tolist())) for c in scalars]
+    header += [f"x_{j}" for j in range(n)]
+    scalars = [traj.t, traj.gamma, traj.f_gap, traj.dist_argmin, traj.feas_drift, traj.speed]
+    empty = traj.dist_argmin is None  # then the block skips the column, and each row its cell
+    if empty:
+        del scalars[3]
+    rows = max(1, CSV_BLOCK_FLOATS // (len(scalars) + n))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for k, x in enumerate(traj.x):
-            fh.write(",".join([*(col[k] for col in columns), *map(repr, x.tolist())]) + "\n")
+        for start in range(0, len(traj), rows):
+            part = slice(start, start + rows)
+            block = np.column_stack([*(c[part] for c in scalars), traj.x[part]]).tolist()
+            if empty:
+                lines = [",".join(map(repr, r[:3])) + ",," + ",".join(map(repr, r[3:]))
+                         for r in block]
+            else:
+                lines = [",".join(map(repr, r)) for r in block]
+            fh.write("\n".join(lines) + "\n")

@@ -73,8 +73,10 @@ class _Coords:
                 return f"_row_dots({u}, {v})[0]"
             return term.replace("[@]", "").replace("@", "")
         terms = [term.replace("@", str(i)) for i in range(self.n)]
-        if self.total:  # added from -0.0 left to right, as geometry._dot adds
-            return "(" + " + ".join(["-0.0", *terms]) + ")"
+        # a sum adds left to right, as geometry._dot adds; _dot's start, -0.0,
+        # is the identity of + (-0.0 + t is t, signed zeros and NaN too): not written
+        if self.total:
+            return "(" + " + ".join(terms) + ")"
         return ", ".join(terms) + "," * (self.n == 1)  # a tuple at n = 1 too
 
 
@@ -82,7 +84,7 @@ def source(n: int | None, template: str, **names) -> str:
     """Source for n coordinates, or one row if n is None, from a template:
     str.format with ``names``, n, and the fields vec and sum. At n = 2,
     ``{vec:a@} = {vec:x@ - c@}`` is ``a0, a1 = x0 - c0, x1 - c1`` and
-    ``{sum:x@ * x@}`` is ``(-0.0 + x0 * x0 + x1 * x1)``; at n = 1,
+    ``{sum:x@ * x@}`` is ``(x0 * x0 + x1 * x1)``; at n = 1,
     ``{vec:x@}`` is ``x0,``; on a row, ``a = x - c`` and ``_row_dots(x, x)[0]``."""
     return template.format(n=n, vec=_Coords(n, False), sum=_Coords(n, True), **names)
 

@@ -1246,3 +1246,64 @@ class TestOutputPathOverride:
         assert (out / "path.csv").exists()
         assert (out / "rep.csv").exists()
         assert not os.path.exists(str(out / "trajectory.csv"))
+
+
+class TestOneParserPerProcess:
+    """main builds its parser once per process; each command still parses
+    into its own namespace, with its own defaults."""
+
+    def test_a_later_check_takes_the_default_seed(self, capsys):
+        assert main(["check", "rate_theta50_alpha50", "--seed", "3"]) == EXIT_OK
+        seeded = capsys.readouterr().out
+        assert main(["check", "rate_theta50_alpha50"]) == EXIT_OK
+        later = capsys.readouterr().out
+        src = os.path.dirname(os.path.dirname(pgflow.__file__))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "pgflow.cli", "check", "rate_theta50_alpha50", "--seed", "0"],
+            capture_output=True, encoding="utf-8", env=dict(os.environ, PYTHONPATH=src),
+            timeout=300)
+        assert fresh.returncode == EXIT_OK, fresh.stderr
+        assert later == fresh.stdout
+        assert seeded != later  # the probes depend on the seed
+
+    def test_strict_is_off_after_a_strict_run(self, tmp_path):
+        cfg = tmp_path / "ge1.cfg"
+        cfg.write_text(GE1_CFG, encoding="utf-8")
+        out = str(tmp_path / "out")
+        assert main(["run", str(cfg), "--strict", "--out-dir", out]) == EXIT_VERDICT
+        assert main(["run", str(cfg), "--out-dir", out]) == EXIT_OK
+        assert cli._build_parser() is cli._build_parser()
+
+
+class TestIntegrateOnce:
+    """execute hands its run to reparam_check, which takes it as the scaled
+    run when it is sampled on the scaled run's grid, max(step, horizon / 500)."""
+
+    def counted(self, monkeypatch):
+        calls, integrate = [], flow.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(flow, "integrate", counting)
+        monkeypatch.setattr(cli, "integrate", counting)
+        return calls
+
+    @pytest.mark.parametrize("sample_every, runs", [
+        (None, 2),  # the preset's 0.02 is horizon 10 / 500: the run is the scaled run
+        ("0.1", 3),  # another grid: the scaled flow is integrated again
+    ], ids=["on-the-grid", "off-the-grid"])
+    def test_integrate_calls_per_execute(self, monkeypatch, sample_every, runs):
+        pairs = load_pairs("reparam_quadratic")
+        if sample_every is not None:
+            pairs["numerics.sample_every"] = sample_every
+        cfg = build_config(pairs, name="reparam")
+        calls = self.counted(monkeypatch)
+        gap = cli.execute(cfg).reparam_gap
+        assert len(calls) == runs
+        monkeypatch.undo()
+        p = cfg.problem
+        alone = flow.reparam_check(p.objective, p.schedule, p.x0, horizon=cfg.horizon,
+                                   step=cfg.step)
+        assert gap.hex() == alone.hex()

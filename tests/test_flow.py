@@ -680,6 +680,32 @@ class TestCsvExport:
                        traj.feas_drift[k], traj.speed[k], *traj.x[k]]
             assert row == ",".join(repr(float(v)) for v in scalars)
 
+    @pytest.mark.parametrize("dist", [True, False], ids=["dist", "no-dist"])
+    @pytest.mark.parametrize("dim", [1, 2, 7, 1000])
+    def test_blocks_write_the_rows_of_a_row_at_a_time_writer(self, tmp_path, dim, dist):
+        # two full blocks and a partial one, with values whose repr is easy to get wrong
+        width = 6 + dim - (not dist)
+        m = 2 * (flow.CSV_BLOCK_FLOATS // width) + 3
+        values = np.random.default_rng(dim).normal(size=(m, 6 + dim))
+        values *= 10.0 ** np.random.default_rng(dim + 1).integers(-300, 300, values.shape)
+        flat = values.reshape(-1)
+        flat[::5] = np.resize([-0.0, 5e-324, 1e16, np.nan, 0.1, -1e-7], flat[::5].size)
+        t, gamma, f_gap, dist_argmin, feas_drift, speed = values[:, :6].T
+        traj = flow.Trajectory(t, values[:, 6:], f_gap, gamma, feas_drift, speed,
+                               dist_argmin if dist else None, problem=None)
+        blocks, rows = tmp_path / "blocks.csv", tmp_path / "rows.csv"
+        write_trajectory_csv(traj, blocks)
+        with open(rows, "w", encoding="utf-8") as fh:
+            fh.write(",".join(["t", "gamma", "f_gap", "dist_argmin", "feas_drift", "speed",
+                               *(f"x_{j}" for j in range(dim))]) + "\n")
+            for k in range(m):
+                cells = [repr(float(c[k])) for c in (t, gamma, f_gap, dist_argmin, feas_drift,
+                                                     speed)]
+                if not dist:
+                    cells[3] = ""
+                fh.write(",".join(cells + [repr(float(v)) for v in traj.x[k]]) + "\n")
+        assert blocks.read_bytes() == rows.read_bytes()
+
     def test_byte_determinism(self, tmp_path):
         f = quadratic([2.0, 0.0])
         p = FlowProblem(Ball([0.0, 0.0], 1.0), f, Power(K=1.0, alpha=0.5), [0.0, 0.0])
