@@ -558,8 +558,8 @@ def reparam_check(
 
 
 # write_trajectory_csv formats and writes at most this many floats at a
-# time, about 0.2 MB of text
-CSV_BLOCK_FLOATS = 8192
+# time, about 0.1 MB of text
+CSV_BLOCK_FLOATS = 4096
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -567,9 +567,9 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
     Floats are written with repr so identical runs produce byte-identical
     files. dist_argmin is left empty when the objective has no argmin
-    metadata. Rows are formatted and written a block at a time, one
-    ``tolist`` and one ``write`` per block: as many rows as fit in
-    CSV_BLOCK_FLOATS floats, and at least one.
+    metadata. Rows are formatted and written a block at a time, as many as
+    fit in CSV_BLOCK_FLOATS floats and at least one: its floats and row
+    strings are freed before its text is written, then the last newline.
     """
     n = traj.x.shape[1]
     header = ["t", "gamma", "f_gap", "dist_argmin", "feas_drift", "speed"]
@@ -583,10 +583,10 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(traj), rows):
             part = slice(start, start + rows)
-            block = np.column_stack([*(c[part] for c in scalars), traj.x[part]]).tolist()
+            block = np.column_stack([*(c[part] for c in scalars), traj.x[part]])
             if empty:
-                lines = [",".join(map(repr, r[:3])) + ",," + ",".join(map(repr, r[3:]))
-                         for r in block]
+                fh.write("\n".join([",".join(map(repr, r[:3])) + ",," + ",".join(map(repr, r[3:]))
+                                    for r in block.tolist()]))
             else:
-                lines = [",".join(map(repr, r)) for r in block]
-            fh.write("\n".join(lines) + "\n")
+                fh.write("\n".join([",".join(map(repr, r)) for r in block.tolist()]))
+            fh.write("\n")

@@ -339,12 +339,16 @@ def quadratic(center, diag=None, shift: float = 0.0, name: str | None = None) ->
         raise InvalidInputError("shift must be finite")
 
     a_floats, d_floats, d2_floats = a.tolist(), d.tolist(), (2.0 * d).tolist()
+    consts = (a_floats, d_floats, d2_floats, shift)
+    # fn's and grad_fn's fragments, from one template: the residual, then value or gradient
+    setup = ("{vec:{k}_a@} = {k}[0]\n{vec:{k}_d@} = {k}[1]\n"
+             "{vec:{k}_w@} = {k}[2]\n{k}_shift = {k}[3]")
+    residual = "{vec:{k}_r@} = {vec:{x}@ - {k}_a@}\n"
 
     @on_floats
-    @inlined(Fragment("quadratic",
-                      "{vec:{k}_a@} = {k}[0]\n{vec:{k}_d@} = {k}[1]\n{k}_shift = {k}[2]",
-                      "{out} = {sum:({x}@ - {k}_a@) * ({x}@ - {k}_a@) * {k}_d@} + {k}_shift"),
-             lambda _: (a_floats, d_floats, shift))
+    @inlined(Fragment("quadratic", setup,
+                      residual + "{out} = {sum:{k}_r@ * {k}_r@ * {k}_d@} + {k}_shift"),
+             lambda _: consts)
     def fn(x, a=a_floats, d=d_floats, shift=shift):
         return _dot([(v - c) * (v - c) for v, c in zip(x, a)], d) + shift
 
@@ -359,9 +363,8 @@ def quadratic(center, diag=None, shift: float = 0.0, name: str | None = None) ->
     fn_rows = _formed(fn, uv, lambda S, shift=np.array(shift): S + shift)
 
     @on_floats
-    @inlined(Fragment("quadratic", "{vec:{k}_a@} = {k}[0]\n{vec:{k}_w@} = {k}[1]",
-                      "{vec:{out}@} = {vec:{k}_w@ * ({x}@ - {k}_a@)}"),
-             lambda _: (a_floats, d2_floats))
+    @inlined(Fragment("quadratic", setup, residual + "{vec:{out}@} = {vec:{k}_w@ * {k}_r@}"),
+             lambda _: consts)
     def grad_fn(x, a=a_floats, d2=d2_floats):
         g = [w * (v - c) for v, c, w in zip(x, a, d2)]
         return g if x.__class__ is list else np.array(g)
@@ -508,23 +511,35 @@ def _pow(v: float, e: float) -> float:
 def _power_of(base: tuple, base_grad: tuple, p: float):
     """inlined for make_power_objective's grad_fn, whose base kernels
     inline as ``base`` and ``base_grad`` (fragments.inline): it computes
-    them, and raises to the power, in the order that grad_fn does. The
-    exponent e = p - 1 is Python's ``**`` where it lies in [0, 1], which
-    cannot overflow there (|v ** e| <= max(1, |v|)): every theta >= 1/4.
-    A larger one calls _pow, as grad_fn does, and its kind says so."""
+    them, and raises to the power, in the order that grad_fn does. Bases
+    cut from one template (one consts object and setup, as a quadratic's)
+    share its locals, and the gradient skips its first statement where it
+    is the value's, whose locals the value keeps. e = p - 1 is exact at 1
+    and 0 (C's pow gives v and 1.0, NaN and inf too): the fragment writes
+    p * v and p. Elsewhere in [0, 1] it is ``**``, which cannot overflow
+    there (|v ** e| <= max(1, |v|)); a larger e calls _pow, and its kind
+    says so."""
     (f, f_consts), (g, g_consts) = base, base_grad
-    plain = 0.0 <= p - 1.0 <= 1.0
-    setup = "\n".join(["{k}_p, {k}_e, {k}_pow, {k}_f, {k}_g = {k}",
-                       *(nested(part.setup, k) for part, k in ((f, "f"), (g, "g")) if part.setup)])
-    body = "\n".join([nested(f.body, "f", out="{k}_v"),
+    e = p - 1.0
+    plain = 0.0 <= e <= 1.0
+    kg = "f" if f_consts is g_consts and f.setup == g.setup else "g"  # g's locals' prefix
+    value = nested(f.body, "f", out="{k}_v")
+    grad = nested(g.body, kg, out="{k}_b").splitlines()
+    if grad[0] == value.partition("\n")[0]:
+        del grad[0]
+    raised = {1.0: "{k}_p * {k}_v", 0.0: "{k}_p"}.get(
+        e, "{k}_p * " + ("{k}_v ** {k}_e" if plain else "{k}_pow({k}_v, {k}_e)"))
+    setup = "\n".join(dict.fromkeys(["{k}_p, {k}_e, {k}_pow, {k}_f, {k}_g = {k}", *(
+        nested(part.setup, k) for part, k in ((f, "f"), (g, kg)) if part.setup)]))  # shared: once
+    body = "\n".join([value,
                       "if {k}_v == 0.0:",
                       "    {vec:{out}@} = (0.0,) * {n}",
                       "else:",
-                      "    {k}_c = {k}_p * " + ("{k}_v ** {k}_e" if plain else "{k}_pow({k}_v, {k}_e)"),
-                      *("    " + line for line in nested(g.body, "g", out="{k}_b").splitlines()),
+                      "    {k}_c = " + raised,
+                      *("    " + line for line in grad),
                       "    {vec:{out}@} = {vec:{k}_c * {k}_b@}"])
     kind = f"power({f.kind}, {g.kind}{'' if plain else ', _pow'})"
-    return inlined(Fragment(kind, setup, body), lambda _: (p, p - 1.0, _pow, f_consts, g_consts))
+    return inlined(Fragment(kind, setup, body), lambda _: (p, e, _pow, f_consts, g_consts))
 
 
 def make_power_objective(g: Objective, theta: float) -> Objective:

@@ -46,6 +46,7 @@ from pgflow.geometry import (
 from pgflow.fragments import inline, nested, source
 from pgflow.objectives import (
     Objective,
+    _pow,
     even_quartic,
     flat_bottom,
     make_power_objective,
@@ -318,7 +319,8 @@ class TestGeneratedLoop:
     def test_the_source_reads_back_and_tracebacks_name_it(self):
         grad, proj, lam = (inline(kernel)[0] for kernel in kernels(box_problem(2)))
         inlined = flow._rk4_source(2, grad, proj, lam)
-        assert "            u0, u1 = grad_w0 * (y0 - grad_a0), grad_w1 * (y1 - grad_a1)\n" in inlined
+        assert ("            grad_r0, grad_r1 = y0 - grad_a0, y1 - grad_a1\n"
+                "            u0, u1 = grad_w0 * grad_r0, grad_w1 * grad_r1\n") in inlined
         called = flow._rk4_source(1, flow._CALL_POINT, proj, lam)
         assert "            g0, = grad([x0,])\n" in called
         assert "            a0, = a0 - x0,\n" in called
@@ -468,6 +470,55 @@ class TestInlinedEqualsCalled:
             called = run_or_divergence(called_problem, **grid)
         assert isinstance(inlined, DivergenceError) and inlined.time == 0.5
         assert_same_bytes(inlined, called)
+
+
+class TestPowerGradientSource:
+    """The spliced gradient of a power of a quadratic computes the residual
+    x - a once per coordinate and stage, and raises the base value only
+    where the exponent p - 1 is neither 1 nor 0."""
+
+    @staticmethod
+    def rendered(dim, theta):
+        q = quadratic(np.linspace(-1.0, 1.0, dim), diag=np.linspace(1.0, 2.0, dim), shift=0.5)
+        grad = inline(make_power_objective(q, theta).grad_fn)[0]
+        # the projection and the clock called, so that every ** is the gradient's
+        return flow._rk4_source(dim, grad, flow._CALL_POINT, flow._CALL)
+
+    @pytest.mark.parametrize("theta", [0.1, 0.25, 0.3, 0.5])
+    @pytest.mark.parametrize("dim", [1, 2, 7])
+    def test_one_residual_per_coordinate_and_stage(self, dim, theta):
+        text = self.rendered(dim, theta)
+        for i in range(dim):
+            # stage a steps from x, stages b, c and d from y
+            assert text.count(f"x{i} - grad_f_a{i}") == 1
+            assert text.count(f"y{i} - grad_f_a{i}") == 3
+            assert text.count(f"_a{i}") == 4 + 1  # and the setup's unpacking
+        assert "grad_g_" not in text  # the gradient shares the value's locals
+
+    @pytest.mark.parametrize("dim", [1, 2, 7])
+    @pytest.mark.parametrize("theta", [0.25, 0.5])
+    def test_exact_exponents_write_no_power(self, dim, theta):
+        text = self.rendered(dim, theta)
+        assert "**" not in text and "grad_pow(" not in text
+        raised = "grad_c = grad_p * grad_v\n" if theta == 0.25 else "grad_c = grad_p\n"
+        assert text.count(raised) == 4
+
+    @pytest.mark.parametrize("dim", [1, 2, 7])
+    def test_other_exponents_keep_their_power(self, dim):
+        text = self.rendered(dim, 0.3)
+        assert text.count("grad_c = grad_p * grad_v ** grad_e\n") == 4 and "grad_pow(" not in text
+        text = self.rendered(dim, 0.1)
+        assert text.count("grad_c = grad_p * grad_pow(grad_v, grad_e)\n") == 4 and "**" not in text
+
+    def test_exponents_1_and_0_are_exact(self):
+        # what lets the fragment write p * v and p for p * v ** e at e = 1 and 0
+        payload = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0123))[0]
+        for v in (-0.0, 0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan,
+                  payload):
+            for raised in (v**1.0, _pow(v, 1.0)):
+                assert struct.pack("<d", raised) == struct.pack("<d", v), v
+            for raised in (v**0.0, _pow(v, 0.0)):
+                assert struct.pack("<d", raised) == struct.pack("<d", 1.0), v
 
 
 class TestFragmentSource:
