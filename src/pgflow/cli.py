@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 config error, 3 divergence, 4 verdict failure
 (expected claims under --strict, or any failed row in `check`), 5 a forked
-sweep child died before it sent its work (``_forked``).
+sweep or check child died before it sent its work (``_forked``).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .flow import (
     reparam_check,
     write_trajectory_csv,
 )
-from .geometry import ConvexSet, _rounding, _row_norms, variational_gap
+from .geometry import ConvexSet, _feasible_probes, _gap, _rounding, _row_norms
 from .objectives import (
     GRAD_CHECK_TOL,
     Desingularizer,
@@ -56,6 +56,8 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_VERDICT = 4
 EXIT_WORKER = 5
+
+CERTIFICATE_SAMPLES = 1000  # points of check's error-bound and Lojasiewicz rows
 
 SWEEP_PARAMS = {
     "alpha": "schedule.alpha",
@@ -160,11 +162,14 @@ def cmd_run(args) -> int:
 def _forked(work, names, workers: int, take) -> None:
     """Call ``take(j, work(j))`` for each job j, one per entry of ``names``,
     in job order. Job 0 runs here and every other job in a forked child, at
-    most ``workers`` jobs computing at once. A child pickles its result, or
-    the exception it raised, to a pipe and leaves by ``os._exit``; the
-    exception is raised again at its job's turn, and a child that sends
-    nothing raises WorkerDied. On any error the other children are killed;
-    every child is reaped before this returns or raises."""
+    most ``workers`` jobs computing at once; with one worker, or without
+    ``os.fork``, every job runs here in turn, so a caller's output does not
+    depend on which. A child pickles its result, or the exception it
+    raised, to a pipe and leaves by ``os._exit``; the exception is raised
+    again at its job's turn, and a child that sends nothing raises
+    WorkerDied. On any error the other children are killed; every child is
+    reaped before this returns or raises. ``sweep`` runs one value per job,
+    and ``check`` its sampled sections in two jobs."""
     if workers <= 1 or not hasattr(os, "fork"):
         for j in range(len(names)):
             take(j, work(j))
@@ -316,8 +321,24 @@ def _gradient_row(obj, blocks):
             f"max rel err {worst:.3g} over {count} points")
 
 
-def _projection_rows(domain: ConvexSet, rng):
-    probes = domain.sample(rng, 32)
+def _certificate_rows(obj, domain: ConvexSet, rng) -> list:
+    """The error-bound and Lojasiewicz rows, over 1000 drawn samples where
+    the objective carries a certificate."""
+    if obj.holder is None or obj.optimum is None:
+        return [("error bound sampling", "not-applicable", "no certificate metadata"),
+                ("lojasiewicz sampling", "not-applicable", "no certificate metadata")]
+    phi = Desingularizer(obj.holder.kappa, obj.holder.theta)
+    samples = _draws(domain, rng, CERTIFICATE_SAMPLES)
+    ratio, product = certificate_checks(obj, domain, phi, samples)
+    bar = obj.holder.kappa * (1.0 - 1e-6)
+    return [("error bound sampling", "pass" if ratio >= bar else "fail",
+             f"min ratio {ratio:.6g} vs kappa {obj.holder.kappa:g}"),
+            ("lojasiewicz sampling", "pass" if product >= 1.0 - 1e-6 else "fail",
+             f"min product {product:.6g}")]
+
+
+def _projection_rows(domain: ConvexSet, rng) -> list:
+    probes = _feasible_probes(domain, domain.sample(rng, 32), domain.dim)
     # np.max and np.maximum keep a NaN wherever it falls; Python's max may drop it
     worst_nonexp = worst_idem = worst_gap = 0.0
     # the largest norm of a point and of a residual x - P(x): each bound
@@ -328,50 +349,82 @@ def _projection_rows(domain: ConvexSet, rng):
         xs, ys = (domain.sample(rng, k) + rng.normal(size=(k, domain.dim)) * 2.0
                   for _ in range(2))
         px, py = domain._project_rows(xs), domain._project_rows(ys)
+        rx = xs - px
         size = float(np.max(_row_norms(np.vstack((xs, ys))), initial=size))
-        reach = float(np.max(_row_norms(xs - px), initial=reach))
+        reach = float(np.max(_row_norms(rx), initial=reach))
         excess = _row_norms(px - py) - _row_norms(xs - ys)
         worst_nonexp = float(np.max(excess, initial=worst_nonexp))
         worst_idem = float(np.max(_row_norms(domain._project_rows(px) - px),
                                   initial=worst_idem))
-        worst_gap = float(np.maximum(variational_gap(domain, xs, probes), worst_gap))
+        worst_gap = float(np.maximum(_gap(rx, px, probes), worst_gap))
     slack = _rounding(domain.dim, size)
-    yield ("projection nonexpansive", "pass" if worst_nonexp <= 1e-12 + slack else "fail",
-           f"max excess {worst_nonexp:.3g}")
-    yield ("projection idempotent", "pass" if worst_idem <= 1e-9 + slack else "fail",
-           f"max drift {worst_idem:.3g}")
-    yield ("projection variational", "pass" if worst_gap <= 1e-9 + slack * reach else "fail",
-           f"max gap {worst_gap:.3g}")
+    return [("projection nonexpansive", "pass" if worst_nonexp <= 1e-12 + slack else "fail",
+             f"max excess {worst_nonexp:.3g}"),
+            ("projection idempotent", "pass" if worst_idem <= 1e-9 + slack else "fail",
+             f"max drift {worst_idem:.3g}"),
+            ("projection variational", "pass" if worst_gap <= 1e-9 + slack * reach else "fail",
+             f"max gap {worst_gap:.3g}")]
+
+
+def _sampled_rows(problem, seed: int) -> list:
+    """The gradient, certificate and projection rows, in that order.
+
+    Each section draws from its own generator, spawned from ``seed``, so
+    no section's points depend on another's draws. They run as two jobs of
+    _forked: the certificate here, the gradient and projection sections in
+    one forked child, when the certificate's draws span more than one row
+    block (n >= 66) and more than one CPU is usable; otherwise both jobs
+    run here in turn. A section that raises ends its job; the first
+    exception in row order is raised, as if the sections ran in order here.
+    """
+    domain, obj = problem.domain, problem.objective
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
+    sections = (lambda: [_gradient_row(obj, _draws(domain, rngs[0], 100))],
+                lambda: _certificate_rows(obj, domain, rngs[1]),
+                lambda: _projection_rows(domain, rngs[2]))
+    jobs = ((1,), (0, 2))  # here the certificate; in the child the gradient, the projections
+    done = {}
+
+    def run_job(j):
+        outcomes = []
+        for s in jobs[j]:
+            try:
+                outcomes.append(sections[s]())
+            except Exception as exc:
+                outcomes.append(exc)
+                break
+        return outcomes
+
+    def take(j, outcomes):
+        done.update(zip(jobs[j], outcomes))
+
+    certified = obj.holder is not None and obj.optimum is not None
+    overlap = certified and len(row_blocks(CERTIFICATE_SAMPLES, domain.dim)) > 1
+    _forked(run_job, ["certificate rows", "gradient and projection rows"],
+            2 if overlap and _usable_cpus() > 1 else 1, take)
+    rows = []
+    for s in range(len(sections)):  # a section missing from done follows an exception
+        if isinstance(done[s], Exception):
+            raise done[s]
+        rows.extend(done[s])
+    return rows
 
 
 def cmd_check(args) -> int:
+    """Print the check rows of a config (README, "The check command"):
+    exit 0 when none fails, 4 when one does. The sampled rows may come
+    from a forked child (_sampled_rows); stdout and the exit code, errors
+    included, are the same bytes on any number of usable CPUs."""
     cfg = config_mod.load_config(args.config)
     problem = cfg.problem
-    domain, obj = problem.domain, problem.objective
-    rng = np.random.default_rng(args.seed)
     rows = []
 
-    feas = domain.residual(problem.x0)
+    feas = problem.domain.residual(problem.x0)
     rows.append(("start point feasible", "pass" if feas <= 1e-12 else "fail",
                  f"residual {feas:.3g}"))
     rows.extend((label, status, _evidence_text(evidence))
                 for label, status, evidence in schedule_premises(problem, cfg.horizon, cfg.method))
-
-    rows.append(_gradient_row(obj, _draws(domain, rng, 100)))
-
-    if obj.holder is not None and obj.optimum is not None:
-        phi = Desingularizer(obj.holder.kappa, obj.holder.theta)
-        ratio, product = certificate_checks(obj, domain, phi, _draws(domain, rng, 1000))
-        bar = obj.holder.kappa * (1.0 - 1e-6)
-        rows.append(("error bound sampling", "pass" if ratio >= bar else "fail",
-                     f"min ratio {ratio:.6g} vs kappa {obj.holder.kappa:g}"))
-        rows.append(("lojasiewicz sampling", "pass" if product >= 1.0 - 1e-6 else "fail",
-                     f"min product {product:.6g}"))
-    else:
-        rows.append(("error bound sampling", "not-applicable", "no certificate metadata"))
-        rows.append(("lojasiewicz sampling", "not-applicable", "no certificate metadata"))
-
-    rows.extend(_projection_rows(domain, rng))
+    rows.extend(_sampled_rows(problem, args.seed))
 
     # an expected claim whose premise fails would exit 4 under run --strict.
     # Claims 1 and 2 keep their assertion rows, pass or fail; any other

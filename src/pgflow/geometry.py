@@ -384,6 +384,7 @@ class Simplex(ConvexSet):
         if not np.isfinite(self.scale) or self.scale <= 0:
             raise InvalidInputError("scale must be positive and finite")
         self.dim = int(dim)
+        self._ks = np.arange(1.0, self.dim + 1)
 
     def is_symmetric(self) -> bool:
         return False
@@ -412,10 +413,15 @@ class Simplex(ConvexSet):
 
     def _project_rows(self, X):
         # _project along axis 1; k is the last column where the test holds
+        if X.shape[0] == 1:  # the row RK4 loop's one row: the same operations on 1-d arrays
+            u = np.sort(X[0])[::-1]
+            css = u.cumsum()
+            css -= self.scale
+            k = X.shape[1] - np.argmax((u * self._ks > css)[::-1])
+            return np.maximum(X - css[k - 1] / k, 0.0)
         U = np.sort(X, axis=1)[:, ::-1]
         css = np.cumsum(U, axis=1) - self.scale
-        ks = np.arange(1, X.shape[1] + 1)
-        k = X.shape[1] - np.argmax((U * ks > css)[:, ::-1], axis=1)
+        k = X.shape[1] - np.argmax((U * self._ks > css)[:, ::-1], axis=1)
         tau = css[np.arange(X.shape[0]), k - 1] / k
         return np.maximum(X - tau[:, None], 0.0)
 
@@ -446,12 +452,24 @@ def variational_gap(cs: ConvexSet, x, probes) -> float:
     skewing the check.
     """
     X = as_rows(x, cs.dim)
-    W = as_rows(probes, X.shape[1], "probe point")
+    W = _feasible_probes(cs, probes, X.shape[1])
+    PX = cs._project_rows(X)
+    return _gap(X - PX, PX, W)
+
+
+def _feasible_probes(cs: ConvexSet, probes, dim: int) -> np.ndarray:
+    """The probe points of variational_gap as rows of ``dim`` floats, each
+    checked to lie in the set."""
+    W = as_rows(probes, dim, "probe point")
     slack = _rounding(W.shape[1], _row_norms(W))
     if np.any(_row_norms(W - cs._project_rows(W)) > 1e-9 + slack):
         raise InvalidInputError("probe point lies outside the set")
-    PX = cs._project_rows(X)
-    R = X - PX
+    return W
+
+
+def _gap(R: np.ndarray, PX: np.ndarray, W: np.ndarray) -> float:
+    """variational_gap of the points X = R + PX, given their projections PX
+    and residuals R = X - PX, over feasible probe rows W."""
     # <r, w - px> = <r, w> - <r, px>: every point against every probe in one
     # product. vecdot, not R @ W.T: OpenBLAS runs a product this size on
     # several threads, and the commands after it then ran twice as slow.

@@ -1,9 +1,11 @@
-"""`pgflow check`: every row it prints can fail, and the gradient probes
-of each drawn block of points are checked by one call in this process."""
+"""`pgflow check`: every row it prints can fail, the gradient probes of
+each drawn block of points are checked by one call, and the sampled
+sections print the same bytes whether or not they run in a forked child."""
 
 import dataclasses
 import os
 import re
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from pgflow.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERDICT, main
 from pgflow.errors import InvalidInputError
 from pgflow.config import list_presets, load_pairs
 from pgflow.geometry import Ball
+from pgflow.objectives import row_blocks
 
 from test_config_cli import (
     CHEAP_SWEEP_CFG,
@@ -217,6 +220,7 @@ class TestCertificateOverflow:
 
 
 SET_KINDS = ("wholespace", "box", "ball", "halfspace", "hyperplane", "simplex")
+OVERLAP_FROM = 66  # the 1000 certificate samples take two blocks of 2^16 floats from n = 66
 WIDE = 200  # the 2n probe rows of one point overflow one block of 2^16 floats from n = 182
 
 
@@ -226,7 +230,7 @@ def point_by_point(grad_check):
 
 
 class TestSerialGradientProbes:
-    """check calls grad_check once per drawn block of points, in its own process."""
+    """check calls grad_check once per drawn block of points."""
 
     @pytest.mark.parametrize("kind", SET_KINDS)
     def test_stdout_equals_the_point_by_point_check(self, tmp_path, capsys, monkeypatch, kind):
@@ -239,6 +243,7 @@ class TestSerialGradientProbes:
 
     @pytest.mark.parametrize("n, sizes", [(2, [100]), (WIDE, [100]), (1000, [65, 35])])
     def test_one_call_per_block_and_no_fork(self, tmp_path, capsys, monkeypatch, n, sizes):
+        # on one usable CPU check forks at no n, and below n = 66 at no CPU count
         def no_fork():
             raise AssertionError("os.fork called by check")
 
@@ -249,13 +254,15 @@ class TestSerialGradientProbes:
             return grad_check(obj, X)
 
         monkeypatch.setattr(os, "fork", no_fork)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
         monkeypatch.setattr(cli, "grad_check", counted)
-        code, rows, out = check_rows(tmp_path, capsys, highdim_text("ball", n))
-        assert code == EXIT_OK, out
-        assert calls == sizes
-        assert [row[2] for row in rows if row[0] == "gradient check"][0].endswith(
-            " over 100 points")
+        for cpus in (1, 4) if n < OVERLAP_FROM else (1,):
+            calls.clear()
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            code, rows, out = check_rows(tmp_path, capsys, highdim_text("ball", n))
+            assert code == EXIT_OK, out
+            assert calls == sizes
+            assert [row[2] for row in rows if row[0] == "gradient check"][0].endswith(
+                " over 100 points")
 
     def test_an_error_in_the_check_exits_2(self, tmp_path, capsys, monkeypatch):
         def failing(obj, X):
@@ -268,6 +275,151 @@ class TestSerialGradientProbes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "config error: gradient rows must be finite\n"
+
+
+@contextmanager
+def counted_forks(monkeypatch):
+    """The list of the process ids that os.fork returned here while in the block."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    yield pids
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def check_on(tmp_path, capsys, monkeypatch, text, cpus, argv=()):
+    """(exit code, stdout, stderr, forks) of `check` with ``cpus`` usable CPUs."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    cfg = tmp_path / "check.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    with counted_forks(monkeypatch) as pids:
+        code = main(["check", str(cfg), *argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, len(pids)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def raising(message):
+    def fail(*args, **kwargs):
+        raise InvalidInputError(message)
+
+    return fail
+
+
+def outside_samples(monkeypatch):
+    """A ball's sampler that draws its points from the ball three times as wide."""
+    sample = Ball.sample
+
+    def sample_outside(self, rng, n):
+        return self.center + 3.0 * (sample(self, rng, n) - self.center)
+
+    monkeypatch.setattr(Ball, "sample", sample_outside)
+
+
+def without_certificate(monkeypatch):
+    """Load every config with its objective's certificate metadata dropped."""
+    load = config.load_config
+
+    def load_without(path):
+        cfg = load(path)
+        cfg.problem.objective = dataclasses.replace(cfg.problem.objective, holder=None)
+        return cfg
+
+    monkeypatch.setattr(config, "load_config", load_without)
+
+
+class TestForkedSections:
+    """From n = 66 on two usable CPUs, check runs its certificate section
+    here and its gradient and projection sections in one forked child,
+    printing the bytes the sections print in order in this process."""
+
+    @pytest.mark.parametrize("n", [2, 70])
+    @pytest.mark.parametrize("kind", SET_KINDS)
+    def test_same_bytes_on_one_and_two_cpus(self, tmp_path, capsys, monkeypatch, kind, n):
+        text = highdim_text(kind, n)
+        one = check_on(tmp_path, capsys, monkeypatch, text, 1, ("--seed", "4"))
+        two = check_on(tmp_path, capsys, monkeypatch, text, 2, ("--seed", "4"))
+        assert one[:3] == two[:3]
+        assert one[0] in (EXIT_OK, EXIT_VERDICT) and one[1].startswith("check ")
+        assert (one[3], two[3]) == (0, int(n >= OVERLAP_FROM))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("n", [OVERLAP_FROM - 1, OVERLAP_FROM])
+    def test_forks_from_two_certificate_blocks(self, tmp_path, capsys, monkeypatch, n):
+        assert len(row_blocks(cli.CERTIFICATE_SAMPLES, n)) == 1 + (n >= OVERLAP_FROM)
+        code, _, _, forks = check_on(tmp_path, capsys, monkeypatch, highdim_text("ball", n), 2)
+        assert (code, forks) == (EXIT_OK, int(n >= OVERLAP_FROM))
+
+    def test_no_fork_without_a_certificate(self, tmp_path, capsys, monkeypatch):
+        without_certificate(monkeypatch)
+        code, out, _, forks = check_on(tmp_path, capsys, monkeypatch, highdim_text("ball", 70), 2)
+        assert code == EXIT_OK and "no certificate metadata" in out
+        assert forks == 0
+
+    # (patch, the message) of an error in the child's sections, in the certificate
+    # section here, in both, and in both with the child's error first in row order
+    ERRORS = {
+        "gradient, in the child": (
+            lambda mp: mp.setattr(cli, "grad_check", raising("gradient rows must be finite")),
+            "gradient rows must be finite"),
+        "projection, in the child": (
+            lambda mp: mp.setattr(cli, "_feasible_probes",
+                                  raising("probe point lies outside the set")),
+            "probe point lies outside the set"),
+        "certificate, here": (
+            lambda mp: mp.setattr(cli, "certificate_checks", raising("no sample had a positive "
+                                                                     "objective gap")),
+            "no sample had a positive objective gap"),
+        "certificate before projection": (outside_samples, "sample lies outside the domain"),
+        "gradient before certificate": (
+            lambda mp: (outside_samples(mp),
+                        mp.setattr(cli, "grad_check", raising("gradient rows must be finite"))),
+            "gradient rows must be finite"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ERRORS))
+    def test_an_error_gives_the_same_message_and_exit(self, tmp_path, capsys, monkeypatch, case):
+        patch, message = self.ERRORS[case]
+        patch(monkeypatch)
+        text = highdim_text("ball", 70)
+        one = check_on(tmp_path, capsys, monkeypatch, text, 1)
+        two = check_on(tmp_path, capsys, monkeypatch, text, 2)
+        assert one[:3] == two[:3] == (EXIT_CONFIG, "", f"config error: {message}\n")
+        assert two[3] == 1
+        assert_no_child_left()
+
+    def test_a_child_that_dies_exits_5(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_projection_rows", lambda domain, rng: os._exit(7))
+        code, out, err, forks = check_on(tmp_path, capsys, monkeypatch,
+                                         highdim_text("ball", 70), 2)
+        assert (code, out, forks) == (cli.EXIT_WORKER, "", 1)
+        assert err.startswith("worker error: gradient and projection rows (process ")
+        assert err.endswith(") ended with exit status 7\n")
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("kind", ["ball", "hyperplane"])
+    def test_projection_rows_do_not_depend_on_the_certificate(self, tmp_path, capsys,
+                                                              monkeypatch, kind):
+        # each section draws from its own stream: dropping the certificate's
+        # 1000 draws moves no projection probe
+        text = highdim_text(kind, 2)
+        with_rows = check_rows(tmp_path, capsys, text, ("--seed", "2"))[1]
+        without_certificate(monkeypatch)
+        without_rows = check_rows(tmp_path, capsys, text, ("--seed", "2"))[1]
+        assert ["error bound sampling", "not-applicable",
+                "no certificate metadata"] in without_rows
+        assert ([row for row in with_rows if row[0] in PROJECTION_ROWS]
+                == [row for row in without_rows if row[0] in PROJECTION_ROWS])
 
 
 class TestUsableCpus:

@@ -110,6 +110,35 @@ class TestSimplexOracle:
             assert abs(p.sum() - 1.0) < 1e-12
 
 
+def simplex_rows_formula(s, X):
+    """Simplex._project_rows as written for every row count before its one-row path."""
+    U = np.sort(X, axis=1)[:, ::-1]
+    css = np.cumsum(U, axis=1) - s.scale
+    ks = np.arange(1, X.shape[1] + 1)
+    k = X.shape[1] - np.argmax((U * ks > css)[:, ::-1], axis=1)
+    tau = css[np.arange(X.shape[0]), k - 1] / k
+    return np.maximum(X - tau[:, None], 0.0)
+
+
+class TestSimplexRows:
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 7, 1000])
+    def test_the_formula_bit_for_bit(self, rows, dim):
+        s = Simplex(dim, 2.5)
+        rng = np.random.default_rng(dim + rows)
+        specials = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+        for trial in range(20):
+            X = rng.normal(size=(rows, dim), scale=3.0)
+            if trial % 2:  # some coordinates are NaN, +-inf or a signed zero
+                X.flat[rng.integers(0, X.size, size=min(X.size, 3))] = rng.choice(specials, 3)[
+                    :min(X.size, 3)]
+            if trial == 2:
+                X[:] = -0.0
+            with np.errstate(invalid="ignore"):
+                got, want = s._project_rows(X), simplex_rows_formula(s, X)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("cs", ALL_SETS, ids=lambda c: type(c).__name__)
 class TestProjectionProperties:
     def test_idempotent(self, cs):
