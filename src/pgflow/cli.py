@@ -58,6 +58,9 @@ EXIT_VERDICT = 4
 EXIT_WORKER = 5
 
 CERTIFICATE_SAMPLES = 1000  # points of check's error-bound and Lojasiewicz rows
+# From this n, check overlaps its sections in a forked child: below it the
+# fork cost more wall time than the overlap saved (README, "The check command")
+CHECK_FORK_FROM = 250
 
 SWEEP_PARAMS = {
     "alpha": "schedule.alpha",
@@ -372,10 +375,10 @@ def _sampled_rows(problem, seed: int) -> list:
     Each section draws from its own generator, spawned from ``seed``, so
     no section's points depend on another's draws. They run as two jobs of
     _forked: the certificate here, the gradient and projection sections in
-    one forked child, when the certificate's draws span more than one row
-    block (n >= 66) and more than one CPU is usable; otherwise both jobs
-    run here in turn. A section that raises ends its job; the first
-    exception in row order is raised, as if the sections ran in order here.
+    one forked child, when the certificate runs, n >= CHECK_FORK_FROM and
+    more than one CPU is usable; otherwise both jobs run here in turn. A
+    section that raises ends its job; the first exception in row order is
+    raised, as if the sections ran in order here.
     """
     domain, obj = problem.domain, problem.objective
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
@@ -399,7 +402,7 @@ def _sampled_rows(problem, seed: int) -> list:
         done.update(zip(jobs[j], outcomes))
 
     certified = obj.holder is not None and obj.optimum is not None
-    overlap = certified and len(row_blocks(CERTIFICATE_SAMPLES, domain.dim)) > 1
+    overlap = certified and domain.dim >= CHECK_FORK_FROM
     _forked(run_job, ["certificate rows", "gradient and projection rows"],
             2 if overlap and _usable_cpus() > 1 else 1, take)
     rows = []

@@ -311,10 +311,9 @@ def _rk4_source(n: Optional[int], grad: Fragment, proj: Fragment, lam: Fragment)
     and clock spliced in. On floats each vector is n scalar locals (state
     x.., its value s.. at the step's start, stages a.. to d.., stage input
     y.., projection input z.., gradient g.. at x and u.. at y, drift e..)
-    and each vector statement one tuple assignment, or from
-    fragments.SPLIT_FROM coordinates one statement per coordinate; on rows
-    each is one (1, n) array and one numpy expression. The guard and drift
-    sums add left to right, as _sum_sq and _row_dots add. The per-sample projection
+    and each vector statement one tuple assignment; on rows each is one
+    (1, n) array and one numpy expression. The guard and drift sums add
+    left to right, as _sum_sq and _row_dots add. The per-sample projection
     goes through the proj role, from x to p.., as the stages' do. Three
     slots differ between the renderings (_ON_FLOATS, _ON_ROWS): the start
     state, the step sizes and the settle test. The loop binds each

@@ -5,15 +5,12 @@ A point kernel marked ``inlined`` carries its arithmetic as a
 loop would call the kernel (``inline``). Fragments and the loop are
 str.format templates. Two format fields spell a vector, ``@`` standing
 for the coordinate: over n coordinates ``{vec:t@}`` is the tuple of t at
-each and ``{sum:t@}`` their sum, and from SPLIT_FROM coordinates a line
-that assigns one vector to another is one statement per coordinate; on
-one numpy row (n None) each is one expression. Any other field is a name,
-filled in by ``source``.
+each and ``{sum:t@}`` their sum; on one numpy row (n None) each is one
+expression. Any other field is a name, filled in by ``source``.
 """
 
 from __future__ import annotations
 
-import re
 from typing import NamedTuple
 
 
@@ -62,18 +59,6 @@ def inline(kernel) -> tuple | None:
     return kernel.fragment, kernel.consts(getattr(kernel, "__self__", kernel))
 
 
-# From this many coordinates a vector statement is written one statement
-# per coordinate: CPython compiles a 2- or 3-name tuple assignment to
-# stack swaps, but builds and unpacks a tuple for a longer one.
-SPLIT_FROM = 4
-
-# The marks around a vector of SPLIT_FROM or more terms, and between its
-# terms, that source reads to split a statement (_statements)
-_OPEN, _NEXT, _CLOSE = "\x01", "\x02", "\x03"
-_VECTOR_STATEMENT = re.compile(f"( *){_OPEN}([^{_OPEN}]*){_CLOSE} = {_OPEN}([^{_OPEN}]*){_CLOSE}")
-_NAME = re.compile(r"[A-Za-z_]\w*")
-
-
 class _Coords:
     """The value of the fields vec and sum: formatting it with the spec t
     writes t at each of n coordinates, ``@`` replaced by the coordinate."""
@@ -92,25 +77,7 @@ class _Coords:
         # is the identity of + (-0.0 + t is t, signed zeros and NaN too): not written
         if self.total:
             return "(" + " + ".join(terms) + ")"
-        if self.n >= SPLIT_FROM:
-            return _OPEN + _NEXT.join(terms) + _CLOSE
         return ", ".join(terms) + "," * (self.n == 1)  # a tuple at n = 1 too
-
-
-def _statements(line: str) -> str:
-    """A rendered line with its vector marks resolved. ``a0, .. = e0, ..``
-    becomes ``a0 = e0`` and so on, one statement per coordinate, where no
-    e_i reads an a_j of another coordinate, so that the statements in
-    order assign what the tuple assignment does; every other vector is a
-    tuple."""
-    match = _VECTOR_STATEMENT.fullmatch(line)
-    if match:
-        indent, names, terms = match[1], match[2].split(_NEXT), match[3].split(_NEXT)
-        if all(_NAME.fullmatch(a) for a in names) and not any(
-                set(_NAME.findall(e)) & set(names[:i] + names[i + 1:])
-                for i, e in enumerate(terms)):
-            return "\n".join(f"{indent}{a} = {e}" for a, e in zip(names, terms))
-    return line.replace(_OPEN, "").replace(_CLOSE, "").replace(_NEXT, ", ")
 
 
 def source(n: int | None, template: str, **names) -> str:
@@ -118,13 +85,8 @@ def source(n: int | None, template: str, **names) -> str:
     str.format with ``names``, n, and the fields vec and sum. At n = 2,
     ``{vec:a@} = {vec:x@ - c@}`` is ``a0, a1 = x0 - c0, x1 - c1`` and
     ``{sum:x@ * x@}`` is ``(x0 * x0 + x1 * x1)``; at n = 1,
-    ``{vec:x@}`` is ``x0,``; on a row, ``a = x - c`` and ``_row_dots(x, x)[0]``.
-    From n = SPLIT_FROM on, a line that assigns one vector to another is
-    one statement per coordinate (_statements): ``a0 = x0 - c0`` and so on."""
-    text = template.format(n=n, vec=_Coords(n, False), sum=_Coords(n, True), **names)
-    if n is None or n < SPLIT_FROM:
-        return text
-    return "\n".join(map(_statements, text.split("\n")))
+    ``{vec:x@}`` is ``x0,``; on a row, ``a = x - c`` and ``_row_dots(x, x)[0]``."""
+    return template.format(n=n, vec=_Coords(n, False), sum=_Coords(n, True), **names)
 
 
 class _Kept:

@@ -642,7 +642,11 @@ def certificate_checks(obj: Objective, domain: Optional[ConvexSet],
                 raise InvalidInputError("sample lies outside the domain")
             dist = _row_norms(rows - obj.optimum.argmin._project_rows(rows))
             ok = keep & (dist != 0.0)
-            ratio = min(ratio, np.min(gap[ok] ** obj.holder.theta / dist[ok], initial=np.inf))
+            # f and f_star round by up to _rounding of their magnitudes, which
+            # near the argmin is not small beside the gap: each gap is raised
+            # by it, so that rounding alone fails no sample
+            top = gap + _rounding(obj.dim, np.maximum(np.abs(f), abs(obj.optimum.f_star)))
+            ratio = min(ratio, np.min(top[ok] ** obj.holder.theta / dist[ok], initial=np.inf))
         if phi is not None and keep.any():
             kept = rows[keep]
             G = np.asarray(obj.grad_rows(kept), dtype=float)
@@ -671,12 +675,16 @@ def gheb_check(obj: Objective, domain: ConvexSet, samples) -> float:
     """Smallest sampled value of (f(x) - f_star)^theta / dist(x, argmin).
 
     The certificate holds when the return value is at least
-    kappa * (1 - 1e-6). Samples at or below the gap floor are skipped:
-    the inequality says nothing on the argmin set itself. A sample more
-    than 1e-9 from the set, by the Euclidean distance of each row from its
-    projection (on the simplex too, whose ``residual`` is a surrogate),
-    raises InvalidInputError; far from the origin the bound grows by the
-    rounding of the sample's coordinates (see geometry._rounding).
+    kappa * (1 - 1e-6). Each gap f(x) - f_star is first raised by the
+    rounding of f and f_star (geometry._rounding of the larger magnitude),
+    so that a sample near the argmin, whose gap is the difference of two
+    rounded values, fails only by more than rounding. Samples at or below
+    the gap floor are skipped: the inequality says nothing on the argmin
+    set itself. A sample more than 1e-9 from the set, by the Euclidean
+    distance of each row from its projection (on the simplex too, whose
+    ``residual`` is a surrogate), raises InvalidInputError; far from the
+    origin the bound grows by the rounding of the sample's coordinates
+    (see geometry._rounding).
     """
     return certificate_checks(obj, domain, None, _blocks_of(samples, obj.dim))[0]
 

@@ -1145,11 +1145,14 @@ def highdim_pairs(kind: str, n: int) -> dict:
 class TestMemoryStaysInBlocks:
     """check draws and evaluates its samples, and run assembles and
     compares its samples, a few blocks of rows at a time: at n = 2000 the
-    whole command's peak stays below one array of 1000 samples (16 MB)."""
+    whole command's peak stays below one array of 1000 samples (16 MB).
+    check runs on one usable CPU, so that all of its sections run in this
+    process, where tracemalloc sees them."""
 
     @pytest.mark.parametrize("command, kind", [("check", "ball"), ("check", "simplex"),
                                                ("run", "wholespace")])
-    def test_peak_below_1000_samples(self, tmp_path, capsys, command, kind):
+    def test_peak_below_1000_samples(self, tmp_path, capsys, monkeypatch, command, kind):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
         n = 2000
         cfg = tmp_path / f"{kind}.cfg"
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in highdim_pairs(kind, n).items()),
@@ -1161,6 +1164,33 @@ class TestMemoryStaysInBlocks:
         finally:
             tracemalloc.stop()
         assert code == EXIT_OK, capsys.readouterr()
+        assert peak < 1000 * n * 8
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="check forks only where os.fork exists")
+    def test_forked_check_peak_here_below_1000_samples(self, tmp_path, capsys, monkeypatch):
+        # on two usable CPUs the gradient and projection sections run in a
+        # child; what stays here (the certificate, the rows sent back) is measured
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        n = 2000
+        cfg = tmp_path / "ball.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in highdim_pairs("ball", n).items()),
+                       encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code = main(["check", str(cfg)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK, capsys.readouterr()
+        assert len(forks) == 1
         assert peak < 1000 * n * 8
 
     def test_execute_of_a_long_trajectory_stays_in_blocks(self, tmp_path, monkeypatch):

@@ -13,7 +13,6 @@ makes 4 gradients, 4 projections and 3 lambdas per RK4 step. Spliced in
 or called, a kernel gives the same bytes.
 """
 
-import ast
 import collections
 import contextlib
 import dataclasses
@@ -44,7 +43,7 @@ from pgflow.geometry import (
     _sum_sq,
     takes_floats,
 )
-from pgflow.fragments import SPLIT_FROM, inline, nested, source
+from pgflow.fragments import inline, nested, source
 from pgflow.objectives import (
     Objective,
     _pow,
@@ -532,58 +531,12 @@ class TestFragmentSource:
         assert source(2, "r = {sum:((x@ - a@) * (x@ - a@))}") == (
             "r = (((x0 - a0) * (x0 - a0)) + ((x1 - a1) * (x1 - a1)))")
 
-    def test_from_four_coordinates_one_statement_per_coordinate(self):
-        assert source(4, "    {vec:a@} = {vec:x@ - c@}") == (
-            "    a0 = x0 - c0\n    a1 = x1 - c1\n    a2 = x2 - c2\n    a3 = x3 - c3")
-        assert source(3, "{vec:a@} = {vec:x@ - c@}") == "a0, a1, a2 = x0 - c0, x1 - c1, x2 - c2"
-        # a vector that is not a whole side stays a tuple
-        assert source(4, "s[j] = {vec:x@}\n{vec:g@} = k([{vec:x@}])") == (
-            "s[j] = x0, x1, x2, x3\ng0, g1, g2, g3 = k([x0, x1, x2, x3])")
-        # a term that reads another coordinate's name keeps the tuple assignment
-        assert source(4, "{vec:a@} = {vec:a@ + a0}") == (
-            "a0, a1, a2, a3 = a0 + a0, a1 + a0, a2 + a0, a3 + a0")
-
     def test_a_nested_template_expands_in_the_outer(self):
         inner = "{vec:{out}@} = {vec:{k}_w@ * {x}@}\n{k}_s = {sum:{x}@} * {n}"
         outer = nested(inner, "g", out="{k}_b")
         assert outer == "{vec:{k}_b@} = {vec:{k}_g_w@ * {x}@}\n{k}_g_s = {sum:{x}@} * {n}"
         assert source(2, outer, k="grad", x="y") == (
             "grad_b0, grad_b1 = grad_g_w0 * y0, grad_g_w1 * y1\ngrad_g_s = (y0 + y1) * 2")
-
-
-def tuple_assignments(text, width):
-    """The statements of ``text`` that assign a tuple of ``width`` expressions
-    to as many names: a vector statement."""
-    return [node for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Assign)
-            and isinstance(node.targets[0], ast.Tuple) and isinstance(node.value, ast.Tuple)
-            and len(node.targets[0].elts) == width]
-
-
-class TestSplitStatements:
-    """From SPLIT_FROM coordinates on, every vector statement of the float
-    loop is one statement per coordinate, for every catalog kernel: no
-    template's term reads another coordinate's name."""
-
-    @pytest.mark.parametrize("dim", range(SPLIT_FROM, FLOAT_MAX_DIM + 1))
-    @pytest.mark.parametrize("kind", SPLICED_SETS)
-    def test_no_tuple_assignment_left(self, kind, dim):
-        rng = np.random.default_rng(dim)
-        domain = random_set(kind, rng, dim)
-        objectives = [random_objective(k, rng, dim, thetas=(theta,)) for k in OBJECTIVE_KINDS
-                      for theta in (0.1, 0.25, 0.3, 0.5)]
-        for obj in objectives:
-            for clock in CLOCKS.values():
-                parts = [inline(k) for k in (obj.grad_fn, domain._project, clock.value)]
-                assert None not in parts
-                text = flow._rk4_source(dim, *(frag for frag, _ in parts))
-                assert tuple_assignments(text, dim) == [], text
-        called = flow._rk4_source(dim, flow._CALL_POINT, flow._CALL_POINT, flow._CALL)
-        assert tuple_assignments(called, dim) == []
-
-    @pytest.mark.parametrize("dim", range(1, SPLIT_FROM))
-    def test_below_four_coordinates_tuples(self, dim):
-        text = flow._rk4_source(dim, flow._CALL_POINT, flow._CALL_POINT, flow._CALL)
-        assert tuple_assignments(text, dim)
 
 
 class TestReductionOrder:

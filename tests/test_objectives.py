@@ -739,13 +739,16 @@ class TestCertificates:
 
 
 def gheb_check_reference(obj, samples):
-    """gheb_check one sample at a time, with Python's pow."""
+    """gheb_check one sample at a time, with Python's pow: each gap raised
+    by the rounding of f and f_star, 16 n eps max(1, |f|, |f_star|)."""
     worst = np.inf
     for x in samples:
-        gap = obj.value(x) - obj.optimum.f_star
+        f, f_star = obj.value(x), obj.optimum.f_star
+        gap = f - f_star
         dist = obj.optimum.argmin.residual(x)
         if gap > GAP_FLOOR and dist != 0.0:
-            worst = min(worst, gap**obj.holder.theta / dist)
+            top = gap + 16 * len(x) * np.finfo(float).eps * max(1.0, abs(f), abs(f_star))
+            worst = min(worst, top**obj.holder.theta / dist)
     return worst
 
 
