@@ -25,25 +25,20 @@ remaining samples with x and feas_drift 0, the bytes stepping writes: RK4
 once a segment's last step returns x and _settles holds, Euler on a
 constant clock once an iterate repeats its predecessor bit for bit.
 
-RK4 steps one loop text (_rk4_source), rendered on Python floats for a
-run of at most FLOAT_MAX_DIM coordinates whose ``grad_fn`` and
-``_project`` are marked as taking floats (``geometry.takes_floats``),
-each vector that many scalar locals, and otherwise on one (1, n) row
-through the row kernels ``grad_rows`` and ``_project_rows``. The
-catalog's own ``grad_fn``, ``_project`` and ``Schedule.value`` that
-carry a source fragment (``fragments.Fragment``) are spliced into the
-float rendering, with the kernel's float operations in the kernel's
-order, and the clock into the row one too; any other kernel, and any
-wrapper, such as a traced run's, is called. The per-sample projection
-goes through the same projection as the stages, spliced in or called.
-The renderings differ in three lines only: the start state, the step
-sizes and the settle test. Per RK4 step on box +
-quadratic at n = 2 the spliced float loop takes 1.2 us, the float loop
-that calls the kernels 6.8 and the row loop 24; at n = 7, 4.2, 11 and 27
-(2-core Xeon VM, Python 3.11.7, numpy 2.4.6). Up to FLOAT_MAX_DIM
-columns a row kernel sums in the order of its point kernel (see
-``geometry``), so where both renderings apply they yield the same
-floats, bit for bit. A run's record evaluates the clock and lambda at
+RK4 steps one loop text (_rk4_source), rendered on Python floats, each
+vector n scalar locals, for a run of n <= FLOAT_MAX_DIM coordinates whose
+``grad_fn`` and ``_project`` take floats (``geometry.takes_floats``),
+and otherwise on one (1, n) row through ``grad_rows`` and
+``_project_rows``. The float rendering splices in the templates
+(``fragments.Fragment``) of the catalog's ``grad_fn`` and ``_project``,
+and both splice in ``Schedule.value``'s; any other kernel, and any
+wrapper, such as a traced run's, is called, with the same floats. The
+renderings differ in three lines: the start state, the step sizes and the
+settle test. Per RK4 step on box + quadratic the spliced float loop takes
+1.2 us, the float loop that calls the kernels 6.8 and the row loop 24 at
+n = 2, and 4.2, 11 and 27 at n = 7 (2-core Xeon VM, Python 3.11.7, numpy
+2.4.6). Where both renderings apply they yield the same floats, bit for
+bit (see ``fragments``). A run's record evaluates the clock and lambda at
 all its sample times in one array call each.
 """
 
@@ -59,20 +54,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError, InvalidInputError
-from .geometry import (
-    FLOAT_MAX_DIM,
-    MEMBERSHIP_TOL,
-    ConvexSet,
-    WholeSpace,
-    _rounding,
-    _row_dots,
-    _row_norms,
-    _sum_sq,
-    as_point,
-    contains_ball,
-    takes_floats,
-)
-from .fragments import Fragment, inline, source
+from .fragments import FLOAT_MAX_DIM, Fragment, _row_dots, inline, source
+from .geometry import (MEMBERSHIP_TOL, ConvexSet, WholeSpace, _dot, _rounding, _row_norms,
+                       as_point, contains_ball, takes_floats)
 from .objectives import Objective, row_blocks
 from .schedules import Constant, Schedule
 
@@ -216,7 +200,7 @@ def _settles(domain: ConvexSet, x, g, lam_t: float, step: float) -> bool:
     by coordinate, and each later stage input and step between x + 0.0 and
     the moves tested: all are x, and each sample's feas_drift is 0.
     """
-    radius = 2.0 * lam_t * math.sqrt(_sum_sq(g)) + _rounding(len(x), math.sqrt(_sum_sq(x)))
+    radius = 2.0 * lam_t * math.sqrt(_dot(g, g)) + _rounding(len(x), math.sqrt(_dot(x, x)))
     if not (radius < math.inf and contains_ball(domain, x, radius + MEMBERSHIP_TOL)):
         return False
     lam, h = lam_t * _WIDEN, step * _WIDEN
@@ -306,19 +290,14 @@ _ON_ROWS = dict(
 
 
 def _rk4_source(n: Optional[int], grad: Fragment, proj: Fragment, lam: Fragment) -> str:
-    """Source of the RK4 loop for n <= FLOAT_MAX_DIM coordinates, or for one
-    row if n is None, with the Fragments of a problem's gradient, projection
-    and clock spliced in. On floats each vector is n scalar locals (state
-    x.., its value s.. at the step's start, stages a.. to d.., stage input
-    y.., projection input z.., gradient g.. at x and u.. at y, drift e..)
-    and each vector statement one tuple assignment; on rows each is one
-    (1, n) array and one numpy expression. The guard and drift sums add
-    left to right, as _sum_sq and _row_dots add. The per-sample projection
-    goes through the proj role, from x to p.., as the stages' do. Three
-    slots differ between the renderings (_ON_FLOATS, _ON_ROWS): the start
-    state, the step sizes and the settle test. The loop binds each
-    fragment's consts to the local named after its role (grad, proj,
-    lam)."""
+    """Source of the RK4 loop for n <= FLOAT_MAX_DIM floats, or for one row
+    if n is None, with the Fragments of a problem's gradient, projection
+    and clock spliced in, each bound to the local named after its role
+    (grad, proj, lam). The vectors are the state x.., its value s.. at the
+    step's start, stages a.. to d.., stage input y.., projection input z..,
+    gradients g.. at x and u.. at y and drift e..; the per-sample
+    projection goes from x to p.. through the proj role, as the stages'
+    do. _ON_FLOATS and _ON_ROWS fill the slots where the renderings differ."""
 
     def put(frag, role, x, out, depth=12):  # frag's body from x to out, by default in the steps
         return textwrap.indent(source(n, frag.body, k=role, x=x, out=out), " " * depth)
@@ -342,8 +321,7 @@ def _rk4_source(n: Optional[int], grad: Fragment, proj: Fragment, lam: Fragment)
 @functools.cache
 def _rk4_loop(n: Optional[int], grad: Fragment, proj: Fragment, lam: Fragment):
     """The RK4 loop for n coordinates, or for rows, with these Fragments,
-    compiled on its first run; its file name names the rendering and the
-    fragments' kinds."""
+    compiled on first use under a file name of the rendering and kinds."""
     shape = "rows" if n is None else f"floats n={n}"
     name = f"<pgflow rk4 {shape} grad={grad.kind} proj={proj.kind} lam={lam.kind}>"
     text = _rk4_source(n, grad, proj, lam)
@@ -356,22 +334,15 @@ def _rk4_loop(n: Optional[int], grad: Fragment, proj: Fragment, lam: Fragment):
 def _rk4(problem: FlowProblem, times: np.ndarray, step: float, floats: bool) -> tuple:
     """Classic fixed-step RK4 from times[0] through every later sample
     time, in the loop rendered (_rk4_source) on Python floats if ``floats``
-    (see _on_floats), else on one (1, n) row.
-
-    Each inter-sample segment is split into equal substeps no larger than
-    ``step``. Per sample the state's distance from the set is its
-    feas_drift, and the state is replaced by its projection whenever that
-    distance is positive. A run that _settles stops stepping and fills the
-    remaining samples with its state. Returns the (m, n) samples and their
-    drifts. A step whose state's squared norm passes the guard or is not a
-    number, an overflow's inf included, raises its DivergenceError. A
-    kernel that carries a Fragment is spliced in (fragments.inline), on
-    rows only the clock; any other, and any wrapper, is called.
+    (see _on_floats), else on one (1, n) row, each segment split into equal
+    substeps no larger than ``step``. Returns the (m, n) samples and their
+    feas_drifts. A step whose state's squared norm passes the guard or is
+    not a number, an overflow's inf included, raises its DivergenceError.
     """
     objective, domain = problem.objective, problem.domain
     if floats:
         n, kernels, call = problem.x0.size, (objective.grad_fn, domain._project), _CALL_POINT
-    else:  # no row kernel carries a Fragment
+    else:  # on rows the loop splices in the clock alone
         n, kernels, call = None, (objective.grad_rows, domain._project_rows), _CALL
     parts = [inline(kernel) or (frag, kernel)
              for kernel, frag in zip((*kernels, problem.schedule.value), (call, call, _CALL))]
@@ -419,8 +390,8 @@ def integrate(
     sample_every: float = DEFAULT_SAMPLE_EVERY,
     method: str = RK4,
 ) -> Trajectory:
-    """Run ``method`` up to ``horizon``: classic fixed-step RK4, or forward
-    Euler at h = 1, the discrete iteration.
+    """Run ``method`` up to ``horizon``: classic fixed-step RK4 (_rk4), or
+    forward Euler at h = 1, the discrete iteration (_euler_rows).
 
     Samples land on multiples of ``sample_every`` plus t=0 and t=horizon;
     each inter-sample segment is subdivided into equal substeps no larger
@@ -428,12 +399,7 @@ def integrate(
     ``horizon`` steps of size 1, one per sample, so it needs a whole
     horizon and step = sample_every = 1. Raises DivergenceError, carrying
     the failure time, as soon as the state norm passes 1e12 or stops being
-    finite. An RK4 run steps one loop, rendered on Python floats for a run
-    of at most FLOAT_MAX_DIM coordinates whose kernels take floats
-    (_on_floats) and on a one-row array for any other, with the same
-    floats where both apply (_rk4). A run at a
-    floating-point equilibrium stops stepping and fills its remaining
-    samples as stepping would (_settles). The trajectory records its method.
+    finite. The trajectory records its method.
     """
     if method not in METHODS:
         raise InvalidInputError(f"unknown method {method!r}, expected one of {METHODS}")

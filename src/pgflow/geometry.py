@@ -7,25 +7,20 @@ Validation happens once at the public boundary; the underscore variants
 skip it and are what the integrator calls in its inner loop. The public
 maps evaluate their one point as a row of ``_project_rows``.
 
-Each set has two projection kernels. ``_project(x)``, the point kernel,
-computes in Python floats on any sequence of floats and returns a list,
-or x itself where x is its own projection; a single run of at most
-``FLOAT_MAX_DIM`` coordinates steps a list through it. ``_project_rows(X)``, the row
-kernel, projects every row of an ``(m, n)`` array in one numpy call, for
-a wider run, a run whose kernels a caller passed in, and the rows of
-``pgflow check``.
-Row k equals ``_project(X[k])`` bit for bit up to ``FLOAT_MAX_DIM``
-columns, by one reduction-order rule: a point kernel sums a dot product
-of that many terms left to right (``_dot``), and a row kernel sums the
-columns of its products in the same order (``_row_dots``). A longer sum
-is ``math.fsum`` in a point kernel, correctly rounded, and ``np.vecdot``
-in a row kernel, within a few ulp of it. ``on_floats`` marks a point
-kernel that computes in floats, and ``takes_floats`` reads the mark
-through any ``functools.wraps`` wrapper.
-
-The point kernels of the whole space, a box and a ball also carry their
-arithmetic as a ``fragments.Fragment``, which ``flow``'s generated RK4
-loop splices in where it would call the kernel.
+Each set has two projection kernels: ``_project(x)``, the point kernel,
+in Python floats on a sequence of floats, which a run of at most
+``FLOAT_MAX_DIM`` coordinates steps, and ``_project_rows(X)``, the row
+kernel, on every row of an ``(m, n)`` array at once, for wider runs, runs
+of a caller's kernels and ``pgflow check``. Row k equals ``_project(X[k])``
+bit for bit up to ``FLOAT_MAX_DIM`` columns, as a point kernel sums a dot
+product left to right (``_dot``) and a row kernel its columns in that
+order (``fragments._row_dots``); longer sums are ``math.fsum`` and
+``np.vecdot``, within a few ulp. ``on_floats`` marks a point kernel that
+takes floats, and ``takes_floats`` reads the mark through any wrapper.
+The whole space, a box and a ball write their projection once, as a
+``fragments.Fragment``, and render both kernels from it (``_kernels``),
+which ``flow``'s RK4 loop also splices in; the half-space, the hyperplane
+and the simplex write both out, and the loop calls them.
 """
 
 from __future__ import annotations
@@ -36,21 +31,10 @@ import math
 import numpy as np
 
 from .errors import InvalidInputError
-from .fragments import Fragment, inlined
+from .fragments import (FLOAT_MAX_DIM, Fragment, _row_dots, inlined, point_kernel, row_consts,
+                        row_kernel)
 
 MEMBERSHIP_TOL = 1e-12
-
-# Up to this many floats a row kernel tiles its constant vectors (see _RowTiles).
-TILE_MAX_FLOATS = 4096
-
-# The widest state a single run steps as Python floats: flow's RK4 loop
-# has two renderings, on floats and on one numpy row. Per RK4 step on box
-# + quadratic, the float rendering with the kernels spliced in takes 1.2,
-# with them called 6.8, against the row rendering's 24 us at n = 2, and
-# 4.2 and 11 against 27 at n = 7 (2-core Xeon VM, Python 3.11.7, numpy
-# 2.4.6); a row kernel sums up to this many columns one at a time, each a
-# numpy call, where wider rows take one np.vecdot.
-FLOAT_MAX_DIM = 7
 
 
 def on_floats(kernel):
@@ -74,56 +58,6 @@ def _dot(u, v) -> float:
     for a, b in zip(u, v):
         s += a * b
     return s
-
-
-def _sum_sq(u) -> float:
-    """<u, u>, summed as _dot sums."""
-    if len(u) > FLOAT_MAX_DIM:
-        return math.fsum([a * a for a in u])
-    s = -0.0
-    for a in u:
-        s += a * a
-    return s
-
-
-def _row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """<X[k], Y[k]>, or <X[k], Y> for one vector Y, of each row of a 2-d X.
-
-    Up to FLOAT_MAX_DIM columns the products are summed column by column,
-    left to right as _dot sums; wider rows use np.vecdot.
-    """
-    width = X.shape[1]
-    if width > FLOAT_MAX_DIM:
-        return np.vecdot(X, Y)
-    P = X * Y
-    s = P[:, 0]
-    for j in range(1, width):
-        s = s + P[:, j]
-    return s
-
-
-class _RowTiles:
-    """A constant (n,) vector as an operand for an (m, n) array of rows.
-
-    On a few rows numpy spends more on setting up the broadcast of an (n,)
-    operand than on the arithmetic, and a same-shape operand skips it. So
-    called on an array X of at most TILE_MAX_FLOATS floats, it returns the
-    vector tiled into X's rows, kept until the row count changes; a larger
-    array gets the vector itself, where the set-up is negligible. The
-    arithmetic is the same either way. Callers must not write to the result.
-    """
-
-    def __init__(self, v: np.ndarray):
-        self.v = v
-        self.tiled = v
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        tiled = self.tiled
-        if tiled.shape != X.shape:
-            if X.size > TILE_MAX_FLOATS:
-                return self.v
-            tiled = self.tiled = np.tile(self.v, (X.shape[0], 1))
-        return tiled
 
 
 def as_rows(x, dim: int | None = None, what: str = "point") -> np.ndarray:
@@ -192,8 +126,26 @@ class ConvexSet:
         raise NotImplementedError
 
 
+def _kernels(fragment: Fragment):
+    """``_project`` and ``_project_rows`` rendered from ``fragment``, on a
+    set's constants ``_consts`` and their ``_tiles`` (fragments.row_consts)."""
+    rows = row_kernel(fragment)
+
+    @on_floats
+    @inlined(fragment, lambda cs: cs._consts)
+    def _project(self, x):
+        return point_kernel(fragment, len(x))(self._consts, x)
+
+    def _project_rows(self, X):
+        return rows(self._tiles, X)
+
+    return _project, _project_rows
+
+
 class WholeSpace(ConvexSet):
     """All of R^n. ``dim=None`` accepts points of any dimension."""
+
+    _consts = _tiles = ()
 
     def __init__(self, dim: int | None = None):
         if dim is not None and dim < 1:
@@ -208,13 +160,7 @@ class WholeSpace(ConvexSet):
             raise InvalidInputError("cannot sample: dimension not fixed")
         return rng.standard_normal((n, self.dim))
 
-    @on_floats
-    @inlined(Fragment("wholespace", "", "{vec:{out}@} = {vec:{x}@}"), lambda space: ())
-    def _project(self, x):
-        return x
-
-    def _project_rows(self, X):
-        return X
+    _project, _project_rows = _kernels(Fragment("wholespace", "", "{vec:{out}@} = {vec:{x}@}"))
 
 
 class Box(ConvexSet):
@@ -226,8 +172,8 @@ class Box(ConvexSet):
         if np.any(self.lo > self.hi):
             raise InvalidInputError("box needs lo <= hi in every coordinate")
         self.dim = self.lo.size
-        self._bounds = list(zip(self.lo.tolist(), self.hi.tolist()))
-        self._lo_rows, self._hi_rows = _RowTiles(self.lo), _RowTiles(self.hi)
+        self._consts = (self.lo.tolist(), self.hi.tolist())
+        self._tiles = row_consts(self._consts)
 
     def is_symmetric(self) -> bool:
         return bool(np.all(self.lo == -self.hi))
@@ -235,17 +181,10 @@ class Box(ConvexSet):
     def sample(self, rng, n):
         return rng.uniform(self.lo, self.hi, size=(n, self.dim))
 
-    @on_floats
-    @inlined(Fragment("box", "{vec:({k}_lo@, {k}_hi@)} = {k}", "{vec:{out}@} = "
-                      "{vec:{k}_lo@ if {x}@ < {k}_lo@ else {k}_hi@ if {x}@ > {k}_hi@ else {x}@}"),
-             lambda box: box._bounds)
-    def _project(self, x):
-        # np.minimum(np.maximum(x, lo), hi) on floats; a NaN fails both tests and stays
-        return [lo if v < lo else hi if v > hi else v for v, (lo, hi) in zip(x, self._bounds)]
-
-    def _project_rows(self, X):
-        # np.clip's Python wrapper costs more than the two ufuncs it runs.
-        return np.minimum(np.maximum(X, self._lo_rows(X)), self._hi_rows(X))
+    # a NaN fails both tests and stays
+    _project, _project_rows = _kernels(Fragment(
+        "box", "{vec:{k}_lo@} = {tile:{k}[0]}\n{vec:{k}_hi@} = {tile:{k}[1]}",
+        "{vec:{out}@} = {clip:{x}@, {k}_lo@, {k}_hi@}"))
 
 
 class Ball(ConvexSet):
@@ -257,8 +196,8 @@ class Ball(ConvexSet):
         if not np.isfinite(self.radius) or self.radius <= 0:
             raise InvalidInputError("radius must be positive and finite")
         self.dim = self.center.size
-        self._c = self.center.tolist()
-        self._center_rows = _RowTiles(self.center)
+        self._consts = (self.center.tolist(), self.radius)
+        self._tiles = row_consts(self._consts)
 
     def is_symmetric(self) -> bool:
         return bool(np.all(self.center == 0.0))
@@ -271,30 +210,15 @@ class Ball(ConvexSet):
         g += self.center
         return g
 
-    @on_floats
-    @inlined(Fragment("ball", "{vec:{k}_c@} = {k}[0]\n{k}_radius = {k}[1]", """\
+    _project, _project_rows = _kernels(Fragment(
+        "ball", "{vec:{k}_c@} = {tile:{k}[0]}\n{k}_radius = {k}[1]", """\
 {vec:{k}_e@} = {vec:{x}@ - {k}_c@}
-{k}_r = math.sqrt({sum:{k}_e@ * {k}_e@})
+{k}_r = {sqrt}({sum:{k}_e@ * {k}_e@})
 if {k}_r <= {k}_radius:
     {vec:{out}@} = {vec:{x}@}
 else:
-    {k}_s = {k}_radius / {k}_r
-    {vec:{out}@} = {vec:{k}_c@ + {k}_s * {k}_e@}"""), lambda ball: (ball._c, ball.radius))
-    def _project(self, x):
-        d = [v - c for v, c in zip(x, self._c)]
-        r = math.sqrt(_sum_sq(d))
-        if r <= self.radius:
-            return x
-        s = self.radius / r
-        return [c + s * e for c, e in zip(self._c, d)]
-
-    def _project_rows(self, X):
-        C = self._center_rows(X)
-        D = X - C
-        r = np.sqrt(_row_dots(D, D))
-        # rows inside keep X itself; max(r, radius) only keeps the unused branch finite
-        scale = self.radius / np.maximum(r, self.radius)
-        return np.where((r <= self.radius)[:, None], X, C + scale[:, None] * D)
+    {k}_s = {k}_radius / {guard:{k}_r, {k}_radius}
+    {vec:{out}@} = {vec:{k}_c@ + {k}_s * {k}_e@}"""))
 
 
 class HalfSpace(ConvexSet):

@@ -7,51 +7,43 @@ and an evenness flag. The certificate checks at the bottom of the
 module sample the claimed inequalities rather than trusting the
 metadata.
 
-An Objective has two kinds of kernel. The point kernels ``fn`` and
-``grad_fn`` take one point. The catalog's compute in Python floats on
-any sequence of floats, and ``grad_fn`` returns a list for a list and an
-array otherwise; they are marked ``geometry.on_floats``, and a power
-objective is marked only when its base kernels are. The row kernels
-``fn_rows`` and ``grad_rows`` take every row of an ``(m, n)`` array,
-which they must not mutate. The catalog's row kernels reduce rows with
-``geometry._row_dots``, in the order in which the point kernels sum, so
-up to ``FLOAT_MAX_DIM`` columns row k equals ``fn`` or ``grad_fn`` of
-that row bit for bit, and wider rows agree within a few ulp. The one
-exception is a power objective's exponent, which the point kernels raise
-with the C library's ``pow`` and the row kernels with numpy's vectorised
-``power``; an AVX-512 build of numpy rounds 5% of powers an ulp apart.
-Exponents 0 and 1 are exact in both, so the gradient of theta = 1/4 and
-1/2 agrees bit for bit. An Objective given only ``fn`` and ``grad_fn``
-gets row kernels that call them row by row. A catalog row kernel records
-the point kernel it mirrors, and an Objective keeps it only while that
-is still its ``fn`` or ``grad_fn``: replacing a point kernel with ``dataclasses.replace``
+An Objective has point kernels ``fn`` and ``grad_fn``, which take one
+point, and row kernels ``fn_rows`` and ``grad_rows``, which take every
+row of an ``(m, n)`` array and must not mutate it. One given only ``fn``
+and ``grad_fn`` gets row kernels that call them row by row. A catalog row
+kernel records the point kernel it mirrors and is kept only while that is
+still the Objective's: ``dataclasses.replace`` with a new point kernel
 derives the row loop anew, while a row kernel the caller passes is kept
 as given. A wrapper that sets ``__wrapped__`` (``functools.wraps`` does)
-counts as the kernel it wraps, for the rows and for the float mark, so
-that a traced or counted kernel keeps the vectorised rows and the float
-path; such a wrapper must return the kernel's values. One that changes
-them keeps the old rows too, and the rows then differ from the points;
-pass its row kernel, or ``None`` to have one derived, with it.
+counts as the kernel it wraps, for the rows and for the float mark
+``geometry.on_floats``, and must return the kernel's values.
 
-A run of at most ``FLOAT_MAX_DIM`` coordinates whose gradient and
-projection take floats steps floats through the point kernels (see
-``flow.integrate``). The catalog's ``grad_fn`` carry their arithmetic as
-source (``fragments.inlined``), which that run's loop splices in; so does
-a power objective's, when its base's ``fn`` and ``grad_fn`` do, as a
-quadratic's do. Everything else that evaluates many points uses the
-row kernels: a wider or unmarked run, a run's samples, ``Objective.grad``
-and the checks below. The samples
-and the checks work in blocks of at most ``GRAD_CHECK_BLOCK_FLOATS``
+The quadratic, even_quartic and flat_bottom families write their value
+and their gradient once each, as a ``fragments.Fragment``, and every
+kernel is rendered from those two (``_kernels``): ``fn`` and ``grad_fn``
+on ``dim`` Python floats (``grad_fn`` returns a list for a list and an
+array otherwise), the value's form and ``grad_rows`` on rows, and the
+gradient, with a quadratic's value, as the source flow's RK4 loop splices
+in. So row k equals ``fn`` or ``grad_fn`` of that row bit for bit up to
+``FLOAT_MAX_DIM`` coordinates and within a few ulp beyond. A power
+objective composes its base's kernels, and is marked as taking floats
+and spliced (``_power_of``) only where its base's are. Its exponent is
+raised by the C library's ``pow`` on floats and numpy's ``power`` on rows,
+which an AVX-512 build of numpy rounds an ulp apart for 5% of powers; the
+exponents 0 and 1 of theta = 1/4 and 1/2 are exact in both. Runs, their
+samples, ``Objective.grad`` and the checks below evaluate many points
+through the row kernels, in blocks of at most ``GRAD_CHECK_BLOCK_FLOATS``
 floats (512 KiB) whatever n is (``row_blocks``).
 
 A catalog ``fn_rows`` is ``phi(_row_dots(U, V))``, ``(U, V) = uv(X)``
-elementwise in X, and carries ``(uv, phi)`` as ``form`` (``_formed``):
-``((X - a)^2, d)`` and ``S + shift`` for a quadratic, ``(X - a, X - a)``
-and ``max(sqrt(S) - rho, 0)^2`` for flat_bottom, ``(X, X)`` and ``S^2 +
-S`` for even_quartic, the base's pair and ``phi_base(S)^p`` for a power.
-``grad_check`` updates a point's row sum S by a probe's one changed term;
-S's rounding, shared by both values of a difference, cancels in it. Any
-other row kernel, and any wrapper, has no form (``_form``).
+elementwise in X, and carries ``(uv, phi, cond)`` as ``form``
+(``_formed``), uv and phi rendered from the value's template
+(``fragments.form_kernels``). cond is the value's rounding condition,
+``r / (r - rho)`` for flat_bottom, whose ``sqrt(S) - rho`` cancels, and
+None (1) for the rest. ``grad_check`` updates a point's row sum S by a
+probe's one changed term; S's rounding, shared by both values of a
+difference, cancels in it. Any other row kernel, and any wrapper, has no
+form (``_form``).
 """
 
 from __future__ import annotations
@@ -65,22 +57,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedObjectiveError
-from .fragments import Fragment, inline, inlined, nested
-from .geometry import (
-    Ball,
-    Box,
-    ConvexSet,
-    _rounding,
-    _row_dots,
-    _row_norms,
-    _RowTiles,
-    _dot,
-    _sum_sq,
-    as_point,
-    as_rows,
-    on_floats,
-    takes_floats,
-)
+from .fragments import (FLOAT_MAX_DIM, Fragment, _row_dots, form_kernels, inline, inlined,
+                        nested, point_kernel, row_consts, row_kernel)
+from .geometry import (Ball, Box, ConvexSet, _rounding, _row_norms, as_point, as_rows, on_floats,
+                       takes_floats)
 
 
 @dataclass(frozen=True)
@@ -147,23 +127,24 @@ def _rows_of(point):
     return mark
 
 
-def _formed(point, uv, phi):
+def _formed(point, uv, phi, cond=None):
     """The fn_rows ``phi(_row_dots(*uv(X)))`` that mirrors ``point`` and
-    carries ``(uv, phi)`` as ``form``. Entry (k, j) of each of uv's pair
-    depends on X[k, j] alone (V may be one constant row), and phi maps the
-    row sums elementwise."""
+    carries ``(uv, phi, cond)`` as ``form``. Entry (k, j) of each of uv's
+    pair depends on X[k, j] alone (V may be one constant row), and phi maps
+    the row sums elementwise. phi(S) rounds by up to cond(S) times 2 eps
+    |f| beyond S's own rounding, and by 2 eps |f| if cond is None."""
 
     @_rows_of(point)
     def fn_rows(X):
         return phi(_row_dots(*uv(X)))
 
-    fn_rows.form = (uv, phi)
+    fn_rows.form = (uv, phi, cond)
     return fn_rows
 
 
 def _form(fn_rows):
-    """The (uv, phi) a row kernel carries, or None for one without, or for
-    any wrapper, whose every call must happen."""
+    """The (uv, phi, cond) a row kernel carries, or None for one without,
+    or for any wrapper, whose every call must happen."""
     return None if hasattr(fn_rows, "__wrapped__") else getattr(fn_rows, "form", None)
 
 
@@ -205,9 +186,8 @@ class Objective:
 
     def grad(self, x) -> np.ndarray:
         """The gradient at one point, as the one row of ``grad_rows``: the
-        catalog's equals ``grad_fn`` (bit for bit up to FLOAT_MAX_DIM
-        coordinates, see above) at numpy's speed, and a caller's
-        ``grad_fn`` alone is called through its row loop."""
+        catalog's equals ``grad_fn`` (see above) at numpy's speed, and a
+        caller's ``grad_fn`` alone is called through its row loop."""
         return self._grads(as_point(x, self.dim)[None, :])[0]
 
     def _grads(self, X: np.ndarray) -> np.ndarray:
@@ -241,26 +221,25 @@ def grad_check(obj: Objective, x, h: float = 1e-5) -> float:
     The difference d_i divides by the realised step s_i = (p_i + h) -
     (p_i - h), not by 2h. Coordinate i's error |g_i - d_i| is divided by
     the largest of 1, |g_i|, |d_i| and r_i / GRAD_CHECK_TOL, where r_i =
-    4 eps max|f(p +- h e_i)| / s_i bounds d_i's rounding error when each f
-    value is off by up to 2 eps |f|, a few units in the last place, as a
+    4 eps c max|f(p +- h e_i)| / s_i bounds d_i's rounding error when each f
+    value is off by up to 2 eps c |f|, a few units in the last place, as a
     rounded sum of many terms can be (Nocedal & Wright, Numerical
-    Optimization, section 8.1). So a coordinate reads at most
+    Optimization, section 8.1). c is the rounding condition of the value
+    that a form carries, r / (r - rho) for flat_bottom, whose sqrt(S) -
+    rho cancels, and 1 for the rest. So a coordinate reads at most
     GRAD_CHECK_TOL when it agrees to that relative bar or to within the
     difference's own rounding, which exceeds the bar where |f| is large:
     an exact gradient passes at any scale of p.
 
-    The gradients of all points come from one ``grad_rows`` call. A probe
-    row p + h e_i differs from p in column i alone. So where ``obj.fn_rows``
-    is phi(_row_dots(U, V)) (``_form``), f(p + h e_i) is phi(S + (U_i'
-    V_i' - U_i V_i)), S being p's row sum and (U', V') the pair at p + h:
-    ``uv`` runs once on p, p + h and p - h of a block of points, O(n)
-    floats a point. That is not the float fn_rows gives on the probe row,
-    but the rounding of S, the part that grows with n, is shared by f(p +
-    h e_i) and f(p - h e_i) and cancels in their difference; what is left,
-    a few eps |f|, is within r_i. Any other fn_rows evaluates the probe
-    rows themselves (``_probed``). A coordinate whose difference is not a
-    number (f overflowed at p or at p +- h e_i) makes the result NaN, which
-    fails every threshold.
+    The gradients of all points come from one ``grad_rows`` call. Where
+    ``obj.fn_rows`` has a form (``_form``), f(p + h e_i) is phi(S + (U_i'
+    V_i' - U_i V_i)), S being p's row sum and (U', V') the pair at p + h,
+    O(n) floats a point: the rounding of S, the part that grows with n, is
+    shared by f(p + h e_i) and f(p - h e_i) and cancels in their
+    difference. Any other fn_rows evaluates the probe rows themselves
+    (``_probed``). A coordinate whose difference is not a number (f
+    overflowed at p or at p +- h e_i) makes the result NaN, which fails
+    every threshold.
     """
     if h <= 0:
         raise InvalidInputError("step h must be positive")
@@ -272,21 +251,28 @@ def grad_check(obj: Objective, x, h: float = 1e-5) -> float:
         for b in row_blocks(len(P), 3 * obj.dim):
             Q, g, m = P[b], G[b], b.stop - b.start
             Q3 = np.concatenate((Q, Q + h, Q - h))  # p, p + h and p - h
+            size = None  # the largest |f| of each difference, times its rounding condition
             if form:
-                uv, phi = form
+                uv, phi, cond = form
                 U, V = uv(Q3)
                 V = np.broadcast_to(V, U.shape)  # V may be one row for all
                 S, W = _row_dots(U[:m], V[:m])[:, None], U * V
-                f_plus, f_minus = phi(S + (W[m:2 * m] - W[:m])), phi(S + (W[2 * m:] - W[:m]))
+                S_plus, S_minus = S + (W[m:2 * m] - W[:m]), S + (W[2 * m:] - W[:m])
+                f_plus, f_minus = phi(S_plus), phi(S_minus)
+                if cond is not None:
+                    size = np.maximum(np.abs(f_plus) * cond(S_plus),
+                                      np.abs(f_minus) * cond(S_minus))
             else:
                 f_plus, f_minus = _probed(obj.fn_rows, Q3)
+            if size is None:
+                size = np.maximum(np.abs(f_plus), np.abs(f_minus))
             span = Q3[m:2 * m] - Q3[2 * m:]
             span[span == 0.0] = 2.0 * h  # p_i +- h both round to p_i: d_i is 0 over 2h
             fd = (f_plus - f_minus) / span
             scale = np.maximum(np.maximum(1.0, np.abs(g)), np.abs(fd))
             # r_i / GRAD_CHECK_TOL, the difference's rounding error in units of the bar
             floor = 4.0 * np.finfo(float).eps / (span * GRAD_CHECK_TOL)
-            scale = np.maximum(scale, floor * np.maximum(np.abs(f_plus), np.abs(f_minus)))
+            scale = np.maximum(scale, floor * size)
             # maximum propagates a NaN error; fmax would drop it
             worst = np.maximum.reduce(np.abs(g - fd) / scale, axis=None, initial=worst)
     return float(worst)
@@ -324,6 +310,53 @@ def singleton(point) -> Box:
     return Box(p, p)
 
 
+# A quadratic's value and gradient share their set-up and residual (see _power_of)
+_QUADRATIC_SETUP = ("{vec:{k}_a@} = {tile:{k}[0]}\n{vec:{k}_d@} = {tile:{k}[1]}\n"
+                    "{vec:{k}_w@} = {tile:{k}[2]}\n{k}_shift = {k}[3]")
+_RESIDUAL = "{vec:{k}_r@} = {vec:{x}@ - {k}_a@}\n"
+_QUADRATIC = Fragment("quadratic", _QUADRATIC_SETUP,
+                      _RESIDUAL + "{out} = {sum:{k}_r@ * {k}_r@ * {k}_d@} + {k}_shift")
+_QUADRATIC_GRAD = Fragment("quadratic", _QUADRATIC_SETUP,
+                           _RESIDUAL + "{vec:{out}@} = {vec:{k}_w@ * {k}_r@}")
+_EVEN_QUARTIC = Fragment("even_quartic", "",
+                         "{k}_s = {sum:{x}@ * {x}@}\n{out} = {k}_s * {k}_s + {k}_s")
+_EVEN_QUARTIC_GRAD = Fragment(
+    "even_quartic", "", "{k}_c = 4.0 * {sum:{x}@ * {x}@} + 2.0\n{vec:{out}@} = {vec:{k}_c * {x}@}")
+_FLAT_BOTTOM_SETUP = "{vec:{k}_a@} = {tile:{k}[0]}\n{k}_rho = {k}[1]"
+_FLAT_BOTTOM = Fragment("flat_bottom", _FLAT_BOTTOM_SETUP, """\
+{vec:{k}_d@} = {vec:{x}@ - {k}_a@}
+{k}_e = {sqrt}({sum:{k}_d@ * {k}_d@}) - {k}_rho
+{k}_e = {clip:{k}_e, 0.0}
+{out} = {k}_e * {k}_e""")
+_FLAT_BOTTOM_GRAD = Fragment("flat_bottom", _FLAT_BOTTOM_SETUP, """\
+{vec:{k}_d@} = {vec:{x}@ - {k}_a@}
+{k}_r = {sqrt}({sum:{k}_d@ * {k}_d@})
+if {k}_r <= {k}_rho:
+    {vec:{out}@} = {zeros}
+else:
+    {k}_s = 2.0 * ({k}_r - {k}_rho) / {guard:{k}_r, {k}_rho}
+    {vec:{out}@} = {vec:{k}_s * {k}_d@}""")
+
+
+def _kernels(value: Fragment, grad: Fragment, consts: tuple, dim: int, cond=None,
+             value_spliced: bool = False) -> dict:
+    """fn, fn_rows (with the rounding condition ``cond``, see _formed), grad_fn
+    and grad_rows rendered from a family's value and gradient on ``consts``,
+    the point kernels compiled now up to FLOAT_MAX_DIM floats, where runs
+    step them, and beyond at first use; the gradient marked inlined, and the
+    value if ``value_spliced``."""
+    fn, grad_fn = (on_floats(partial(point_kernel(f, dim), consts) if dim <= FLOAT_MAX_DIM
+                             else lambda x, f=f: point_kernel(f, dim)(consts, x))
+                   for f in (value, grad))
+    grad_fn = inlined(grad, lambda _: consts)(grad_fn)
+    if value_spliced:
+        fn = inlined(value, lambda _: consts)(fn)
+    tiles = row_consts(consts)
+    uv, phi = (partial(kernel, tiles) for kernel in form_kernels(value))
+    return dict(fn=fn, fn_rows=_formed(fn, uv, phi, cond), grad_fn=grad_fn,
+                grad_rows=_rows_of(grad_fn)(partial(row_kernel(grad), tiles)))
+
+
 def quadratic(center, diag=None, shift: float = 0.0, name: str | None = None) -> Objective:
     """f(x) = sum_i d_i (x_i - a_i)^2 + shift with every d_i > 0.
 
@@ -337,48 +370,10 @@ def quadratic(center, diag=None, shift: float = 0.0, name: str | None = None) ->
     shift = float(shift)
     if not np.isfinite(shift):
         raise InvalidInputError("shift must be finite")
-
-    a_floats, d_floats, d2_floats = a.tolist(), d.tolist(), (2.0 * d).tolist()
-    consts = (a_floats, d_floats, d2_floats, shift)
-    # fn's and grad_fn's fragments, from one template: the residual, then value or gradient
-    setup = ("{vec:{k}_a@} = {k}[0]\n{vec:{k}_d@} = {k}[1]\n"
-             "{vec:{k}_w@} = {k}[2]\n{k}_shift = {k}[3]")
-    residual = "{vec:{k}_r@} = {vec:{x}@ - {k}_a@}\n"
-
-    @on_floats
-    @inlined(Fragment("quadratic", setup,
-                      residual + "{out} = {sum:{k}_r@ * {k}_r@ * {k}_d@} + {k}_shift"),
-             lambda _: consts)
-    def fn(x, a=a_floats, d=d_floats, shift=shift):
-        return _dot([(v - c) * (v - c) for v, c in zip(x, a)], d) + shift
-
-    a_rows, d_rows, d2_rows = _RowTiles(a), _RowTiles(d), _RowTiles(2.0 * d)
-
-    def uv(X):
-        R = X - a_rows(X)
-        R *= R
-        return R, d_rows(R)
-
-    # shift as a 0-d array, a faster scalar for numpy
-    fn_rows = _formed(fn, uv, lambda S, shift=np.array(shift): S + shift)
-
-    @on_floats
-    @inlined(Fragment("quadratic", setup, residual + "{vec:{out}@} = {vec:{k}_w@ * {k}_r@}"),
-             lambda _: consts)
-    def grad_fn(x, a=a_floats, d2=d2_floats):
-        g = [w * (v - c) for v, c, w in zip(x, a, d2)]
-        return g if x.__class__ is list else np.array(g)
-
-    @_rows_of(grad_fn)
-    def grad_rows(X):
-        return d2_rows(X) * (X - a_rows(X))
-
+    consts = (a.tolist(), d.tolist(), (2.0 * d).tolist(), shift)
     dmin = float(np.min(d))
     return Objective(
-        fn=fn,
-        fn_rows=fn_rows,
-        grad_fn=grad_fn,
-        grad_rows=grad_rows,
+        **_kernels(_QUADRATIC, _QUADRATIC_GRAD, consts, a.size, value_spliced=True),
         dim=a.size,
         name=name or "quadratic",
         optimum=Optimum(f_star=shift, argmin=singleton(a)),
@@ -392,32 +387,8 @@ def even_quartic(dim: int) -> Objective:
     """f(x) = ||x||^4 + ||x||^2: even, strongly convex, minimum 0 at the origin."""
     if dim < 1:
         raise InvalidInputError("dim must be a positive integer")
-
-    @on_floats
-    def fn(x):
-        s = _sum_sq(x)
-        return s * s + s
-
-    fn_rows = _formed(fn, lambda X: (X, X), lambda s: s * s + s)
-
-    @on_floats
-    @inlined(Fragment("even_quartic", "",
-                      "{k}_c = 4.0 * {sum:{x}@ * {x}@} + 2.0\n{vec:{out}@} = {vec:{k}_c * {x}@}"),
-             lambda _: ())
-    def grad_fn(x):
-        c = 4.0 * _sum_sq(x) + 2.0
-        g = [c * v for v in x]
-        return g if x.__class__ is list else np.array(g)
-
-    @_rows_of(grad_fn)
-    def grad_rows(X):
-        return (4.0 * _row_dots(X, X) + 2.0)[:, None] * X
-
     return Objective(
-        fn=fn,
-        fn_rows=fn_rows,
-        grad_fn=grad_fn,
-        grad_rows=grad_rows,
+        **_kernels(_EVEN_QUARTIC, _EVEN_QUARTIC_GRAD, (), int(dim)),
         dim=int(dim),
         name="even_quartic",
         optimum=Optimum(f_star=0.0, argmin=singleton(np.zeros(dim))),
@@ -439,60 +410,15 @@ def flat_bottom(center, rho: float) -> Objective:
     rho = float(rho)
     if not np.isfinite(rho) or rho <= 0:
         raise InvalidInputError("rho must be positive and finite")
-    ball = Ball(a, rho)
-    a_rows, a_floats = _RowTiles(a), a.tolist()
 
-    @on_floats
-    def fn(x, a=a_floats, rho=rho):
-        excess = math.sqrt(_sum_sq([v - c for v, c in zip(x, a)])) - rho
-        # np.maximum(excess, 0.0): a NaN fails the test and stays
-        return 0.0 if excess < 0.0 else excess * excess
-
-    def uv(X):
-        D = X - a_rows(X)
-        return D, D
-
-    def phi(S, rho=rho):
-        excess = np.maximum(np.sqrt(S) - rho, 0.0)
-        return excess * excess
-
-    fn_rows = _formed(fn, uv, phi)
-
-    @on_floats
-    @inlined(Fragment("flat_bottom", "{vec:{k}_a@} = {k}[0]\n{k}_rho = {k}[1]", """\
-{vec:{k}_d@} = {vec:{x}@ - {k}_a@}
-{k}_r = math.sqrt({sum:{k}_d@ * {k}_d@})
-if {k}_r <= {k}_rho:
-    {vec:{out}@} = (0.0,) * {n}
-else:
-    {k}_s = 2.0 * ({k}_r - {k}_rho) / {k}_r
-    {vec:{out}@} = {vec:{k}_s * {k}_d@}"""), lambda _: (a_floats, rho))
-    def grad_fn(x, a=a_floats, rho=rho):
-        d = [v - c for v, c in zip(x, a)]
-        r = math.sqrt(_sum_sq(d))
-        if r <= rho:
-            g = [0.0] * len(d)
-        else:
-            s = 2.0 * (r - rho) / r
-            g = [s * e for e in d]
-        return g if x.__class__ is list else np.array(g)
-
-    @_rows_of(grad_fn)
-    def grad_rows(X, rho=rho):
-        D = X - a_rows(X)
-        r = np.sqrt(_row_dots(D, D))
-        # max(r, rho) only keeps the unused branch of rows inside the ball finite
-        coef = 2.0 * (r - rho) / np.maximum(r, rho)
-        return np.where((r <= rho)[:, None], 0.0, coef[:, None] * D)
-
+    # sqrt(S) - rho cancels: f rounds by up to r / (r - rho) times 2 eps, r = sqrt(S);
+    # r - rho is 0 or about eps rho at least, and f is 0 where r <= rho
     return Objective(
-        fn=fn,
-        fn_rows=fn_rows,
-        grad_fn=grad_fn,
-        grad_rows=grad_rows,
+        **_kernels(_FLAT_BOTTOM, _FLAT_BOTTOM_GRAD, (a.tolist(), rho), a.size,
+                   lambda S: np.sqrt(S) / np.maximum(np.sqrt(S) - rho, np.finfo(float).eps * rho)),
         dim=a.size,
         name="flat_bottom",
-        optimum=Optimum(f_star=0.0, argmin=ball),
+        optimum=Optimum(f_star=0.0, argmin=Ball(a, rho)),
         holder=HolderErrorBound(kappa=1.0, theta=0.5),
         strong_convexity=None,
         is_even=bool(np.all(a == 0.0)),
@@ -567,7 +493,7 @@ def make_power_objective(g: Objective, theta: float) -> Objective:
     if form is None:  # a base without a form: the power has none either
         fn_rows = _rows_of(fn)(lambda X, base=g.fn_rows, p=p: base(X) ** p)
     else:
-        fn_rows = _formed(fn, form[0], lambda S, phi=form[1], p=p: phi(S) ** p)
+        fn_rows = _formed(fn, form[0], lambda S, phi=form[1], p=p: phi(S) ** p, form[2])
 
     def grad_fn(x, base=g.fn, base_grad=g.grad_fn, p=p, e=p - 1.0):
         gv = float(base(x))

@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgflow import flow
+from pgflow import flow, objectives
 from pgflow.errors import DivergenceError
 from pgflow.flow import FlowProblem, _sample_grid, integrate
 from pgflow.geometry import (
@@ -40,10 +40,10 @@ from pgflow.geometry import (
     WholeSpace,
     _dot,
     _row_dots,
-    _sum_sq,
     takes_floats,
 )
-from pgflow.fragments import inline, nested, source
+from pgflow.fragments import (ROWS, form_kernels, inline, nested, point_kernel, row_consts,
+                              row_kernel, source)
 from pgflow.objectives import (
     Objective,
     _pow,
@@ -131,6 +131,28 @@ class TestKernelsAgree:
         for x, f, g in zip(X.tolist(), F, G):
             np.testing.assert_allclose(obj.fn(x), f, rtol=8 * eps, atol=0.0)
             np.testing.assert_allclose(obj.grad_fn(x), g, rtol=8 * eps, atol=0.0)
+
+    @pytest.mark.parametrize("dim", [FLOAT_MAX_DIM + 1, 1000])
+    @pytest.mark.parametrize("kind", SET_KINDS + OBJECTIVE_KINDS)
+    def test_wider_points_within_a_few_ulp_of_the_rows(self, kind, dim):
+        # beyond FLOAT_MAX_DIM a point kernel sums by math.fsum, a row kernel by np.vecdot
+        rng = np.random.default_rng(dim)
+        X = rng.normal(size=(4, dim)) * 2.0
+        if kind in SET_KINDS:
+            cs = random_set(kind, rng, dim)
+            X[:2] = cs.sample(rng, 2)  # rows already in the set
+            kernels = [(cs._project, cs._project_rows)]
+        else:
+            obj = random_objective(kind, rng, dim)
+            X[0] = obj.optimum.argmin.sample(rng, 1)[0]  # a zero gradient
+            kernels = [(obj.fn, obj.fn_rows), (obj.grad_fn, obj.grad_rows)]
+        eps = np.finfo(float).eps
+        for point, rows in kernels:
+            for x, want in zip(X.tolist(), rows(X)):
+                got = np.array(point(x))
+                # a few ulp of the largest magnitude in play
+                size = max(np.max(np.abs(x)), np.max(np.abs(want)))
+                np.testing.assert_allclose(got, want, rtol=4 * eps, atol=4 * eps * size)
 
     @pytest.mark.parametrize("kind", SET_KINDS)
     def test_a_nan_coordinate_survives_every_projection(self, kind):
@@ -521,6 +543,67 @@ class TestPowerGradientSource:
                 assert struct.pack("<d", raised) == struct.pack("<d", 1.0), v
 
 
+def catalog_templates(rng, n):
+    """(Fragment, float constants) of every catalog kernel written as a
+    template, at n coordinates."""
+    q = quadratic(rng.uniform(-1.0, 1.0, n), diag=rng.uniform(0.5, 2.0, n),
+                  shift=rng.uniform(0.0, 1.0))
+    fb = flat_bottom(rng.uniform(-1.0, 1.0, n), rng.uniform(0.2, 1.0))
+    q_consts, fb_consts = inline(q.grad_fn)[1], inline(fb.grad_fn)[1]
+    return [(objectives._QUADRATIC, q_consts), (objectives._QUADRATIC_GRAD, q_consts),
+            (objectives._EVEN_QUARTIC, ()), (objectives._EVEN_QUARTIC_GRAD, ()),
+            (objectives._FLAT_BOTTOM, fb_consts), (objectives._FLAT_BOTTOM_GRAD, fb_consts),
+            *(inline(random_set(kind, rng, n)._project) for kind in SPLICED_SETS)]
+
+
+class TestTemplates:
+    """Every catalog template renders on floats and on rows, one row or
+    many, with the same floats bit for bit up to FLOAT_MAX_DIM coordinates;
+    a value's form gives them too."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.sampled_from(DIMS), rows=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 5.0]))
+    def test_floats_one_row_and_rows_agree(self, dim, rows, seed, scale):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(rows, dim)) * scale
+        X[0] = 0.0  # even_quartic's minimum, a zero gradient
+        for fragment, consts in catalog_templates(rng, dim):
+            tiles = row_consts(consts)
+            on_rows = row_kernel(fragment)(tiles, X)
+            points = [point_kernel(fragment, dim)(consts, x) for x in X.tolist()]
+            one_row = [row_kernel(fragment)(tiles, X[k:k + 1]) for k in range(rows)]
+            vector = "{vec:{out}@}" in fragment.body
+            assert on_rows.shape == ((rows, dim) if vector else (rows, 1)), fragment
+            assert np.array(points).tobytes() == on_rows.tobytes(), fragment
+            assert np.array(one_row).tobytes() == on_rows.tobytes(), fragment
+            if not vector:
+                uv, phi = form_kernels(fragment)
+                assert phi(tiles, _row_dots(*uv(tiles, X))).tobytes() == on_rows.tobytes()
+
+    def test_a_sum_of_three_factors_renders_on_one_row(self):
+        # the row loop's rendering: the last factor is V, the others U's product
+        assert source(None, objectives._QUADRATIC.body, k="k", x="x", out="o").splitlines() == [
+            "k_r = x - k_a", "o = _row_dots(k_r * k_r, k_d)[0] + k_shift"]
+
+    def test_branches_and_clips_render_per_rendering(self):
+        # the float spelling is the text flow's loop splices in, the row one numpy's
+        ball = inline(Ball([0.0, 0.0], 1.0)._project)[0]
+        assert source(2, ball.body, k="p", x="x", out="o").endswith(
+            "if p_r <= p_radius:\n    o0, o1 = x0, x1\nelse:\n    p_s = p_radius / p_r\n"
+            "    o0, o1 = p_c0 + p_s * p_e0, p_c1 + p_s * p_e1")
+        assert source(ROWS, ball.body, k="p", x="x", out="o").splitlines()[1:] == [
+            "p_r = np.sqrt(_row_dots(p_e, p_e)[:, None])", "if p_r <= p_radius:", "    o = x",
+            "else:", "    p_s = p_radius / np.maximum(p_r, p_radius)", "    o = p_c + p_s * p_e"]
+        assert source(1, "{vec:o@} = {clip:x@, lo@, hi@}") == (
+            "o0, = lo0 if x0 < lo0 else hi0 if x0 > hi0 else x0,")
+        assert source(ROWS, "{vec:o@} = {clip:x@, lo@, hi@}") == (
+            "o = np.minimum(np.maximum(x, lo), hi)")
+        assert source(3, "e = {clip:e, 0.0}") == "e = 0.0 if e < 0.0 else e"
+        assert source(None, "e = {clip:e, 0.0}") == "e = np.maximum(e, 0.0)"
+        assert source(2, "{vec:o@} = {zeros}") == "o0, o1 = (0.0,) * 2"
+
+
 class TestFragmentSource:
     """The vec and sum fields of a template spell a vector over n coordinates."""
 
@@ -554,7 +637,18 @@ class TestReductionOrder:
         X, Y = (rng.normal(size=(rows, width)) * rng.choice([1e-8, 1.0, 1e8], (rows, width))
                 for _ in range(2))
         assert _row_dots(X, Y).tolist() == [_dot(x, y) for x, y in zip(X.tolist(), Y.tolist())]
-        assert _row_dots(X, X).tolist() == [_sum_sq(x) for x in X.tolist()]
+        assert _row_dots(X, X).tolist() == [_dot(x, x) for x in X.tolist()]
+
+    @pytest.mark.parametrize("width", [FLOAT_MAX_DIM + 1, 1000])
+    def test_a_wider_float_sum_renders_as_fsum(self, width):
+        # as _dot sums it, correctly rounded, where a row kernel takes np.vecdot
+        text = source(width, "{sum:x@ * w@}")
+        assert text.startswith("math.fsum((x0 * w0, x1 * w1, ")
+        total = eval(f"lambda x, w: {source(width, '{sum:x[@] * w[@]}')}")
+        rng = np.random.default_rng(width)
+        x, w = (rng.normal(size=width) * rng.choice([1e-8, 1.0, 1e8], width) for _ in range(2))
+        assert struct.pack("<d", total(x.tolist(), w.tolist())) == struct.pack(
+            "<d", _dot(x.tolist(), w.tolist()))
 
     def test_a_sum_of_negative_zeros_keeps_its_sign_in_both(self):
         X = np.full((1, 3), -0.0)

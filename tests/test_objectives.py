@@ -292,27 +292,30 @@ FAMILIES = ("quadratic", "even_quartic", "flat_bottom", "power")
 
 
 def form_case(kind, theta, n, rng, count, scale, shift=0.5):
-    """A catalog objective of one family, its row-sum form (uv, phi) written
-    out from the family's formula, its centre, and ``count`` points at
+    """A catalog objective of one family, its row-sum form (uv, phi, cond)
+    written out from the family's formula, its centre, and ``count`` points at
     ``scale``; flat_bottom's alternate inside and outside its ball. A
     power's base takes |shift|, since it must be nonnegative."""
     center = rng.normal(size=n) * scale
     if kind == "quadratic":
         d = rng.uniform(0.5, 2.0, n)
         obj = quadratic(center, diag=d, shift=shift)
-        form = (lambda X: ((X - center) * (X - center), d), lambda S: S + shift)
+        form = (lambda X: ((X - center) * (X - center), d), lambda S: S + shift, None)
     elif kind == "even_quartic":
         obj, center = even_quartic(n), np.zeros(n)
-        form = (lambda X: (X, X), lambda S: S * S + S)
+        form = (lambda X: (X, X), lambda S: S * S + S, None)
     elif kind == "flat_bottom":
         rho = scale * np.sqrt(n)
         obj = flat_bottom(center, rho)
         form = (lambda X: (X - center, X - center),
-                lambda S: np.maximum(np.sqrt(S) - rho, 0.0) * np.maximum(np.sqrt(S) - rho, 0.0))
+                lambda S: np.maximum(np.sqrt(S) - rho, 0.0) * np.maximum(np.sqrt(S) - rho, 0.0),
+                # sqrt(S) - rho cancels: r / (r - rho), r - rho held to at least eps rho
+                lambda S: np.sqrt(S) / np.maximum(np.sqrt(S) - rho, np.finfo(float).eps * rho))
     else:
         d, p = rng.uniform(0.5, 2.0, n), 1.0 / (2.0 * theta)
         obj = make_power_objective(quadratic(center, diag=d, shift=abs(shift)), theta)
-        form = (lambda X: ((X - center) * (X - center), d), lambda S: (S + abs(shift)) ** p)
+        form = (lambda X: ((X - center) * (X - center), d), lambda S: (S + abs(shift)) ** p,
+                None)
     U = rng.normal(size=(count, n))
     radius = scale * np.sqrt(n) * np.where(np.arange(count) % 2 == 0, 0.5, 1.5)
     return obj, form, center, center + U * (radius / np.linalg.norm(U, axis=1))[:, None]
@@ -320,25 +323,29 @@ def form_case(kind, theta, n, rng, count, scale, shift=0.5):
 
 def written_out_check(obj, X, values, h=1e-5):
     """grad_check written out one point at a time, with (f(p + h e_i),
-    f(p - h e_i)) from ``values(p, h)``, and grad_check's safeguarded error."""
+    f(p - h e_i)) and, if given, their rounding conditions from ``values(p,
+    h)``, and grad_check's safeguarded error."""
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for p in X:
             g = obj.grad(p)
-            f_plus, f_minus = values(p, h)
+            f_plus, f_minus, *conds = values(p, h)
+            cond_plus, cond_minus = conds or (1.0, 1.0)
             span = (p + h) - (p - h)
             span[span == 0.0] = 2.0 * h
             fd = (f_plus - f_minus) / span
             floor = 4.0 * np.finfo(float).eps / (span * GRAD_CHECK_TOL)
             scale = np.max([np.ones_like(g), np.abs(g), np.abs(fd),
-                            floor * np.maximum(np.abs(f_plus), np.abs(f_minus))], axis=0)
+                            floor * np.maximum(np.abs(f_plus) * cond_plus,
+                                               np.abs(f_minus) * cond_minus)], axis=0)
             worst = np.maximum(worst, np.max(np.abs(g - fd) / scale))
     return float(worst)
 
 
 def row_sum_values(obj, form):
-    """f(p +- h e_i) as phi(S + (U_i^+- V_i^+- - U_i V_i)), S being p's row sum."""
-    uv, phi = form
+    """f(p +- h e_i) as phi(S + (U_i^+- V_i^+- - U_i V_i)), S being p's row
+    sum, and the rounding condition of each."""
+    uv, phi, cond = form
 
     def values(p, h):
         U, V = uv(p[None])
@@ -346,7 +353,9 @@ def row_sum_values(obj, form):
         # phi(S) is f(p) bit for bit: the form is fn_rows' own arithmetic
         assert phi(S)[0].tobytes() == obj.fn_rows(p[None]).tobytes()
         (U_plus, V_plus), (U_minus, V_minus) = uv(p[None] + h), uv(p[None] - h)
-        return (phi(S + (U_plus * V_plus - U * V))[0], phi(S + (U_minus * V_minus - U * V))[0])
+        S_plus, S_minus = S + (U_plus * V_plus - U * V), S + (U_minus * V_minus - U * V)
+        conds = () if cond is None else (cond(S_plus)[0], cond(S_minus)[0])
+        return (phi(S_plus)[0], phi(S_minus)[0], *conds)
 
     return values
 
@@ -381,23 +390,36 @@ class TestRowSumUpdate:
     @pytest.mark.parametrize("scale", (1.0, 1e4, 1e8))
     @pytest.mark.parametrize("shift", (0.0, 1e8, -1e8, 1e15))
     def test_exact_gradients_pass_at_every_shift(self, n, scale, shift):
-        # even_quartic and flat_bottom have no shift; beyond scale 1,
-        # flat_bottom meets the case below
+        # even_quartic and flat_bottom have no shift
         rng = np.random.default_rng(int(n + scale))
-        cases = [("quadratic", 0.25), ("even_quartic", 0.25), ("power", 0.25), ("power", 0.4)]
-        for kind, theta in cases + [("flat_bottom", 0.25)] * (scale == 1.0):
+        cases = [("quadratic", 0.25), ("even_quartic", 0.25), ("power", 0.25), ("power", 0.4),
+                 ("flat_bottom", 0.25)]
+        for kind, theta in cases:
             obj, _, _, X = form_case(kind, theta, n, rng, 3, scale, shift)
             assert grad_check(obj, X) <= GRAD_CHECK_TOL, (kind, theta)
 
-    @pytest.mark.xfail(strict=True, reason="flat_bottom's sqrt(S) - rho cancels: its values "
-                       "round by eps r / (r - rho) relative, beyond the 2 eps the floor allows")
-    @pytest.mark.parametrize("n, scale", [(2, 1e8), (1000, 1e4)])
-    def test_exact_flat_bottom_gradient_just_outside_a_far_ball(self, n, scale):
+    @staticmethod
+    def just_outside_a_far_ball(n, scale):
         rng = np.random.default_rng(0)
         center, rho = rng.normal(size=n) * scale, scale * np.sqrt(n)
         U = rng.normal(size=(20, n))
         X = center + U * (1.1 * rho / np.linalg.norm(U, axis=1))[:, None]
-        assert grad_check(flat_bottom(center, rho), X) <= GRAD_CHECK_TOL
+        return flat_bottom(center, rho), X
+
+    @pytest.mark.parametrize("n, scale", [(2, 1e8), (1000, 1e4)])
+    def test_exact_flat_bottom_gradient_just_outside_a_far_ball(self, n, scale):
+        # sqrt(S) - rho cancels, so f rounds by eps r / (r - rho) relative:
+        # the floor allows for that condition, which the form carries
+        obj, X = self.just_outside_a_far_ball(n, scale)
+        assert grad_check(obj, X) <= GRAD_CHECK_TOL
+
+    @pytest.mark.parametrize("n, scale", [(2, 1e8), (1000, 1e4)])
+    def test_a_flat_bottom_gradient_one_percent_off_there_fails(self, n, scale):
+        obj, X = self.just_outside_a_far_ball(n, scale)
+        good = obj.grad_rows
+        wrong = dataclasses.replace(obj, grad_rows=lambda X: 1.01 * good(X))
+        assert wrong.fn_rows is obj.fn_rows
+        assert grad_check(wrong, X) > GRAD_CHECK_TOL
 
     @pytest.mark.parametrize("n", (3, 1000))
     @pytest.mark.parametrize("kind", FAMILIES)
